@@ -17,16 +17,13 @@ from math import gcd
 from .graph_core import (
     BundleSpec,
     Graph,
-    Pair,
     Reflection,
     Shift,
-    SpecFormatError,
     make_edge,
     vertex_index,
 )
 
 KIND_FIBER = "fiber"
-KIND_SINGLE_JUMP = "single-jump"
 KIND_SHIFT_RESIDUAL = "shift-residual"
 KIND_TRIVIAL_SHIFT_RESIDUAL = "trivial-shift-residual"
 KIND_REFLECTION_RESIDUAL = "reflection-residual"
@@ -53,20 +50,6 @@ class Decomposition:
                 edges.add(make_edge(u, cyc[(i + 1) % len(cyc)]))
         return frozenset(edges)
 
-    def to_json(self) -> str:
-        payload = {"kind": self.kind, "cycles": [list(c) for c in self.cycles]}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Decomposition":
-        try:
-            payload = json.loads(text)
-            kind = payload["kind"]
-            cycles = tuple(tuple(int(v) for v in c) for c in payload["cycles"])
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-            raise SpecFormatError(f"bad decomposition payload: {exc}") from exc
-        return cls(kind, cycles)
-
 
 def fiber_cycles(spec: BundleSpec) -> Decomposition:
     """The ``s`` fibre copies of C_t, row by row."""
@@ -76,60 +59,6 @@ def fiber_cycles(spec: BundleSpec) -> Decomposition:
         tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s)
     )
     return Decomposition(KIND_FIBER, cycles)
-
-
-def single_jump_cycles(t: int, d: int) -> Decomposition:
-    """Orbits of ``q -> q + d`` on Z_t as cycles of the jump-d circulant.
-
-    There are ``gcd(t, d)`` of them, each of length ``t / gcd(t, d)``.  The
-    half jump ``d = t/2`` pairs columns into single edges rather than cycles,
-    so it is rejected, as is ``d = 0``.
-    """
-
-    if not 0 < d < t:
-        raise DecompositionError(f"jump {d} out of range 1..{t - 1}")
-    if 2 * d == t:
-        raise DecompositionError(f"half jump {d} on Z_{t} gives edges, not cycles")
-    g = gcd(t, d)
-    length = t // g
-    cycles = tuple(
-        tuple((k + l * d) % t for l in range(length)) for k in range(g)
-    )
-    return Decomposition(KIND_SINGLE_JUMP, cycles)
-
-
-def shrink(g: Graph, parts: list[set[int]] | tuple[set[int], ...]) -> Graph:
-    """Contract each part to a single vertex, dropping loops and parallel edges.
-
-    Vertices not covered by any part survive as singletons.  New ids follow
-    the ascending order of each part's smallest original vertex.
-    """
-
-    owner: dict[int, int] = {}
-    groups: list[set[int]] = []
-    for part in parts:
-        part = set(part)
-        if not part:
-            raise DecompositionError("empty part in shrink")
-        for v in part:
-            if not 0 <= v < g.n:
-                raise DecompositionError(f"part vertex {v} out of range")
-            if v in owner:
-                raise DecompositionError(f"vertex {v} appears in two parts")
-            owner[v] = len(groups)
-        groups.append(part)
-    for v in range(g.n):
-        if v not in owner:
-            owner[v] = len(groups)
-            groups.append({v})
-    order = sorted(range(len(groups)), key=lambda i: min(groups[i]))
-    rank = {gi: i for i, gi in enumerate(order)}
-    edges = set()
-    for u, v in g.edges:
-        ru, rv = rank[owner[u]], rank[owner[v]]
-        if ru != rv:
-            edges.add(make_edge(ru, rv))
-    return Graph(len(groups), frozenset(edges))
 
 
 def shift_residual_cycles(s: int, t: int, d: int) -> Decomposition:
@@ -199,17 +128,11 @@ class DiophantineSolution:
     x: int
     y: int
 
-    @property
-    def position(self) -> int:
-        """1-based rank of element ``1+c`` in ``{1, 1+a, 1+2a, ...}`` mod b."""
-
-        return self.x + 1
-
 
 def solve_position(a: int, b: int, c: int) -> DiophantineSolution:
     """Solve ``a*x + b*y = c`` with ``0 <= x <= b-1`` for coprime ``a, b``.
 
-    The solution in that window is unique.  ``position`` then locates
+    The solution in that window is unique; ``x + 1`` is the 1-based rank of
     ``1 + c`` inside the ordered set ``{1, 1+a, 1+2a, ...}`` taken mod ``b``.
     """
 
@@ -243,9 +166,6 @@ class CirculantReduction:
         """Torus flat index -> circulant vertex."""
 
         return {vertex_index(p, q, self.t): lab for p, q, lab in self.labels}
-
-    def pair_map(self) -> dict[Pair, int]:
-        return {(p, q): lab for p, q, lab in self.labels}
 
     def target(self) -> Graph:
         from .graph_core import circulant

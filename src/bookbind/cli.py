@@ -9,7 +9,8 @@ Exit codes:
   64  usage: bad arguments or malformed spec string
   65  well-formed but invalid parameters (bounds, palette too small, ...)
   66  I/O or unreadable input file
-  70  internal error: a construction recipe failed to complete
+  70  internal error: a construction recipe failed to complete, or any
+      other unexpected exception (reported in one line)
 
 Spec strings: ``s=5,t=8,phi=shift:2``, ``s=4,t=9,phi=refl:one``, or
 ``circulant:n=9,S=1,3`` where a circulant is accepted (build/mbt only).
@@ -28,7 +29,7 @@ import sys
 from math import gcd
 
 from .bundle_decomp import DecompositionError
-from .constructions import CompletionError, ConstructionResult, Unsupported, embed
+from .constructions import CompletionError, ConstructionResult, Unsupported, embed, parity_pages
 from .graph_core import (
     BundleSpec,
     Graph,
@@ -40,7 +41,6 @@ from .graph_core import (
     circulant,
     format_bundle_spec,
     parse_bundle_spec,
-    predict_bipartite,
     vertex_pair,
 )
 from .layout_engine import (
@@ -138,7 +138,7 @@ def _embedding_payload(res: ConstructionResult) -> dict:
         "spec": format_bundle_spec(res.spec),
         "rule": res.rule,
         "pages": res.claimed_pages,
-        "classification": classify(res.graph, res.embedding),
+        "classification": classify(res.graph, res.report),
         "embedding": json.loads(res.embedding.to_json()),
     }
 
@@ -171,7 +171,14 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"cannot read {args.embedding}: {exc}\n")
         return EXIT_IO
     try:
-        emb = BookEmbedding.from_json(text)
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        sys.stderr.write(f"{args.embedding}: bad embedding payload: {exc}\n")
+        return EXIT_IO
+    if isinstance(payload, dict) and "embedding" in payload:  # written by `embed --out`
+        payload = payload["embedding"]
+    try:
+        emb = BookEmbedding.from_payload(payload)
     except SpecFormatError as exc:
         sys.stderr.write(f"{args.embedding}: {exc}\n")
         return EXIT_IO
@@ -308,22 +315,18 @@ def cmd_sweep(args) -> int:
     for spec in _sweep_specs(args.family, s_range, t_range):
         rows += 1
         name = format_bundle_spec(spec)
-        predicted = 4 if predict_bipartite(spec) else 5
+        predicted = parity_pages(spec)
         try:
             res = embed(spec)
             if isinstance(res, Unsupported):
                 raise CompletionError("sweep", res.reason)
-            report = validate(res.graph, res.embedding)
-            cert = certify(res.spec, res.embedding)
-            ok = (
-                report.ok
-                and report.pages_used == predicted == res.claimed_pages
-                and cert.status == CERTIFIED
-            )
+            report = res.report
+            cert = certify(res.graph, report)
+            ok = cert.status == CERTIFIED
             line = (
                 f"{name}\tpredicted={predicted}\tpages={report.pages_used}"
                 f"\tvalid={'yes' if report.ok else 'NO'}"
-                f"\tcertified={'yes' if cert.status == CERTIFIED else 'NO'}"
+                f"\tcertified={'yes' if ok else 'NO'}"
                 f"\t{'ok' if ok else 'FAIL'}"
             )
         except (CompletionError, OracleError, CoverageError) as exc:
@@ -406,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"bookbind: {exc}\n")
         return EXIT_IO
+    except Exception as exc:  # anything else is a bug: one line, not a traceback
+        sys.stderr.write(f"bookbind: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -1,21 +1,26 @@
 """Optimal matching book embeddings for twisted tori.
 
-Each supported parameter family gets a bespoke spine order plus an explicit
-page assignment; the number of pages is 4 when the graph is bipartite and 5
-otherwise, which meets the lower bound (4-regularity, plus the parity
-obstruction for nonbipartite regular graphs), so every produced embedding is
-optimal.
+Each supported parameter family is one rule: a rule tag plus a layout
+function ``(cat, spec) -> (spine, fixed, todo)`` that returns the family's
+spine order, the edges with a closed-form page (in placement order), and the
+edges that only have a palette prescribed ("finish this cycle with these
+pages").  ``_select`` maps a normalised spec to its ``(rule tag, layout)``
+pair; coprime and trivial shifts have no rule and come back as Unsupported.
 
-Page assignments are laid down in two stages.  First every edge with a
-closed-form colour rule is placed directly.  The remaining edges only have a
-colour *set* prescribed ("finish this cycle with these pages"), so they are
-completed by a small exhaustive backtracking search restricted to exactly
-that palette, with properness and non-crossing as the constraints.  A failed
-completion raises instead of silently substituting pages.
+``embed`` is the one driver.  It builds the graph, places the fixed edges,
+completes the todo list by a small exhaustive backtracking search restricted
+to each edge's palette (properness and non-crossing are the constraints),
+and seals the embedding with ``parity_pages(spec)`` pages: 4 when the graph
+is bipartite and 5 otherwise.  That meets the lower bound (4-regularity,
+plus the parity obstruction for nonbipartite regular graphs), so every
+produced embedding is optimal.  The driver validates the embedding once and
+hands the report on in the result; a failed placement, completion or
+validation raises instead of silently substituting pages.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,11 +34,9 @@ from .graph_core import (
     BundleSpec,
     Edge,
     Graph,
-    InvalidSpecError,
     REFL_NONE,
     REFL_ONE,
     REFL_TWO,
-    Reflection,
     Shift,
     bundle,
     make_edge,
@@ -46,6 +49,7 @@ from .layout_engine import (
     GREEN,
     PURPLE,
     RED,
+    ValidationReport,
     YELLOW,
     chords_cross,
     validate,
@@ -57,6 +61,8 @@ RULE_SHIFT_ODD_EVEN_RESIDUAL = "shift/gcd-odd/even-residual"
 RULE_SHIFT_ODD_ODD_RESIDUAL = "shift/gcd-odd/odd-residual"
 RULE_REFL_BASE_ODD = "reflection/base-odd/"
 RULE_REFL_BASE_EVEN = "reflection/base-even/"
+
+_FIXED_SUFFIX = {REFL_NONE: "no-fixed", REFL_ONE: "one-fixed", REFL_TWO: "two-fixed"}
 
 
 class CompletionError(RuntimeError):
@@ -82,10 +88,17 @@ class ConstructionResult:
     embedding: BookEmbedding
     claimed_pages: int
     rule: str
+    report: ValidationReport  # the one validation made at build time
+
+
+def parity_pages(spec: BundleSpec) -> int:
+    """Optimal page count by the parity law: 4 if bipartite, else 5."""
+
+    return 4 if predict_bipartite(spec) else 5
 
 
 class SequenceCatalog:
-    """Named vertex sequences (rows, columns, residual cycles) in flat ids.
+    """Named vertex sequences (rows, columns) and edges in flat ids.
 
     Arguments use 1-based row/column indices and wrap modulo s and t, so
     formulas like column ``1 - d`` can be used verbatim.
@@ -115,9 +128,6 @@ class SequenceCatalog:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.flat(i, j) for i in range(1, self.s + 1))
 
-    def shift_cycles(self, d: int) -> tuple[tuple[int, ...], ...]:
-        return shift_residual_cycles(self.s, self.t, d).cycles
-
 
 def _cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
     """Edges of a cycle in traversal order, closing edge last."""
@@ -132,6 +142,9 @@ def _path_edges(seq: tuple[int, ...]) -> list[Edge]:
 
 
 Todo = tuple[Edge, tuple[int, ...]]
+Fixed = tuple[Edge, int]
+Plan = tuple[list[int], list[Fixed], list[Todo]]  # spine, fixed pages, palettes
+Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 
 
 class _PageAssigner:
@@ -208,43 +221,23 @@ class _PageAssigner:
         return BookEmbedding(self.order, dict(self.pages), m)
 
 
-def _sealed_result(
-    spec: BundleSpec, g: Graph, asg: _PageAssigner, claimed: int, rule: str
-) -> ConstructionResult:
-    emb = asg.finish(claimed)
-    report = validate(g, emb)
-    if not report.ok:
-        raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")
-    if report.pages_used != claimed:
-        raise CompletionError(
-            rule, f"used {report.pages_used} pages, claimed {claimed}"
-        )
-    return ConstructionResult(spec, g, emb, claimed, rule)
-
-
 # ---------------------------------------------------------------- shifts ---
 
 
-def embed_shift_even_gcd(s: int, t: int, d: int) -> ConstructionResult:
-    """Shift gluing with gcd(t, d) even: 4 pages if s is even, else 5."""
+def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    """Shift gluing with gcd(t, d) even: residual cycles end to end."""
 
-    spec = BundleSpec(s, t, Shift(d))
+    s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    if not 1 <= d <= t // 2 or g_ % 2 != 0:
-        raise InvalidSpecError(f"need even gcd(t, d) and 1 <= d <= t/2, got t={t}, d={d}")
-    cat = SequenceCatalog(s, t)
-    V = cat.shift_cycles(d)
+    V = shift_residual_cycles(s, t, d).cycles
 
     spine: list[int] = []
     for k in range(1, g_ + 1):
         block = V[k - 1]
         spine.extend(block if k % 2 == 1 else reversed(block))
 
-    graph = bundle(spec)
-    rule = RULE_SHIFT_EVEN_GCD
-    asg = _PageAssigner(graph, spine, rule)
-
     # fibre edges, keyed by the column class of their tail vertex
+    fixed: list[Fixed] = []
     vg_pos = {v: idx for idx, v in enumerate(V[g_ - 1])}
     pivot = vg_pos[cat.flat(1, t)]
     for i in range(1, s + 1):
@@ -256,47 +249,34 @@ def embed_shift_even_gcd(s: int, t: int, d: int) -> ConstructionResult:
                 page = PURPLE
             else:
                 page = PURPLE if vg_pos[cat.flat(i, j)] < pivot else GREEN
-            asg.assign(cat.fiber_edge(i, j), page)
+            fixed.append((cat.fiber_edge(i, j), page))
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
     for k in range(1, g_ + 1):
-        asg.assign(cat.edge(1, k, s, k - d), RED)
+        fixed.append((cat.edge(1, k, s, k - d), RED))
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
-    todo: list[Todo] = []
-    for k in range(1, g_ + 1):
-        todo.extend((e, palette) for e in _path_edges(V[k - 1]))
-    asg.complete(todo)
-
-    return _sealed_result(spec, graph, asg, 4 if s % 2 == 0 else 5, rule)
+    todo = [(e, palette) for k in range(1, g_ + 1) for e in _path_edges(V[k - 1])]
+    return spine, fixed, todo
 
 
-def _embed_shift_odd_gcd_bipartite(s: int, t: int, d: int) -> ConstructionResult:
-    """t even, s and d odd: the torus is bipartite and gets 4 pages."""
+def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    """t even, s and d odd: columns paired from both ends."""
 
-    spec = BundleSpec(s, t, Shift(d))
-    cat = SequenceCatalog(s, t)
-
+    s, t, d = spec.s, spec.t, spec.phi.d
     spine: list[int] = []
     for r in range(t // 2):
         spine.extend(cat.column(1 + 2 * r))
         spine.extend(reversed(cat.column(t - 2 * r)))
 
-    graph = bundle(spec)
-    rule = RULE_SHIFT_ODD_BIPARTITE
-    asg = _PageAssigner(graph, spine, rule)
-
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            asg.assign(cat.fiber_edge(i, j), YELLOW if j % 2 == 0 else GREEN)
-    for j in range(1, t + 1):
-        asg.assign(cat.edge(1, j, s, j - d), RED if j % 2 == 1 else PURPLE)
-    todo: list[Todo] = []
-    for j in range(1, t + 1):
-        todo.extend((e, (RED, PURPLE)) for e in _path_edges(cat.column(j)))
-    asg.complete(todo)
-
-    return _sealed_result(spec, graph, asg, 4, rule)
+    fixed: list[Fixed] = [
+        (cat.fiber_edge(i, j), YELLOW if j % 2 == 0 else GREEN)
+        for i in range(1, s + 1)
+        for j in range(1, t + 1)
+    ]
+    fixed += [(cat.edge(1, j, s, j - d), RED if j % 2 == 1 else PURPLE) for j in range(1, t + 1)]
+    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in _path_edges(cat.column(j))]
+    return spine, fixed, todo
 
 
 def _fiber_page_odd_gcd(
@@ -340,16 +320,14 @@ def _fiber_page_odd_gcd(
     return YELLOW  # odd middle classes and the k = g_ class off column t
 
 
-def _embed_shift_odd_gcd_nonbipartite(s: int, t: int, d: int) -> ConstructionResult:
-    """gcd(t, d) odd, graph nonbipartite: 5 pages via interleaved spine."""
+def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    """gcd(t, d) odd, graph nonbipartite: interleaved spine, 5 pages."""
 
-    spec = BundleSpec(s, t, Shift(d))
+    s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    cat = SequenceCatalog(s, t)
-    V = cat.shift_cycles(d)
+    V = shift_residual_cycles(s, t, d).cycles
     n1 = len(V[0])
     even_residual = n1 % 2 == 0
-    rule = RULE_SHIFT_ODD_EVEN_RESIDUAL if even_residual else RULE_SHIFT_ODD_ODD_RESIDUAL
 
     spine: list[int] = []
     for j in range(n1):  # element-wise interleave of the first two cycles
@@ -359,38 +337,31 @@ def _embed_shift_odd_gcd_nonbipartite(s: int, t: int, d: int) -> ConstructionRes
         block = V[k - 1]
         spine.extend(reversed(block) if k % 2 == 1 else block)
 
-    graph = bundle(spec)
-    asg = _PageAssigner(graph, spine, rule)
-
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            asg.assign(
-                cat.fiber_edge(i, j),
-                _fiber_page_odd_gcd(cat, g_, i, j, even_residual, s, d),
-            )
+    fixed: list[Fixed] = [
+        (cat.fiber_edge(i, j), _fiber_page_odd_gcd(cat, g_, i, j, even_residual, s, d))
+        for i in range(1, s + 1)
+        for j in range(1, t + 1)
+    ]
 
     # first two residual cycles: fully explicit alternations
     for k in (1, 2):
         edges = _cycle_edges(V[k - 1])
         L = len(edges)
-        if even_residual:
-            for idx, e in enumerate(edges, start=1):
-                asg.assign(e, RED if idx % 2 == 1 else BLUE)
-        else:
-            for idx, e in enumerate(edges, start=1):
-                if idx == 1:
-                    page = YELLOW
-                elif idx == L - 1:
-                    page = PURPLE
-                elif idx == L:
-                    page = BLUE if k == 1 else RED
-                else:
-                    page = RED if idx % 2 == 0 else BLUE
-                asg.assign(e, page)
+        for idx, e in enumerate(edges, start=1):
+            if even_residual:
+                page = RED if idx % 2 == 1 else BLUE
+            elif idx == 1:
+                page = YELLOW
+            elif idx == L - 1:
+                page = PURPLE
+            elif idx == L:
+                page = BLUE if k == 1 else RED
+            else:
+                page = RED if idx % 2 == 0 else BLUE
+            fixed.append((e, page))
 
-    todo: list[Todo] = []
-    for k in range(3, g_):  # middle residual cycles, whole cycle searched
-        todo.extend((e, (RED, PURPLE, BLUE)) for e in _cycle_edges(V[k - 1]))
+    # middle residual cycles, whole cycle searched
+    todo = [(e, (RED, PURPLE, BLUE)) for k in range(3, g_) for e in _cycle_edges(V[k - 1])]
 
     # last residual cycle: blue closing seam, yellow/red on the column-t
     # rung ladder, purple/red elsewhere
@@ -398,90 +369,60 @@ def _embed_shift_odd_gcd_nonbipartite(s: int, t: int, d: int) -> ConstructionRes
     T = t // g_
     l_t = next(l for l in range(T) if (g_ - 1 + l * d) % t == t - 1)
     ladder = range(l_t * s + 1, l_t * s + s)  # 1-based path-edge indices in column t
-    asg.assign(make_edge(Vg[-1], Vg[0]), BLUE)
+    fixed.append((make_edge(Vg[-1], Vg[0]), BLUE))
     for idx, e in enumerate(_path_edges(Vg), start=1):
         todo.append((e, (YELLOW, RED) if idx in ladder else (PURPLE, RED)))
-    asg.complete(todo)
-
-    return _sealed_result(spec, graph, asg, 5, rule)
-
-
-def embed_shift_odd_gcd(s: int, t: int, d: int) -> ConstructionResult:
-    """Shift gluing with odd gcd(t, d) > 1: 4 pages iff bipartite, else 5."""
-
-    g_ = gcd(t, d)
-    if not 1 <= d <= t // 2 or g_ % 2 == 0 or g_ == 1:
-        raise InvalidSpecError(f"need odd gcd(t, d) > 1 and 1 <= d <= t/2, got t={t}, d={d}")
-    if t % 2 == 0 and s % 2 == d % 2:
-        return _embed_shift_odd_gcd_bipartite(s, t, d)
-    return _embed_shift_odd_gcd_nonbipartite(s, t, d)
+    return spine, fixed, todo
 
 
 # ----------------------------------------------------------- reflections ---
 
 
-def embed_reflection_s_odd(s: int, t: int, kind: str) -> ConstructionResult:
-    """Reflection gluing over an odd base: 4 pages iff no fixed columns."""
+def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    """Reflection gluing over an odd base: rows zig-zag along the spine."""
 
-    if s % 2 == 0:
-        raise InvalidSpecError(f"this construction needs odd s, got {s}")
-    spec = BundleSpec(s, t, Reflection(kind))
-    cat = SequenceCatalog(s, t)
-
+    s, t, kind = spec.s, spec.t, spec.phi.kind
     spine: list[int] = []
     for i in range(1, s + 1):
         block = cat.row(i)
         spine.extend(reversed(block) if i % 2 == 1 else block)
 
-    graph = bundle(spec)
-    rule = RULE_REFL_BASE_ODD + {REFL_NONE: "no", REFL_ONE: "one", REFL_TWO: "two"}[kind] + "-fixed"
-    asg = _PageAssigner(graph, spine, rule)
-
-    for i in range(1, s):
-        for j in range(1, t + 1):
-            asg.assign(cat.edge(i, j, i + 1, j), YELLOW if i % 2 == 1 else GREEN)
+    fixed: list[Fixed] = [
+        (cat.edge(i, j, i + 1, j), YELLOW if i % 2 == 1 else GREEN)
+        for i in range(1, s)
+        for j in range(1, t + 1)
+    ]
     if kind in (REFL_NONE, REFL_ONE):
-        for i in range(1, t + 1):
-            asg.assign(cat.edge(s, i, 1, t + 1 - i), PURPLE)
+        fixed += [(cat.edge(s, i, 1, t + 1 - i), PURPLE) for i in range(1, t + 1)]
     else:
-        asg.assign(cat.edge(1, 1, s, 1), BLUE)
-        for i in range(2, t + 1):
-            asg.assign(cat.edge(1, i, s, t + 2 - i), PURPLE)
+        fixed.append((cat.edge(1, 1, s, 1), BLUE))
+        fixed += [(cat.edge(1, i, s, t + 2 - i), PURPLE) for i in range(2, t + 1)]
 
     palette = (YELLOW, GREEN, PURPLE, RED) if t % 2 == 0 else (YELLOW, GREEN, PURPLE, RED, BLUE)
-    todo: list[Todo] = []
-    for i in range(1, s + 1):
-        todo.extend((e, palette) for e in _cycle_edges(cat.row(i)))
-    asg.complete(todo)
-
-    claimed = 4 if kind == REFL_NONE else 5
-    return _sealed_result(spec, graph, asg, claimed, rule)
+    todo = [(e, palette) for i in range(1, s + 1) for e in _cycle_edges(cat.row(i))]
+    return spine, fixed, todo
 
 
-def _embed_reflection_even_two_fixed(s: int, t: int) -> ConstructionResult:
-    spec = BundleSpec(s, t, Reflection(REFL_TWO))
-    cat = SequenceCatalog(s, t)
-
+def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    s, t = spec.s, spec.t
     spine: list[int] = []
     for j in range(1, t + 1):
         block = cat.column(j)
         spine.extend(block if j % 2 == 1 else reversed(block))
 
-    graph = bundle(spec)
-    rule = RULE_REFL_BASE_EVEN + "two-fixed"
-    asg = _PageAssigner(graph, spine, rule)
-
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            asg.assign(cat.fiber_edge(i, j), YELLOW if j % 2 == 1 else GREEN)
+    fixed: list[Fixed] = [
+        (cat.fiber_edge(i, j), YELLOW if j % 2 == 1 else GREEN)
+        for i in range(1, s + 1)
+        for j in range(1, t + 1)
+    ]
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
-    todo: list[Todo] = []
-    for cyc in reflection_residual_cycles(s, t, REFL_TWO).cycles:
-        todo.extend((e, (PURPLE, RED)) for e in _cycle_edges(cyc))
-    asg.complete(todo)
-
-    return _sealed_result(spec, graph, asg, 4, rule)
+    todo = [
+        (e, (PURPLE, RED))
+        for cyc in reflection_residual_cycles(s, t, REFL_TWO).cycles
+        for e in _cycle_edges(cyc)
+    ]
+    return spine, fixed, todo
 
 
 def _one_fixed_spine(cat: SequenceCatalog, s: int, t: int) -> list[int]:
@@ -500,64 +441,55 @@ def _one_fixed_spine(cat: SequenceCatalog, s: int, t: int) -> list[int]:
     return spine
 
 
-def _embed_reflection_even_one_fixed_t3(s: int) -> ConstructionResult:
+def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """Base 3 columns, one fixed: the generic pin/fibre rules double-book
     pages here (the forced residual alternation makes row 2's middle fibre
     edge cross same-page rungs), so the case gets its own periodic pattern.
     """
 
-    spec = BundleSpec(s, 3, Reflection(REFL_ONE))
-    cat = SequenceCatalog(s, 3)
-    graph = bundle(spec)
-    rule = RULE_REFL_BASE_EVEN + "one-fixed"
-    asg = _PageAssigner(graph, _one_fixed_spine(cat, s, 3), rule)
-
-    asg.assign(cat.fiber_edge(1, 1), BLUE)
-    asg.assign(cat.fiber_edge(1, 2), YELLOW)
-    asg.assign(cat.fiber_edge(1, 3), RED)
+    s = spec.s
+    fixed: list[Fixed] = [
+        (cat.fiber_edge(1, 1), BLUE),
+        (cat.fiber_edge(1, 2), YELLOW),
+        (cat.fiber_edge(1, 3), RED),
+    ]
     for i in range(2, s + 1):
-        asg.assign(cat.fiber_edge(i, 1), PURPLE)
-        asg.assign(cat.fiber_edge(i, 2), BLUE)
-        asg.assign(cat.fiber_edge(i, 3), RED)
+        fixed += [
+            (cat.fiber_edge(i, 1), PURPLE),
+            (cat.fiber_edge(i, 2), BLUE),
+            (cat.fiber_edge(i, 3), RED),
+        ]
     for i in range(1, s):
-        asg.assign(cat.edge(i, 1, i + 1, 1), YELLOW if i % 2 == 1 else GREEN)
-        asg.assign(cat.edge(i, 2, i + 1, 2), GREEN if i % 2 == 1 else YELLOW)
+        fixed.append((cat.edge(i, 1, i + 1, 1), YELLOW if i % 2 == 1 else GREEN))
+        fixed.append((cat.edge(i, 2, i + 1, 2), GREEN if i % 2 == 1 else YELLOW))
         if i == 1:
-            asg.assign(cat.edge(1, 3, 2, 3), PURPLE)
+            fixed.append((cat.edge(1, 3, 2, 3), PURPLE))
         else:
-            asg.assign(cat.edge(i, 3, i + 1, 3), GREEN if i % 2 == 0 else YELLOW)
-    asg.assign(cat.edge(s, 1, 1, 3), GREEN)
-    asg.assign(cat.edge(s, 3, 1, 1), GREEN)
-    asg.assign(cat.edge(s, 2, 1, 2), RED)
+            fixed.append((cat.edge(i, 3, i + 1, 3), GREEN if i % 2 == 0 else YELLOW))
+    fixed += [
+        (cat.edge(s, 1, 1, 3), GREEN),
+        (cat.edge(s, 3, 1, 1), GREEN),
+        (cat.edge(s, 2, 1, 2), RED),
+    ]
+    return _one_fixed_spine(cat, s, 3), fixed, []
 
-    return _sealed_result(spec, graph, asg, 5, rule)
 
-
-def _embed_reflection_even_one_fixed(s: int, t: int) -> ConstructionResult:
-    if t == 3:
-        return _embed_reflection_even_one_fixed_t3(s)
-    spec = BundleSpec(s, t, Reflection(REFL_ONE))
-    cat = SequenceCatalog(s, t)
-    graph = bundle(spec)
-    rule = RULE_REFL_BASE_EVEN + "one-fixed"
-    asg = _PageAssigner(graph, _one_fixed_spine(cat, s, t), rule)
-
-    cycles = reflection_residual_cycles(s, t, REFL_ONE).cycles
-    todo: list[Todo] = []
+def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    s, t = spec.s, spec.t
 
     # rung+seam cycles: the two cycles nearest the wrap get pinned red rungs
     # and purple seams, everything else alternates blue/purple
-    pinned: set[Edge] = set()
+    fixed: list[Fixed] = []
     for i in (1, 2):
-        mate_rung = cat.edge(1, t + 1 - i, 2, t + 1 - i)
-        mate_seam = cat.edge(1, t + 1 - i, s, i)
-        asg.assign(mate_rung, RED)
-        asg.assign(mate_seam, PURPLE)
-        pinned.update({mate_rung, mate_seam})
-    for cyc in cycles:
-        todo.extend(
-            (e, (BLUE, PURPLE)) for e in _cycle_edges(cyc) if e not in pinned
-        )
+        fixed.append((cat.edge(1, t + 1 - i, 2, t + 1 - i), RED))
+        fixed.append((cat.edge(1, t + 1 - i, s, i), PURPLE))
+    pinned = {e for e, _ in fixed}
+    todo = [
+        (e, (BLUE, PURPLE))
+        for cyc in reflection_residual_cycles(s, t, REFL_ONE).cycles
+        for e in _cycle_edges(cyc)
+        if e not in pinned
+    ]
 
     for i in range(1, s + 1):
         for j in range(1, t + 1):
@@ -567,15 +499,12 @@ def _embed_reflection_even_one_fixed(s: int, t: int) -> ConstructionResult:
                 page = RED if (i, j) == (2, 1) else YELLOW
             else:
                 page = BLUE if (i, j) == (1, t - 1) else GREEN
-            asg.assign(cat.fiber_edge(i, j), page)
-    asg.complete(todo)
-
-    return _sealed_result(spec, graph, asg, 5, rule)
+            fixed.append((cat.fiber_edge(i, j), page))
+    return _one_fixed_spine(cat, s, t), fixed, todo
 
 
-def _embed_reflection_even_no_fixed(s: int, t: int) -> ConstructionResult:
-    spec = BundleSpec(s, t, Reflection(REFL_NONE))
-    cat = SequenceCatalog(s, t)
+def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    s, t = spec.s, spec.t
     h = t // 2
 
     def outer(j: int) -> tuple[int, int]:  # top and bottom vertices of column j
@@ -592,62 +521,69 @@ def _embed_reflection_even_no_fixed(s: int, t: int) -> ConstructionResult:
         block = inner(j) + tuple(reversed(inner(t + 1 - j)))
         spine.extend(reversed(block) if j % 2 == 1 else block)
 
-    graph = bundle(spec)
-    rule = RULE_REFL_BASE_EVEN + "no-fixed"
-    asg = _PageAssigner(graph, spine, rule)
-
     exceptional = {
         (1, h): BLUE,
         (1, t): BLUE,
         (s, h): RED,
         (s, t): RED,
     }
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            page = exceptional.get((i, j))
-            if page is None:
-                page = GREEN if j % 2 == 0 else YELLOW
-            asg.assign(cat.fiber_edge(i, j), page)
-
+    fixed: list[Fixed] = [
+        (cat.fiber_edge(i, j), exceptional.get((i, j), GREEN if j % 2 == 0 else YELLOW))
+        for i in range(1, s + 1)
+        for j in range(1, t + 1)
+    ]
     for i in (1, h):
-        asg.assign(cat.edge(s - 1, i, s, i), PURPLE)
-        asg.assign(cat.edge(1, i, 2, i), RED)
+        fixed += [(cat.edge(s - 1, i, s, i), PURPLE), (cat.edge(1, i, 2, i), RED)]
     for i in (h + 1, t):
-        asg.assign(cat.edge(s - 1, i, s, i), BLUE)
-        asg.assign(cat.edge(1, i, 2, i), PURPLE)
+        fixed += [(cat.edge(s - 1, i, s, i), BLUE), (cat.edge(1, i, 2, i), PURPLE)]
     for i, j in ((1, 1), (s, 1)):
-        asg.assign(cat.edge(i, j, s + 1 - i, t + 1 - j), GREEN)
+        fixed.append((cat.edge(i, j, s + 1 - i, t + 1 - j), GREEN))
     for j in range(2, h):
-        asg.assign(cat.edge(1, j, s, t + 1 - j), RED)
-        asg.assign(cat.edge(s, j, 1, t + 1 - j), RED)
+        fixed += [(cat.edge(1, j, s, t + 1 - j), RED), (cat.edge(s, j, 1, t + 1 - j), RED)]
     half_seam = YELLOW if h % 2 == 1 else GREEN
-    asg.assign(cat.edge(1, h, s, h + 1), half_seam)
-    asg.assign(cat.edge(s, h, 1, h + 1), half_seam)
+    fixed += [(cat.edge(1, h, s, h + 1), half_seam), (cat.edge(s, h, 1, h + 1), half_seam)]
 
-    todo: list[Todo] = []
-    for j in range(1, t + 1):
-        for e in _path_edges(cat.column(j)):
-            if e not in asg.pages:
-                todo.append((e, (RED, PURPLE, BLUE)))
-    asg.complete(todo)
+    placed = {e for e, _ in fixed}
+    todo = [
+        (e, (RED, PURPLE, BLUE))
+        for j in range(1, t + 1)
+        for e in _path_edges(cat.column(j))
+        if e not in placed
+    ]
+    return spine, fixed, todo
 
-    return _sealed_result(spec, graph, asg, 5, rule)
+
+# ------------------------------------------------------- rules and driver ---
 
 
-def embed_reflection_s_even(s: int, t: int, kind: str) -> ConstructionResult:
-    """Reflection gluing over an even base: 4 pages iff two fixed columns."""
+def _select(spec: BundleSpec) -> tuple[str, Layout] | Unsupported:
+    """The rule tag and layout for a normalised spec, or why there is none."""
 
+    s, t, phi = spec.s, spec.t, spec.phi
+    if isinstance(phi, Shift):
+        if phi.d == 0:
+            return Unsupported("trivial shift: plain torus, no twisted construction")
+        g_ = gcd(t, phi.d)
+        if g_ == 1:
+            return Unsupported(
+                "gcd(t, d) = 1: graph is a circulant, see attached reduction",
+                to_circulant(s, t, phi.d),
+            )
+        if g_ % 2 == 0:
+            return RULE_SHIFT_EVEN_GCD, _shift_even_gcd
+        if predict_bipartite(spec):
+            return RULE_SHIFT_ODD_BIPARTITE, _shift_odd_bipartite
+        if (s * t // g_) % 2 == 0:
+            return RULE_SHIFT_ODD_EVEN_RESIDUAL, _shift_odd_nonbipartite
+        return RULE_SHIFT_ODD_ODD_RESIDUAL, _shift_odd_nonbipartite
     if s % 2 == 1:
-        raise InvalidSpecError(f"this construction needs even s, got {s}")
-    Reflection(kind).validate(t)
-    if kind == REFL_TWO:
-        return _embed_reflection_even_two_fixed(s, t)
-    if kind == REFL_ONE:
-        return _embed_reflection_even_one_fixed(s, t)
-    return _embed_reflection_even_no_fixed(s, t)
-
-
-# -------------------------------------------------------------- dispatch ---
+        return RULE_REFL_BASE_ODD + _FIXED_SUFFIX[phi.kind], _refl_base_odd
+    rule = RULE_REFL_BASE_EVEN + _FIXED_SUFFIX[phi.kind]
+    if phi.kind == REFL_TWO:
+        return rule, _refl_even_two_fixed
+    if phi.kind == REFL_ONE:
+        return rule, _refl_even_one_fixed_t3 if t == 3 else _refl_even_one_fixed
+    return rule, _refl_even_no_fixed
 
 
 def embed(spec: BundleSpec) -> ConstructionResult | Unsupported:
@@ -659,26 +595,22 @@ def embed(spec: BundleSpec) -> ConstructionResult | Unsupported:
     """
 
     spec = normalize_shift(spec)
-    result: ConstructionResult | Unsupported
-    if isinstance(spec.phi, Shift):
-        d = spec.phi.d
-        if d == 0:
-            return Unsupported("trivial shift: plain torus, no twisted construction")
-        g_ = gcd(spec.t, d)
-        if g_ == 1:
-            return Unsupported(
-                "gcd(t, d) = 1: graph is a circulant, see attached reduction",
-                to_circulant(spec.s, spec.t, d),
-            )
-        if g_ % 2 == 0:
-            result = embed_shift_even_gcd(spec.s, spec.t, d)
-        else:
-            result = embed_shift_odd_gcd(spec.s, spec.t, d)
-    elif spec.s % 2 == 1:
-        result = embed_reflection_s_odd(spec.s, spec.t, spec.phi.kind)
-    else:
-        result = embed_reflection_s_even(spec.s, spec.t, spec.phi.kind)
-    expected = 4 if predict_bipartite(spec) else 5
-    if result.claimed_pages != expected:
-        raise CompletionError(result.rule, "page count disagrees with the parity law")
-    return result
+    picked = _select(spec)
+    if isinstance(picked, Unsupported):
+        return picked
+    rule, layout = picked
+    graph = bundle(spec)
+    spine, fixed, todo = layout(SequenceCatalog(spec.s, spec.t), spec)
+    asg = _PageAssigner(graph, spine, rule)
+    for e, page in fixed:
+        asg.assign(e, page)
+    asg.complete(todo)
+
+    m = parity_pages(spec)
+    emb = asg.finish(m)
+    report = validate(graph, emb)
+    if not report.ok:
+        raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")
+    if report.pages_used != m:
+        raise CompletionError(rule, f"used {report.pages_used} pages, claimed {m}")
+    return ConstructionResult(spec, graph, emb, m, rule, report)

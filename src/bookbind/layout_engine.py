@@ -71,10 +71,19 @@ class BookEmbedding:
     def from_json(cls, text: str) -> "BookEmbedding":
         try:
             payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"bad embedding payload: {exc}") from exc
+        return cls.from_payload(payload)
+
+    @classmethod
+    def from_payload(cls, payload) -> "BookEmbedding":
+        """The embedding in a decoded ``to_json`` object ``{order, pages, m}``."""
+
+        try:
             order = tuple(int(v) for v in payload["order"])
             pages = {make_edge(int(u), int(v)): int(p) for u, v, p in payload["pages"]}
             m = int(payload["m"])
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
         return cls(order, pages, m)
 
@@ -134,14 +143,14 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     return ValidationReport(is_proper, is_noncrossing, emb.pages_used(), tuple(violations))
 
 
-def classify(g: Graph, emb: BookEmbedding) -> str:
-    """Classify a *valid* embedding against the degree bound.
+def classify(g: Graph, report: ValidationReport) -> str:
+    """Classify a *valid* embedding, given its validation report, against
+    the degree bound.
 
     This grades the witness only; it pins the optimum exactly when the page
     count also meets the known lower bound (see the oracle module).
     """
 
-    report = validate(g, emb)
     if not report.ok:
         raise CoverageError(f"embedding invalid: {report.violations[:3]}")
     delta = max((len(a) for a in g.adjacency), default=0)

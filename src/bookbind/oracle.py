@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graph_core import Graph, is_bipartite, max_degree, is_regular, bundle, BundleSpec
-from .layout_engine import BookEmbedding, chords_cross, validate
+from .graph_core import Graph, is_bipartite, max_degree, is_regular
+from .layout_engine import BookEmbedding, ValidationReport, chords_cross
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower-bound-only"
@@ -290,11 +290,10 @@ class CertifyResult:
         return self.pages if self.status == CERTIFIED else None
 
 
-def certify(spec: BundleSpec, emb: BookEmbedding) -> CertifyResult:
-    """Pin the optimum: a valid embedding meeting the lower bound is exact."""
+def certify(g: Graph, report: ValidationReport) -> CertifyResult:
+    """Pin the optimum: a valid embedding of ``g`` (given its validation
+    report) meeting the lower bound is exact."""
 
-    g = bundle(spec)
-    report = validate(g, emb)
     if not report.ok:
         raise OracleError(f"embedding invalid: {report.violations[:3]}")
     bound = lower_bound(g)

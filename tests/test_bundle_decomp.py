@@ -1,4 +1,4 @@
-"""Cycle decompositions, contractions, and the coprime-shift relabelling."""
+"""Cycle decompositions and the coprime-shift relabelling."""
 
 import math
 import random
@@ -9,16 +9,12 @@ from bookbind.bundle_decomp import (
     KIND_FIBER,
     KIND_REFLECTION_RESIDUAL,
     KIND_SHIFT_RESIDUAL,
-    KIND_SINGLE_JUMP,
     KIND_TRIVIAL_SHIFT_RESIDUAL,
-    Decomposition,
     DecompositionError,
     fiber_cycles,
     reflection_residual_cycles,
     residual_cycles,
     shift_residual_cycles,
-    shrink,
-    single_jump_cycles,
     solve_position,
     to_circulant,
 )
@@ -26,10 +22,8 @@ from bookbind.graph_core import (
     BundleSpec,
     Reflection,
     Shift,
-    SpecFormatError,
     bundle,
     circulant,
-    cycle_graph,
     make_edge,
     vertex_index,
 )
@@ -42,15 +36,6 @@ def _cycle_edges_in(dec, g):
             assert make_edge(u, cyc[(i + 1) % len(cyc)]) in g.edges
 
 
-def test_decomposition_json_roundtrip():
-    dec = single_jump_cycles(6, 2)
-    assert Decomposition.from_json(dec.to_json()) == dec
-    with pytest.raises(SpecFormatError):
-        Decomposition.from_json("{}")
-    with pytest.raises(SpecFormatError):
-        Decomposition.from_json("not json")
-
-
 def test_fiber_cycles_rows():
     dec = fiber_cycles(BundleSpec(3, 4, Shift(1)))
     assert dec.kind == KIND_FIBER
@@ -59,63 +44,6 @@ def test_fiber_cycles_rows():
         (4, 5, 6, 7),
         (8, 9, 10, 11),
     )
-
-
-def test_single_jump_orbits():
-    dec = single_jump_cycles(20, 5)
-    assert dec.kind == KIND_SINGLE_JUMP
-    assert dec.cycles == (
-        (0, 5, 10, 15),
-        (1, 6, 11, 16),
-        (2, 7, 12, 17),
-        (3, 8, 13, 18),
-        (4, 9, 14, 19),
-    )
-    assert single_jump_cycles(6, 2).cycles == ((0, 2, 4), (1, 3, 5))
-
-
-def test_single_jump_covers_its_circulant():
-    for t, d in ((7, 3), (9, 3), (10, 4), (12, 5)):
-        dec = single_jump_cycles(t, d)
-        assert len(dec.cycles) == math.gcd(t, d) and dec.total_vertices() == t
-        assert dec.edge_set() == circulant(t, {min(d, t - d)}).edges
-
-
-def test_single_jump_rejects_degenerate():
-    with pytest.raises(DecompositionError):
-        single_jump_cycles(8, 4)  # half jump: edges, not cycles
-    with pytest.raises(DecompositionError):
-        single_jump_cycles(8, 0)
-    with pytest.raises(DecompositionError):
-        single_jump_cycles(8, 8)
-
-
-def test_shrink_contracts_an_edge():
-    # C4 with one edge contracted is a triangle
-    g = shrink(cycle_graph(4), [{0, 1}])
-    assert g.n == 3 and g.edges == {(0, 1), (0, 2), (1, 2)}
-
-
-def test_shrink_rejects_bad_parts():
-    g = cycle_graph(4)
-    with pytest.raises(DecompositionError):
-        shrink(g, [set()])
-    with pytest.raises(DecompositionError):
-        shrink(g, [{0, 9}])
-    with pytest.raises(DecompositionError):
-        shrink(g, [{0, 1}, {1, 2}])
-
-
-def test_shrink_columns_gives_single_jump_circulant():
-    # contracting every column of a d-shift torus minus its fibres leaves
-    # exactly the jump-d circulant on the columns
-    s, t, d = 3, 10, 4
-    spec = BundleSpec(s, t, Shift(d))
-    g = bundle(spec)
-    residual = residual_cycles(spec).edge_set()
-    skeleton = type(g)(g.n, residual)
-    parts = [{vertex_index(p, q, t) for p in range(s)} for q in range(t)]
-    assert shrink(skeleton, parts).edges == circulant(t, {min(d, t - d)}).edges
 
 
 def test_solve_position_matches_brute_scan():
@@ -127,7 +55,6 @@ def test_solve_position_matches_brute_scan():
         sol = solve_position(a, b, c)
         assert a * sol.x + b * sol.y == c
         assert 0 <= sol.x <= b - 1
-        assert sol.position == sol.x + 1
 
 
 def test_solve_position_rejects_shared_factor():
@@ -225,7 +152,7 @@ def test_to_circulant_five_by_seven():
     red = to_circulant(5, 7, 3)
     assert (red.n, red.jump) == (35, 10)
     # seam-first numbering puts the second fibre vertex ten steps along
-    assert red.pair_map()[(0, 1)] == 10
+    assert red.flat_map()[vertex_index(0, 1, 7)] == 10
 
 
 def test_to_circulant_is_graph_isomorphism():
@@ -249,7 +176,7 @@ def test_to_circulant_jump_images():
     # rungs and seams land on jump 1; fibre edges on the stored jump
     s, t, d = 3, 10, 3
     red = to_circulant(s, t, d)
-    m = red.pair_map()
+    m = {(p, q): lab for p, q, lab in red.labels}
     n = red.n
     for p in range(s - 1):
         diff = (m[(p, 0)] - m[(p + 1, 0)]) % n

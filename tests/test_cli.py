@@ -1,10 +1,12 @@
 """Command-line interface: payloads, exit codes, and render determinism."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
-from bookbind import cli
+from bookbind import cli, graph_core, layout_engine
 from bookbind.layout_engine import BookEmbedding
 
 
@@ -93,6 +95,15 @@ def test_verify_roundtrip(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] and report["pages_used"] == 4
     assert report["violations"] == []
+
+
+def test_verify_accepts_embed_out_file(tmp_path, capsys):
+    out_file = tmp_path / "embed.json"
+    code, _, _ = run(capsys, "embed", "s=3,t=6,phi=shift:3", "--out", str(out_file))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(out_file))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_verify_flags_recolored_edge(tmp_path, capsys):
@@ -264,3 +275,72 @@ def test_threads_note(monkeypatch, capsys):
     monkeypatch.setenv("BOOKBIND_THREADS", "1")
     code, _, err = run(capsys, "build", "s=3,t=6,phi=shift:2")
     assert code == 0 and err == ""
+
+
+def test_unexpected_exception_is_one_line_exit_70(monkeypatch, capsys):
+    def boom(spec):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "embed", boom)
+    code, out, err = run(capsys, "embed", "s=3,t=6,phi=shift:2")
+    assert code == 70 and out == ""
+    assert err == "bookbind: internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+# sha256 prefixes of `bookbind embed SPEC` stdout; one spec per rule tag,
+# plus the three-column one-fixed pattern (s=4,t=3)
+GOLDEN_EMBED = {
+    "s=4,t=12,phi=shift:4": "9cdf13a7cb06e86a",
+    "s=3,t=18,phi=shift:3": "d22cbd52f2041d10",
+    "s=4,t=12,phi=shift:3": "8b973bbab221c92f",
+    "s=5,t=15,phi=shift:5": "54e90b859c5784a7",
+    "s=5,t=8,phi=refl:none": "7f8382104e8873c4",
+    "s=5,t=7,phi=refl:one": "f9d49d129780f52b",
+    "s=3,t=6,phi=refl:two": "45e340af3a1cb530",
+    "s=6,t=12,phi=refl:two": "5baee3138e4866ac",
+    "s=6,t=9,phi=refl:one": "aad377dfda86ec03",
+    "s=4,t=3,phi=refl:one": "12f862b73ad08184",
+    "s=6,t=10,phi=refl:none": "b7700f5c9a18dc84",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_EMBED))
+def test_embed_output_is_pinned(spec, capsys):
+    code, out, _ = run(capsys, "embed", spec)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_EMBED[spec]
+
+
+def test_embed_failure_message_is_pinned(capsys):
+    code, out, err = run(capsys, "embed", "s=3,t=15,phi=shift:6")
+    assert code == 70 and out == ""
+    assert err == (
+        "bookbind: construction failed: shift/gcd-odd/odd-residual: (5, 6) on page 0 conflicts\n"
+    )
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls to `fn` through every name bookbind binds it to."""
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bookbind" or name.startswith("bookbind."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
+    validates = _count_calls(monkeypatch, layout_engine.validate)
+    bundles = _count_calls(monkeypatch, graph_core.bundle)
+    code, out, _ = run(capsys, "sweep", "--family", "shift", "--s", "3:4", "--t", "6:9")
+    assert code == 0
+    rows = int(out.splitlines()[-1].split()[0].removeprefix("rows="))
+    assert rows > 0
+    assert len(validates) == rows and len(bundles) == rows

@@ -16,26 +16,22 @@ from bookbind.constructions import (
     SequenceCatalog,
     Unsupported,
     embed,
-    embed_reflection_s_even,
-    embed_reflection_s_odd,
-    embed_shift_even_gcd,
-    embed_shift_odd_gcd,
 )
 from bookbind.graph_core import (
     BundleSpec,
-    InvalidSpecError,
     Reflection,
     Shift,
     bundle,
     predict_bipartite,
 )
-from bookbind.layout_engine import classify, validate
+from bookbind.layout_engine import validate
 
 
 def _check(result, spec):
     assert isinstance(result, ConstructionResult)
     report = validate(result.graph, result.embedding)
     assert report.ok, report.violations[:3]
+    assert result.report == report
     assert report.pages_used == result.claimed_pages == result.embedding.m
     assert result.claimed_pages == (4 if predict_bipartite(spec) else 5)
     assert result.graph == bundle(spec)
@@ -56,31 +52,22 @@ def test_sequence_catalog_wraps_indices():
 def test_shift_even_gcd_cases():
     for s, t, d in ((3, 6, 2), (4, 6, 2), (5, 8, 4), (4, 12, 4), (6, 10, 4)):
         spec = BundleSpec(s, t, Shift(d))
-        res = embed_shift_even_gcd(s, t, d)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_SHIFT_EVEN_GCD
 
 
 def test_shift_even_gcd_page_count_follows_base_parity():
     # even gcd forces t and d even, so bipartite iff s even
-    assert embed_shift_even_gcd(4, 6, 2).claimed_pages == 4
-    assert embed_shift_even_gcd(3, 6, 2).claimed_pages == 5
-
-
-def test_shift_even_gcd_guards():
-    with pytest.raises(InvalidSpecError):
-        embed_shift_even_gcd(3, 9, 3)  # odd gcd
-    with pytest.raises(InvalidSpecError):
-        embed_shift_even_gcd(3, 6, 4)  # d > t/2 must be normalised by callers
-    with pytest.raises(InvalidSpecError):
-        embed_shift_even_gcd(3, 6, 0)
+    assert embed(BundleSpec(4, 6, Shift(2))).claimed_pages == 4
+    assert embed(BundleSpec(3, 6, Shift(2))).claimed_pages == 5
 
 
 def test_shift_odd_gcd_bipartite_cases():
     for s, t, d in ((3, 6, 3), (5, 10, 5), (3, 18, 3), (5, 14, 7)):
         spec = BundleSpec(s, t, Shift(d))
         assert predict_bipartite(spec)
-        res = embed_shift_odd_gcd(s, t, d)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_SHIFT_ODD_BIPARTITE
         assert res.claimed_pages == 4
@@ -92,7 +79,7 @@ def test_shift_odd_gcd_even_residual_cases():
         spec = BundleSpec(s, t, Shift(d))
         assert not predict_bipartite(spec)
         assert (s * t // math.gcd(t, d)) % 2 == 0
-        res = embed_shift_odd_gcd(s, t, d)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_SHIFT_ODD_EVEN_RESIDUAL
 
@@ -103,7 +90,7 @@ def test_shift_odd_gcd_odd_residual_cases():
         spec = BundleSpec(s, t, Shift(d))
         assert not predict_bipartite(spec)
         assert (s * t // math.gcd(t, d)) % 2 == 1
-        res = embed_shift_odd_gcd(s, t, d)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_SHIFT_ODD_ODD_RESIDUAL
 
@@ -112,14 +99,7 @@ def test_shift_odd_gcd_triple_residual_needs_matching_jump():
     # three residual cycles with d > g: the closed-form colouring has a
     # genuine conflict and must fail loudly instead of emitting a bad witness
     with pytest.raises(CompletionError):
-        embed_shift_odd_gcd(3, 15, 6)
-
-
-def test_shift_odd_gcd_guards():
-    with pytest.raises(InvalidSpecError):
-        embed_shift_odd_gcd(3, 6, 2)  # even gcd
-    with pytest.raises(InvalidSpecError):
-        embed_shift_odd_gcd(3, 7, 3)  # gcd 1 belongs to the reduction
+        embed(BundleSpec(3, 15, Shift(6)))
 
 
 _KIND_SUFFIX = {"none": "no-fixed", "one": "one-fixed", "two": "two-fixed"}
@@ -128,7 +108,7 @@ _KIND_SUFFIX = {"none": "no-fixed", "one": "one-fixed", "two": "two-fixed"}
 def test_reflection_base_odd_cases():
     for s, t, kind in ((3, 6, "none"), (5, 8, "none"), (3, 6, "two"), (5, 7, "one"), (3, 9, "one")):
         spec = BundleSpec(s, t, Reflection(kind))
-        res = embed_reflection_s_odd(s, t, kind)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_REFL_BASE_ODD + _KIND_SUFFIX[kind]
         assert res.claimed_pages == (4 if kind == "none" else 5)
@@ -148,26 +128,17 @@ def test_reflection_base_even_cases():
         (4, 4, "none"),
     ):
         spec = BundleSpec(s, t, Reflection(kind))
-        res = embed_reflection_s_even(s, t, kind)
+        res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_REFL_BASE_EVEN + _KIND_SUFFIX[kind]
         assert res.claimed_pages == (4 if kind == "two" else 5)
-
-
-def test_reflection_guards():
-    with pytest.raises(InvalidSpecError):
-        embed_reflection_s_odd(4, 6, "none")
-    with pytest.raises(InvalidSpecError):
-        embed_reflection_s_even(5, 6, "none")
-    with pytest.raises(InvalidSpecError):
-        embed_reflection_s_even(4, 6, "one")  # parity mismatch with t
 
 
 def test_three_column_one_fixed_pattern():
     # the 3-column case uses its own periodic page pattern
     for s in (4, 6, 8, 10):
         spec = BundleSpec(s, 3, Reflection("one"))
-        _check(embed_reflection_s_even(s, 3, "one"), spec)
+        _check(embed(spec), spec)
 
 
 def test_embed_dispatch_covers_all_supported_families():
@@ -214,7 +185,7 @@ def test_blue_seam_collision_repair_regression():
     # cycle's closing page; this used to double-book a vertex
     for s in (3, 5, 7):
         spec = BundleSpec(s, 9, Shift(3))
-        _check(embed_shift_odd_gcd(s, 9, 3), spec)
+        _check(embed(spec), spec)
 
 
 def test_rules_are_stable_strings():

@@ -116,15 +116,15 @@ def test_validation_report_ok_property():
 
 def test_classify_against_max_degree():
     g, emb = _c4_embedding()
-    assert classify(g, emb) == DISPERSABLE  # 2 pages, max degree 2
+    assert classify(g, validate(g, emb)) == DISPERSABLE  # 2 pages, max degree 2
     three = BookEmbedding(emb.order, {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 1}, 3)
-    assert classify(g, three) == NEARLY_DISPERSABLE
+    assert classify(g, validate(g, three)) == NEARLY_DISPERSABLE
     four = BookEmbedding(emb.order, {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 3}, 4)
-    assert classify(g, four) == NEITHER
+    assert classify(g, validate(g, four)) == NEITHER
 
 
 def test_classify_rejects_invalid_embedding():
     g, emb = _c4_embedding()
     emb.pages[(1, 2)] = 0
     with pytest.raises(CoverageError):
-        classify(g, emb)
+        classify(g, validate(g, emb))

@@ -76,7 +76,7 @@ def test_brute_force_k33_is_dispersable():
     # perfect matchings {03,12,45}, {01,25,34}, {05,14,23}
     res = brute_force_mbt(K33)
     assert res.status == EXACT and res.value == 3
-    assert classify(K33, res.witness) == DISPERSABLE
+    assert classify(K33, validate(K33, res.witness)) == DISPERSABLE
 
 
 def test_brute_force_k5_minus_edge_five_pages():
@@ -165,12 +165,13 @@ def test_certify_embedding_at_the_bound():
 
     spec = BundleSpec(3, 6, Shift(2))  # nonbipartite: bound 5
     res = embed(spec)
-    cert = certify(spec, res.embedding)
+    cert = certify(res.graph, validate(res.graph, res.embedding))
     assert cert.status == CERTIFIED and cert.pages == 5 and cert.bound == 5
     assert cert.mbt == 5
 
     spec = BundleSpec(4, 6, Shift(2))  # bipartite: bound 4
-    cert = certify(spec, embed(spec).embedding)
+    res = embed(spec)
+    cert = certify(res.graph, validate(res.graph, res.embedding))
     assert cert.status == CERTIFIED and cert.mbt == 4
 
 
@@ -183,7 +184,8 @@ def test_certify_above_the_bound_is_only_an_upper_bound():
     moved = next(iter(pages))
     pages[moved] = 4  # push one edge onto a fresh page
     wider = BookEmbedding(emb.order, pages, 5)
-    cert = certify(spec, wider)
+    g = bundle(spec)
+    cert = certify(g, validate(g, wider))
     assert cert.status == UPPER_BOUND_ONLY
     assert cert.pages == 5 and cert.bound == 4 and cert.mbt is None
 
@@ -198,8 +200,10 @@ def test_certify_rejects_invalid_embedding():
     # recolour e with the page of a neighbouring edge to break properness
     clash = next(f for f in pages if f != e and set(f) & set(e))
     pages[e] = pages[clash]
+    g = bundle(spec)
+    report = validate(g, BookEmbedding(emb.order, pages, emb.m))
     with pytest.raises(OracleError):
-        certify(spec, BookEmbedding(emb.order, pages, emb.m))
+        certify(g, report)
 
 
 def test_mbt_result_counters_present():
