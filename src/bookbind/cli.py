@@ -139,7 +139,7 @@ def _embedding_payload(res: ConstructionResult) -> dict:
         "rule": res.rule,
         "pages": res.claimed_pages,
         "classification": classify(res.graph, res.report),
-        "embedding": json.loads(res.embedding.to_json()),
+        "embedding": res.embedding.to_payload(),
     }
 
 
@@ -208,7 +208,7 @@ def cmd_mbt(args) -> int:
             "found": res.found,
             "exhausted": res.exhausted,
             "counters": res.counters,
-            "witness": None if res.witness is None else json.loads(res.witness.to_json()),
+            "witness": None if res.witness is None else res.witness.to_payload(),
         }
         sys.stdout.write(_dumps(payload))
         return EXIT_OK if res.found or res.exhausted else EXIT_UNDECIDED
@@ -217,7 +217,7 @@ def cmd_mbt(args) -> int:
         "status": res.status,
         "value": res.value,
         "counters": res.counters,
-        "witness": None if res.witness is None else json.loads(res.witness.to_json()),
+        "witness": None if res.witness is None else res.witness.to_payload(),
     }
     sys.stdout.write(_dumps(payload))
     return EXIT_OK if res.status == EXACT else EXIT_UNDECIDED

@@ -16,6 +16,10 @@ plus the parity obstruction for nonbipartite regular graphs), so every
 produced embedding is optimal.  The driver validates the embedding once and
 hands the report on in the result; a failed placement, completion or
 validation raises instead of silently substituting pages.
+
+Placement never compares a chord with every chord on its page: each page
+keeps an index over spine positions (``_PageAssigner``), so a test walks
+only the new chord's own span and jumps over the chords nested inside it.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .layout_engine import (
     RED,
     ValidationReport,
     YELLOW,
-    chords_cross,
     validate,
 )
 
@@ -148,7 +151,14 @@ Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 
 
 class _PageAssigner:
-    """Incremental page assignment with properness/crossing enforcement."""
+    """Incremental page assignment with properness/crossing enforcement.
+
+    Each page keeps an index over spine positions: ``partner[page][k]`` is -1
+    while position k is free on that page, else the position of the other
+    end of the chord placed there.  A chord (a, b) fits a page when both
+    ends are free and a walk from a+1 to b-1, jumping over every chord
+    nested inside, meets no chord that leaves (a, b).
+    """
 
     def __init__(self, g: Graph, spine: list[int] | tuple[int, ...], rule: str):
         self.g = g
@@ -158,16 +168,39 @@ class _PageAssigner:
             raise CompletionError(rule, "spine is not a permutation of the vertices")
         self.pos = {v: i for i, v in enumerate(self.order)}
         self.pages: dict[Edge, int] = {}
-        self.by_page: dict[int, list[Edge]] = {}
+        self.partner: dict[int, list[int]] = {}
 
     def _conflicts(self, e: Edge, page: int) -> bool:
-        pu, pv = self.pos[e[0]], self.pos[e[1]]
-        for f in self.by_page.get(page, ()):
-            if e[0] in f or e[1] in f:
-                return True
-            if chords_cross(pu, pv, self.pos[f[0]], self.pos[f[1]]):
+        partner = self.partner.get(page)
+        if partner is None:
+            return False
+        a, b = self.pos[e[0]], self.pos[e[1]]
+        if a > b:
+            a, b = b, a
+        if partner[a] != -1 or partner[b] != -1:
+            return True
+        k = a + 1
+        while k < b:
+            q = partner[k]
+            if q == -1:
+                k += 1
+            elif k < q < b:
+                k = q + 1
+            else:
                 return True
         return False
+
+    def _place(self, e: Edge, page: int) -> None:
+        partner = self.partner.get(page)
+        if partner is None:
+            partner = self.partner[page] = [-1] * len(self.order)
+        a, b = self.pos[e[0]], self.pos[e[1]]
+        partner[a], partner[b] = b, a
+        self.pages[e] = page
+
+    def _unplace(self, e: Edge) -> None:
+        partner = self.partner[self.pages.pop(e)]
+        partner[self.pos[e[0]]] = partner[self.pos[e[1]]] = -1
 
     def assign(self, e: Edge, page: int) -> None:
         e = make_edge(*e)
@@ -177,8 +210,7 @@ class _PageAssigner:
             raise CompletionError(self.rule, f"{e} assigned twice")
         if self._conflicts(e, page):
             raise CompletionError(self.rule, f"{e} on page {page} conflicts")
-        self.pages[e] = page
-        self.by_page.setdefault(page, []).append(e)
+        self._place(e, page)
 
     def complete(self, todo: list[Todo], node_cap: int = 200_000) -> None:
         """Depth-first completion of `todo` in order, palettes as given."""
@@ -189,30 +221,29 @@ class _PageAssigner:
                 raise CompletionError(self.rule, f"{e} is not an edge of the graph")
             if e in self.pages:
                 raise CompletionError(self.rule, f"{e} both fixed and searched")
-        nodes = 0
-
-        def dfs(i: int) -> bool:
-            nonlocal nodes
-            if i == len(todo):
-                return True
-            nodes += 1
-            if nodes > node_cap:
-                raise CompletionError(self.rule, f"completion exceeded {node_cap} nodes")
-            e, palette = todo[i]
-            e = make_edge(*e)
-            for page in palette:
-                if self._conflicts(e, page):
-                    continue
-                self.pages[e] = page
-                self.by_page.setdefault(page, []).append(e)
-                if dfs(i + 1):
-                    return True
-                del self.pages[e]
-                self.by_page[page].pop()
-            return False
-
-        if not dfs(0):
+        self._node_cap, self._nodes = node_cap, 0
+        if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
+
+    def _search(self, todo: list[Todo], i: int) -> bool:
+        # a method, not a closure over itself: a self-referencing closure is
+        # a reference cycle that keeps the whole assignment alive until the
+        # garbage collector runs
+        if i == len(todo):
+            return True
+        self._nodes += 1
+        if self._nodes > self._node_cap:
+            raise CompletionError(self.rule, f"completion exceeded {self._node_cap} nodes")
+        e, palette = todo[i]
+        e = make_edge(*e)
+        for page in palette:
+            if self._conflicts(e, page):
+                continue
+            self._place(e, page)
+            if self._search(todo, i + 1):
+                return True
+            self._unplace(e)
+        return False
 
     def finish(self, m: int) -> BookEmbedding:
         missing = self.g.edges - set(self.pages)

@@ -1,5 +1,6 @@
 """Closed-form embeddings: every family must validate at its claimed page count."""
 
+import hashlib
 import math
 
 import pytest
@@ -210,3 +211,29 @@ def test_sweep_style_grid_all_valid():
             for kind in kinds:
                 spec = BundleSpec(s, t, Reflection(kind))
                 _check(embed(spec), spec)
+
+
+def _grid_outcome(spec) -> str:
+    try:
+        res = embed(spec)
+    except Exception as exc:  # the failure itself is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(res, Unsupported):
+        return f"unsupported: {res.reason}"
+    return f"{res.rule} {res.claimed_pages} {res.embedding.to_json()}"
+
+
+# sha256 of every `embed` outcome on s = 3..8, t = 3..16, every shift d and
+# every reflection kind, in that order; any change to placement shows here
+GRID_DIGEST = "4df52a1e84ff09bb8c334e71aa76105809e262428487bc1d753d3736fbd7eaf3"
+
+
+def test_embed_outcomes_on_small_grid_are_pinned():
+    digest = hashlib.sha256()
+    for s in range(3, 9):
+        for t in range(3, 17):
+            phis = [Shift(d) for d in range(t)]
+            phis += [Reflection(kind) for kind in (("one",) if t % 2 else ("none", "two"))]
+            for phi in phis:
+                digest.update(_grid_outcome(BundleSpec(s, t, phi)).encode() + b"\n")
+    assert digest.hexdigest() == GRID_DIGEST

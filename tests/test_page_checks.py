@@ -1,0 +1,173 @@
+"""The near-linear page checks agree with pairwise scans.
+
+``validate`` checks each page in one bracket-matching pass and lists
+violations pairwise only on a failing page; ``_PageAssigner`` answers
+conflict queries from a per-page index over spine positions.  Both are
+compared here with the plain pairwise definitions.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from bookbind import constructions, layout_engine  # noqa: E402
+from bookbind.constructions import _PageAssigner, embed  # noqa: E402
+from bookbind.graph_core import (  # noqa: E402
+    BundleSpec,
+    Graph,
+    Reflection,
+    Shift,
+    format_bundle_spec,
+)
+from bookbind.layout_engine import (  # noqa: E402
+    REASON_CROSSING,
+    REASON_ENDPOINT,
+    BookEmbedding,
+    ValidationReport,
+    chords_cross,
+    validate,
+)
+
+# one small spec per rule tag, plus the three-column one-fixed pattern
+SPECS = (
+    BundleSpec(3, 6, Shift(2)),
+    BundleSpec(3, 6, Shift(3)),
+    BundleSpec(4, 6, Shift(3)),
+    BundleSpec(3, 15, Shift(3)),
+    BundleSpec(5, 7, Reflection("one")),
+    BundleSpec(5, 8, Reflection("none")),
+    BundleSpec(5, 6, Reflection("two")),
+    BundleSpec(4, 3, Reflection("one")),
+    BundleSpec(4, 5, Reflection("one")),
+    BundleSpec(4, 6, Reflection("none")),
+    BundleSpec(4, 6, Reflection("two")),
+)
+_BUILT = {spec: embed(spec) for spec in SPECS}
+
+
+def _conflict(e, f, pos) -> str | None:
+    if set(e) & set(f):
+        return REASON_ENDPOINT
+    if chords_cross(pos[e[0]], pos[e[1]], pos[f[0]], pos[f[1]]):
+        return REASON_CROSSING
+    return None
+
+
+def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
+    """Every pair of same-page edges compared directly."""
+
+    pos = emb.position()
+    edges = sorted(emb.pages)
+    violations = []
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            if emb.pages[e] == emb.pages[f]:
+                why = _conflict(e, f, pos)
+                if why is not None:
+                    violations.append((e, f, why))
+    violations.sort()
+    reasons = {why for _, _, why in violations}
+    return ValidationReport(
+        REASON_ENDPOINT not in reasons,
+        REASON_CROSSING not in reasons,
+        len(set(emb.pages.values())),
+        tuple(violations),
+    )
+
+
+@st.composite
+def graphs_with_spines(draw, max_n=12):
+    n = draw(st.integers(3, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
+    order = draw(st.permutations(range(n)))
+    return Graph(n, frozenset(edges)), tuple(order)
+
+
+@st.composite
+def random_embeddings(draw):
+    g, order = draw(graphs_with_spines())
+    m = draw(st.integers(1, 4))
+    pages = {e: draw(st.integers(0, m - 1)) for e in sorted(g.edges)}
+    return g, BookEmbedding(order, pages, m)
+
+
+@given(random_embeddings())
+def test_validate_matches_pairwise_reference_on_random_pages(case):
+    g, emb = case
+    assert validate(g, emb) == reference_validate(g, emb)
+
+
+@given(st.sampled_from(SPECS), st.integers(0, 10**6), st.integers(1, 4))
+def test_validate_matches_pairwise_reference_on_page_flip_mutants(spec, pick, shift):
+    res = _BUILT[spec]
+    emb = res.embedding
+    edges = sorted(emb.pages)
+    e = edges[pick % len(edges)]
+    pages = dict(emb.pages)
+    pages[e] = (pages[e] + shift) % emb.m
+    mutant = BookEmbedding(emb.order, pages, emb.m)
+    assert validate(res.graph, mutant) == reference_validate(res.graph, mutant)
+
+
+@given(
+    graphs_with_spines(),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
+)
+def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, steps):
+    g, order = case
+    asg = _PageAssigner(g, order, "test")
+    pos = asg.pos
+    edges = g.edge_list
+
+    def pairwise_conflicts(e, page):
+        return any(_conflict(e, f, pos) for f, p in asg.pages.items() if p == page)
+
+    for remove, pick, page in steps:
+        if remove and asg.pages:
+            placed = sorted(asg.pages)
+            asg._unplace(placed[pick % len(placed)])
+        else:
+            e = edges[pick % len(edges)]
+            if e not in asg.pages and not pairwise_conflicts(e, page):
+                asg._place(e, page)
+        for e in edges:
+            if e not in asg.pages:
+                for p in range(4):
+                    assert asg._conflicts(e, p) == pairwise_conflicts(e, p), (e, p)
+
+
+def _count_chords_cross(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return chords_cross(*args)
+
+    monkeypatch.setattr(layout_engine, "chords_cross", counting)
+    monkeypatch.setattr(constructions, "chords_cross", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=format_bundle_spec)
+def test_valid_embedding_is_built_and_checked_without_pairwise_scans(spec, monkeypatch):
+    calls = _count_chords_cross(monkeypatch)
+    res = embed(spec)
+    assert validate(res.graph, res.embedding).ok
+    assert calls == []
+
+
+def test_failing_page_lists_every_violation(monkeypatch):
+    res = _BUILT[BundleSpec(5, 8, Reflection("none"))]
+    emb = res.embedding
+    pos = emb.position()
+    e = max(emb.pages, key=lambda f: abs(pos[f[0]] - pos[f[1]]))  # the longest chord
+    pages = dict(emb.pages)
+    pages[e] = (pages[e] + 1) % emb.m
+    mutant = BookEmbedding(emb.order, pages, emb.m)
+    calls = _count_chords_cross(monkeypatch)
+    report = validate(res.graph, mutant)
+    assert not report.ok and calls
+    assert report == reference_validate(res.graph, mutant)
+    assert any(e in (f, h) for f, h, _ in report.violations)
