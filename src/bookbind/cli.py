@@ -22,6 +22,7 @@ value other than 1 just earns a note on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -340,7 +341,10 @@ def cmd_sweep(args) -> int:
     return EXIT_SWEEP_FAILURES if failures else EXIT_OK
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused for the process."""
+
     p = _Parser(prog="bookbind", description="Matching book embeddings of cycle bundles.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -389,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     if threads is not None and threads.strip() != "1":
         sys.stderr.write("note: BOOKBIND_THREADS ignored; bookbind is single-threaded\n")
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits; fold into the return-code API
         return int(exc.code or 0)
     try:

@@ -5,6 +5,16 @@ The search enumerates spine orders with vertex 0 pinned and reflections
 pruned, and per order solves an exact colouring of the edge-conflict
 structure (conflict = shared endpoint or crossing chords).  Budgets cap the
 work; an exhausted budget is reported as such, never converted into a claim.
+
+The kernel is bit-parallel: bit ``e`` of an integer stands for edge ``e``.
+Per order, the conflict masks come from one prefix-XOR pass over the spine
+plus three bit operations per edge, on incidence masks built once per
+search.  The colouring is an explicit-stack DFS that keeps, per page, the
+union of its edges' conflict masks.  A node counts those unions level by
+level (one mask per k of the uncoloured edges that at least k of them
+contain) to find the most saturated edges in a few AND/OR operations per
+page, and edges bucketed by conflict degree break ties in the order of
+the ``(saturation, degree, -index)`` key.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from .graph_core import Graph, is_bipartite, max_degree, is_regular
-from .layout_engine import BookEmbedding, ValidationReport, chords_cross
+from .layout_engine import BookEmbedding, ValidationReport
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower-bound-only"
@@ -62,11 +72,17 @@ class _BudgetClock:
         return True
 
     def take_node(self) -> bool:
+        """Grant one search node; a refused node is not counted."""
+
         if self.budget.max_nodes is not None and self.nodes >= self.budget.max_nodes:
             return False
+        if (
+            self._deadline is not None
+            and (self.nodes + 1) % 256 == 0
+            and time.monotonic() >= self._deadline
+        ):
+            return False
         self.nodes += 1
-        if self._deadline is not None and self.nodes % 256 == 0:
-            return time.monotonic() < self._deadline
         return True
 
     def timed_out(self) -> bool:
@@ -125,89 +141,123 @@ def _spine_orders(n: int):
             yield (0, *perm)
 
 
-def _conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
-    """Bitmask per edge of the edges it cannot share a page with."""
+class _Incidence:
+    """Order-independent edge data of one graph, built once per search.
 
-    pos = {v: i for i, v in enumerate(order)}
-    edges = g.edge_list
-    masks = [0] * len(edges)
-    for a in range(len(edges)):
-        u, v = edges[a]
-        pu, pv = pos[u], pos[v]
-        for b in range(a + 1, len(edges)):
-            x, y = edges[b]
-            if u in (x, y) or v in (x, y) or chords_cross(pu, pv, pos[x], pos[y]):
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    return masks
+    Bit ``e`` of a mask stands for ``edges[e]``.  ``vertex_masks[v]`` holds
+    the edges at ``v``; ``ends[e]`` holds the edges at either end of edge
+    ``e``, itself included, and ``bits[e]`` is edge ``e`` alone.
+    """
+
+    def __init__(self, g: Graph):
+        self.edges = g.edge_list
+        self.vertex_masks = [0] * g.n
+        for e, (u, v) in enumerate(self.edges):
+            self.vertex_masks[u] |= 1 << e
+            self.vertex_masks[v] |= 1 << e
+        self.bits = [1 << e for e in range(len(self.edges))]
+        self.ends = [self.vertex_masks[u] | self.vertex_masks[v] for u, v in self.edges]
+
+    def conflict_masks(self, order: tuple[int, ...]) -> list[int]:
+        """Bitmask per edge of the edges it cannot share a page with.
+
+        One pass over the spine stores ``before[v]``, the XOR of the masks
+        of the vertices ahead of ``v``.  For a chord with ends at positions
+        ``lo < hi``, ``before[u] ^ before[v]`` holds the edges with exactly
+        one end in ``[lo, hi)``: every chord crossing it, the chord itself
+        and some of the edges sharing an end with it.  OR-ing in ``ends``
+        adds the rest of those and XOR-ing out ``bits`` drops the chord.
+        """
+
+        before = [0] * len(order)
+        acc = 0
+        for v in order:
+            before[v] = acc
+            acc ^= self.vertex_masks[v]
+        return [
+            ((before[u] ^ before[v]) | ends) ^ bit
+            for (u, v), ends, bit in zip(self.edges, self.ends, self.bits)
+        ]
 
 
 def _color_edges(
-    g: Graph, order: tuple[int, ...], m: int, clock: _BudgetClock
+    inc: _Incidence, order: tuple[int, ...], m: int, clock: _BudgetClock
 ) -> tuple[str, dict | None]:
     """Exact m-colouring of the conflict structure for one spine order.
 
-    Returns ("sat", coloring), ("unsat", None), or ("cut", None) when the
-    budget ran dry mid-search.
+    Depth-first search that colours next the uncoloured edge of highest
+    saturation (pages already holding a conflicting edge), then highest
+    conflict degree, then lowest index, trying pages in increasing order
+    and opening at most one new page per step.  Returns ("sat", coloring),
+    ("unsat", None), or ("cut", None) when the budget ran dry mid-search.
     """
 
-    edges = g.edge_list
+    edges = inc.edges
     ne = len(edges)
     if ne == 0:
         return "sat", {}
     cap = len(order) // 2  # a page is a matching: at most ⌊n/2⌋ edges
     if m * cap < ne:
         return "unsat", None
-    masks = _conflict_masks(g, order)
-    conflict_degree = [mask.bit_count() for mask in masks]
-    color_of = [-1] * ne
-    color_masks = [0] * m  # bitmask of edges already on each page
-    color_counts = [0] * m
-    used = 0
-
-    def pick() -> int:
-        best, best_key = -1, None
-        for e in range(ne):
-            if color_of[e] >= 0:
-                continue
-            sat = sum(1 for c in range(used) if masks[e] & color_masks[c])
-            key = (sat, conflict_degree[e], -e)
-            if best_key is None or key > best_key:
-                best, best_key = e, key
-        return best
-
-    def dfs(assigned: int) -> str:
-        nonlocal used
-        if assigned == ne:
-            return "sat"
-        if not clock.take_node():
-            return "cut"
-        e = pick()
+    masks = inc.conflict_masks(order)
+    # the edges of each conflict degree, highest degree first; within one
+    # degree the lowest set bit is the lowest edge index
+    by_degree = [0] * ne
+    for mask, bit in zip(masks, inc.bits):
+        by_degree[mask.bit_count()] |= bit
+    ranks = [edges_of for edges_of in reversed(by_degree) if edges_of]
+    near = [0] * m  # per page: OR of the conflict masks of its edges
+    counts = [0] * m
+    free = (1 << ne) - 1  # uncoloured edges
+    used = 0  # pages 0..used-1 are the nonempty ones
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, kept alive until a full collection
+    frames: list[tuple[int, int, int]] = []  # (edge, page, near[page] before)
+    descend = True
+    while True:
+        if descend:
+            if not free:
+                return "sat", {edges[e]: c for e, c, _ in sorted(frames)}
+            if not clock.take_node():
+                return "cut", None
+            # at_least[k]: uncoloured edges in the conflict sets of >= k pages
+            at_least = [free]
+            for c in range(used):
+                x = near[c]
+                at_least.append(at_least[-1] & x)
+                for k in range(c, 0, -1):
+                    at_least[k] |= at_least[k - 1] & x
+            k = len(at_least) - 1
+            while not at_least[k]:
+                k -= 1
+            for rank in ranks:
+                best = at_least[k] & rank
+                if best:
+                    break
+            e = (best & -best).bit_length() - 1
+            c = -1
+        else:  # the last colouring failed below: undo it, try the next page
+            if not frames:
+                return "unsat", None
+            e, c, saved = frames.pop()
+            near[c] = saved
+            counts[c] -= 1
+            free |= 1 << e
+            if not counts[c]:
+                used -= 1
         bit = 1 << e
         limit = min(used + 1, m)
-        for c in range(limit):
-            if color_counts[c] >= cap or masks[e] & color_masks[c]:
-                continue
-            color_of[e] = c
-            color_masks[c] |= bit
-            color_counts[c] += 1
-            grew = c == used
-            if grew:
+        c += 1
+        while c < limit and (counts[c] >= cap or near[c] & bit):
+            c += 1
+        descend = c < limit
+        if descend:
+            frames.append((e, c, near[c]))
+            near[c] |= masks[e]
+            if not counts[c]:
                 used += 1
-            verdict = dfs(assigned + 1)
-            if verdict != "unsat":
-                return verdict
-            if grew:
-                used -= 1
-            color_of[e] = -1
-            color_masks[c] &= ~bit
-            color_counts[c] -= 1
-        return "unsat"
-
-    verdict = dfs(0)
-    if verdict == "sat":
-        return "sat", {edges[e]: color_of[e] for e in range(ne)}
-    return verdict, None
+            counts[c] += 1
+            free ^= bit
 
 
 def search_fixed_pages(
@@ -218,12 +268,13 @@ def search_fixed_pages(
     if m < 1:
         raise OracleError(f"page count must be positive, got {m}")
     clock = clock or _BudgetClock(budget)
+    inc = _Incidence(g)
     exhausted = True
     for order in _spine_orders(g.n):
         if not clock.take_order() or clock.timed_out():
             exhausted = False
             break
-        verdict, coloring = _color_edges(g, order, m, clock)
+        verdict, coloring = _color_edges(inc, order, m, clock)
         if verdict == "sat":
             witness = BookEmbedding(order, coloring, m)
             return PageSearchResult(m, True, witness, False, clock.counters())

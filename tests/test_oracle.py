@@ -5,8 +5,12 @@ by hand (spine orders and page matchings verified directly), so they pin
 the search against regressions rather than against themselves.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from bookbind import cli, oracle
 from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant, cycle_graph
 from bookbind.layout_engine import DISPERSABLE, BookEmbedding, classify, validate
 from bookbind.oracle import (
@@ -131,6 +135,26 @@ def test_budget_starves_first_phase_to_inconclusive():
     assert res.status == INCONCLUSIVE and res.value is None
 
 
+def test_time_limit_counts_only_explored_nodes(monkeypatch):
+    # the clock expires after the first node; the next deadline check falls
+    # on node 256, inside the first order's 658-node search, and refuses it
+    explored = []
+    take_node = oracle._BudgetClock.take_node
+
+    def counted(self):
+        granted = take_node(self)
+        if granted:
+            explored.append(self.nodes)
+        return granted
+
+    monkeypatch.setattr(oracle._BudgetClock, "take_node", counted)
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: 100.0 if explored else 0.0)
+    res = search_fixed_pages(circulant(10, {1, 2, 3}), 8, SearchBudget(time_limit=1.0))
+    assert not res.found and not res.exhausted
+    assert res.counters["orders"] == 1
+    assert res.counters["nodes"] == len(explored) == 255
+
+
 def test_budget_validation():
     with pytest.raises(OracleError):
         SearchBudget(max_orders=0)
@@ -210,3 +234,60 @@ def test_mbt_result_counters_present():
     res = brute_force_mbt(cycle_graph(4))
     assert {"orders", "nodes", "seconds"} <= set(res.counters)
     assert isinstance(res, MbtResult)
+
+
+# `bookbind mbt` outcomes, pinned: sha256 prefix of the exit code and the
+# payload with `counters.seconds` dropped, so orders, nodes, verdicts and
+# witnesses must all match.  The oracle workload's seven cases come first,
+# then small graphs by name, one small bundle per family, and budget cuts.
+SMALL_GRAPHS = {
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "K4": K4,
+    "K3,3": K33,
+    "K5-e": K5_MINUS,
+}
+GOLDEN_MBT = {
+    "circulant:n=8,S=1,2 --pages 4": "aecd9df58ba0047d",
+    "circulant:n=8,S=2,3 --pages 4": "934e385f05d4b66d",
+    "circulant:n=10,S=1,2 --pages 4 --max-orders 3000": "42ba4204f005d037",
+    "circulant:n=10,S=1,4 --pages 4 --max-orders 3000": "9e9779cf36364e98",
+    "circulant:n=9,S=1,3 --pages 4": "43e87e8004c4f4d4",
+    "s=3,t=4,phi=shift:2": "da79f19e804e3fe7",
+    "s=3,t=4,phi=refl:two": "dde28f549677ce0d",
+    "C4": "daaf69f9c445d06e",
+    "C5": "e38de837ab605cc3",
+    "C5 --pages 2": "2a29bf34da597749",
+    "K4": "42eff8174083c653",
+    "K4 --pages 3": "906c50a994e5fbdd",
+    "K3,3": "5df29e3f577ad8f7",
+    "K5-e": "48c59668fcd76533",
+    "s=3,t=3,phi=shift:1": "0a0b3d00d0d4c6a6",
+    "s=3,t=3,phi=refl:one": "2399db60d88f3f82",
+    "s=4,t=3,phi=refl:one": "d26b0d4676b3208d",
+    "s=3,t=4,phi=refl:none": "9d1acac6fccbdb60",
+    "circulant:n=10,S=1,2 --pages 4 --max-nodes 500": "31378c490456954a",
+    "circulant:n=9,S=1,3 --max-nodes 1": "495b8447642ca6de",
+    "s=3,t=4,phi=shift:2 --max-orders 1": "30a2d95c502ee2ee",
+    "s=4,t=4,phi=shift:2 --max-orders 300": "18fddc9c3b0795d5",
+    "K5-e --max-orders 12": "929bef9d2484f36b",
+    "K5-e --max-nodes 1": "6d08c095a08ad9ef",
+}
+
+
+def _mbt_digest(args: str, monkeypatch, capsys) -> str:
+    parse = cli._parse_spec
+    monkeypatch.setattr(
+        cli, "_parse_spec", lambda text: SMALL_GRAPHS[text] if text in SMALL_GRAPHS else parse(text)
+    )
+    spec, *flags = args.split(" ")
+    code = cli.main(["mbt", spec, *flags])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["counters"]["seconds"]
+    blob = json.dumps([code, payload], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_MBT))
+def test_mbt_outcome_is_pinned(args, monkeypatch, capsys):
+    assert _mbt_digest(args, monkeypatch, capsys) == GOLDEN_MBT[args]

@@ -2,22 +2,24 @@
 
 ``validate`` checks each page in one bracket-matching pass and lists
 violations pairwise only on a failing page; ``_PageAssigner`` answers
-conflict queries from a per-page index over spine positions.  Both are
-compared here with the plain pairwise definitions.
+conflict queries from a per-page index over spine positions; the oracle
+builds its per-order conflict masks from prefix XORs along the spine.
+All three are compared here with the plain pairwise definitions.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from bookbind import constructions, layout_engine  # noqa: E402
+from bookbind import constructions, layout_engine, oracle  # noqa: E402
 from bookbind.constructions import _PageAssigner, embed  # noqa: E402
 from bookbind.graph_core import (  # noqa: E402
     BundleSpec,
     Graph,
     Reflection,
     Shift,
+    bundle,
     format_bundle_spec,
 )
 from bookbind.layout_engine import (  # noqa: E402
@@ -77,9 +79,11 @@ def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
 
 
 @st.composite
-def graphs_with_spines(draw, max_n=12):
-    n = draw(st.integers(3, max_n))
+def graphs_with_spines(draw, min_n=3, max_n=12):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n, frozenset()), tuple(range(n))
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
     order = draw(st.permutations(range(n)))
     return Graph(n, frozenset(edges)), tuple(order)
@@ -138,6 +142,26 @@ def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, st
                     assert asg._conflicts(e, p) == pairwise_conflicts(e, p), (e, p)
 
 
+def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
+    """Per edge, the bitmask of the edges it conflicts with, pair by pair."""
+
+    pos = {v: i for i, v in enumerate(order)}
+    edges = g.edge_list
+    return [
+        sum(1 << b for b, f in enumerate(edges) if f != e and _conflict(e, f, pos))
+        for e in edges
+    ]
+
+
+@given(graphs_with_spines(min_n=0, max_n=10))
+@example((Graph(0, frozenset()), ()))
+@example((Graph(1, frozenset()), (0,)))
+@example((Graph(2, frozenset({(0, 1)})), (1, 0)))
+def test_oracle_conflict_masks_match_pairwise_reference(case):
+    g, order = case
+    assert oracle._Incidence(g).conflict_masks(order) == reference_conflict_masks(g, order)
+
+
 def _count_chords_cross(monkeypatch) -> list:
     calls = []
 
@@ -147,14 +171,26 @@ def _count_chords_cross(monkeypatch) -> list:
 
     monkeypatch.setattr(layout_engine, "chords_cross", counting)
     monkeypatch.setattr(constructions, "chords_cross", counting, raising=False)
+    monkeypatch.setattr(oracle, "chords_cross", counting, raising=False)
     return calls
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=format_bundle_spec)
+# besides one embed per spec, one exhaustive search whose witness is validated
+MBT_INPUT = "mbt:s=3,t=4,phi=shift:2"
+
+
+@pytest.mark.parametrize(
+    "spec", [*SPECS, MBT_INPUT], ids=lambda p: p if p == MBT_INPUT else format_bundle_spec(p)
+)
 def test_valid_embedding_is_built_and_checked_without_pairwise_scans(spec, monkeypatch):
     calls = _count_chords_cross(monkeypatch)
-    res = embed(spec)
-    assert validate(res.graph, res.embedding).ok
+    if spec == MBT_INPUT:
+        g = bundle(BundleSpec(3, 4, Shift(2)))
+        emb = oracle.brute_force_mbt(g).witness
+    else:
+        res = embed(spec)
+        g, emb = res.graph, res.embedding
+    assert validate(g, emb).ok
     assert calls == []
 
 
