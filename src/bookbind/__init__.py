@@ -6,30 +6,15 @@ residual 2-factors, produce optimal matching book embeddings for the solved
 parameter families, reduce the coprime-shift family to circulant graphs,
 and verify everything independently with a validator and a brute-force
 search.
+
+The package exports the README's documented surface; everything else lives
+in the submodules (``graph_core``, ``bundle_decomp``, ``layout_engine``,
+``constructions``, ``oracle``, ``cli``).
 """
 
-from .bundle_decomp import (
-    CirculantReduction,
-    Decomposition,
-    DecompositionError,
-    DiophantineSolution,
-    fiber_cycles,
-    reflection_residual_cycles,
-    residual_cycles,
-    shift_residual_cycles,
-    solve_position,
-    to_circulant,
-)
-from .constructions import (
-    CompletionError,
-    ConstructionResult,
-    Unsupported,
-    embed,
-)
+from .bundle_decomp import CirculantReduction, DecompositionError, to_circulant
+from .constructions import CompletionError, ConstructionResult, Unsupported, embed
 from .graph_core import (
-    REFL_NONE,
-    REFL_ONE,
-    REFL_TWO,
     BundleSpec,
     Graph,
     InvalidSpecError,
@@ -38,106 +23,35 @@ from .graph_core import (
     SpecFormatError,
     bundle,
     circulant,
-    cycle_graph,
-    format_bundle_spec,
-    is_bipartite,
-    max_degree,
-    normalize_shift,
-    parse_bundle_spec,
-    predict_bipartite,
-    vertex_index,
-    vertex_pair,
 )
-from .layout_engine import (
-    BLUE,
-    COLOR_NAMES,
-    DISPERSABLE,
-    GREEN,
-    NEARLY_DISPERSABLE,
-    NEITHER,
-    PURPLE,
-    RED,
-    YELLOW,
-    BookEmbedding,
-    CoverageError,
-    ValidationReport,
-    chords_cross,
-    classify,
-    validate,
-)
-from .oracle import (
-    CertifyResult,
-    MbtResult,
-    OracleError,
-    PageSearchResult,
-    SearchBudget,
-    brute_force_mbt,
-    certify,
-    check_isomorphism,
-    lower_bound,
-    search_fixed_pages,
-)
+from .layout_engine import BookEmbedding, CoverageError, ValidationReport, validate
+from .oracle import MbtResult, OracleError, SearchBudget, brute_force_mbt, check_isomorphism
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLUE",
     "BookEmbedding",
     "BundleSpec",
-    "CertifyResult",
     "CirculantReduction",
-    "COLOR_NAMES",
     "CompletionError",
     "ConstructionResult",
     "CoverageError",
-    "Decomposition",
     "DecompositionError",
-    "DiophantineSolution",
-    "DISPERSABLE",
-    "GREEN",
     "Graph",
     "InvalidSpecError",
     "MbtResult",
-    "NEARLY_DISPERSABLE",
-    "NEITHER",
     "OracleError",
-    "PageSearchResult",
-    "PURPLE",
-    "RED",
-    "REFL_NONE",
-    "REFL_ONE",
-    "REFL_TWO",
     "Reflection",
     "SearchBudget",
     "Shift",
     "SpecFormatError",
     "Unsupported",
     "ValidationReport",
-    "YELLOW",
     "brute_force_mbt",
     "bundle",
-    "certify",
     "check_isomorphism",
-    "chords_cross",
     "circulant",
-    "classify",
-    "cycle_graph",
     "embed",
-    "fiber_cycles",
-    "format_bundle_spec",
-    "is_bipartite",
-    "lower_bound",
-    "max_degree",
-    "normalize_shift",
-    "parse_bundle_spec",
-    "predict_bipartite",
-    "reflection_residual_cycles",
-    "residual_cycles",
-    "search_fixed_pages",
-    "shift_residual_cycles",
-    "solve_position",
     "to_circulant",
     "validate",
-    "vertex_index",
-    "vertex_pair",
 ]

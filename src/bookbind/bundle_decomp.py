@@ -4,13 +4,13 @@ Every twisted torus splits into its ``s`` fibre cycles plus a residual
 2-regular graph made of the rung and seam edges.  The shape of the residual
 depends on the gluing: a ``d``-shift residual falls into ``gcd(t, d)`` long
 cycles, a reflection residual into column pairs.  When ``gcd(t, d) = 1`` the
-whole graph collapses to a circulant on ``Z_{s*t}`` and we emit the relabel
-certificate instead of an embedding.
+whole graph collapses to a circulant on ``Z_{s*t}`` and ``to_circulant``
+returns the relabelling as a certificate instead of an embedding.  The
+reduction hands out plain data (``to_payload``); only ``cli`` encodes JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -19,14 +19,10 @@ from .graph_core import (
     Graph,
     Reflection,
     Shift,
+    circulant,
     make_edge,
     vertex_index,
 )
-
-KIND_FIBER = "fiber"
-KIND_SHIFT_RESIDUAL = "shift-residual"
-KIND_TRIVIAL_SHIFT_RESIDUAL = "trivial-shift-residual"
-KIND_REFLECTION_RESIDUAL = "reflection-residual"
 
 
 class DecompositionError(ValueError):
@@ -35,13 +31,9 @@ class DecompositionError(ValueError):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A named family of vertex-disjoint cycles, each a closed vertex sequence."""
+    """A family of vertex-disjoint cycles, each a closed vertex sequence."""
 
-    kind: str
     cycles: tuple[tuple[int, ...], ...]
-
-    def total_vertices(self) -> int:
-        return sum(len(c) for c in self.cycles)
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         edges = set()
@@ -58,25 +50,19 @@ def fiber_cycles(spec: BundleSpec) -> Decomposition:
     cycles = tuple(
         tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s)
     )
-    return Decomposition(KIND_FIBER, cycles)
+    return Decomposition(cycles)
 
 
 def shift_residual_cycles(s: int, t: int, d: int) -> Decomposition:
     """Cycles of the rung+seam subgraph of a d-shift torus.
 
-    For ``d > 0`` the residual is ``gcd(t, d)`` cycles of length
-    ``s * t / gcd(t, d)``: from column ``k`` walk the rungs to the seam, cross
-    to column ``k + d``, and repeat until the column orbit closes.  The
-    trivial shift ``d = 0`` degenerates into ``t`` plain s-cycles and is
-    flagged with its own kind.
+    The residual is ``gcd(t, d)`` cycles of length ``s * t / gcd(t, d)``:
+    from column ``k`` walk the rungs to the seam, cross to column ``k + d``,
+    and repeat until the column orbit closes.  The trivial shift ``d = 0``
+    (``gcd(t, 0) = t``) gives ``t`` plain s-cycles, one per column.
     """
 
     BundleSpec(s, t, Shift(d))  # bounds check
-    if d == 0:
-        cycles = tuple(
-            tuple(vertex_index(p, q, t) for p in range(s)) for q in range(t)
-        )
-        return Decomposition(KIND_TRIVIAL_SHIFT_RESIDUAL, cycles)
     g = gcd(t, d)
     length = t // g
     cycles = []
@@ -86,7 +72,7 @@ def shift_residual_cycles(s: int, t: int, d: int) -> Decomposition:
             col = (k + l * d) % t
             cyc.extend(vertex_index(p, col, t) for p in range(s))
         cycles.append(tuple(cyc))
-    return Decomposition(KIND_SHIFT_RESIDUAL, tuple(cycles))
+    return Decomposition(tuple(cycles))
 
 
 def reflection_residual_cycles(s: int, t: int, kind: str) -> Decomposition:
@@ -112,7 +98,7 @@ def reflection_residual_cycles(s: int, t: int, kind: str) -> Decomposition:
             down = [vertex_index(p, c, t) for p in range(s)]
             back = [vertex_index(p, mate, t) for p in range(s)]
             cycles.append(tuple(down + back))
-    return Decomposition(KIND_REFLECTION_RESIDUAL, tuple(cycles))
+    return Decomposition(tuple(cycles))
 
 
 def residual_cycles(spec: BundleSpec) -> Decomposition:
@@ -122,36 +108,11 @@ def residual_cycles(spec: BundleSpec) -> Decomposition:
 
 
 @dataclass(frozen=True)
-class DiophantineSolution:
-    """The unique solution of ``a*x + b*y = c`` with ``0 <= x <= b-1``."""
-
-    x: int
-    y: int
-
-
-def solve_position(a: int, b: int, c: int) -> DiophantineSolution:
-    """Solve ``a*x + b*y = c`` with ``0 <= x <= b-1`` for coprime ``a, b``.
-
-    The solution in that window is unique; ``x + 1`` is the 1-based rank of
-    ``1 + c`` inside the ordered set ``{1, 1+a, 1+2a, ...}`` taken mod ``b``.
-    """
-
-    if b <= 0:
-        raise DecompositionError(f"modulus b must be positive, got {b}")
-    if gcd(a, b) != 1:
-        raise DecompositionError(
-            f"{a}*x + {b}*y = {c}: gcd({a}, {b}) != 1, no unique solution window"
-        )
-    x = (c * pow(a, -1, b)) % b if b > 1 else 0
-    return DiophantineSolution(x, (c - a * x) // b)
-
-
-@dataclass(frozen=True)
 class CirculantReduction:
     """Relabelling that carries a coprime-shift torus onto a circulant.
 
     ``labels`` maps every torus vertex ``(p, q)`` to its class in ``Z_n``;
-    rung and seam edges land on jump 1 and fibre edges on ``fiber_jump``
+    rung and seam edges land on jump 1 and fibre edges on ``jump``
     (stored already folded into ``1..n//2``).
     """
 
@@ -168,17 +129,15 @@ class CirculantReduction:
         return {vertex_index(p, q, self.t): lab for p, q, lab in self.labels}
 
     def target(self) -> Graph:
-        from .graph_core import circulant
-
         return circulant(self.n, {1, self.jump})
 
-    def to_json(self) -> str:
-        payload = {
+    def to_payload(self) -> dict:
+        """The reduction as plain data: ``{n, jump, relabel}``."""
+        return {
             "n": self.n,
             "jump": self.jump,
             "relabel": [[p, q, lab] for p, q, lab in self.labels],
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def to_circulant(s: int, t: int, d: int) -> CirculantReduction:
@@ -187,8 +146,7 @@ def to_circulant(s: int, t: int, d: int) -> CirculantReduction:
     The rung+seam residual is then a single Hamiltonian cycle; numbering the
     vertices along it (starting at ``(0, 0)`` and crossing the seam first)
     sends rungs and seams to jump 1, and every fibre edge to the constant
-    jump ``s * x0`` where ``x0`` is the least positive solution of
-    ``(t - d) * x = 1 (mod t)``.
+    jump ``s * x0`` with ``x0 = -d^{-1} mod t``.
     """
 
     BundleSpec(s, t, Shift(d))  # bounds check
@@ -197,10 +155,9 @@ def to_circulant(s: int, t: int, d: int) -> CirculantReduction:
             f"circulant reduction needs gcd(t, d) = 1 with d > 0, got t={t}, d={d}"
         )
     n = s * t
-    x0 = solve_position(t - d, t, 1).x
-    raw = (s * x0) % n
-    jump = min(raw, n - raw)
     d_inv = pow(d, -1, t)
+    raw = (s * (-d_inv % t)) % n
+    jump = min(raw, n - raw)
     labels = []
     for p in range(s):
         for q in range(t):

@@ -109,6 +109,7 @@ def _graph_of(parsed: Graph | BundleSpec) -> Graph:
 
 
 def _dumps(payload) -> str:
+    """The one JSON encoder: every payload bookbind prints or writes."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -129,7 +130,7 @@ def _dot(g: Graph) -> str:
 
 def cmd_build(args) -> int:
     g = _graph_of(_parse_spec(args.spec))
-    text = g.to_json() + "\n" if args.format == "json" else _dot(g)
+    text = _dumps(g.to_payload()) if args.format == "json" else _dot(g)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -147,7 +148,7 @@ def _embedding_payload(res: ConstructionResult) -> dict:
 def _report_unsupported(res: Unsupported) -> int:
     payload = {
         "unsupported": res.reason,
-        "reduction": None if res.reduction is None else json.loads(res.reduction.to_json()),
+        "reduction": None if res.reduction is None else res.reduction.to_payload(),
     }
     sys.stdout.write(_dumps(payload))
     return EXIT_UNSUPPORTED
@@ -277,8 +278,8 @@ def cmd_render(args) -> int:
     need = max(res.embedding.pages.values()) + 1
     if len(palette) < need or any(not c.strip() for c in palette):
         raise InvalidSpecError(f"palette needs at least {need} non-empty colors")
-    if args.radius <= 0:
-        raise InvalidSpecError(f"radius must be positive, got {args.radius}")
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise InvalidSpecError(f"radius must be positive and finite, got {args.radius}")
     svg = _render_svg(res.embedding, args.radius, palette, args.labels, res.spec.t)
     _emit(svg, args.out)
     return EXIT_OK

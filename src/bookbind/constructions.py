@@ -203,7 +203,6 @@ class _PageAssigner:
         partner[self.pos[e[0]]] = partner[self.pos[e[1]]] = -1
 
     def assign(self, e: Edge, page: int) -> None:
-        e = make_edge(*e)
         if e not in self.g.edges:
             raise CompletionError(self.rule, f"{e} is not an edge of the graph")
         if e in self.pages:
@@ -216,7 +215,6 @@ class _PageAssigner:
         """Depth-first completion of `todo` in order, palettes as given."""
 
         for e, _ in todo:
-            e = make_edge(*e)
             if e not in self.g.edges:
                 raise CompletionError(self.rule, f"{e} is not an edge of the graph")
             if e in self.pages:
@@ -235,7 +233,6 @@ class _PageAssigner:
         if self._nodes > self._node_cap:
             raise CompletionError(self.rule, f"completion exceeded {self._node_cap} nodes")
         e, palette = todo[i]
-        e = make_edge(*e)
         for page in palette:
             if self._conflicts(e, page):
                 continue
@@ -249,7 +246,7 @@ class _PageAssigner:
         missing = self.g.edges - set(self.pages)
         if missing:
             raise CompletionError(self.rule, f"uncoloured edges remain: {sorted(missing)[:4]}")
-        return BookEmbedding(self.order, dict(self.pages), m)
+        return BookEmbedding(self.order, self.pages, m)
 
 
 # ---------------------------------------------------------------- shifts ---

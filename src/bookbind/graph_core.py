@@ -9,7 +9,6 @@ applied.  Vertices are addressed either as pairs ``(p, q)`` with
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,28 +67,9 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def to_json(self) -> str:
-        payload = {"n": self.n, "edges": [list(e) for e in self.edge_list]}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        try:
-            payload = json.loads(text)
-            n = payload["n"]
-            edges = payload["edges"]
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise SpecFormatError(f"bad graph payload: {exc}") from exc
-        if not isinstance(n, int) or not isinstance(edges, list):
-            raise SpecFormatError("graph payload needs integer 'n' and list 'edges'")
-        try:
-            pairs = frozenset((int(u), int(v)) for u, v in edges)
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"bad edge entry: {exc}") from exc
-        return cls(n, pairs)
+    def to_payload(self) -> dict:
+        """The graph as plain data: ``{n, edges}`` with edges in canonical order."""
+        return {"n": self.n, "edges": [list(e) for e in self.edge_list]}
 
 
 @dataclass(frozen=True)
@@ -104,10 +84,6 @@ class Shift:
 
     def apply(self, q: int, t: int) -> int:
         return (q + self.d) % t
-
-    @property
-    def trivial(self) -> bool:
-        return self.d == 0
 
 
 @dataclass(frozen=True)
@@ -128,9 +104,6 @@ class Reflection:
         if self.kind == REFL_TWO:
             return (t - q) % t
         return (t - 1 - q) % t
-
-    def fixed_columns(self, t: int) -> tuple[int, ...]:
-        return tuple(q for q in range(t) if self.apply(q, t) == q)
 
 
 Automorphism = Shift | Reflection
@@ -285,14 +258,18 @@ def normalize_shift(spec: BundleSpec) -> BundleSpec:
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
-    """Parse ``s=5,t=7,phi=shift:3`` or ``s=5,t=12,phi=refl:none``."""
+    """Parse ``s=5,t=7,phi=shift:3`` or ``s=5,t=12,phi=refl:none``, each
+    field exactly once and in any order."""
 
     fields: dict[str, str] = {}
     for chunk in text.strip().split(","):
         if "=" not in chunk:
             raise SpecFormatError(f"expected key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("s", "t", "phi") or key in fields:
+            raise SpecFormatError(f"unknown or repeated field {key!r} in spec {text!r}")
+        fields[key] = value.strip()
     for key in ("s", "t", "phi"):
         if key not in fields:
             raise SpecFormatError(f"missing field {key!r} in spec {text!r}")

@@ -6,11 +6,13 @@ cross in the circular layout.  Equivalently, each page is a matching whose
 chords, read along the spine, nest like balanced brackets; ``validate``
 checks that in one pass per page (O(E log E) in all) and compares edges
 pairwise only on a page that fails, to list its violations.
+
+``BookEmbedding`` converts to and from plain data (``to_payload`` and
+``from_payload``); only ``cli`` encodes and decodes JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .graph_core import Edge, Graph, SpecFormatError, make_edge
@@ -63,7 +65,7 @@ class BookEmbedding:
         return len(set(self.pages.values()))
 
     def to_payload(self) -> dict:
-        """The JSON object ``{order, pages, m}`` that ``to_json`` encodes."""
+        """The embedding as plain data: ``{order, pages, m}``."""
 
         return {
             "order": list(self.order),
@@ -71,20 +73,9 @@ class BookEmbedding:
             "m": self.m,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BookEmbedding":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"bad embedding payload: {exc}") from exc
-        return cls.from_payload(payload)
-
     @classmethod
     def from_payload(cls, payload) -> "BookEmbedding":
-        """The embedding in a decoded ``to_json`` object ``{order, pages, m}``."""
+        """The embedding in a ``to_payload`` object ``{order, pages, m}``."""
 
         try:
             order = tuple(int(v) for v in payload["order"])

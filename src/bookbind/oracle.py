@@ -19,6 +19,7 @@ the ``(saturation, degree, -index)`` key.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -49,8 +50,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         for name in ("max_orders", "max_nodes", "time_limit"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise OracleError(f"{name} must be positive, got {v}")
+            if v is not None and not 0 < v < math.inf:  # also rejects nan
+                raise OracleError(f"{name} must be positive and finite, got {v}")
 
 
 class _BudgetClock:

@@ -5,17 +5,13 @@ import random
 
 import pytest
 
+from bookbind import cli
 from bookbind.bundle_decomp import (
-    KIND_FIBER,
-    KIND_REFLECTION_RESIDUAL,
-    KIND_SHIFT_RESIDUAL,
-    KIND_TRIVIAL_SHIFT_RESIDUAL,
     DecompositionError,
     fiber_cycles,
     reflection_residual_cycles,
     residual_cycles,
     shift_residual_cycles,
-    solve_position,
     to_circulant,
 )
 from bookbind.graph_core import (
@@ -38,7 +34,6 @@ def _cycle_edges_in(dec, g):
 
 def test_fiber_cycles_rows():
     dec = fiber_cycles(BundleSpec(3, 4, Shift(1)))
-    assert dec.kind == KIND_FIBER
     assert dec.cycles == (
         (0, 1, 2, 3),
         (4, 5, 6, 7),
@@ -46,27 +41,8 @@ def test_fiber_cycles_rows():
     )
 
 
-def test_solve_position_matches_brute_scan():
-    rng = random.Random(11)
-    for _ in range(200):
-        b = rng.randint(1, 30)
-        a = rng.choice([v for v in range(1, 3 * b + 1) if math.gcd(v, b) == 1])
-        c = rng.randint(-20, 40)
-        sol = solve_position(a, b, c)
-        assert a * sol.x + b * sol.y == c
-        assert 0 <= sol.x <= b - 1
-
-
-def test_solve_position_rejects_shared_factor():
-    with pytest.raises(DecompositionError):
-        solve_position(4, 6, 2)
-    with pytest.raises(DecompositionError):
-        solve_position(3, 0, 1)
-
-
 def test_shift_residual_frozen_small_case():
     dec = shift_residual_cycles(3, 6, 2)
-    assert dec.kind == KIND_SHIFT_RESIDUAL
     assert dec.cycles == (
         (0, 6, 12, 2, 8, 14, 4, 10, 16),
         (1, 7, 13, 3, 9, 15, 5, 11, 17),
@@ -83,16 +59,17 @@ def test_shift_residual_counts_and_lengths():
 
 
 def test_shift_residual_trivial_kind():
+    # d = 0 is the general formula with gcd(t, 0) = t: one s-cycle per column
     dec = shift_residual_cycles(4, 5, 0)
-    assert dec.kind == KIND_TRIVIAL_SHIFT_RESIDUAL
-    assert len(dec.cycles) == 5 and all(len(c) == 4 for c in dec.cycles)
+    assert dec.cycles == tuple(
+        tuple(vertex_index(p, q, 5) for p in range(4)) for q in range(5)
+    )
     _cycle_edges_in(dec, bundle(BundleSpec(4, 5, Shift(0))))
 
 
 def test_reflection_residual_counts():
     # swapped pair -> 2s-cycle, fixed column -> s-cycle
     dec = reflection_residual_cycles(3, 6, "none")
-    assert dec.kind == KIND_REFLECTION_RESIDUAL
     assert len(dec.cycles) == 3 and all(len(c) == 6 for c in dec.cycles)
 
     dec = reflection_residual_cycles(4, 6, "two")
@@ -196,4 +173,4 @@ def test_to_circulant_rejects_shared_factor():
 
 def test_to_circulant_json_mentions_jump():
     red = to_circulant(3, 3, 1)
-    assert '"jump": 3' in red.to_json()
+    assert '"jump": 3' in cli._dumps(red.to_payload())

@@ -52,7 +52,7 @@ def test_embed_payload(capsys):
     assert payload["rule"] == "shift/gcd-even"
     assert payload["pages"] == 5
     assert payload["classification"] == "nearly-dispersable"
-    emb = BookEmbedding.from_json(json.dumps(payload["embedding"]))
+    emb = BookEmbedding.from_payload(payload["embedding"])
     assert emb.m == 5 and len(emb.order) == 18
 
 
@@ -209,8 +209,9 @@ def test_render_palette_too_small(capsys):
 
 
 def test_render_bad_radius(capsys):
-    code, _, err = run(capsys, "render", "s=3,t=6,phi=shift:2", "--radius", "0")
-    assert code == 65
+    for radius in ("0", "-1", "nan", "inf"):
+        code, out, err = run(capsys, "render", "s=3,t=6,phi=shift:2", "--radius", radius)
+        assert code == 65 and out == "" and "radius" in err
 
 
 def test_render_unsupported_spec(capsys):
@@ -253,6 +254,8 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 64
     assert run(capsys, "build", "nonsense")[0] == 64
     assert run(capsys, "build", "s=3,t=6,phi=twist:1")[0] == 64
+    assert run(capsys, "embed", "s=3,t=6,phi=shift:2,d=4")[0] == 64
+    assert run(capsys, "embed", "s=3,t=6,phi=shift:2,s=5")[0] == 64
     assert run(capsys, "sweep", "--family", "shift", "--s", "x", "--t", "6")[0] == 64
 
 
@@ -309,6 +312,21 @@ def test_embed_output_is_pinned(spec, capsys):
     code, out, _ = run(capsys, "embed", spec)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_EMBED[spec]
+
+
+# sha256 prefixes and exit codes of the stdout of the other JSON payloads:
+# a bundle graph, a circulant graph, and a coprime shift's reduction
+GOLDEN_PAYLOADS = {
+    "build s=3,t=6,phi=shift:2": (0, "5de08021ad9ff1da"),
+    "build circulant:n=9,S=1,3": (0, "44dcf328fd6fb006"),
+    "embed s=5,t=7,phi=shift:3": (3, "bd17fdb087f1e3d6"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_PAYLOADS))
+def test_payload_output_is_pinned(argv, capsys):
+    code, out, _ = run(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GOLDEN_PAYLOADS[argv]
 
 
 def test_embed_failure_message_is_pinned(capsys):

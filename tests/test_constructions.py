@@ -1,6 +1,7 @@
 """Closed-form embeddings: every family must validate at its claimed page count."""
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from bookbind.constructions import (
     ConstructionResult,
     SequenceCatalog,
     Unsupported,
+    _PageAssigner,
     embed,
 )
 from bookbind.graph_core import (
@@ -48,6 +50,17 @@ def test_sequence_catalog_wraps_indices():
     assert cat.row(2) == (5, 6, 7, 8, 9)
     assert cat.column(2) == (1, 6, 11)
     assert cat.fiber_edge(1, 5) == (0, 4)  # wraps back to column 1
+
+
+def test_assigner_rejects_non_canonical_edges():
+    # layouts hand over canonical (low, high) edges; a reversed one is not
+    # silently repaired
+    g = bundle(BundleSpec(3, 4, Shift(2)))
+    asg = _PageAssigner(g, range(g.n), "test")
+    with pytest.raises(CompletionError, match="not an edge"):
+        asg.assign((1, 0), 0)
+    with pytest.raises(CompletionError, match="not an edge"):
+        asg.complete([((1, 0), (0, 1))])
 
 
 def test_shift_even_gcd_cases():
@@ -220,7 +233,8 @@ def _grid_outcome(spec) -> str:
         return f"{type(exc).__name__}: {exc}"
     if isinstance(res, Unsupported):
         return f"unsupported: {res.reason}"
-    return f"{res.rule} {res.claimed_pages} {res.embedding.to_json()}"
+    text = json.dumps(res.embedding.to_payload(), indent=2, sort_keys=True)
+    return f"{res.rule} {res.claimed_pages} {text}"
 
 
 # sha256 of every `embed` outcome on s = 3..8, t = 3..16, every shift d and

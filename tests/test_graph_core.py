@@ -1,9 +1,11 @@
 """Graph values, bundle constructors, and structural predicates."""
 
+import json
 import random
 
 import pytest
 
+from bookbind import cli
 from bookbind.graph_core import (
     BundleSpec,
     Graph,
@@ -41,7 +43,7 @@ def test_graph_canonicalizes_and_validates():
     g = Graph(4, frozenset({(3, 1), (0, 1)}))
     assert g.edges == {(1, 3), (0, 1)}
     assert g.edge_list == ((0, 1), (1, 3))
-    assert g.degree(1) == 2 and g.degree(2) == 0
+    assert len(g.adjacency[1]) == 2 and len(g.adjacency[2]) == 0
     assert g.adjacency[1] == (0, 3)
     with pytest.raises(InvalidSpecError):
         Graph(2, frozenset({(0, 5)}))
@@ -51,7 +53,8 @@ def test_graph_canonicalizes_and_validates():
 
 def test_graph_json_roundtrip():
     g = circulant(7, {1, 3})
-    assert Graph.from_json(g.to_json()) == g
+    payload = json.loads(cli._dumps(g.to_payload()))
+    assert Graph(payload["n"], frozenset(map(tuple, payload["edges"]))) == g
 
 
 def test_cycle_graph_small():
@@ -89,7 +92,7 @@ def test_circulant_rejects_bad_jumps():
 
 def test_shift_validation_and_apply():
     assert Shift(2).apply(5, 6) == 1
-    assert Shift(0).trivial
+    assert Shift(0).apply(4, 6) == 4
     with pytest.raises(InvalidSpecError):
         BundleSpec(3, 6, Shift(6))
     with pytest.raises(InvalidSpecError):
@@ -100,15 +103,12 @@ def test_reflection_validation_and_fixed_columns():
     # t even, no fixed column: q -> t-1-q
     r = Reflection("none")
     assert [r.apply(q, 6) for q in range(6)] == [5, 4, 3, 2, 1, 0]
-    assert r.fixed_columns(6) == ()
     # t even, two fixed columns: q -> (t-q) % t
     r = Reflection("two")
     assert [r.apply(q, 6) for q in range(6)] == [0, 5, 4, 3, 2, 1]
-    assert r.fixed_columns(6) == (0, 3)
     # t odd, one fixed column
     r = Reflection("one")
     assert [r.apply(q, 7) for q in range(7)] == [6, 5, 4, 3, 2, 1, 0]
-    assert r.fixed_columns(7) == (3,)
     with pytest.raises(InvalidSpecError):
         BundleSpec(3, 7, Reflection("none"))
     with pytest.raises(InvalidSpecError):
@@ -204,11 +204,20 @@ def test_parse_format_roundtrip():
         "s=5,t=7,phi=twist:1",
         "s=5,t=7,phi=shift:x",
         "s=5.0,t=7,phi=shift:1",
+        "s=3,t=6,phi=shift:2,d=4",
+        "s=3,t=6,phi=shift:2,s=5",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(SpecFormatError):
         parse_bundle_spec(text)
+
+
+def test_parse_names_unknown_and_repeated_keys():
+    with pytest.raises(SpecFormatError, match="field 'd'"):
+        parse_bundle_spec("s=3,t=6,phi=shift:2,d=4")
+    with pytest.raises(SpecFormatError, match="field 's'"):
+        parse_bundle_spec("s=3,t=6,phi=shift:2,s=5")
 
 
 def test_parse_rejects_out_of_range_values():

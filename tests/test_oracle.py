@@ -7,6 +7,7 @@ the search against regressions rather than against themselves.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -162,6 +163,9 @@ def test_budget_validation():
         SearchBudget(max_nodes=-5)
     with pytest.raises(OracleError):
         SearchBudget(time_limit=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OracleError):
+            SearchBudget(time_limit=bad)
     assert SearchBudget(max_orders=3, max_nodes=10, time_limit=1.0)
 
 

@@ -1,0 +1,32 @@
+"""The README's library quick start runs as written, on exported names only."""
+
+import ast
+import pathlib
+import re
+
+import bookbind
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(_quick_start(), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "5\nTrue\n"  # the two print() lines
+
+
+def test_readme_imports_only_exported_names():
+    imports = [
+        node for node in ast.walk(ast.parse(_quick_start())) if isinstance(node, ast.ImportFrom)
+    ]
+    assert imports and all(node.module == "bookbind" for node in imports)
+    names = {alias.name for node in imports for alias in node.names}
+    assert names <= set(bookbind.__all__)
+    for name in bookbind.__all__:
+        assert getattr(bookbind, name) is not None
