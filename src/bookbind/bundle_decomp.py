@@ -3,7 +3,8 @@
 Every twisted torus splits into its ``s`` fibre cycles plus a residual
 2-regular graph made of the rung and seam edges.  The shape of the residual
 depends on the gluing: a ``d``-shift residual falls into ``gcd(t, d)`` long
-cycles, a reflection residual into column pairs.  When ``gcd(t, d) = 1`` the
+cycles, a reflection residual into column pairs; each comes back as a plain
+tuple of cycles (``cycle_edges`` lists one's edges).  When ``gcd(t, d) = 1`` the
 whole graph collapses to a circulant on ``Z_{s*t}`` and ``to_circulant``
 returns the relabelling as a certificate instead of an embedding.  The
 reduction hands out plain data (``to_payload``); only ``cli`` encodes JSON.
@@ -16,6 +17,7 @@ from math import gcd
 
 from .graph_core import (
     BundleSpec,
+    Edge,
     Graph,
     Reflection,
     Shift,
@@ -29,31 +31,23 @@ class DecompositionError(ValueError):
     """Requested decomposition does not exist for these parameters."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A family of vertex-disjoint cycles, each a closed vertex sequence."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        edges = set()
-        for cyc in self.cycles:
-            for i, u in enumerate(cyc):
-                edges.add(make_edge(u, cyc[(i + 1) % len(cyc)]))
-        return frozenset(edges)
+Cycles = tuple[tuple[int, ...], ...]  # vertex-disjoint cycles, each a closed vertex sequence
 
 
-def fiber_cycles(spec: BundleSpec) -> Decomposition:
+def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
+    """Edges of a cycle in traversal order, closing edge last."""
+
+    return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]
+
+
+def fiber_cycles(spec: BundleSpec) -> Cycles:
     """The ``s`` fibre copies of C_t, row by row."""
 
     t = spec.t
-    cycles = tuple(
-        tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s)
-    )
-    return Decomposition(cycles)
+    return tuple(tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s))
 
 
-def shift_residual_cycles(s: int, t: int, d: int) -> Decomposition:
+def shift_residual_cycles(s: int, t: int, d: int) -> Cycles:
     """Cycles of the rung+seam subgraph of a d-shift torus.
 
     The residual is ``gcd(t, d)`` cycles of length ``s * t / gcd(t, d)``:
@@ -72,10 +66,10 @@ def shift_residual_cycles(s: int, t: int, d: int) -> Decomposition:
             col = (k + l * d) % t
             cyc.extend(vertex_index(p, col, t) for p in range(s))
         cycles.append(tuple(cyc))
-    return Decomposition(tuple(cycles))
+    return tuple(cycles)
 
 
-def reflection_residual_cycles(s: int, t: int, kind: str) -> Decomposition:
+def reflection_residual_cycles(s: int, t: int, kind: str) -> Cycles:
     """Cycles of the rung+seam subgraph of a reflection torus.
 
     Columns swapped by the reflection merge into one cycle of length ``2s``;
@@ -98,10 +92,10 @@ def reflection_residual_cycles(s: int, t: int, kind: str) -> Decomposition:
             down = [vertex_index(p, c, t) for p in range(s)]
             back = [vertex_index(p, mate, t) for p in range(s)]
             cycles.append(tuple(down + back))
-    return Decomposition(tuple(cycles))
+    return tuple(cycles)
 
 
-def residual_cycles(spec: BundleSpec) -> Decomposition:
+def residual_cycles(spec: BundleSpec) -> Cycles:
     if isinstance(spec.phi, Shift):
         return shift_residual_cycles(spec.s, spec.t, spec.phi.d)
     return reflection_residual_cycles(spec.s, spec.t, spec.phi.kind)

@@ -2,7 +2,7 @@
 
 Exit codes:
   0   success
-  1   sweep completed but at least one row failed
+  1   sweep completed but at least one row failed (an unexpected error fails one row)
   2   embedding invalid (properness/crossing violations or bad coverage)
   3   construction unsupported for the given parameters (reduction printed)
   4   search ended without a definitive answer (budget exhausted)
@@ -15,8 +15,8 @@ Exit codes:
 Spec strings: ``s=5,t=8,phi=shift:2``, ``s=4,t=9,phi=refl:one``, or
 ``circulant:n=9,S=1,3`` where a circulant is accepted (build/mbt only).
 
-BOOKBIND_THREADS is read and clamped but the tool is single-threaded; any
-value other than 1 just earns a note on stderr.
+BOOKBIND_THREADS is accepted but ignored, since the tool is single-threaded;
+any value other than 1 earns a note on stderr.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _embedding_payload(res: ConstructionResult) -> dict:
     return {
         "spec": format_bundle_spec(res.spec),
         "rule": res.rule,
-        "pages": res.claimed_pages,
+        "pages": res.embedding.m,
         "classification": classify(res.graph, res.report),
         "embedding": res.embedding.to_payload(),
     }
@@ -331,9 +331,11 @@ def cmd_sweep(args) -> int:
                 f"\tcertified={'yes' if ok else 'NO'}"
                 f"\t{'ok' if ok else 'FAIL'}"
             )
-        except (CompletionError, OracleError, CoverageError) as exc:
+        except Exception as exc:  # a bug in one row must not hide the others
             ok = False
-            line = f"{name}\tpredicted={predicted}\tERROR: {exc}"
+            expected = isinstance(exc, (CompletionError, OracleError, CoverageError))
+            why = exc if expected else f"internal error: {type(exc).__name__}: {exc}"
+            line = f"{name}\tpredicted={predicted}\tERROR: {why}"
         failures += 0 if ok else 1
         sys.stdout.write(line + "\n")
     if rows == 0:

@@ -30,6 +30,7 @@ from math import gcd
 
 from .bundle_decomp import (
     CirculantReduction,
+    cycle_edges,
     reflection_residual_cycles,
     shift_residual_cycles,
     to_circulant,
@@ -88,8 +89,7 @@ class Unsupported:
 class ConstructionResult:
     spec: BundleSpec  # normalized spec actually embedded
     graph: Graph
-    embedding: BookEmbedding
-    claimed_pages: int
+    embedding: BookEmbedding  # its m is the page count, checked against the report
     rule: str
     report: ValidationReport  # the one validation made at build time
 
@@ -132,22 +132,16 @@ class SequenceCatalog:
         return tuple(self.flat(i, j) for i in range(1, self.s + 1))
 
 
-def _cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
-    """Edges of a cycle in traversal order, closing edge last."""
-
-    edges = [make_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-    edges.append(make_edge(seq[-1], seq[0]))
-    return edges
-
-
 def _path_edges(seq: tuple[int, ...]) -> list[Edge]:
-    return [make_edge(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
+    return [make_edge(u, v) for u, v in zip(seq, seq[1:])]
 
 
 Todo = tuple[Edge, tuple[int, ...]]
 Fixed = tuple[Edge, int]
 Plan = tuple[list[int], list[Fixed], list[Todo]]  # spine, fixed pages, palettes
 Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
+
+_NODE_CAP = 200_000  # search nodes one completion may visit
 
 
 class _PageAssigner:
@@ -211,7 +205,7 @@ class _PageAssigner:
             raise CompletionError(self.rule, f"{e} on page {page} conflicts")
         self._place(e, page)
 
-    def complete(self, todo: list[Todo], node_cap: int = 200_000) -> None:
+    def complete(self, todo: list[Todo]) -> None:
         """Depth-first completion of `todo` in order, palettes as given."""
 
         for e, _ in todo:
@@ -219,7 +213,7 @@ class _PageAssigner:
                 raise CompletionError(self.rule, f"{e} is not an edge of the graph")
             if e in self.pages:
                 raise CompletionError(self.rule, f"{e} both fixed and searched")
-        self._node_cap, self._nodes = node_cap, 0
+        self._nodes = 0
         if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
 
@@ -230,8 +224,8 @@ class _PageAssigner:
         if i == len(todo):
             return True
         self._nodes += 1
-        if self._nodes > self._node_cap:
-            raise CompletionError(self.rule, f"completion exceeded {self._node_cap} nodes")
+        if self._nodes > _NODE_CAP:
+            raise CompletionError(self.rule, f"completion exceeded {_NODE_CAP} nodes")
         e, palette = todo[i]
         for page in palette:
             if self._conflicts(e, page):
@@ -257,7 +251,7 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    V = shift_residual_cycles(s, t, d).cycles
+    V = shift_residual_cycles(s, t, d)
 
     spine: list[int] = []
     for k in range(1, g_ + 1):
@@ -281,10 +275,10 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
-    for k in range(1, g_ + 1):
-        fixed.append((cat.edge(1, k, s, k - d), RED))
+    cycles = [cycle_edges(cyc) for cyc in V]
+    fixed += [(edges[-1], RED) for edges in cycles]
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
-    todo = [(e, palette) for k in range(1, g_ + 1) for e in _path_edges(V[k - 1])]
+    todo = [(e, palette) for edges in cycles for e in edges[:-1]]
     return spine, fixed, todo
 
 
@@ -353,7 +347,7 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    V = shift_residual_cycles(s, t, d).cycles
+    V = shift_residual_cycles(s, t, d)
     n1 = len(V[0])
     even_residual = n1 % 2 == 0
 
@@ -373,7 +367,7 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # first two residual cycles: fully explicit alternations
     for k in (1, 2):
-        edges = _cycle_edges(V[k - 1])
+        edges = cycle_edges(V[k - 1])
         L = len(edges)
         for idx, e in enumerate(edges, start=1):
             if even_residual:
@@ -389,7 +383,7 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
             fixed.append((e, page))
 
     # middle residual cycles, whole cycle searched
-    todo = [(e, (RED, PURPLE, BLUE)) for k in range(3, g_) for e in _cycle_edges(V[k - 1])]
+    todo = [(e, (RED, PURPLE, BLUE)) for k in range(3, g_) for e in cycle_edges(V[k - 1])]
 
     # last residual cycle: blue closing seam, yellow/red on the column-t
     # rung ladder, purple/red elsewhere
@@ -397,8 +391,9 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     T = t // g_
     l_t = next(l for l in range(T) if (g_ - 1 + l * d) % t == t - 1)
     ladder = range(l_t * s + 1, l_t * s + s)  # 1-based path-edge indices in column t
-    fixed.append((make_edge(Vg[-1], Vg[0]), BLUE))
-    for idx, e in enumerate(_path_edges(Vg), start=1):
+    *path, closing = cycle_edges(Vg)
+    fixed.append((closing, BLUE))
+    for idx, e in enumerate(path, start=1):
         todo.append((e, (YELLOW, RED) if idx in ladder else (PURPLE, RED)))
     return spine, fixed, todo
 
@@ -427,7 +422,7 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
         fixed += [(cat.edge(1, i, s, t + 2 - i), PURPLE) for i in range(2, t + 1)]
 
     palette = (YELLOW, GREEN, PURPLE, RED) if t % 2 == 0 else (YELLOW, GREEN, PURPLE, RED, BLUE)
-    todo = [(e, palette) for i in range(1, s + 1) for e in _cycle_edges(cat.row(i))]
+    todo = [(e, palette) for i in range(1, s + 1) for e in cycle_edges(cat.row(i))]
     return spine, fixed, todo
 
 
@@ -447,8 +442,8 @@ def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # must stay inside the first four pages, so the pair is purple/red
     todo = [
         (e, (PURPLE, RED))
-        for cyc in reflection_residual_cycles(s, t, REFL_TWO).cycles
-        for e in _cycle_edges(cyc)
+        for cyc in reflection_residual_cycles(s, t, REFL_TWO)
+        for e in cycle_edges(cyc)
     ]
     return spine, fixed, todo
 
@@ -514,8 +509,8 @@ def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     pinned = {e for e, _ in fixed}
     todo = [
         (e, (BLUE, PURPLE))
-        for cyc in reflection_residual_cycles(s, t, REFL_ONE).cycles
-        for e in _cycle_edges(cyc)
+        for cyc in reflection_residual_cycles(s, t, REFL_ONE)
+        for e in cycle_edges(cyc)
         if e not in pinned
     ]
 
@@ -641,4 +636,4 @@ def embed(spec: BundleSpec) -> ConstructionResult | Unsupported:
         raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")
     if report.pages_used != m:
         raise CompletionError(rule, f"used {report.pages_used} pages, claimed {m}")
-    return ConstructionResult(spec, graph, emb, m, rule, report)
+    return ConstructionResult(spec, graph, emb, rule, report)

@@ -38,7 +38,7 @@ def make_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple undirected graph on vertices ``0..n-1``."""
+    """A finite simple undirected graph on ``0..n-1``; edges stored canonical."""
 
     n: int
     edges: frozenset[Edge]
@@ -136,7 +136,7 @@ def vertex_pair(v: int, t: int) -> Pair:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidSpecError(f"cycle graph needs n >= 3, got {n}")
-    return Graph(n, frozenset(make_edge(i, (i + 1) % n) for i in range(n)))
+    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
 
 def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[int]) -> Graph:
@@ -151,11 +151,7 @@ def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[
     for k in ks:
         if not 1 <= k <= n // 2:
             raise InvalidSpecError(f"jump {k} out of range 1..{n // 2}")
-    edges = set()
-    for k in ks:
-        for i in range(n):
-            edges.add(make_edge(i, (i + k) % n))
-    return Graph(n, frozenset(edges))
+    return Graph(n, frozenset((i, (i + k) % n) for k in ks for i in range(n)))
 
 
 def bundle(spec: BundleSpec) -> Graph:
@@ -167,70 +163,37 @@ def bundle(spec: BundleSpec) -> Graph:
     """
 
     s, t, phi = spec.s, spec.t, spec.phi
-    edges = set()
-    for p in range(s):
-        for q in range(t):
-            edges.add(make_edge(vertex_index(p, q, t), vertex_index(p, (q + 1) % t, t)))
-    for p in range(s - 1):
-        for q in range(t):
-            edges.add(make_edge(vertex_index(p, q, t), vertex_index(p + 1, q, t)))
-    for q in range(t):
-        edges.add(make_edge(vertex_index(s - 1, q, t), vertex_index(0, phi.apply(q, t), t)))
+    edges = [(p * t + q, p * t + (q + 1) % t) for p in range(s) for q in range(t)]
+    edges += [(p * t + q, (p + 1) * t + q) for p in range(s - 1) for q in range(t)]
+    edges += [((s - 1) * t + q, phi.apply(q, t)) for q in range(t)]
     return Graph(s * t, frozenset(edges))
 
 
 def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(len(a) for a in g.adjacency)
+    return max(map(len, g.adjacency), default=0)
 
 
 def is_regular(g: Graph, k: int) -> bool:
     return all(len(a) == k for a in g.adjacency)
 
 
-def is_bipartite(g: Graph) -> tuple[bool, tuple]:
-    """Two-colour by BFS.
+def is_bipartite(g: Graph) -> bool:
+    """Two-colour by BFS: is there a proper 2-colouring of the vertices?"""
 
-    Returns ``(True, (side0, side1))`` with both sides sorted, or
-    ``(False, cycle)`` where ``cycle`` is an odd closed walk listed as a
-    vertex sequence.
-    """
-
-    colour: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+    colour = [-1] * g.n
     for root in range(g.n):
-        if root in colour:
+        if colour[root] != -1:
             continue
         colour[root] = 0
-        parent[root] = None
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # the queue grows while it is walked
             for v in g.adjacency[u]:
-                if v not in colour:
+                if colour[v] == -1:
                     colour[v] = 1 - colour[u]
-                    parent[v] = u
                     queue.append(v)
                 elif colour[v] == colour[u]:
-                    return False, _odd_cycle(parent, u, v)
-    side0 = tuple(v for v in range(g.n) if colour[v] == 0)
-    side1 = tuple(v for v in range(g.n) if colour[v] == 1)
-    return True, (side0, side1)
-
-
-def _odd_cycle(parent: dict[int, int | None], u: int, v: int) -> tuple[int, ...]:
-    path_u = [u]
-    while parent[path_u[-1]] is not None:
-        path_u.append(parent[path_u[-1]])
-    path_v = [v]
-    while parent[path_v[-1]] is not None:
-        path_v.append(parent[path_v[-1]])
-    anc_u = set(path_u)
-    meet = next(x for x in path_v if x in anc_u)
-    up = path_u[: path_u.index(meet) + 1]
-    down = path_v[: path_v.index(meet)]
-    return tuple(up[::-1] + down)  # meet .. u, v .. (meet excluded): closed odd walk
+                    return False
+    return True
 
 
 def predict_bipartite(spec: BundleSpec) -> bool:

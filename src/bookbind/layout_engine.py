@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph_core import Edge, Graph, SpecFormatError, make_edge
+from .graph_core import Edge, Graph, SpecFormatError, make_edge, max_degree
 
 YELLOW, GREEN, PURPLE, RED, BLUE = range(5)
 COLOR_NAMES = ("yellow", "green", "purple", "red", "blue")
@@ -75,15 +75,28 @@ class BookEmbedding:
 
     @classmethod
     def from_payload(cls, payload) -> "BookEmbedding":
-        """The embedding in a ``to_payload`` object ``{order, pages, m}``."""
+        """The embedding in a ``to_payload`` object ``{order, pages, m}``.
+
+        Every number must be a JSON integer (not ``true``, ``1.0`` or ``"1"``);
+        an edge listed twice keeps its last page.
+        """
 
         try:
-            order = tuple(int(v) for v in payload["order"])
-            pages = {make_edge(int(u), int(v)): int(p) for u, v, p in payload["pages"]}
-            m = int(payload["m"])
+            order = tuple(_integer(v) for v in payload["order"])
+            pages: dict[Edge, int] = {}
+            for u, v, p in payload["pages"]:
+                e = (_integer(u), _integer(v))
+                pages.pop(e[::-1], None)  # the same edge listed the other way round
+                pages[e] = _integer(p)
+            return cls(order, pages, _integer(payload["m"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
-        return cls(order, pages, m)
+
+
+def _integer(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 Violation = tuple[Edge, Edge, str]
@@ -173,7 +186,7 @@ def classify(g: Graph, report: ValidationReport) -> str:
 
     if not report.ok:
         raise CoverageError(f"embedding invalid: {report.violations[:3]}")
-    delta = max((len(a) for a in g.adjacency), default=0)
+    delta = max_degree(g)
     if report.pages_used == delta:
         return DISPERSABLE
     if report.pages_used == delta + 1:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graph_core import Graph, is_bipartite, max_degree, is_regular
+from .graph_core import Graph, is_bipartite, is_regular, make_edge, max_degree
 from .layout_engine import BookEmbedding, ValidationReport
 
 EXACT = "exact"
@@ -126,7 +126,7 @@ def lower_bound(g: Graph) -> int:
     """
 
     delta = max_degree(g)
-    if delta > 0 and is_regular(g, delta) and not is_bipartite(g)[0]:
+    if delta > 0 and is_regular(g, delta) and not is_bipartite(g):
         return delta + 1
     return delta
 
@@ -327,7 +327,7 @@ def check_isomorphism(g: Graph, h: Graph, mapping: dict[int, int]) -> bool:
         mu, mv = mapping[u], mapping[v]
         if mu == mv:
             return False
-        image.add((mu, mv) if mu < mv else (mv, mu))
+        image.add(make_edge(mu, mv))
     return image == h.edges
 
 

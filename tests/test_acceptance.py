@@ -13,6 +13,7 @@ import pytest
 
 from bookbind import cli
 from bookbind.bundle_decomp import (
+    cycle_edges,
     fiber_cycles,
     residual_cycles,
     to_circulant,
@@ -84,7 +85,7 @@ def _run_sweep(specs):
             res = embed(spec)
             assert isinstance(res, ConstructionResult)
             report = validate(res.graph, res.embedding)
-            if not (report.ok and report.pages_used == expected == res.claimed_pages):
+            if not (report.ok and report.pages_used == expected == res.embedding.m):
                 failures.append((format_bundle_spec(spec), report.pages_used, expected))
         except Exception as exc:  # any breakage is a sweep failure
             failures.append((format_bundle_spec(spec), "error", str(exc)))
@@ -150,17 +151,16 @@ def test_criterion_4_decompositions_partition_the_sweeps(report):
         res = residual_cycles(spec)
         if isinstance(spec.phi, Shift):
             gg = math.gcd(spec.t, spec.phi.d)
-            shape_ok = len(res.cycles) == gg and all(
-                len(c) == spec.s * spec.t // gg for c in res.cycles
-            )
+            shape_ok = len(res) == gg and all(len(c) == spec.s * spec.t // gg for c in res)
         else:
             expected_count = {
                 "none": spec.t // 2,
                 "two": spec.t // 2 + 1,
                 "one": (spec.t + 1) // 2,
             }[spec.phi.kind]
-            shape_ok = len(res.cycles) == expected_count
-        fe, re_ = fib.edge_set(), res.edge_set()
+            shape_ok = len(res) == expected_count
+        fe = {e for c in fib for e in cycle_edges(c)}
+        re_ = {e for c in res for e in cycle_edges(c)}
         partition_ok = fe.isdisjoint(re_) and (fe | re_) == g.edges
         if not (shape_ok and partition_ok):
             failures.append(format_bundle_spec(spec))
@@ -317,8 +317,8 @@ def test_criterion_8_render_determinism(tmp_path, report):
             if 'class="chord"' in line:
                 strokes.add(line.split('stroke="')[1].split('"')[0])
         res = embed(parse_bundle_spec(text))
-        if len(strokes) != res.claimed_pages:
-            failures.append((text, "palette", len(strokes), res.claimed_pages))
+        if len(strokes) != res.embedding.m:
+            failures.append((text, "palette", len(strokes), res.embedding.m))
     ok = not failures
     report(
         "criterion 8 deterministic renders use exactly the claimed pages",

@@ -8,6 +8,7 @@ import pytest
 from bookbind import cli
 from bookbind.bundle_decomp import (
     DecompositionError,
+    cycle_edges,
     fiber_cycles,
     reflection_residual_cycles,
     residual_cycles,
@@ -27,14 +28,22 @@ from bookbind.graph_core import (
 
 def _cycle_edges_in(dec, g):
     # every consecutive pair (wrapping) must be an edge of g
-    for cyc in dec.cycles:
+    for cyc in dec:
         for i, u in enumerate(cyc):
             assert make_edge(u, cyc[(i + 1) % len(cyc)]) in g.edges
 
 
+def _edge_set(dec):
+    return {e for cyc in dec for e in cycle_edges(cyc)}
+
+
+def test_cycle_edges_in_traversal_order_closing_edge_last():
+    assert cycle_edges((3, 1, 4, 2)) == [(1, 3), (1, 4), (2, 4), (2, 3)]
+
+
 def test_fiber_cycles_rows():
     dec = fiber_cycles(BundleSpec(3, 4, Shift(1)))
-    assert dec.cycles == (
+    assert dec == (
         (0, 1, 2, 3),
         (4, 5, 6, 7),
         (8, 9, 10, 11),
@@ -43,7 +52,7 @@ def test_fiber_cycles_rows():
 
 def test_shift_residual_frozen_small_case():
     dec = shift_residual_cycles(3, 6, 2)
-    assert dec.cycles == (
+    assert dec == (
         (0, 6, 12, 2, 8, 14, 4, 10, 16),
         (1, 7, 13, 3, 9, 15, 5, 11, 17),
     )
@@ -53,15 +62,15 @@ def test_shift_residual_counts_and_lengths():
     for s, t, d in ((3, 6, 2), (4, 8, 2), (5, 12, 3), (3, 9, 3), (4, 10, 5)):
         dec = shift_residual_cycles(s, t, d)
         g = math.gcd(t, d)
-        assert len(dec.cycles) == g
-        assert all(len(c) == s * t // g for c in dec.cycles)
+        assert len(dec) == g
+        assert all(len(c) == s * t // g for c in dec)
         _cycle_edges_in(dec, bundle(BundleSpec(s, t, Shift(d))))
 
 
 def test_shift_residual_trivial_kind():
     # d = 0 is the general formula with gcd(t, 0) = t: one s-cycle per column
     dec = shift_residual_cycles(4, 5, 0)
-    assert dec.cycles == tuple(
+    assert dec == tuple(
         tuple(vertex_index(p, q, 5) for p in range(4)) for q in range(5)
     )
     _cycle_edges_in(dec, bundle(BundleSpec(4, 5, Shift(0))))
@@ -70,22 +79,22 @@ def test_shift_residual_trivial_kind():
 def test_reflection_residual_counts():
     # swapped pair -> 2s-cycle, fixed column -> s-cycle
     dec = reflection_residual_cycles(3, 6, "none")
-    assert len(dec.cycles) == 3 and all(len(c) == 6 for c in dec.cycles)
+    assert len(dec) == 3 and all(len(c) == 6 for c in dec)
 
     dec = reflection_residual_cycles(4, 6, "two")
-    assert len(dec.cycles) == 4
-    assert sorted(len(c) for c in dec.cycles) == [4, 4, 8, 8]
+    assert len(dec) == 4
+    assert sorted(len(c) for c in dec) == [4, 4, 8, 8]
 
     dec = reflection_residual_cycles(3, 7, "one")
-    assert len(dec.cycles) == 4
-    assert sorted(len(c) for c in dec.cycles) == [3, 6, 6, 6]
+    assert len(dec) == 4
+    assert sorted(len(c) for c in dec) == [3, 6, 6, 6]
 
 
 def test_reflection_residual_order_and_edges():
     for s, t, kind in ((3, 6, "none"), (4, 6, "two"), (3, 7, "one"), (4, 8, "none")):
         dec = reflection_residual_cycles(s, t, kind)
         # cycles listed by ascending smallest column
-        starts = [min(c) for c in dec.cycles]
+        starts = [min(c) for c in dec]
         assert starts == sorted(starts)
         _cycle_edges_in(dec, bundle(BundleSpec(s, t, Reflection(kind))))
 
@@ -102,8 +111,8 @@ def test_fiber_and_residual_partition_bundle():
             specs.append(BundleSpec(s, t, Reflection(rng.choice(kinds))))
     for spec in specs:
         g = bundle(spec)
-        fib = fiber_cycles(spec).edge_set()
-        res = residual_cycles(spec).edge_set()
+        fib = _edge_set(fiber_cycles(spec))
+        res = _edge_set(residual_cycles(spec))
         assert fib.isdisjoint(res), spec
         assert fib | res == g.edges, spec
 

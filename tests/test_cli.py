@@ -362,3 +362,78 @@ def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
     rows = int(out.splitlines()[-1].split()[0].removeprefix("rows="))
     assert rows > 0
     assert len(validates) == rows and len(bundles) == rows
+
+
+def test_make_edge_runs_once_per_graph_and_embedding(tmp_path, monkeypatch, capsys):
+    # embed: the layout builds each edge, then the graph and the embedding
+    # each canonicalise it once; verify: the graph and the embedding only
+    spec, edges = "s=22,t=22,phi=shift:2", 2 * 22 * 22
+    out_file = tmp_path / "embed.json"
+    calls = _count_calls(monkeypatch, graph_core.make_edge)
+    assert run(capsys, "embed", spec, "--out", str(out_file))[0] == 0
+    assert len(calls) <= 3 * edges
+    calls.clear()
+    assert run(capsys, "verify", spec, "--embedding", str(out_file))[0] == 0
+    assert len(calls) <= 2 * edges
+
+
+# a valid 2-page square; each case below changes the type of numbers only
+_C4_PAYLOAD = {"order": [0, 1, 2, 3], "pages": [[0, 1, 0], [1, 2, 1], [2, 3, 0], [0, 3, 1]], "m": 2}
+
+
+def _with(path, value):
+    payload = json.loads(json.dumps(_C4_PAYLOAD))
+    *outer, last = path
+    target = payload
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+def _verify_c4(payload, tmp_path, capsys):
+    emb_file = tmp_path / "emb.json"
+    emb_file.write_text(json.dumps(payload))
+    return run(capsys, "verify", "circulant:n=4,S=1", "--embedding", str(emb_file))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _with(("order", 1), 1.0),
+        _with(("order", 1), "1"),
+        _with(("order", 1), True),
+        _with(("pages", 0, 0), 0.0),
+        _with(("pages", 1, 1), "2"),
+        _with(("pages", 2, 2), False),
+        _with(("pages", 3, 2), 1.9),
+        _with(("m",), 2.0),
+        _with(("m",), 2.5),
+        {
+            "order": [0, 1.7, "2", 3],
+            "pages": [[0, 1, 0.4], [1, 2, True], [2, 3, "0"], [0, 3, 1.9]],
+            "m": 2.5,
+        },
+    ],
+)
+def test_verify_rejects_non_integer_numbers(payload, tmp_path, capsys):
+    code, out, err = _verify_c4(payload, tmp_path, capsys)
+    assert code == 66 and out == ""
+    assert "bad embedding payload: expected an integer" in err
+
+
+def test_sweep_reports_an_unexpected_error_and_goes_on(monkeypatch, capsys):
+    real_embed = cli.embed
+
+    def embed(spec):
+        if (spec.s, spec.t, spec.phi.d) == (3, 6, 3):
+            raise RuntimeError("boom")
+        return real_embed(spec)
+
+    monkeypatch.setattr(cli, "embed", embed)
+    code, out, _ = run(capsys, "sweep", "--family", "shift", "--s", "3:4", "--t", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "s=3,t=6,phi=shift:3\tpredicted=4\tERROR: internal error: RuntimeError: boom"
+    assert all(line.endswith("\tok") for line in lines[:1] + lines[2:4])
+    assert lines[4] == "rows=4 failures=1"

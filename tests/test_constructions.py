@@ -35,8 +35,8 @@ def _check(result, spec):
     report = validate(result.graph, result.embedding)
     assert report.ok, report.violations[:3]
     assert result.report == report
-    assert report.pages_used == result.claimed_pages == result.embedding.m
-    assert result.claimed_pages == (4 if predict_bipartite(spec) else 5)
+    assert report.pages_used == result.embedding.m
+    assert result.embedding.m == (4 if predict_bipartite(spec) else 5)
     assert result.graph == bundle(spec)
 
 
@@ -73,8 +73,8 @@ def test_shift_even_gcd_cases():
 
 def test_shift_even_gcd_page_count_follows_base_parity():
     # even gcd forces t and d even, so bipartite iff s even
-    assert embed(BundleSpec(4, 6, Shift(2))).claimed_pages == 4
-    assert embed(BundleSpec(3, 6, Shift(2))).claimed_pages == 5
+    assert embed(BundleSpec(4, 6, Shift(2))).embedding.m == 4
+    assert embed(BundleSpec(3, 6, Shift(2))).embedding.m == 5
 
 
 def test_shift_odd_gcd_bipartite_cases():
@@ -84,7 +84,7 @@ def test_shift_odd_gcd_bipartite_cases():
         res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_SHIFT_ODD_BIPARTITE
-        assert res.claimed_pages == 4
+        assert res.embedding.m == 4
 
 
 def test_shift_odd_gcd_even_residual_cases():
@@ -125,7 +125,7 @@ def test_reflection_base_odd_cases():
         res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_REFL_BASE_ODD + _KIND_SUFFIX[kind]
-        assert res.claimed_pages == (4 if kind == "none" else 5)
+        assert res.embedding.m == (4 if kind == "none" else 5)
 
 
 def test_reflection_base_even_cases():
@@ -145,7 +145,7 @@ def test_reflection_base_even_cases():
         res = embed(spec)
         _check(res, spec)
         assert res.rule == RULE_REFL_BASE_EVEN + _KIND_SUFFIX[kind]
-        assert res.claimed_pages == (4 if kind == "two" else 5)
+        assert res.embedding.m == (4 if kind == "two" else 5)
 
 
 def test_three_column_one_fixed_pattern():
@@ -234,7 +234,7 @@ def _grid_outcome(spec) -> str:
     if isinstance(res, Unsupported):
         return f"unsupported: {res.reason}"
     text = json.dumps(res.embedding.to_payload(), indent=2, sort_keys=True)
-    return f"{res.rule} {res.claimed_pages} {text}"
+    return f"{res.rule} {res.embedding.m} {text}"
 
 
 # sha256 of every `embed` outcome on s = 3..8, t = 3..16, every shift d and
