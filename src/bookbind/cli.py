@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import html
 import json
 import math
 import os
@@ -205,33 +206,27 @@ def cmd_mbt(args) -> int:
     budget = SearchBudget(args.max_orders, args.max_nodes, args.time_limit)
     if args.pages is not None:
         res = search_fixed_pages(g, args.pages, budget)
-        payload = {
-            "m": res.m,
-            "found": res.found,
-            "exhausted": res.exhausted,
-            "counters": res.counters,
-            "witness": None if res.witness is None else res.witness.to_payload(),
-        }
-        sys.stdout.write(_dumps(payload))
-        return EXIT_OK if res.found or res.exhausted else EXIT_UNDECIDED
-    res = brute_force_mbt(g, budget)
-    payload = {
-        "status": res.status,
-        "value": res.value,
-        "counters": res.counters,
-        "witness": None if res.witness is None else res.witness.to_payload(),
-    }
+        payload = {"m": res.m, "found": res.found, "exhausted": res.exhausted}
+        code = EXIT_OK if res.found or res.exhausted else EXIT_UNDECIDED
+    else:
+        res = brute_force_mbt(g, budget)
+        payload = {"status": res.status, "value": res.value}
+        code = EXIT_OK if res.status == EXACT else EXIT_UNDECIDED
+    payload["counters"] = res.counters
+    payload["witness"] = None if res.witness is None else res.witness.to_payload()
     sys.stdout.write(_dumps(payload))
-    return EXIT_OK if res.status == EXACT else EXIT_UNDECIDED
+    return code
+
+
+_MARGIN = 40.0  # canvas border around the spine circle, room for the labels
 
 
 def _render_svg(
     emb: BookEmbedding, radius: float, palette: list[str], labels: str, t: int
 ) -> str:
     n = len(emb.order)
-    margin = 40.0
-    size = 2 * (radius + margin)
-    cx = cy = radius + margin
+    size = 2 * (radius + _MARGIN)
+    cx = cy = radius + _MARGIN
     pos = {}
     for k, v in enumerate(emb.order):  # clockwise from twelve o'clock
         theta = 2 * math.pi * k / n
@@ -280,6 +275,9 @@ def cmd_render(args) -> int:
         raise InvalidSpecError(f"palette needs at least {need} non-empty colors")
     if not (math.isfinite(args.radius) and args.radius > 0):
         raise InvalidSpecError(f"radius must be positive and finite, got {args.radius}")
+    if not math.isfinite(2 * (args.radius + _MARGIN)):
+        raise InvalidSpecError(f"radius {args.radius} is too large: the canvas size overflows")
+    palette = [html.escape(c) for c in palette]  # each goes into an XML attribute
     svg = _render_svg(res.embedding, args.radius, palette, args.labels, res.spec.t)
     _emit(svg, args.out)
     return EXIT_OK
@@ -319,9 +317,7 @@ def cmd_sweep(args) -> int:
         name = format_bundle_spec(spec)
         predicted = parity_pages(spec)
         try:
-            res = embed(spec)
-            if isinstance(res, Unsupported):
-                raise CompletionError("sweep", res.reason)
+            res = embed(spec)  # every swept spec has a rule
             report = res.report
             cert = certify(res.graph, report)
             ok = cert.status == CERTIFIED

@@ -4,8 +4,13 @@ Each supported parameter family is one rule: a rule tag plus a layout
 function ``(cat, spec) -> (spine, fixed, todo)`` that returns the family's
 spine order, the edges with a closed-form page (in placement order), and the
 edges that only have a palette prescribed ("finish this cycle with these
-pages").  ``_select`` maps a normalised spec to its ``(rule tag, layout)``
-pair; coprime and trivial shifts have no rule and come back as Unsupported.
+pages").  A layout is written as data: its spine is one ``_zigzag`` of
+named blocks (rows, columns, residual cycles or column pairs, every other
+block reversed), its fibre pages are one rule ``page_of(row, column)``
+handed to ``SequenceCatalog.fibres``, its rung and seam pages are explicit
+lists, and palettes cover the rest.  ``_select`` maps a normalised spec to
+its ``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
+come back as Unsupported.
 
 ``embed`` is the one driver.  It builds the graph, places the fixed edges,
 completes the todo list by a small exhaustive backtracking search restricted
@@ -24,7 +29,7 @@ only the new chord's own span and jumps over the chords nested inside it.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
 
@@ -131,9 +136,23 @@ class SequenceCatalog:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.flat(i, j) for i in range(1, self.s + 1))
 
+    def fibres(self, page_of: Callable[[int, int], int]) -> list[Fixed]:
+        """Every fibre edge with page ``page_of(i, j)`` of its tail, row by row."""
 
-def _path_edges(seq: tuple[int, ...]) -> list[Edge]:
-    return [make_edge(u, v) for u, v in zip(seq, seq[1:])]
+        return [
+            (self.fiber_edge(i, j), page_of(i, j))
+            for i in range(1, self.s + 1)
+            for j in range(1, self.t + 1)
+        ]
+
+
+def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> list[int]:
+    """The blocks end to end, every other one reversed (the first iff asked)."""
+
+    spine: list[int] = []
+    for k, block in enumerate(blocks):
+        spine.extend(reversed(block) if (k % 2 == 0) == first_reversed else block)
+    return spine
 
 
 Todo = tuple[Edge, tuple[int, ...]]
@@ -252,52 +271,34 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
     V = shift_residual_cycles(s, t, d)
-
-    spine: list[int] = []
-    for k in range(1, g_ + 1):
-        block = V[k - 1]
-        spine.extend(block if k % 2 == 1 else reversed(block))
-
-    # fibre edges, keyed by the column class of their tail vertex
-    fixed: list[Fixed] = []
     vg_pos = {v: idx for idx, v in enumerate(V[g_ - 1])}
     pivot = vg_pos[cat.flat(1, t)]
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            k = (j - 1) % g_ + 1
-            if k % 2 == 1:
-                page = YELLOW
-            elif k < g_:
-                page = PURPLE
-            else:
-                page = PURPLE if vg_pos[cat.flat(i, j)] < pivot else GREEN
-            fixed.append((cat.fiber_edge(i, j), page))
+
+    def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
+        k = (j - 1) % g_ + 1
+        if k % 2 == 1:
+            return YELLOW
+        if k < g_:
+            return PURPLE
+        return PURPLE if vg_pos[cat.flat(i, j)] < pivot else GREEN
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
     cycles = [cycle_edges(cyc) for cyc in V]
-    fixed += [(edges[-1], RED) for edges in cycles]
+    fixed = cat.fibres(fibre_page) + [(edges[-1], RED) for edges in cycles]
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
     todo = [(e, palette) for edges in cycles for e in edges[:-1]]
-    return spine, fixed, todo
+    return _zigzag(V), fixed, todo
 
 
 def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """t even, s and d odd: columns paired from both ends."""
 
     s, t, d = spec.s, spec.t, spec.phi.d
-    spine: list[int] = []
-    for r in range(t // 2):
-        spine.extend(cat.column(1 + 2 * r))
-        spine.extend(reversed(cat.column(t - 2 * r)))
-
-    fixed: list[Fixed] = [
-        (cat.fiber_edge(i, j), YELLOW if j % 2 == 0 else GREEN)
-        for i in range(1, s + 1)
-        for j in range(1, t + 1)
-    ]
+    spine = _zigzag(cat.column(j) for r in range(t // 2) for j in (1 + 2 * r, t - 2 * r))
+    fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 0 else GREEN)
     fixed += [(cat.edge(1, j, s, j - d), RED if j % 2 == 1 else PURPLE) for j in range(1, t + 1)]
-    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in _path_edges(cat.column(j))]
+    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in cycle_edges(cat.column(j))[:-1]]
     return spine, fixed, todo
 
 
@@ -348,22 +349,11 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
     V = shift_residual_cycles(s, t, d)
-    n1 = len(V[0])
-    even_residual = n1 % 2 == 0
+    even_residual = len(V[0]) % 2 == 0
 
-    spine: list[int] = []
-    for j in range(n1):  # element-wise interleave of the first two cycles
-        pair = (V[0][j], V[1][j]) if j % 2 == 0 else (V[1][j], V[0][j])
-        spine.extend(pair)
-    for k in range(3, g_ + 1):
-        block = V[k - 1]
-        spine.extend(reversed(block) if k % 2 == 1 else block)
-
-    fixed: list[Fixed] = [
-        (cat.fiber_edge(i, j), _fiber_page_odd_gcd(cat, g_, i, j, even_residual, s, d))
-        for i in range(1, s + 1)
-        for j in range(1, t + 1)
-    ]
+    # the first two cycles interleaved element by element, then the others
+    spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
+    fixed = cat.fibres(lambda i, j: _fiber_page_odd_gcd(cat, g_, i, j, even_residual, s, d))
 
     # first two residual cycles: fully explicit alternations
     for k in (1, 2):
@@ -405,10 +395,7 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """Reflection gluing over an odd base: rows zig-zag along the spine."""
 
     s, t, kind = spec.s, spec.t, spec.phi.kind
-    spine: list[int] = []
-    for i in range(1, s + 1):
-        block = cat.row(i)
-        spine.extend(reversed(block) if i % 2 == 1 else block)
+    spine = _zigzag((cat.row(i) for i in range(1, s + 1)), first_reversed=True)
 
     fixed: list[Fixed] = [
         (cat.edge(i, j, i + 1, j), YELLOW if i % 2 == 1 else GREEN)
@@ -428,16 +415,8 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
 def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     s, t = spec.s, spec.t
-    spine: list[int] = []
-    for j in range(1, t + 1):
-        block = cat.column(j)
-        spine.extend(block if j % 2 == 1 else reversed(block))
-
-    fixed: list[Fixed] = [
-        (cat.fiber_edge(i, j), YELLOW if j % 2 == 1 else GREEN)
-        for i in range(1, s + 1)
-        for j in range(1, t + 1)
-    ]
+    spine = _zigzag(cat.column(j) for j in range(1, t + 1))
+    fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 1 else GREEN)
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
     todo = [
@@ -449,19 +428,13 @@ def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
 
 def _one_fixed_spine(cat: SequenceCatalog, s: int, t: int) -> list[int]:
-    # U walks rows s down to 2 zig-zagging between the last and first
-    # columns, then closes with (1,1),(1,t); the spine takes U reversed.
-    u: list[int] = []
-    for r in range(s, 1, -1):
-        cols = (1, t) if r % 2 == 0 else (t, 1)
-        u.extend(cat.flat(r, c) for c in cols)
-    u.extend((cat.flat(1, 1), cat.flat(1, t)))
-    spine = list(reversed(u))
-    spine.extend(reversed(cat.column(2)))
-    for j in range(3, t):
-        block = cat.column(j)
-        spine.extend(reversed(block) if j % 2 == 0 else block)
-    return spine
+    # the corner walk: (1,t), (1,1), then the first and last columns of
+    # rows 2..s zig-zagging down; then columns 2..t-1
+    corners = _zigzag(
+        ((cat.flat(r, 1), cat.flat(r, t)) for r in range(2, s + 1)), first_reversed=True
+    )
+    columns = _zigzag((cat.column(j) for j in range(2, t)), first_reversed=True)
+    return [cat.flat(1, t), cat.flat(1, 1)] + corners + columns
 
 
 def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
@@ -471,17 +444,8 @@ def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """
 
     s = spec.s
-    fixed: list[Fixed] = [
-        (cat.fiber_edge(1, 1), BLUE),
-        (cat.fiber_edge(1, 2), YELLOW),
-        (cat.fiber_edge(1, 3), RED),
-    ]
-    for i in range(2, s + 1):
-        fixed += [
-            (cat.fiber_edge(i, 1), PURPLE),
-            (cat.fiber_edge(i, 2), BLUE),
-            (cat.fiber_edge(i, 3), RED),
-        ]
+    rows = ((BLUE, YELLOW, RED), (PURPLE, BLUE, RED))  # row 1, then rows 2..s
+    fixed = cat.fibres(lambda i, j: rows[i > 1][j - 1])
     for i in range(1, s):
         fixed.append((cat.edge(i, 1, i + 1, 1), YELLOW if i % 2 == 1 else GREEN))
         fixed.append((cat.edge(i, 2, i + 1, 2), GREEN if i % 2 == 1 else YELLOW))
@@ -514,15 +478,14 @@ def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
         if e not in pinned
     ]
 
-    for i in range(1, s + 1):
-        for j in range(1, t + 1):
-            if j == t:
-                page = GREEN if i == 1 else YELLOW if i == 2 else RED
-            elif j % 2 == 1:
-                page = RED if (i, j) == (2, 1) else YELLOW
-            else:
-                page = BLUE if (i, j) == (1, t - 1) else GREEN
-            fixed.append((cat.fiber_edge(i, j), page))
+    def fibre_page(i: int, j: int) -> int:
+        if j == t:
+            return GREEN if i == 1 else YELLOW if i == 2 else RED
+        if j % 2 == 1:
+            return RED if (i, j) == (2, 1) else YELLOW
+        return BLUE if (i, j) == (1, t - 1) else GREEN
+
+    fixed += cat.fibres(fibre_page)
     return _one_fixed_spine(cat, s, t), fixed, todo
 
 
@@ -536,13 +499,10 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     def inner(j: int) -> tuple[int, ...]:  # rows 2..s-1 of column j
         return tuple(cat.flat(i, j) for i in range(2, s))
 
-    spine: list[int] = []
-    for j in range(1, h + 1):
-        block = outer(j) + outer(t + 1 - j)
-        spine.extend(reversed(block) if j % 2 == 0 else block)
-    for j in range(h, 0, -1):
-        block = inner(j) + tuple(reversed(inner(t + 1 - j)))
-        spine.extend(reversed(block) if j % 2 == 1 else block)
+    spine = _zigzag(
+        [outer(j) + outer(t + 1 - j) for j in range(1, h + 1)]
+        + [inner(j) + inner(t + 1 - j)[::-1] for j in range(h, 0, -1)]
+    )
 
     exceptional = {
         (1, h): BLUE,
@@ -550,11 +510,7 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
         (s, h): RED,
         (s, t): RED,
     }
-    fixed: list[Fixed] = [
-        (cat.fiber_edge(i, j), exceptional.get((i, j), GREEN if j % 2 == 0 else YELLOW))
-        for i in range(1, s + 1)
-        for j in range(1, t + 1)
-    ]
+    fixed = cat.fibres(lambda i, j: exceptional.get((i, j), GREEN if j % 2 == 0 else YELLOW))
     for i in (1, h):
         fixed += [(cat.edge(s - 1, i, s, i), PURPLE), (cat.edge(1, i, 2, i), RED)]
     for i in (h + 1, t):
@@ -570,7 +526,7 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     todo = [
         (e, (RED, PURPLE, BLUE))
         for j in range(1, t + 1)
-        for e in _path_edges(cat.column(j))
+        for e in cycle_edges(cat.column(j))[:-1]
         if e not in placed
     ]
     return spine, fixed, todo

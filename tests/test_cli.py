@@ -3,10 +3,12 @@
 import hashlib
 import json
 import sys
+from xml.etree import ElementTree
 
 import pytest
 
 from bookbind import cli, graph_core, layout_engine
+from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
 
 
@@ -203,13 +205,24 @@ def test_render_custom_palette(capsys):
     assert code == 0 and 'stroke="#555"' in out
 
 
+def test_render_palette_entries_are_escaped(capsys):
+    palette = ['red" onload="alert(1)', "a<b", "c&d", "#123456", "'e'", "f>g"]
+    code, out, _ = run(capsys, "render", "s=3,t=6,phi=shift:2", "--palette", ",".join(palette))
+    assert code == 0
+    chords = [el for el in ElementTree.fromstring(out) if el.get("class") == "chord"]
+    pages = embed(graph_core.parse_bundle_spec("s=3,t=6,phi=shift:2")).embedding.pages
+    assert [chord.get("stroke") for chord in chords] == [palette[p] for _, p in sorted(pages.items())]
+    for chord in chords:
+        assert set(chord.attrib) == {"class", "x1", "y1", "x2", "y2", "stroke"}
+
+
 def test_render_palette_too_small(capsys):
     code, _, err = run(capsys, "render", "s=3,t=6,phi=shift:2", "--palette", "red,blue")
     assert code == 65 and "palette" in err
 
 
 def test_render_bad_radius(capsys):
-    for radius in ("0", "-1", "nan", "inf"):
+    for radius in ("0", "-1", "nan", "inf", "1e308"):  # 1e308: the canvas overflows
         code, out, err = run(capsys, "render", "s=3,t=6,phi=shift:2", "--radius", radius)
         assert code == 65 and out == "" and "radius" in err
 

@@ -18,8 +18,10 @@ from bookbind.constructions import (
     SequenceCatalog,
     Unsupported,
     _PageAssigner,
+    _select,
     embed,
 )
+from bookbind.cli import _sweep_specs
 from bookbind.graph_core import (
     BundleSpec,
     Reflection,
@@ -251,3 +253,30 @@ def test_embed_outcomes_on_small_grid_are_pinned():
             for phi in phis:
                 digest.update(_grid_outcome(BundleSpec(s, t, phi)).encode() + b"\n")
     assert digest.hexdigest() == GRID_DIGEST
+
+
+def _plan_text(spec) -> str:
+    rule, layout = _select(spec)
+    spine, fixed, todo = layout(SequenceCatalog(spec.s, spec.t), spec)
+    fixed = [[list(e), page] for e, page in fixed]
+    todo = [[list(e), list(palette)] for e, palette in todo]
+    return json.dumps([rule, list(spine), fixed, todo])
+
+
+# sha256 of every layout's plan (rule, spine, fixed list in order, todo list
+# in order) on the sweep grid s = 3..12, t = 3..30, shifts then reflections:
+# 1280 rows, including the odd-gcd rows that fail later in `embed`.  The
+# fixed order names the edge a failing spec reports; the todo length sets
+# the depth of the completion search.
+PLAN_DIGEST = "91dd52b41c28e124e442c860013fe587b0bcb59082de50ff0840af440e886d02"
+
+
+def test_layout_plans_on_sweep_grid_are_pinned():
+    digest = hashlib.sha256()
+    rows = 0
+    for family in ("shift", "reflection"):
+        for spec in _sweep_specs(family, (3, 12), (3, 30)):
+            digest.update(_plan_text(spec).encode() + b"\n")
+            rows += 1
+    assert rows == 1280
+    assert digest.hexdigest() == PLAN_DIGEST
