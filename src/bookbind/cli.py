@@ -169,13 +169,12 @@ def cmd_verify(args) -> int:
     g = _graph_of(spec)
     try:
         with open(args.embedding, encoding="utf-8") as fh:
-            text = fh.read()
+            payload = json.loads(fh.read())
     except OSError as exc:
         sys.stderr.write(f"cannot read {args.embedding}: {exc}\n")
         return EXIT_IO
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # not UTF-8, not JSON, or nested past the decoder's recursion limit
         sys.stderr.write(f"{args.embedding}: bad embedding payload: {exc}\n")
         return EXIT_IO
     if isinstance(payload, dict) and "embedding" in payload:  # written by `embed --out`

@@ -4,8 +4,9 @@ An embedding is valid when its page assignment is a proper edge colouring
 (no two edges at a common vertex share a page) and no two same-page chords
 cross in the circular layout.  Equivalently, each page is a matching whose
 chords, read along the spine, nest like balanced brackets; ``validate``
-checks that in one pass per page (O(E log E) in all) and compares edges
-pairwise only on a page that fails, to list its violations.
+checks that in one pass per page (O(E log E) in all).  Only a page that
+fails is swept once more, by ``_page_violations``, to list its shared
+endpoints and crossings in O(P log P + K) for its P edges and K violations.
 
 ``BookEmbedding`` converts to and from plain data (``to_payload`` and
 ``from_payload``); only ``cli`` encodes and decodes JSON.
@@ -134,6 +135,46 @@ def _page_nests(page_edges: list[Edge], pos: dict[int, int]) -> bool:
     return True
 
 
+def _page_violations(page_edges: list[Edge], pos: dict[int, int]) -> list[Violation]:
+    """Every shared endpoint and every crossing on one page, each pair once.
+
+    Costs O(P log P + K) for P edges and K violations.  Edges at one vertex
+    pairwise share it.  For crossings, the chord ends are swept in spine
+    order with the open chords kept in opening order: the chords opened
+    after a chord and still open when it closes are exactly those that
+    cross it or share one of its endpoints.
+    """
+
+    violations: list[Violation] = []
+    at: dict[int, list[Edge]] = {}
+    # (position, opens, edge): False sorts first, so at one position the
+    # closing chords leave before the opening ones, which share that end
+    ends: list[tuple[int, bool, Edge]] = []
+    for e in page_edges:
+        for v in e:
+            at.setdefault(v, []).append(e)
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        ends += ((a, True, e), (b, False, e))
+    for edges in at.values():
+        for i, e in enumerate(edges):
+            for f in edges[i + 1 :]:
+                violations.append((min(e, f), max(e, f), REASON_ENDPOINT))
+    ends.sort()
+    open_chords: list[Edge] = []
+    for _, opens, e in ends:
+        if opens:
+            open_chords.append(e)
+            continue
+        i = len(open_chords) - 1
+        if open_chords[i] != e:  # a well-nested chord closes innermost
+            i = open_chords.index(e)
+        for f in open_chords[i + 1 :]:
+            if e[0] not in f and e[1] not in f:
+                violations.append((min(e, f), max(e, f), REASON_CROSSING))
+        del open_chords[i]
+    return violations
+
+
 def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     """Check properness and page planarity; structural breakage raises.
 
@@ -161,15 +202,8 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
 
     violations: list[Violation] = []
     for page_edges in by_page.values():
-        if _page_nests(page_edges, pos):
-            continue
-        page_edges.sort()  # a failing page lists every offending pair
-        for i, e in enumerate(page_edges):
-            for f in page_edges[i + 1 :]:
-                if set(e) & set(f):
-                    violations.append((e, f, REASON_ENDPOINT))
-                elif chords_cross(pos[e[0]], pos[e[1]], pos[f[0]], pos[f[1]]):
-                    violations.append((e, f, REASON_CROSSING))
+        if not _page_nests(page_edges, pos):
+            violations += _page_violations(page_edges, pos)
     violations.sort()
     is_proper = all(r != REASON_ENDPOINT for _, _, r in violations)
     is_noncrossing = all(r != REASON_CROSSING for _, _, r in violations)

@@ -146,6 +146,19 @@ def test_verify_junk_file(tmp_path, capsys):
     assert code == 66
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_verify_undecodable_file(data, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(bad))
+    assert code == 66 and out == ""
+    assert err.startswith(f"{bad}: bad embedding payload: ") and err.count("\n") == 1
+
+
 def test_mbt_exact_on_small_circulant(capsys):
     code, out, _ = run(capsys, "mbt", "circulant:n=5,S=1")
     assert code == 0

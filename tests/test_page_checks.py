@@ -1,16 +1,16 @@
 """The near-linear page checks agree with pairwise scans.
 
-``validate`` checks each page in one bracket-matching pass and lists
-violations pairwise only on a failing page; ``_PageAssigner`` answers
-conflict queries from a per-page index over spine positions; the oracle
-builds its per-order conflict masks from prefix XORs along the spine.
+``validate`` checks each page in one bracket-matching pass and lists a
+failing page's violations in one sweep along the spine; ``_PageAssigner``
+answers conflict queries from a per-page index over spine positions; the
+oracle builds its per-order conflict masks from prefix XORs along the spine.
 All three are compared here with the plain pairwise definitions.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bookbind import constructions, layout_engine, oracle  # noqa: E402
 from bookbind.constructions import _PageAssigner, embed  # noqa: E402
@@ -46,6 +46,8 @@ SPECS = (
     BundleSpec(4, 6, Reflection("two")),
 )
 _BUILT = {spec: embed(spec) for spec in SPECS}
+# the base the benchmark mutates at about 1000 edges
+_E1K = embed(BundleSpec(22, 22, Shift(2)))
 
 
 def _conflict(e, f, pos) -> str | None:
@@ -103,16 +105,54 @@ def test_validate_matches_pairwise_reference_on_random_pages(case):
     assert validate(g, emb) == reference_validate(g, emb)
 
 
-@given(st.sampled_from(SPECS), st.integers(0, 10**6), st.integers(1, 4))
-def test_validate_matches_pairwise_reference_on_page_flip_mutants(spec, pick, shift):
-    res = _BUILT[spec]
+def _one_page(n, edges, order=None):
+    """All of ``edges`` on one page, spine ``order`` (default 0..n-1)."""
+
+    g = Graph(n, frozenset(edges))
+    return g, BookEmbedding(order or range(n), dict.fromkeys(g.edges, 0), 1)
+
+
+@st.composite
+def dense_single_pages(draw, max_n=16):
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k] or pairs[:1]
+    return _one_page(n, edges, tuple(draw(st.permutations(range(n)))))
+
+
+@given(dense_single_pages())
+@example(_one_page(8, [(0, v) for v in range(1, 8)], (3, 0, 5, 1, 7, 2, 6, 4)))  # a star
+@example(_one_page(12, [(i, i + 6) for i in range(6)]))  # diameters: every pair crosses
+@example(_one_page(6, [(0, 3), (0, 5), (1, 4), (2, 5)]))  # two chords open at 0
+@example(_one_page(7, [(0, 5), (2, 5), (1, 3), (4, 6)]))  # two chords close at 5
+@example(_one_page(10, [(0, 6), (3, 9), (4, 5), (1, 2)]))  # nested inside a crossing pair
+def test_validate_matches_pairwise_reference_on_dense_single_pages(case):
+    g, emb = case
+    assert validate(g, emb) == reference_validate(g, emb)
+
+
+def _flip_mutant(res, pick: int, shift: int) -> BookEmbedding:
     emb = res.embedding
     edges = sorted(emb.pages)
     e = edges[pick % len(edges)]
     pages = dict(emb.pages)
     pages[e] = (pages[e] + shift) % emb.m
-    mutant = BookEmbedding(emb.order, pages, emb.m)
+    return BookEmbedding(emb.order, pages, emb.m)
+
+
+@given(st.sampled_from(SPECS), st.integers(0, 10**6), st.integers(1, 4))
+def test_validate_matches_pairwise_reference_on_page_flip_mutants(spec, pick, shift):
+    res = _BUILT[spec]
+    mutant = _flip_mutant(res, pick, shift)
     assert validate(res.graph, mutant) == reference_validate(res.graph, mutant)
+
+
+@settings(max_examples=8)
+@given(st.integers(0, 10**6), st.integers(1, _E1K.embedding.m - 1))
+def test_validate_matches_pairwise_reference_on_e1k_flip_mutants(pick, shift):
+    mutant = _flip_mutant(_E1K, pick, shift)
+    assert validate(_E1K.graph, mutant) == reference_validate(_E1K.graph, mutant)
 
 
 @given(
@@ -204,6 +244,6 @@ def test_failing_page_lists_every_violation(monkeypatch):
     mutant = BookEmbedding(emb.order, pages, emb.m)
     calls = _count_chords_cross(monkeypatch)
     report = validate(res.graph, mutant)
-    assert not report.ok and calls
+    assert not report.ok and calls == []
     assert report == reference_validate(res.graph, mutant)
     assert any(e in (f, h) for f, h, _ in report.violations)
