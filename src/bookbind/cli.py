@@ -266,12 +266,9 @@ def cmd_render(args) -> int:
     res = embed(spec)
     if isinstance(res, Unsupported):
         return _report_unsupported(res)
-    if res.graph.n == 0:
-        raise InvalidSpecError("nothing to render: empty graph")
     palette = list(COLOR_NAMES) if args.palette is None else args.palette.split(",")
-    need = max(res.embedding.pages.values()) + 1
-    if len(palette) < need or any(not c.strip() for c in palette):
-        raise InvalidSpecError(f"palette needs at least {need} non-empty colors")
+    if len(palette) < res.embedding.m or any(not c.strip() for c in palette):
+        raise InvalidSpecError(f"palette needs at least {res.embedding.m} non-empty colors")
     if not (math.isfinite(args.radius) and args.radius > 0):
         raise InvalidSpecError(f"radius must be positive and finite, got {args.radius}")
     if not math.isfinite(2 * (args.radius + _MARGIN)):
@@ -328,7 +325,7 @@ def cmd_sweep(args) -> int:
             )
         except Exception as exc:  # a bug in one row must not hide the others
             ok = False
-            expected = isinstance(exc, (CompletionError, OracleError, CoverageError))
+            expected = isinstance(exc, CompletionError)
             why = exc if expected else f"internal error: {type(exc).__name__}: {exc}"
             line = f"{name}\tpredicted={predicted}\tERROR: {why}"
         failures += 0 if ok else 1
@@ -402,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidSpecError, DecompositionError, OracleError) as exc:
         sys.stderr.write(f"bookbind: {exc}\n")
         return EXIT_PARAMS
-    except CoverageError as exc:
-        sys.stderr.write(f"bookbind: {exc}\n")
-        return EXIT_INVALID_EMBEDDING
     except CompletionError as exc:
         sys.stderr.write(f"bookbind: construction failed: {exc}\n")
         return EXIT_INTERNAL

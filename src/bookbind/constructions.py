@@ -12,15 +12,14 @@ lists, and palettes cover the rest.  ``_select`` maps a normalised spec to
 its ``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
 come back as Unsupported.
 
-``embed`` is the one driver.  It builds the graph, places the fixed edges,
-completes the todo list by a small exhaustive backtracking search restricted
-to each edge's palette (properness and non-crossing are the constraints),
-and seals the embedding with ``parity_pages(spec)`` pages: 4 when the graph
-is bipartite and 5 otherwise.  That meets the lower bound (4-regularity,
-plus the parity obstruction for nonbipartite regular graphs), so every
-produced embedding is optimal.  The driver validates the embedding once and
-hands the report on in the result; a failed placement, completion or
-validation raises instead of silently substituting pages.
+``embed`` is the one driver.  It decides the page count first, by
+``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
+meets the lower bound (4-regularity, plus the parity obstruction for
+nonbipartite regular graphs), so every produced embedding is optimal.  It
+then checks the plan once (``_check_plan``), places the fixed edges,
+completes the todo list by a small backtracking search within each edge's
+palette, and validates the result once; a faulty plan, placement, completion
+or validation raises instead of silently substituting pages.
 
 Placement never compares a chord with every chord on its page: each page
 keeps an index over spine positions (``_PageAssigner``), so a test walks
@@ -29,8 +28,10 @@ only the new chord's own span and jumps over the chords nested inside it.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .bundle_decomp import (
@@ -75,7 +76,7 @@ _FIXED_SUFFIX = {REFL_NONE: "no-fixed", REFL_ONE: "one-fixed", REFL_TWO: "two-fi
 
 
 class CompletionError(RuntimeError):
-    """A prescribed colouring step cannot be realised; carries the rule tag."""
+    """A layout's plan is faulty or cannot be realised; carries the rule tag."""
 
     def __init__(self, rule: str, message: str):
         super().__init__(f"{rule}: {message}")
@@ -163,6 +164,30 @@ Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
 
+def _check_plan(graph: Graph, plan: Plan, m: int, rule: str) -> None:
+    """The one check of a plan: a spine of every vertex once, every edge
+    (canonical) fixed or todo exactly once, and every page named below m."""
+
+    spine, fixed, todo = plan
+    if sorted(spine) != list(range(graph.n)):
+        raise CompletionError(rule, "spine is not a permutation of the vertices")
+    listed = [e for e, _ in fixed] + [e for e, _ in todo]
+    named = {p for _, p in fixed}.union(*[palette for _, palette in todo])
+    exact = len(listed) == len(graph.edges) == len(graph.edges.intersection(listed))
+    if exact and named <= set(range(m)):
+        return
+    count = Counter(listed)  # the plan is faulty: name up to four offenders
+    pages = chain(fixed, ((e, p) for e, palette in todo for p in palette))
+    for fault, offenders in (
+        ("not edges of the graph", sorted(count.keys() - graph.edges)),
+        ("listed twice", [e for e, k in count.items() if k > 1]),
+        ("missing from the plan", sorted(graph.edges - count.keys())),
+        (f"pages outside 0..{m - 1}", [(e, p) for e, p in pages if not 0 <= p < m]),
+    ):
+        if offenders:
+            raise CompletionError(rule, f"{fault}: {offenders[:4]}")
+
+
 class _PageAssigner:
     """Incremental page assignment with properness/crossing enforcement.
 
@@ -173,20 +198,14 @@ class _PageAssigner:
     nested inside, meets no chord that leaves (a, b).
     """
 
-    def __init__(self, g: Graph, spine: list[int] | tuple[int, ...], rule: str):
-        self.g = g
+    def __init__(self, spine: Sequence[int], m: int, rule: str):
         self.rule = rule
-        self.order = tuple(spine)
-        if sorted(self.order) != list(range(g.n)):
-            raise CompletionError(rule, "spine is not a permutation of the vertices")
-        self.pos = {v: i for i, v in enumerate(self.order)}
+        self.pos = sorted(range(len(spine)), key=spine.__getitem__)  # pos[v]: v's place
         self.pages: dict[Edge, int] = {}
-        self.partner: dict[int, list[int]] = {}
+        self.partner = [[-1] * len(spine) for _ in range(m)]
 
     def _conflicts(self, e: Edge, page: int) -> bool:
-        partner = self.partner.get(page)
-        if partner is None:
-            return False
+        partner = self.partner[page]
         a, b = self.pos[e[0]], self.pos[e[1]]
         if a > b:
             a, b = b, a
@@ -204,9 +223,7 @@ class _PageAssigner:
         return False
 
     def _place(self, e: Edge, page: int) -> None:
-        partner = self.partner.get(page)
-        if partner is None:
-            partner = self.partner[page] = [-1] * len(self.order)
+        partner = self.partner[page]
         a, b = self.pos[e[0]], self.pos[e[1]]
         partner[a], partner[b] = b, a
         self.pages[e] = page
@@ -216,10 +233,6 @@ class _PageAssigner:
         partner[self.pos[e[0]]] = partner[self.pos[e[1]]] = -1
 
     def assign(self, e: Edge, page: int) -> None:
-        if e not in self.g.edges:
-            raise CompletionError(self.rule, f"{e} is not an edge of the graph")
-        if e in self.pages:
-            raise CompletionError(self.rule, f"{e} assigned twice")
         if self._conflicts(e, page):
             raise CompletionError(self.rule, f"{e} on page {page} conflicts")
         self._place(e, page)
@@ -227,11 +240,6 @@ class _PageAssigner:
     def complete(self, todo: list[Todo]) -> None:
         """Depth-first completion of `todo` in order, palettes as given."""
 
-        for e, _ in todo:
-            if e not in self.g.edges:
-                raise CompletionError(self.rule, f"{e} is not an edge of the graph")
-            if e in self.pages:
-                raise CompletionError(self.rule, f"{e} both fixed and searched")
         self._nodes = 0
         if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
@@ -254,12 +262,6 @@ class _PageAssigner:
                 return True
             self._unplace(e)
         return False
-
-    def finish(self, m: int) -> BookEmbedding:
-        missing = self.g.edges - set(self.pages)
-        if missing:
-            raise CompletionError(self.rule, f"uncoloured edges remain: {sorted(missing)[:4]}")
-        return BookEmbedding(self.order, self.pages, m)
 
 
 # ---------------------------------------------------------------- shifts ---
@@ -578,15 +580,16 @@ def embed(spec: BundleSpec) -> ConstructionResult | Unsupported:
     if isinstance(picked, Unsupported):
         return picked
     rule, layout = picked
+    m = parity_pages(spec)
     graph = bundle(spec)
-    spine, fixed, todo = layout(SequenceCatalog(spec.s, spec.t), spec)
-    asg = _PageAssigner(graph, spine, rule)
+    spine, fixed, todo = plan = layout(SequenceCatalog(spec.s, spec.t), spec)
+    _check_plan(graph, plan, m, rule)
+    asg = _PageAssigner(spine, m, rule)
     for e, page in fixed:
         asg.assign(e, page)
     asg.complete(todo)
 
-    m = parity_pages(spec)
-    emb = asg.finish(m)
+    emb = BookEmbedding(spine, asg.pages, m)
     report = validate(graph, emb)
     if not report.ok:
         raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")

@@ -133,12 +133,6 @@ def vertex_pair(v: int, t: int) -> Pair:
     return divmod(v, t)
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidSpecError(f"cycle graph needs n >= 3, got {n}")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
 def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[int]) -> Graph:
     """Circulant graph on Z_n with edges ``{i, i+k}`` for every jump ``k``."""
 

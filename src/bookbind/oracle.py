@@ -200,6 +200,7 @@ def _color_edges(
     cap = len(order) // 2  # a page is a matching: at most ⌊n/2⌋ edges
     if m * cap < ne:
         return "unsat", None
+    m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
     masks = inc.conflict_masks(order)
     # the edges of each conflict degree, highest degree first; within one
     # degree the lowest set bit is the lowest edge index
@@ -336,10 +337,6 @@ class CertifyResult:
     status: str  # certified | upper-bound-only
     pages: int
     bound: int
-
-    @property
-    def mbt(self) -> int | None:
-        return self.pages if self.status == CERTIFIED else None
 
 
 def certify(g: Graph, report: ValidationReport) -> CertifyResult:

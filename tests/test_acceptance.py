@@ -26,7 +26,6 @@ from bookbind.graph_core import (
     Shift,
     bundle,
     circulant,
-    cycle_graph,
     format_bundle_spec,
     parse_bundle_spec,
     predict_bipartite,
@@ -176,9 +175,9 @@ def test_criterion_4_decompositions_partition_the_sweeps(report):
 def test_criterion_5_oracle_baselines(report):
     budgetless = []
     start = time.monotonic()
-    r4 = brute_force_mbt(cycle_graph(4))
+    r4 = brute_force_mbt(circulant(4, {1}))
     budgetless.append((r4.status, r4.value) == (EXACT, 2))
-    r5 = brute_force_mbt(cycle_graph(5))
+    r5 = brute_force_mbt(circulant(5, {1}))
     budgetless.append((r5.status, r5.value) == (EXACT, 3))
     g = circulant(9, {1, 3})
     four = search_fixed_pages(g, 4)
@@ -199,7 +198,7 @@ def test_criterion_5_oracle_baselines(report):
 def _random_small_graph(rng):
     kind = rng.choice(("cycle", "circulant", "bundle"))
     if kind == "cycle":
-        return cycle_graph(rng.randint(3, 8)), None
+        return circulant(rng.randint(3, 8), {1}), None
     if kind == "circulant":
         n = rng.randint(5, 9)
         jumps = sorted(rng.sample(range(1, n // 2 + 1), rng.randint(1, 2)))

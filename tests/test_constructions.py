@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from bookbind import cli, constructions
 from bookbind.constructions import (
     RULE_REFL_BASE_EVEN,
     RULE_REFL_BASE_ODD,
@@ -17,7 +18,6 @@ from bookbind.constructions import (
     ConstructionResult,
     SequenceCatalog,
     Unsupported,
-    _PageAssigner,
     _select,
     embed,
 )
@@ -27,9 +27,10 @@ from bookbind.graph_core import (
     Reflection,
     Shift,
     bundle,
+    format_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import validate
+from bookbind.layout_engine import RED, validate
 
 
 def _check(result, spec):
@@ -54,15 +55,107 @@ def test_sequence_catalog_wraps_indices():
     assert cat.fiber_edge(1, 5) == (0, 4)  # wraps back to column 1
 
 
-def test_assigner_rejects_non_canonical_edges():
-    # layouts hand over canonical (low, high) edges; a reversed one is not
-    # silently repaired
-    g = bundle(BundleSpec(3, 4, Shift(2)))
-    asg = _PageAssigner(g, range(g.n), "test")
-    with pytest.raises(CompletionError, match="not an edge"):
-        asg.assign((1, 0), 0)
-    with pytest.raises(CompletionError, match="not an edge"):
-        asg.complete([((1, 0), (0, 1))])
+_PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
+
+
+def _edit_plan(monkeypatch, edit) -> None:
+    """Make `embed` of _PLAN_SPEC use its plan as changed in place by
+    `edit(spine, fixed, todo)`, and fail the test if placement starts."""
+
+    rule, layout = _select(_PLAN_SPEC)
+
+    def edited(cat, spec):
+        spine, fixed, todo = layout(cat, spec)
+        edit(spine, fixed, todo)
+        return spine, fixed, todo
+
+    def no_placement(*args):
+        raise AssertionError("placement started on a faulty plan")
+
+    monkeypatch.setattr(constructions, "_select", lambda spec: (rule, edited))
+    monkeypatch.setattr(constructions, "_PageAssigner", no_placement)
+
+
+def _assert_plan_fault(monkeypatch, edit) -> None:
+    """`edit` returns the fault it made; `embed` must name exactly that."""
+
+    named = []
+    _edit_plan(monkeypatch, lambda *plan: named.append(edit(*plan)))
+    with pytest.raises(CompletionError) as info:
+        embed(_PLAN_SPEC)
+    assert str(info.value) == f"{RULE_SHIFT_EVEN_GCD}: {named[0]}"
+
+
+def _reverse_first(entries) -> str:
+    (u, v), page = entries[0]
+    entries[0] = ((v, u), page)
+    return f"not edges of the graph: [{(v, u)}]"
+
+
+def test_plan_check_rejects_non_canonical_edges(monkeypatch):
+    # layouts hand over canonical (low, high) edges; a reversed one is named,
+    # not silently repaired, whether it has a fixed page or a palette
+    _assert_plan_fault(monkeypatch, lambda spine, fixed, todo: _reverse_first(fixed))
+    _assert_plan_fault(monkeypatch, lambda spine, fixed, todo: _reverse_first(todo))
+
+
+def _non_edge(spine, fixed, todo) -> str:
+    assert (0, 2) not in bundle(_PLAN_SPEC).edges
+    fixed[0] = ((0, 2), fixed[0][1])
+    return "not edges of the graph: [(0, 2)]"
+
+
+def _repeat(source, target, page=None) -> str:
+    e, palette = source[0]
+    target.append((e, palette if page is None else page))
+    return f"listed twice: [{e}]"
+
+
+def _drop_last_todo(spine, fixed, todo) -> str:
+    e, _ = todo.pop()
+    return f"missing from the plan: [{e}]"
+
+
+def _fixed_page_5(spine, fixed, todo) -> str:
+    e, _ = fixed[0]
+    fixed[0] = (e, 5)
+    return f"pages outside 0..4: [{(e, 5)}]"
+
+
+def _palette_page_5(spine, fixed, todo) -> str:
+    e, _ = todo[-1]
+    todo[-1] = (e, (RED, 5))
+    return f"pages outside 0..4: [{(e, 5)}]"
+
+
+def _spine_repeats_a_vertex(spine, fixed, todo) -> str:
+    spine[0] = spine[1]
+    return "spine is not a permutation of the vertices"
+
+
+PLAN_FAULTS = {
+    "non-edge": _non_edge,
+    "repeat within fixed": lambda spine, fixed, todo: _repeat(fixed, fixed),
+    "repeat within todo": lambda spine, fixed, todo: _repeat(todo, todo),
+    "repeat across fixed and todo": lambda spine, fixed, todo: _repeat(todo, fixed, RED),
+    "missing edge": _drop_last_todo,
+    "fixed page >= m": _fixed_page_5,
+    "palette page >= m": _palette_page_5,
+    "spine not a permutation": _spine_repeats_a_vertex,
+}
+
+
+@pytest.mark.parametrize("fault", PLAN_FAULTS)
+def test_plan_fault_fails_before_placement(fault, monkeypatch):
+    _assert_plan_fault(monkeypatch, PLAN_FAULTS[fault])
+
+
+def test_plan_fault_exits_as_construction_failure(monkeypatch, capsys):
+    # a palette page >= m is a faulty layout (70), not an invalid embedding (2)
+    _edit_plan(monkeypatch, _palette_page_5)
+    assert cli.main(["embed", format_bundle_spec(_PLAN_SPEC)]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"bookbind: construction failed: {RULE_SHIFT_EVEN_GCD}: pages outside")
 
 
 def test_shift_even_gcd_cases():
@@ -171,6 +264,16 @@ def test_embed_dispatch_covers_all_supported_families():
     for spec in cases:
         res = embed(spec)
         _check(res, spec)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="the completion search recurses once per todo edge, past the recursion limit",
+)
+def test_e4k_embed_completes():
+    spec = BundleSpec(44, 44, Shift(2))  # about 1900 todo edges
+    _check(embed(spec), spec)
 
 
 def test_embed_normalizes_large_shifts():

@@ -15,7 +15,6 @@ from bookbind.graph_core import (
     SpecFormatError,
     bundle,
     circulant,
-    cycle_graph,
     format_bundle_spec,
     is_bipartite,
     is_regular,
@@ -58,10 +57,10 @@ def test_graph_json_roundtrip():
 
 
 def test_cycle_graph_small():
-    g = cycle_graph(4)
+    g = circulant(4, {1})  # the cycle C_4
     assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
     with pytest.raises(InvalidSpecError):
-        cycle_graph(2)
+        circulant(2, {1})
 
 
 def test_circulant_edges_and_degree():
@@ -151,11 +150,11 @@ def test_bundle_reflection_seam():
 
 
 def test_is_bipartite_even_cycle():
-    assert is_bipartite(cycle_graph(6)) is True
+    assert is_bipartite(circulant(6, {1})) is True
 
 
 def test_is_bipartite_odd_cycle():
-    assert is_bipartite(cycle_graph(5)) is False
+    assert is_bipartite(circulant(5, {1})) is False
 
 
 def test_predict_bipartite_matches_bfs():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bookbind import cli
-from bookbind.graph_core import Graph, SpecFormatError, cycle_graph, make_edge
+from bookbind.graph_core import Graph, SpecFormatError, circulant, make_edge
 from bookbind.layout_engine import (
     DISPERSABLE,
     NEARLY_DISPERSABLE,
@@ -40,7 +40,7 @@ def test_book_embedding_canonicalizes_pages():
 
 
 def test_book_embedding_json_roundtrip():
-    g = cycle_graph(5)
+    g = circulant(5, {1})
     emb = BookEmbedding(
         (0, 1, 2, 3, 4),
         {e: i % 3 for i, e in enumerate(g.edge_list)},
@@ -59,7 +59,7 @@ def test_book_embedding_rejects_bad_payload(text):
 
 
 def _c4_embedding():
-    g = cycle_graph(4)
+    g = circulant(4, {1})
     pages = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
     return g, BookEmbedding((0, 1, 2, 3), pages, 2)
 
@@ -80,7 +80,7 @@ def test_validate_flags_shared_endpoint():
 
 
 def test_validate_flags_crossing():
-    g = cycle_graph(4)
+    g = circulant(4, {1})
     # order (0,1,2,3) makes the two diagonals of the square cross
     pages = {(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 1}
     emb = BookEmbedding((0, 2, 1, 3), pages, 2)

@@ -8,11 +8,12 @@ the search against regressions rather than against themselves.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from bookbind import cli, oracle
-from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant, cycle_graph
+from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant
 from bookbind.layout_engine import DISPERSABLE, BookEmbedding, classify, validate
 from bookbind.oracle import (
     CERTIFIED,
@@ -44,8 +45,8 @@ STAR3 = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
 
 
 def test_lower_bound_values():
-    assert lower_bound(cycle_graph(4)) == 2  # regular but bipartite
-    assert lower_bound(cycle_graph(5)) == 3  # regular and odd
+    assert lower_bound(circulant(4, {1})) == 2  # regular but bipartite
+    assert lower_bound(circulant(5, {1})) == 3  # regular and odd
     assert lower_bound(K4) == 4
     assert lower_bound(K5_MINUS) == 4  # irregular: plain max degree
     assert lower_bound(STAR3) == 3
@@ -54,15 +55,15 @@ def test_lower_bound_values():
 
 def test_brute_force_even_cycles_two_pages():
     for n in (4, 6):
-        res = brute_force_mbt(cycle_graph(n))
+        res = brute_force_mbt(circulant(n, {1}))
         assert res.status == EXACT and res.value == 2
-        assert validate(cycle_graph(n), res.witness).ok
+        assert validate(circulant(n, {1}), res.witness).ok
 
 
 def test_brute_force_odd_cycle_three_pages():
-    res = brute_force_mbt(cycle_graph(5))
+    res = brute_force_mbt(circulant(5, {1}))
     assert res.status == EXACT and res.value == 3
-    assert validate(cycle_graph(5), res.witness).ok
+    assert validate(circulant(5, {1}), res.witness).ok
 
 
 def test_brute_force_path_two_pages():
@@ -102,21 +103,37 @@ def test_brute_force_edgeless_and_empty():
 
 def test_search_fixed_pages_exhausts_capacity_refutation():
     # C5 on 2 pages: 2*2 < 5 edges, refuted at each of the (5-1)!/2 orders
-    res = search_fixed_pages(cycle_graph(5), 2)
+    res = search_fixed_pages(circulant(5, {1}), 2)
     assert not res.found and res.exhausted
     assert res.counters["orders"] == 12
 
 
 def test_search_fixed_pages_finds_witness():
-    res = search_fixed_pages(cycle_graph(5), 3)
+    res = search_fixed_pages(circulant(5, {1}), 3)
     assert res.found and not res.exhausted
     assert res.witness.m == 3
-    assert validate(cycle_graph(5), res.witness).ok
+    assert validate(circulant(5, {1}), res.witness).ok
+
+
+def test_search_fixed_pages_memory_does_not_grow_with_m():
+    # at most E pages can hold an edge, so m far above E costs what m = E costs
+    g = circulant(6, {1})
+    at_e = search_fixed_pages(g, 6)
+    tracemalloc.start()
+    try:
+        res = search_fixed_pages(g, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert res.found and res.witness.m == 10**6
+    for key in ("orders", "nodes"):
+        assert res.counters[key] == at_e.counters[key]
 
 
 def test_search_fixed_pages_rejects_zero_pages():
     with pytest.raises(OracleError):
-        search_fixed_pages(cycle_graph(4), 0)
+        search_fixed_pages(circulant(4, {1}), 0)
 
 
 def test_budget_downgrades_to_lower_bound_only():
@@ -170,7 +187,7 @@ def test_budget_validation():
 
 
 def test_check_isomorphism_identity_and_relabel():
-    g = cycle_graph(4)
+    g = circulant(4, {1})
     assert check_isomorphism(g, g, {v: v for v in range(4)})
     # rotating a cycle is an automorphism
     assert check_isomorphism(g, g, {v: (v + 1) % 4 for v in range(4)})
@@ -179,13 +196,13 @@ def test_check_isomorphism_identity_and_relabel():
 
 
 def test_check_isomorphism_rejects_non_bijections():
-    g = cycle_graph(4)
+    g = circulant(4, {1})
     with pytest.raises(OracleError):
         check_isomorphism(g, g, {0: 0, 1: 1, 2: 2})
     with pytest.raises(OracleError):
         check_isomorphism(g, g, {0: 0, 1: 1, 2: 2, 3: 2})
     with pytest.raises(OracleError):
-        check_isomorphism(g, cycle_graph(5), {v: v for v in range(4)})
+        check_isomorphism(g, circulant(5, {1}), {v: v for v in range(4)})
 
 
 def test_certify_embedding_at_the_bound():
@@ -195,12 +212,11 @@ def test_certify_embedding_at_the_bound():
     res = embed(spec)
     cert = certify(res.graph, validate(res.graph, res.embedding))
     assert cert.status == CERTIFIED and cert.pages == 5 and cert.bound == 5
-    assert cert.mbt == 5
 
     spec = BundleSpec(4, 6, Shift(2))  # bipartite: bound 4
     res = embed(spec)
     cert = certify(res.graph, validate(res.graph, res.embedding))
-    assert cert.status == CERTIFIED and cert.mbt == 4
+    assert cert.status == CERTIFIED and cert.pages == 4
 
 
 def test_certify_above_the_bound_is_only_an_upper_bound():
@@ -215,7 +231,7 @@ def test_certify_above_the_bound_is_only_an_upper_bound():
     g = bundle(spec)
     cert = certify(g, validate(g, wider))
     assert cert.status == UPPER_BOUND_ONLY
-    assert cert.pages == 5 and cert.bound == 4 and cert.mbt is None
+    assert cert.pages == 5 and cert.bound == 4
 
 
 def test_certify_rejects_invalid_embedding():
@@ -235,7 +251,7 @@ def test_certify_rejects_invalid_embedding():
 
 
 def test_mbt_result_counters_present():
-    res = brute_force_mbt(cycle_graph(4))
+    res = brute_force_mbt(circulant(4, {1}))
     assert {"orders", "nodes", "seconds"} <= set(res.counters)
     assert isinstance(res, MbtResult)
 
@@ -245,8 +261,8 @@ def test_mbt_result_counters_present():
 # witnesses must all match.  The oracle workload's seven cases come first,
 # then small graphs by name, one small bundle per family, and budget cuts.
 SMALL_GRAPHS = {
-    "C4": cycle_graph(4),
-    "C5": cycle_graph(5),
+    "C4": circulant(4, {1}),
+    "C5": circulant(5, {1}),
     "K4": K4,
     "K3,3": K33,
     "K5-e": K5_MINUS,

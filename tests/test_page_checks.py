@@ -161,7 +161,7 @@ def test_validate_matches_pairwise_reference_on_e1k_flip_mutants(pick, shift):
 )
 def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, steps):
     g, order = case
-    asg = _PageAssigner(g, order, "test")
+    asg = _PageAssigner(order, 4, "test")
     pos = asg.pos
     edges = g.edge_list
 

@@ -1,10 +1,12 @@
-"""The README's library quick start runs as written, on exported names only."""
+"""The README's library quick start and command-line block run as written."""
 
 import ast
 import pathlib
 import re
+import shlex
 
 import bookbind
+from bookbind import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +32,13 @@ def test_readme_imports_only_exported_names():
     assert names <= set(bookbind.__all__)
     for name in bookbind.__all__:
         assert getattr(bookbind, name) is not None
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    lines = [line for b in blocks for line in b.splitlines() if line.startswith("bookbind ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()  # the commands' own output is not under test here
