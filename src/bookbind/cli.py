@@ -30,7 +30,6 @@ import os
 import sys
 from math import gcd
 
-from .bundle_decomp import DecompositionError
 from .constructions import CompletionError, ConstructionResult, Unsupported, embed, parity_pages
 from .graph_core import (
     BundleSpec,
@@ -146,20 +145,9 @@ def _embedding_payload(res: ConstructionResult) -> dict:
     }
 
 
-def _report_unsupported(res: Unsupported) -> int:
-    payload = {
-        "unsupported": res.reason,
-        "reduction": None if res.reduction is None else res.reduction.to_payload(),
-    }
-    sys.stdout.write(_dumps(payload))
-    return EXIT_UNSUPPORTED
-
-
 def cmd_embed(args) -> int:
     spec = _require_bundle(_parse_spec(args.spec), "embed")
     res = embed(spec)
-    if isinstance(res, Unsupported):
-        return _report_unsupported(res)
     _emit(_dumps(_embedding_payload(res)), args.out)
     return EXIT_OK
 
@@ -264,8 +252,6 @@ def _render_svg(
 def cmd_render(args) -> int:
     spec = _require_bundle(_parse_spec(args.spec), "render")
     res = embed(spec)
-    if isinstance(res, Unsupported):
-        return _report_unsupported(res)
     palette = list(COLOR_NAMES) if args.palette is None else args.palette.split(",")
     if len(palette) < res.embedding.m or any(not c.strip() for c in palette):
         raise InvalidSpecError(f"palette needs at least {res.embedding.m} non-empty colors")
@@ -393,10 +379,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except Unsupported as exc:
+        reduction = None if exc.reduction is None else exc.reduction.to_payload()
+        sys.stdout.write(_dumps({"unsupported": exc.reason, "reduction": reduction}))
+        return EXIT_UNSUPPORTED
     except SpecFormatError as exc:
         sys.stderr.write(f"bookbind: {exc}\n")
         return EXIT_USAGE
-    except (InvalidSpecError, DecompositionError, OracleError) as exc:
+    except (InvalidSpecError, OracleError) as exc:
         sys.stderr.write(f"bookbind: {exc}\n")
         return EXIT_PARAMS
     except CompletionError as exc:

@@ -8,9 +8,9 @@ pages").  A layout is written as data: its spine is one ``_zigzag`` of
 named blocks (rows, columns, residual cycles or column pairs, every other
 block reversed), its fibre pages are one rule ``page_of(row, column)``
 handed to ``SequenceCatalog.fibres``, its rung and seam pages are explicit
-lists, and palettes cover the rest.  ``_select`` maps a normalised spec to
-its ``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
-come back as Unsupported.
+lists, and palettes cover the rest.  ``_select`` maps a spec to its
+``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
+raise Unsupported.
 
 ``embed`` is the one driver.  It decides the page count first, by
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
@@ -83,12 +83,13 @@ class CompletionError(RuntimeError):
         self.rule = rule
 
 
-@dataclass
-class Unsupported:
+class Unsupported(Exception):
     """No construction for this spec; coprime shifts carry their reduction."""
 
-    reason: str
-    reduction: CirculantReduction | None = None
+    def __init__(self, reason: str, reduction: CirculantReduction | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.reduction = reduction
 
 
 @dataclass
@@ -304,21 +305,14 @@ def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     return spine, fixed, todo
 
 
-def _fiber_page_odd_gcd(
-    cat: SequenceCatalog, g_: int, i: int, j: int, even_residual: bool, s: int, d: int
-) -> int:
-    """Fibre-edge page for the nonbipartite odd-gcd case, tail (i, j)."""
+def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+    """gcd(t, d) odd, graph nonbipartite: interleaved spine, 5 pages."""
 
-    t = cat.t
-    k = (j - 1) % g_ + 1
-    if even_residual:
-        if k % 2 == 0:
-            return GREEN
-        if k == 1:
-            return YELLOW if j == 1 else PURPLE
-        if k == g_:
-            return PURPLE if j == t else YELLOW
-        return YELLOW
+    s, t, d = spec.s, spec.t, spec.phi.d
+    g_ = gcd(t, d)
+    V = shift_residual_cycles(s, t, d)
+    even_residual = len(V[0]) % 2 == 0
+
     # For g = 3 the blue fibre edge below would end on (s, 3-d), which is
     # also the endpoint of the blue closing seam of the last residual
     # cycle; when d = 3 that vertex is (s, t) and yellow is the unique
@@ -332,30 +326,32 @@ def _fiber_page_odd_gcd(
         (s - 1, cat.col(1 - d)): RED,
         (1, t): RED,
     }
-    if (i, j) in special:
-        return special[(i, j)]
-    if j == t:
-        return PURPLE  # rows >= 2; row 1 is special above
-    if j == 1:
-        return YELLOW  # rows >= 3; rows 1, 2 special above
-    if k % 2 == 0:
-        return GREEN
-    if k == 1:
-        return PURPLE
-    return YELLOW  # odd middle classes and the k = g_ class off column t
 
-
-def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
-    """gcd(t, d) odd, graph nonbipartite: interleaved spine, 5 pages."""
-
-    s, t, d = spec.s, spec.t, spec.phi.d
-    g_ = gcd(t, d)
-    V = shift_residual_cycles(s, t, d)
-    even_residual = len(V[0]) % 2 == 0
+    def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
+        k = (j - 1) % g_ + 1
+        if even_residual:
+            if k % 2 == 0:
+                return GREEN
+            if k == 1:
+                return YELLOW if j == 1 else PURPLE
+            if k == g_:
+                return PURPLE if j == t else YELLOW
+            return YELLOW
+        if (i, j) in special:
+            return special[(i, j)]
+        if j == t:
+            return PURPLE  # rows >= 2; row 1 is special above
+        if j == 1:
+            return YELLOW  # rows >= 3; rows 1, 2 special above
+        if k % 2 == 0:
+            return GREEN
+        if k == 1:
+            return PURPLE
+        return YELLOW  # odd middle classes and the k = g_ class off column t
 
     # the first two cycles interleaved element by element, then the others
     spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
-    fixed = cat.fibres(lambda i, j: _fiber_page_odd_gcd(cat, g_, i, j, even_residual, s, d))
+    fixed = cat.fibres(fibre_page)
 
     # first two residual cycles: fully explicit alternations
     for k in (1, 2):
@@ -380,9 +376,8 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # last residual cycle: blue closing seam, yellow/red on the column-t
     # rung ladder, purple/red elsewhere
     Vg = V[g_ - 1]
-    T = t // g_
-    l_t = next(l for l in range(T) if (g_ - 1 + l * d) % t == t - 1)
-    ladder = range(l_t * s + 1, l_t * s + s)  # 1-based path-edge indices in column t
+    start = Vg.index(cat.flat(1, t))  # column t's run of s vertices begins here
+    ladder = range(start + 1, start + s)  # 1-based path-edge indices in column t
     *path, closing = cycle_edges(Vg)
     fixed.append((closing, BLUE))
     for idx, e in enumerate(path, start=1):
@@ -537,16 +532,20 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 # ------------------------------------------------------- rules and driver ---
 
 
-def _select(spec: BundleSpec) -> tuple[str, Layout] | Unsupported:
-    """The rule tag and layout for a normalised spec, or why there is none."""
+def _select(spec: BundleSpec) -> tuple[str, Layout]:
+    """The rule tag and layout for a spec; Unsupported says why there is none.
+
+    Folding d to t - d changes neither gcd(t, d), nor bipartiteness, nor the
+    residual parity, so the rule of a spec is the rule of its normalised form.
+    """
 
     s, t, phi = spec.s, spec.t, spec.phi
     if isinstance(phi, Shift):
         if phi.d == 0:
-            return Unsupported("trivial shift: plain torus, no twisted construction")
+            raise Unsupported("trivial shift: plain torus, no twisted construction")
         g_ = gcd(t, phi.d)
         if g_ == 1:
-            return Unsupported(
+            raise Unsupported(
                 "gcd(t, d) = 1: graph is a circulant, see attached reduction",
                 to_circulant(s, t, phi.d),
             )
@@ -567,19 +566,17 @@ def _select(spec: BundleSpec) -> tuple[str, Layout] | Unsupported:
     return rule, _refl_even_no_fixed
 
 
-def embed(spec: BundleSpec) -> ConstructionResult | Unsupported:
+def embed(spec: BundleSpec) -> ConstructionResult:
     """Build the optimal matching book embedding for a twisted torus.
 
-    Shifts are normalised to d <= t/2 first.  The trivial shift (a plain
-    torus) and the coprime shift (isomorphic to a circulant graph, reduction
-    attached) have no construction here and come back as Unsupported.
+    The trivial shift (a plain torus) and the coprime shift (isomorphic to a
+    circulant graph, the reduction of the spec as given attached) have no
+    construction here and raise Unsupported.  Other shifts are normalised
+    to d <= t/2 before they are laid out.
     """
 
+    rule, layout = _select(spec)
     spec = normalize_shift(spec)
-    picked = _select(spec)
-    if isinstance(picked, Unsupported):
-        return picked
-    rule, layout = picked
     m = parity_pages(spec)
     graph = bundle(spec)
     spine, fixed, todo = plan = layout(SequenceCatalog(spec.s, spec.t), spec)

@@ -10,6 +10,7 @@ import pytest
 from bookbind import cli, graph_core, layout_engine
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
+from bookbind.oracle import check_isomorphism
 
 
 def run(capsys, *argv):
@@ -244,6 +245,24 @@ def test_render_unsupported_spec(capsys):
     code, out, _ = run(capsys, "render", "s=5,t=7,phi=shift:3")
     assert code == 3
     assert json.loads(out)["reduction"]["n"] == 35
+
+
+@pytest.mark.parametrize("command", ["embed", "render"])
+def test_unsupported_reduction_is_of_the_named_graph(command, capsys):
+    # d = 4 > t/2: the relabelling must carry shift:4 itself, not its fold shift:3
+    code, out, _ = run(capsys, command, "s=5,t=7,phi=shift:4")
+    assert code == 3
+    red = json.loads(out)["reduction"]
+    relabel = {graph_core.vertex_index(p, q, 7): lab for p, q, lab in red["relabel"]}
+    named = graph_core.bundle(graph_core.parse_bundle_spec("s=5,t=7,phi=shift:4"))
+    assert check_isomorphism(named, graph_core.circulant(35, {1, red["jump"]}), relabel)
+
+
+@pytest.mark.parametrize("spec", ["s=5,t=7,phi=shift:3", "s=4,t=5,phi=shift:0"])
+def test_embed_and_render_report_unsupported_alike(spec, capsys):
+    code, out, err = run(capsys, "embed", spec)
+    assert code == 3 and err == ""
+    assert run(capsys, "render", spec) == (code, out, err)
 
 
 def test_sweep_shift_block(capsys):

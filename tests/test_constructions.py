@@ -283,20 +283,22 @@ def test_embed_normalizes_large_shifts():
 
 
 def test_embed_trivial_shift_unsupported():
-    out = embed(BundleSpec(4, 5, Shift(0)))
-    assert isinstance(out, Unsupported)
-    assert out.reduction is None
+    with pytest.raises(Unsupported) as info:
+        embed(BundleSpec(4, 5, Shift(0)))
+    assert info.value.reduction is None
+    assert str(info.value) == info.value.reason
 
 
 def test_embed_coprime_shift_returns_reduction():
-    out = embed(BundleSpec(5, 7, Shift(3)))
-    assert isinstance(out, Unsupported)
+    with pytest.raises(Unsupported) as info:
+        embed(BundleSpec(5, 7, Shift(3)))
+    out = info.value
     assert out.reduction is not None
     assert out.reduction.n == 35 and out.reduction.jump == 10
-    # normalisation happens before the gcd test: d=5 on t=7 folds to d=2
-    out = embed(BundleSpec(3, 7, Shift(5)))
-    assert isinstance(out, Unsupported)
-    assert out.reduction.d == 2
+    # the reduction is of the spec as given: d=5 on t=7 is not folded to d=2
+    with pytest.raises(Unsupported) as info:
+        embed(BundleSpec(3, 7, Shift(5)))
+    assert info.value.reduction.d == 5
 
 
 def test_blue_seam_collision_repair_regression():
@@ -334,10 +336,10 @@ def test_sweep_style_grid_all_valid():
 def _grid_outcome(spec) -> str:
     try:
         res = embed(spec)
+    except Unsupported as exc:
+        return f"unsupported: {exc.reason}"
     except Exception as exc:  # the failure itself is part of the outcome
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(res, Unsupported):
-        return f"unsupported: {res.reason}"
     text = json.dumps(res.embedding.to_payload(), indent=2, sort_keys=True)
     return f"{res.rule} {res.embedding.m} {text}"
 

@@ -1,12 +1,13 @@
 """Every spec's `embed` outcome, on random specs beyond the tier-1 grid.
 
 Three outcomes partition the specs: Unsupported (trivial and coprime
-shifts, whose circulant reduction is checked), CompletionError (exactly
-the nonbipartite shifts with odd g = gcd(t, d) > 1 and d > g, whose
-closed-form page table is known to be wrong), and a valid embedding at the
-parity page count.  Specs stay at n = s*t <= 900: a todo list much longer
-than that exceeds Python's recursion limit in the recursive completion
-search, a known defect that `test_e4k_embed_completes` shows.
+shifts; a coprime shift's circulant reduction is checked against the graph
+as given, d not folded to t - d), CompletionError (exactly the nonbipartite
+shifts with odd g = gcd(t, d) > 1 and d > g, whose closed-form page table
+is known to be wrong), and a valid embedding at the parity page count.
+Specs stay at n = s*t <= 900: a todo list much longer than that exceeds
+Python's recursion limit in the recursive completion search, a known
+defect that `test_e4k_embed_completes` shows.
 """
 
 from math import gcd
@@ -54,11 +55,11 @@ def test_embed_outcome_partition(spec):
     d = norm.phi.d if isinstance(norm.phi, Shift) else None
     g = None if d is None else gcd(spec.t, d)
     if d is not None and (d == 0 or g == 1):
-        out = embed(spec)
-        assert isinstance(out, Unsupported)
-        if d:
-            red = out.reduction
-            assert check_isomorphism(bundle(norm), red.target(), red.flat_map())
+        with pytest.raises(Unsupported) as info:
+            embed(spec)
+        if d:  # the reduction is of the graph as drawn, not of its normal form
+            red = info.value.reduction
+            assert check_isomorphism(bundle(spec), red.target(), red.flat_map())
         return
     if g is not None and g % 2 == 1 and not predict_bipartite(norm) and d > g:
         with pytest.raises(CompletionError):
