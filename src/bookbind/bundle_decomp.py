@@ -40,13 +40,6 @@ def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
     return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]
 
 
-def fiber_cycles(spec: BundleSpec) -> Cycles:
-    """The ``s`` fibre copies of C_t, row by row."""
-
-    t = spec.t
-    return tuple(tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s))
-
-
 def shift_residual_cycles(s: int, t: int, d: int) -> Cycles:
     """Cycles of the rung+seam subgraph of a d-shift torus.
 
@@ -93,12 +86,6 @@ def reflection_residual_cycles(s: int, t: int, kind: str) -> Cycles:
             back = [vertex_index(p, mate, t) for p in range(s)]
             cycles.append(tuple(down + back))
     return tuple(cycles)
-
-
-def residual_cycles(spec: BundleSpec) -> Cycles:
-    if isinstance(spec.phi, Shift):
-        return shift_residual_cycles(spec.s, spec.t, spec.phi.d)
-    return reflection_residual_cycles(spec.s, spec.t, spec.phi.kind)
 
 
 @dataclass(frozen=True)
@@ -152,9 +139,8 @@ def to_circulant(s: int, t: int, d: int) -> CirculantReduction:
     d_inv = pow(d, -1, t)
     raw = (s * (-d_inv % t)) % n
     jump = min(raw, n - raw)
-    labels = []
-    for p in range(s):
-        for q in range(t):
-            l = (-q * d_inv) % t
-            labels.append((p, q, (l * s - p) % n))
-    return CirculantReduction(s, t, d, n, jump, tuple(sorted(labels)))
+    # listed in (p, q) order, which is already the sorted order
+    labels = tuple(
+        (p, q, ((-q * d_inv) % t * s - p) % n) for p in range(s) for q in range(t)
+    )
+    return CirculantReduction(s, t, d, n, jump, labels)

@@ -251,14 +251,15 @@ def _render_svg(
 
 def cmd_render(args) -> int:
     spec = _require_bundle(_parse_spec(args.spec), "render")
-    res = embed(spec)
+    m = parity_pages(spec)  # the m that `embed` builds: bad arguments fail before it runs
     palette = list(COLOR_NAMES) if args.palette is None else args.palette.split(",")
-    if len(palette) < res.embedding.m or any(not c.strip() for c in palette):
-        raise InvalidSpecError(f"palette needs at least {res.embedding.m} non-empty colors")
+    if len(palette) < m or any(not c.strip() for c in palette):
+        raise InvalidSpecError(f"palette needs at least {m} non-empty colors")
     if not (math.isfinite(args.radius) and args.radius > 0):
         raise InvalidSpecError(f"radius must be positive and finite, got {args.radius}")
     if not math.isfinite(2 * (args.radius + _MARGIN)):
         raise InvalidSpecError(f"radius {args.radius} is too large: the canvas size overflows")
+    res = embed(spec)
     palette = [html.escape(c) for c in palette]  # each goes into an XML attribute
     svg = _render_svg(res.embedding, args.radius, palette, args.labels, res.spec.t)
     _emit(svg, args.out)
@@ -293,6 +294,9 @@ def cmd_sweep(args) -> int:
     t_range = _parse_range(args.t)
     if s_range[0] > s_range[1] or t_range[0] > t_range[1]:
         raise InvalidSpecError(f"empty sweep ranges s={args.s} t={args.t}")
+    for name, (low, _) in (("s", s_range), ("t", t_range)):
+        if low < 3:  # a cycle needs 3 vertices, in both families
+            raise InvalidSpecError(f"sweep bound {name}={low} is below 3")
     rows = failures = 0
     for spec in _sweep_specs(args.family, s_range, t_range):
         rows += 1

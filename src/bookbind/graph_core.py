@@ -61,11 +61,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of each vertex, ascending: the sorted ``edge_list``
+        hands a vertex its smaller neighbours in order, then its larger ones."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edge_list:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     def to_payload(self) -> dict:
         """The graph as plain data: ``{n, edges}`` with edges in canonical order."""

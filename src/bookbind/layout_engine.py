@@ -33,20 +33,6 @@ class CoverageError(ValueError):
     """Embedding is structurally broken: wrong vertex order or edge set."""
 
 
-def chords_cross(a: int, b: int, c: int, d: int) -> bool:
-    """Do chords a-b and c-d cross, given circle positions of the endpoints?
-
-    True exactly when the endpoints strictly interleave around the circle.
-    A shared endpoint never counts as a crossing.
-    """
-
-    if len({a, b, c, d}) < 4:
-        return False
-    a, b = (a, b) if a < b else (b, a)
-    c, d = (c, d) if c < d else (d, c)
-    return (a < c < b < d) or (c < a < d < b)
-
-
 @dataclass
 class BookEmbedding:
     """Spine order plus a total edge -> page map using ``m`` pages."""

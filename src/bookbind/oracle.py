@@ -9,7 +9,8 @@ work; an exhausted budget is reported as such, never converted into a claim.
 The kernel is bit-parallel: bit ``e`` of an integer stands for edge ``e``.
 Per order, the conflict masks come from one prefix-XOR pass over the spine
 plus three bit operations per edge, on incidence masks built once per
-search.  The colouring is an explicit-stack DFS that keeps, per page, the
+graph (``brute_force_mbt`` shares one build and one budget across its page
+counts).  The colouring is an explicit-stack DFS that keeps, per page, the
 union of its edges' conflict masks.  A node counts those unions level by
 level (one mask per k of the uncoloured edges that at least k of them
 contain) to find the most saturated edges in a few AND/OR operations per
@@ -143,7 +144,8 @@ def _spine_orders(n: int):
 
 
 class _Incidence:
-    """Order-independent edge data of one graph, built once per search.
+    """Order-independent edge data of one graph, built once and shared by
+    every spine order and page count searched on it.
 
     Bit ``e`` of a mask stands for ``edges[e]``.  ``vertex_masks[v]`` holds
     the edges at ``v``; ``ends[e]`` holds the edges at either end of edge
@@ -262,17 +264,20 @@ def _color_edges(
             free ^= bit
 
 
-def search_fixed_pages(
-    g: Graph, m: int, budget: SearchBudget | None = None, clock: _BudgetClock | None = None
-) -> PageSearchResult:
+def search_fixed_pages(g: Graph, m: int, budget: SearchBudget | None = None) -> PageSearchResult:
     """Try every spine order for an m-page matching book embedding."""
 
     if m < 1:
         raise OracleError(f"page count must be positive, got {m}")
-    clock = clock or _BudgetClock(budget)
-    inc = _Incidence(g)
+    return _search_phase(g.n, _Incidence(g), m, _BudgetClock(budget))
+
+
+def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageSearchResult:
+    """One page count over every spine order of ``n`` vertices, spending
+    from ``clock`` (which the phases of one ``brute_force_mbt`` share)."""
+
     exhausted = True
-    for order in _spine_orders(g.n):
+    for order in _spine_orders(n):
         if not clock.take_order() or clock.timed_out():
             exhausted = False
             break
@@ -303,10 +308,11 @@ def brute_force_mbt(g: Graph, budget: SearchBudget | None = None) -> MbtResult:
         witness = BookEmbedding(tuple(range(g.n)), {}, 1)
         return MbtResult(EXACT, 0, witness, {})
     clock = _BudgetClock(budget)
+    inc = _Incidence(g)
     m = max(1, lower_bound(g))
     first_phase = m
     while True:
-        res = search_fixed_pages(g, m, clock=clock)
+        res = _search_phase(g.n, inc, m, clock)
         if res.found:
             return MbtResult(EXACT, m, res.witness, clock.counters())
         if not res.exhausted:

@@ -12,12 +12,7 @@ import time
 import pytest
 
 from bookbind import cli
-from bookbind.bundle_decomp import (
-    cycle_edges,
-    fiber_cycles,
-    residual_cycles,
-    to_circulant,
-)
+from bookbind.bundle_decomp import cycle_edges, to_circulant
 from bookbind.constructions import ConstructionResult, embed
 from bookbind.graph_core import (
     BundleSpec,
@@ -30,12 +25,7 @@ from bookbind.graph_core import (
     parse_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import (
-    REASON_ENDPOINT,
-    BookEmbedding,
-    chords_cross,
-    validate,
-)
+from bookbind.layout_engine import REASON_ENDPOINT, BookEmbedding, validate
 from bookbind.oracle import (
     EXACT,
     LOWER_BOUND_ONLY,
@@ -45,6 +35,7 @@ from bookbind.oracle import (
     lower_bound,
     search_fixed_pages,
 )
+from reference import chords_cross, fiber_cycles, residual_cycles
 
 SEED = 20260814
 

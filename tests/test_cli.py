@@ -241,6 +241,20 @@ def test_render_bad_radius(capsys):
         assert code == 65 and out == "" and "radius" in err
 
 
+@pytest.mark.parametrize(
+    "spec, flag, value",
+    [
+        ("s=44,t=44,phi=shift:2", "--radius", "nan"),  # embedding it hits the recursion limit
+        ("s=5,t=7,phi=shift:3", "--radius", "-1"),  # unsupported: no embedding at all
+        ("s=3,t=15,phi=shift:6", "--palette", "red"),  # its construction fails
+    ],
+)
+def test_render_checks_its_arguments_before_embedding(spec, flag, value, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "embed", lambda _: pytest.fail("embed ran on bad arguments"))
+    code, out, err = run(capsys, "render", spec, flag, value)
+    assert code == 65 and out == "" and flag.lstrip("-") in err
+
+
 def test_render_unsupported_spec(capsys):
     code, out, _ = run(capsys, "render", "s=5,t=7,phi=shift:3")
     assert code == 3
@@ -292,6 +306,16 @@ def test_sweep_no_matching_specs(capsys):
     # t=5 has no shift with gcd(t, d) > 1 and d <= t/2
     code, _, err = run(capsys, "sweep", "--family", "shift", "--s", "3", "--t", "5")
     assert code == 65 and "no parameter" in err
+
+
+@pytest.mark.parametrize("family", ["shift", "reflection"])
+@pytest.mark.parametrize(
+    "s, t, bound", [("3", "1:4", "t=1"), ("1:2", "3", "s=1"), ("2:5", "3:6", "s=2")]
+)
+def test_sweep_rejects_a_bound_below_three(family, s, t, bound, capsys):
+    code, out, err = run(capsys, "sweep", "--family", family, "--s", s, "--t", t)
+    assert code == 65 and out == ""
+    assert err == f"bookbind: sweep bound {bound} is below 3\n"
 
 
 def test_usage_errors(capsys):

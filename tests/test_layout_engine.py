@@ -1,4 +1,5 @@
-"""Chord geometry, embedding containers, and the validity checker."""
+"""Chord geometry (the tests' reference predicate), embedding containers,
+and the validity checker."""
 
 import json
 
@@ -15,10 +16,10 @@ from bookbind.layout_engine import (
     BookEmbedding,
     CoverageError,
     ValidationReport,
-    chords_cross,
     classify,
     validate,
 )
+from reference import chords_cross
 
 
 def test_chords_cross_truth_table():

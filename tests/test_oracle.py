@@ -147,6 +147,21 @@ def test_budget_downgrades_to_lower_bound_only():
     assert res.status == LOWER_BOUND_ONLY and res.value == 5
 
 
+def test_brute_force_builds_incidence_once_across_phases(monkeypatch):
+    # K5 minus an edge: the 4-page phase is refuted, the 5-page phase finds it
+    built = []
+
+    class Counted(oracle._Incidence):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(oracle, "_Incidence", Counted)
+    res = brute_force_mbt(K5_MINUS)
+    assert (res.status, res.value) == (EXACT, 5)
+    assert built == [K5_MINUS]
+
+
 def test_budget_starves_first_phase_to_inconclusive():
     g = circulant(9, {1, 3})
     res = brute_force_mbt(g, SearchBudget(max_nodes=1))

@@ -1,9 +1,12 @@
 """The README's library quick start and command-line block run as written."""
 
 import ast
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import bookbind
 from bookbind import cli
@@ -42,3 +45,20 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
     capsys.readouterr()  # the commands' own output is not under test here
+
+
+def test_cli_imports_no_test_only_package():
+    # README: "no runtime dependencies"; the test extra stays out of a CLI run
+    src = pathlib.Path(bookbind.__file__).resolve().parents[1]
+    code = (
+        "import sys, bookbind.cli; "
+        "print(sorted({'pytest', 'hypothesis', 'networkx'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout == "[]\n"
