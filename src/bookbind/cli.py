@@ -135,9 +135,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _embedding_payload(res: ConstructionResult) -> dict:
+def _embedding_payload(spec: BundleSpec, res: ConstructionResult) -> dict:
     return {
-        "spec": format_bundle_spec(res.spec),
+        "spec": format_bundle_spec(spec),
         "rule": res.rule,
         "pages": res.embedding.m,
         "classification": classify(res.graph, res.report),
@@ -148,7 +148,7 @@ def _embedding_payload(res: ConstructionResult) -> dict:
 def cmd_embed(args) -> int:
     spec = _require_bundle(_parse_spec(args.spec), "embed")
     res = embed(spec)
-    _emit(_dumps(_embedding_payload(res)), args.out)
+    _emit(_dumps(_embedding_payload(spec, res)), args.out)
     return EXIT_OK
 
 
@@ -261,7 +261,7 @@ def cmd_render(args) -> int:
         raise InvalidSpecError(f"radius {args.radius} is too large: the canvas size overflows")
     res = embed(spec)
     palette = [html.escape(c) for c in palette]  # each goes into an XML attribute
-    svg = _render_svg(res.embedding, args.radius, palette, args.labels, res.spec.t)
+    svg = _render_svg(res.embedding, args.radius, palette, args.labels, spec.t)
     _emit(svg, args.out)
     return EXIT_OK
 

@@ -10,16 +10,17 @@ block reversed), its fibre pages are one rule ``page_of(row, column)``
 handed to ``SequenceCatalog.fibres``, its rung and seam pages are explicit
 lists, and palettes cover the rest.  ``_select`` maps a spec to its
 ``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
-raise Unsupported.
+raise Unsupported.  Shifts are laid out as given; ``_wraps`` is the one
+place that says where their residual cycles wrap.
 
 ``embed`` is the one driver.  It decides the page count first, by
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
-then checks the plan once (``_check_plan``), places the fixed edges,
-completes the todo list by a small backtracking search within each edge's
-palette, and validates the result once; a faulty plan, placement, completion
-or validation raises instead of silently substituting pages.
+then checks the plan once (``_check_plan``, fixed pages included), places
+the fixed edges, completes the todo list by a small backtracking search
+within each edge's palette, and validates the result once; a faulty plan,
+completion or validation raises instead of silently substituting pages.
 
 Placement never compares a chord with every chord on its page: each page
 keeps an index over spine positions (``_PageAssigner``), so a test walks
@@ -51,7 +52,6 @@ from .graph_core import (
     Shift,
     bundle,
     make_edge,
-    normalize_shift,
     predict_bipartite,
 )
 from .layout_engine import (
@@ -63,6 +63,7 @@ from .layout_engine import (
     ValidationReport,
     YELLOW,
     validate,
+    violations,
 )
 
 RULE_SHIFT_EVEN_GCD = "shift/gcd-even"
@@ -94,7 +95,6 @@ class Unsupported(Exception):
 
 @dataclass
 class ConstructionResult:
-    spec: BundleSpec  # normalized spec actually embedded
     graph: Graph
     embedding: BookEmbedding  # its m is the page count, checked against the report
     rule: str
@@ -167,7 +167,8 @@ _NODE_CAP = 200_000  # search nodes one completion may visit
 
 def _check_plan(graph: Graph, plan: Plan, m: int, rule: str) -> None:
     """The one check of a plan: a spine of every vertex once, every edge
-    (canonical) fixed or todo exactly once, and every page named below m."""
+    (canonical) fixed or todo exactly once, every page named below m, and
+    fixed pages that the validator's own page test passes."""
 
     spine, fixed, todo = plan
     if sorted(spine) != list(range(graph.n)):
@@ -175,18 +176,20 @@ def _check_plan(graph: Graph, plan: Plan, m: int, rule: str) -> None:
     listed = [e for e, _ in fixed] + [e for e, _ in todo]
     named = {p for _, p in fixed}.union(*[palette for _, palette in todo])
     exact = len(listed) == len(graph.edges) == len(graph.edges.intersection(listed))
-    if exact and named <= set(range(m)):
-        return
-    count = Counter(listed)  # the plan is faulty: name up to four offenders
-    pages = chain(fixed, ((e, p) for e, palette in todo for p in palette))
-    for fault, offenders in (
-        ("not edges of the graph", sorted(count.keys() - graph.edges)),
-        ("listed twice", [e for e, k in count.items() if k > 1]),
-        ("missing from the plan", sorted(graph.edges - count.keys())),
-        (f"pages outside 0..{m - 1}", [(e, p) for e, p in pages if not 0 <= p < m]),
-    ):
-        if offenders:
-            raise CompletionError(rule, f"{fault}: {offenders[:4]}")
+    if not (exact and named <= set(range(m))):
+        count = Counter(listed)  # the plan is faulty: name up to four offenders
+        pages = chain(fixed, ((e, p) for e, palette in todo for p in palette))
+        for fault, offenders in (
+            ("not edges of the graph", sorted(count.keys() - graph.edges)),
+            ("listed twice", [e for e, k in count.items() if k > 1]),
+            ("missing from the plan", sorted(graph.edges - count.keys())),
+            (f"pages outside 0..{m - 1}", [(e, p) for e, p in pages if not 0 <= p < m]),
+        ):
+            if offenders:
+                raise CompletionError(rule, f"{fault}: {offenders[:4]}")
+    clashes = violations(fixed, {v: k for k, v in enumerate(spine)})
+    if clashes:
+        raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
 
 
 class _PageAssigner:
@@ -233,11 +236,6 @@ class _PageAssigner:
         partner = self.partner[self.pages.pop(e)]
         partner[self.pos[e[0]]] = partner[self.pos[e[1]]] = -1
 
-    def assign(self, e: Edge, page: int) -> None:
-        if self._conflicts(e, page):
-            raise CompletionError(self.rule, f"{e} on page {page} conflicts")
-        self._place(e, page)
-
     def complete(self, todo: list[Todo]) -> None:
         """Depth-first completion of `todo` in order, palettes as given."""
 
@@ -268,14 +266,25 @@ class _PageAssigner:
 # ---------------------------------------------------------------- shifts ---
 
 
+def _wraps(t: int, d: int) -> tuple[set[int], set[int]]:
+    """Where a d-shift's residual cycles wrap, as 1-based columns.  With
+    g = gcd(t, d), T = t/g and u = (d/g)^-1 mod T, the fibre edges leaving the
+    last u columns of class g (``wrapping``) land on the first u columns of
+    residual cycle 1 (``landing``); for d = g that is ({1}, {t})."""
+
+    g = gcd(t, d)
+    u = pow(d // g, -1, t // g)
+    landing = {1 + k * d % t for k in range(u)}
+    return landing, {(j - 2) % t + 1 for j in landing}
+
+
 def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """Shift gluing with gcd(t, d) even: residual cycles end to end."""
 
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
     V = shift_residual_cycles(s, t, d)
-    vg_pos = {v: idx for idx, v in enumerate(V[g_ - 1])}
-    pivot = vg_pos[cat.flat(1, t)]
+    _, wrapping = _wraps(t, d)
 
     def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
         k = (j - 1) % g_ + 1
@@ -283,7 +292,7 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
             return YELLOW
         if k < g_:
             return PURPLE
-        return PURPLE if vg_pos[cat.flat(i, j)] < pivot else GREEN
+        return GREEN if j in wrapping else PURPLE
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
@@ -312,14 +321,13 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     g_ = gcd(t, d)
     V = shift_residual_cycles(s, t, d)
     even_residual = len(V[0]) % 2 == 0
+    landing, wrapping = _wraps(t, d)
 
-    # For g = 3 the blue fibre edge below would end on (s, 3-d), which is
-    # also the endpoint of the blue closing seam of the last residual
-    # cycle; when d = 3 that vertex is (s, t) and yellow is the unique
-    # proper repair.  (For g = 3 with d > 3 no single-edge recolouring
-    # exists and the completion fails loudly.)
+    # For g = 3 the blue fibre edge below would end on (s, 3-d), the last
+    # vertex of the last residual cycle and so an endpoint of its blue
+    # closing seam; yellow is the proper repair.
     special = {
-        (s, cat.col(2 - d)): YELLOW if g_ == 3 and d == 3 else BLUE,
+        (s, cat.col(2 - d)): YELLOW if g_ == 3 else BLUE,
         (2, 1): BLUE,
         (s, cat.col(1 - d)): GREEN,
         (1, 1): PURPLE,
@@ -333,21 +341,21 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
             if k % 2 == 0:
                 return GREEN
             if k == 1:
-                return YELLOW if j == 1 else PURPLE
+                return YELLOW if j in landing else PURPLE
             if k == g_:
-                return PURPLE if j == t else YELLOW
+                return PURPLE if j in wrapping else YELLOW
             return YELLOW
         if (i, j) in special:
             return special[(i, j)]
-        if j == t:
-            return PURPLE  # rows >= 2; row 1 is special above
-        if j == 1:
-            return YELLOW  # rows >= 3; rows 1, 2 special above
+        if j in wrapping:
+            return PURPLE  # (1, t) is special above
+        if j in landing:
+            return YELLOW  # (1, 1) and (2, 1) are special above
         if k % 2 == 0:
             return GREEN
         if k == 1:
             return PURPLE
-        return YELLOW  # odd middle classes and the k = g_ class off column t
+        return YELLOW  # odd middle classes and the k = g_ class off the wrapping columns
 
     # the first two cycles interleaved element by element, then the others
     spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
@@ -373,15 +381,14 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # middle residual cycles, whole cycle searched
     todo = [(e, (RED, PURPLE, BLUE)) for k in range(3, g_) for e in cycle_edges(V[k - 1])]
 
-    # last residual cycle: blue closing seam, yellow/red on the column-t
-    # rung ladder, purple/red elsewhere
-    Vg = V[g_ - 1]
-    start = Vg.index(cat.flat(1, t))  # column t's run of s vertices begins here
-    ladder = range(start + 1, start + s)  # 1-based path-edge indices in column t
-    *path, closing = cycle_edges(Vg)
+    # last residual cycle: blue closing seam, yellow/red on the ladder through
+    # the wrapping columns it ends with, purple/red before it
+    *path, closing = cycle_edges(V[g_ - 1])
+    start = len(path) + 1 - s * len(wrapping)  # path-edge index the ladder follows
     fixed.append((closing, BLUE))
-    for idx, e in enumerate(path, start=1):
-        todo.append((e, (YELLOW, RED) if idx in ladder else (PURPLE, RED)))
+    todo += [(e, (YELLOW, RED) if idx > start else (PURPLE, RED)) for idx, e in enumerate(path, 1)]
+    if start % 2 == 1:  # the one phase switch before the seam: blue second-last
+        todo[-2] = (path[-2], todo[-2][1] + (BLUE,))
     return spine, fixed, todo
 
 
@@ -533,11 +540,8 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
 
 def _select(spec: BundleSpec) -> tuple[str, Layout]:
-    """The rule tag and layout for a spec; Unsupported says why there is none.
-
-    Folding d to t - d changes neither gcd(t, d), nor bipartiteness, nor the
-    residual parity, so the rule of a spec is the rule of its normalised form.
-    """
+    """The rule tag and layout for a spec as given; Unsupported says why
+    there is none."""
 
     s, t, phi = spec.s, spec.t, spec.phi
     if isinstance(phi, Shift):
@@ -571,19 +575,18 @@ def embed(spec: BundleSpec) -> ConstructionResult:
 
     The trivial shift (a plain torus) and the coprime shift (isomorphic to a
     circulant graph, the reduction of the spec as given attached) have no
-    construction here and raise Unsupported.  Other shifts are normalised
-    to d <= t/2 before they are laid out.
+    construction here and raise Unsupported.  Every other spec is laid out
+    as given, so the embedding is of ``bundle(spec)``.
     """
 
     rule, layout = _select(spec)
-    spec = normalize_shift(spec)
     m = parity_pages(spec)
     graph = bundle(spec)
     spine, fixed, todo = plan = layout(SequenceCatalog(spec.s, spec.t), spec)
     _check_plan(graph, plan, m, rule)
     asg = _PageAssigner(spine, m, rule)
     for e, page in fixed:
-        asg.assign(e, page)
+        asg._place(e, page)
     asg.complete(todo)
 
     emb = BookEmbedding(spine, asg.pages, m)
@@ -592,4 +595,4 @@ def embed(spec: BundleSpec) -> ConstructionResult:
         raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")
     if report.pages_used != m:
         raise CompletionError(rule, f"used {report.pages_used} pages, claimed {m}")
-    return ConstructionResult(spec, graph, emb, rule, report)
+    return ConstructionResult(graph, emb, rule, report)

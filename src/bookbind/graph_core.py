@@ -205,17 +205,6 @@ def predict_bipartite(spec: BundleSpec) -> bool:
     return False
 
 
-def normalize_shift(spec: BundleSpec) -> BundleSpec:
-    """Replace a d-shift by the isomorphic min(d, t-d)-shift; reflections pass through."""
-
-    if isinstance(spec.phi, Shift):
-        d = spec.phi.d
-        nd = min(d, spec.t - d) if d else 0
-        if nd != d:
-            return BundleSpec(spec.s, spec.t, Shift(nd))
-    return spec
-
-
 def parse_bundle_spec(text: str) -> BundleSpec:
     """Parse ``s=5,t=7,phi=shift:3`` or ``s=5,t=12,phi=refl:none``, each
     field exactly once and in any order."""

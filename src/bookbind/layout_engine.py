@@ -3,10 +3,11 @@
 An embedding is valid when its page assignment is a proper edge colouring
 (no two edges at a common vertex share a page) and no two same-page chords
 cross in the circular layout.  Equivalently, each page is a matching whose
-chords, read along the spine, nest like balanced brackets; ``validate``
-checks that in one pass per page (O(E log E) in all).  Only a page that
-fails is swept once more, by ``_page_violations``, to list its shared
-endpoints and crossings in O(P log P + K) for its P edges and K violations.
+chords, read along the spine, nest like balanced brackets; ``violations``
+checks that in one pass per page (O(E log E) in all), for ``validate`` and
+for a construction's fixed pages.  Only a page that fails is swept once
+more, by ``_page_violations``, to list its shared endpoints and crossings
+in O(P log P + K) for its P edges and K violations.
 
 ``BookEmbedding`` converts to and from plain data (``to_payload`` and
 ``from_payload``); only ``cli`` encodes and decodes JSON.
@@ -14,6 +15,7 @@ endpoints and crossings in O(P log P + K) for its P edges and K violations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .graph_core import Edge, Graph, SpecFormatError, make_edge, max_degree
@@ -161,6 +163,20 @@ def _page_violations(page_edges: list[Edge], pos: dict[int, int]) -> list[Violat
     return violations
 
 
+def violations(pages: Iterable[tuple[Edge, int]], pos: dict[int, int]) -> list[Violation]:
+    """Every violation among (edge, page) pairs, sorted: one nesting pass per
+    page, and ``_page_violations`` only on a page that fails it."""
+
+    by_page: dict[int, list[Edge]] = {}
+    for e, p in pages:
+        by_page.setdefault(p, []).append(e)
+    found: list[Violation] = []
+    for page_edges in by_page.values():
+        if not _page_nests(page_edges, pos):
+            found += _page_violations(page_edges, pos)
+    return sorted(found)
+
+
 def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     """Check properness and page planarity; structural breakage raises.
 
@@ -181,19 +197,10 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
         if not 0 <= p < emb.m:
             raise CoverageError(f"page {p} of edge {e} outside 0..{emb.m - 1}")
 
-    pos = emb.position()
-    by_page: dict[int, list[Edge]] = {}
-    for e, p in emb.pages.items():
-        by_page.setdefault(p, []).append(e)
-
-    violations: list[Violation] = []
-    for page_edges in by_page.values():
-        if not _page_nests(page_edges, pos):
-            violations += _page_violations(page_edges, pos)
-    violations.sort()
-    is_proper = all(r != REASON_ENDPOINT for _, _, r in violations)
-    is_noncrossing = all(r != REASON_CROSSING for _, _, r in violations)
-    return ValidationReport(is_proper, is_noncrossing, emb.pages_used(), tuple(violations))
+    found = violations(emb.pages.items(), emb.position())
+    is_proper = all(r != REASON_ENDPOINT for _, _, r in found)
+    is_noncrossing = all(r != REASON_CROSSING for _, _, r in found)
+    return ValidationReport(is_proper, is_noncrossing, emb.pages_used(), tuple(found))
 
 
 def classify(g: Graph, report: ValidationReport) -> str:

@@ -13,7 +13,7 @@ import pytest
 
 from bookbind import cli
 from bookbind.bundle_decomp import cycle_edges, to_circulant
-from bookbind.constructions import ConstructionResult, embed
+from bookbind.constructions import ConstructionResult, embed, parity_pages
 from bookbind.graph_core import (
     BundleSpec,
     Graph,
@@ -57,6 +57,15 @@ def _shift_sweep_specs():
                     yield BundleSpec(s, t, Shift(d))
 
 
+def _shift_grid_specs():
+    # the README's shift claim: every d with gcd(t, d) > 1, as given
+    for s in range(3, 13):
+        for t in range(3, 31):
+            for d in range(1, t):
+                if math.gcd(t, d) > 1:
+                    yield BundleSpec(s, t, Shift(d))
+
+
 def _reflection_sweep_specs():
     for s in range(3, 9):
         for t in range(3, 13):
@@ -70,10 +79,11 @@ def _run_sweep(specs):
     rows = 0
     for spec in specs:
         rows += 1
-        expected = 4 if predict_bipartite(spec) else 5
+        expected = parity_pages(spec)
         try:
             res = embed(spec)
             assert isinstance(res, ConstructionResult)
+            assert res.graph == bundle(spec)
             report = validate(res.graph, res.embedding)
             if not (report.ok and report.pages_used == expected == res.embedding.m):
                 failures.append((format_bundle_spec(spec), report.pages_used, expected))
@@ -84,11 +94,11 @@ def _run_sweep(specs):
 
 def test_criterion_1_shift_sweep_under_a_minute(report):
     start = time.monotonic()
-    rows, failures = _run_sweep(_shift_sweep_specs())
+    rows, failures = _run_sweep(_shift_grid_specs())
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 60.0
     report(
-        "criterion 1 shift sweep s=3..8 t=4..14",
+        "criterion 1 shift sweep s=3..12 t=3..30, every d with gcd > 1",
         ok,
         f"rows={rows} failures={len(failures)} elapsed={elapsed:.1f}s",
     )

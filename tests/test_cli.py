@@ -11,6 +11,7 @@ from bookbind import cli, graph_core, layout_engine
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
 from bookbind.oracle import check_isomorphism
+from test_constructions import PLAN_FAULTS, _edit_plan
 
 
 def run(capsys, *argv):
@@ -105,6 +106,17 @@ def test_verify_accepts_embed_out_file(tmp_path, capsys):
     code, _, _ = run(capsys, "embed", "s=3,t=6,phi=shift:3", "--out", str(out_file))
     assert code == 0
     code, out, _ = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(out_file))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+def test_verify_accepts_embed_out_file_of_a_large_shift(tmp_path, capsys):
+    # d > t/2: embed lays out shift:6 itself, so its file is of the named graph
+    out_file = tmp_path / "embed.json"
+    code, _, _ = run(capsys, "embed", "s=5,t=8,phi=shift:6", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["spec"] == "s=5,t=8,phi=shift:6"
+    code, out, _ = run(capsys, "verify", "s=5,t=8,phi=shift:6", "--embedding", str(out_file))
     assert code == 0
     assert json.loads(out)["ok"] is True
 
@@ -246,7 +258,7 @@ def test_render_bad_radius(capsys):
     [
         ("s=44,t=44,phi=shift:2", "--radius", "nan"),  # embedding it hits the recursion limit
         ("s=5,t=7,phi=shift:3", "--radius", "-1"),  # unsupported: no embedding at all
-        ("s=3,t=15,phi=shift:6", "--palette", "red"),  # its construction fails
+        ("s=3,t=15,phi=shift:6", "--palette", "red"),  # five pages, one color
     ],
 )
 def test_render_checks_its_arguments_before_embedding(spec, flag, value, monkeypatch, capsys):
@@ -398,11 +410,14 @@ def test_payload_output_is_pinned(argv, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GOLDEN_PAYLOADS[argv]
 
 
-def test_embed_failure_message_is_pinned(capsys):
-    code, out, err = run(capsys, "embed", "s=3,t=15,phi=shift:6")
+def test_embed_failure_message_is_pinned(monkeypatch, capsys):
+    # a layout whose fixed pages clash fails before placement, naming both edges
+    _edit_plan(monkeypatch, PLAN_FAULTS["fixed edges cross"])
+    code, out, err = run(capsys, "embed", "s=3,t=4,phi=shift:2")
     assert code == 70 and out == ""
     assert err == (
-        "bookbind: construction failed: shift/gcd-odd/odd-residual: (5, 6) on page 0 conflicts\n"
+        "bookbind: construction failed: shift/gcd-even: fixed pages clash: "
+        "[((0, 10), (2, 3), 'crossing'), ((1, 11), (2, 3), 'crossing')]\n"
     )
 
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from bookbind import cli, constructions
+from bookbind.bundle_decomp import shift_residual_cycles
 from bookbind.constructions import (
     RULE_REFL_BASE_EVEN,
     RULE_REFL_BASE_ODD,
@@ -19,6 +20,7 @@ from bookbind.constructions import (
     SequenceCatalog,
     Unsupported,
     _select,
+    _wraps,
     embed,
 )
 from bookbind.cli import _sweep_specs
@@ -30,7 +32,7 @@ from bookbind.graph_core import (
     format_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import RED, validate
+from bookbind.layout_engine import PURPLE, RED, YELLOW, validate
 
 
 def _check(result, spec):
@@ -133,6 +135,25 @@ def _spine_repeats_a_vertex(spine, fixed, todo) -> str:
     return "spine is not a permutation of the vertices"
 
 
+# _PLAN_SPEC's spine is 0 4 8 2 6 10 11 7 3 9 5 1; its fixed list opens with
+# the fibre edges (0, 1) yellow, (1, 2) purple, (2, 3) yellow, and its red
+# seams are (0, 10) and (1, 11)
+
+
+def _fixed_share_an_endpoint(spine, fixed, todo) -> str:
+    assert fixed[:2] == [((0, 1), YELLOW), ((1, 2), PURPLE)]
+    fixed[0] = ((0, 1), PURPLE)
+    return "fixed pages clash: [((0, 1), (1, 2), 'shared-endpoint')]"
+
+
+def _fixed_cross(spine, fixed, todo) -> str:
+    assert fixed[2] == ((2, 3), YELLOW) and {((0, 10), RED), ((1, 11), RED)} <= set(fixed)
+    fixed[2] = ((2, 3), RED)  # spine places 3..8 inside the seams' 0..5 and 6..11
+    return (
+        "fixed pages clash: [((0, 10), (2, 3), 'crossing'), ((1, 11), (2, 3), 'crossing')]"
+    )
+
+
 PLAN_FAULTS = {
     "non-edge": _non_edge,
     "repeat within fixed": lambda spine, fixed, todo: _repeat(fixed, fixed),
@@ -142,6 +163,8 @@ PLAN_FAULTS = {
     "fixed page >= m": _fixed_page_5,
     "palette page >= m": _palette_page_5,
     "spine not a permutation": _spine_repeats_a_vertex,
+    "fixed edges share an endpoint": _fixed_share_an_endpoint,
+    "fixed edges cross": _fixed_cross,
 }
 
 
@@ -205,10 +228,13 @@ def test_shift_odd_gcd_odd_residual_cases():
 
 
 def test_shift_odd_gcd_triple_residual_needs_matching_jump():
-    # three residual cycles with d > g: the closed-form colouring has a
-    # genuine conflict and must fail loudly instead of emitting a bad witness
-    with pytest.raises(CompletionError):
-        embed(BundleSpec(3, 15, Shift(6)))
+    # three residual cycles with d > g: the pages that depend on where the
+    # cycles wrap must follow the jump d, not raw columns 1 and t
+    for s, t, d in ((3, 15, 6), (4, 15, 6), (3, 21, 9), (5, 15, 12)):
+        spec = BundleSpec(s, t, Shift(d))
+        res = embed(spec)
+        _check(res, spec)
+        assert res.rule in (RULE_SHIFT_ODD_EVEN_RESIDUAL, RULE_SHIFT_ODD_ODD_RESIDUAL)
 
 
 _KIND_SUFFIX = {"none": "no-fixed", "one": "one-fixed", "two": "two-fixed"}
@@ -276,10 +302,41 @@ def test_e4k_embed_completes():
     _check(embed(spec), spec)
 
 
-def test_embed_normalizes_large_shifts():
-    res = embed(BundleSpec(5, 8, Shift(6)))
-    assert res.spec.phi == Shift(2)
-    _check(res, BundleSpec(5, 8, Shift(2)))
+def test_embed_lays_out_large_shifts_as_given():
+    # d > t/2 is not folded to t - d: the embedding is of the graph as named
+    for spec in (BundleSpec(5, 8, Shift(6)), BundleSpec(3, 15, Shift(9))):
+        res = embed(spec)
+        assert res.graph == bundle(spec)
+        _check(res, spec)
+
+
+def _walked_wraps(s: int, t: int, d: int) -> tuple[set[int], set[int]]:
+    """Where the residual cycles wrap, read off the cycles themselves.
+
+    Each cycle is a run of column blocks.  The fibre edges leaving block 0 of
+    the last cycle land on block u of cycle 1; a column of the last cycle
+    wraps iff its fibre edges land on one of cycle 1's first u blocks.
+    """
+
+    cycles = shift_residual_cycles(s, t, d)
+    first, last = cycles[0], cycles[-1]
+    block = {first[b * s] % t: b for b in range(len(first) // s)}  # column -> block
+    u = block[(last[0] + 1) % t]
+    wrapping = {q for q in {v % t for v in last} if block[(q + 1) % t] < u}
+    return {(q + 1) % t + 1 for q in wrapping}, {q + 1 for q in wrapping}  # 1-based
+
+
+def test_wraps_match_the_residual_cycles():
+    checked = 0
+    for s in range(3, 7):
+        for t in range(3, 31):
+            for d in range(1, t):
+                g = math.gcd(t, d)
+                if g > 1:
+                    assert _wraps(t, d) == _walked_wraps(s, t, d), (s, t, d)
+                    assert d != g or _wraps(t, d) == ({1}, {t})  # d = g: raw columns
+                    checked += 1
+    assert checked == 4 * 158
 
 
 def test_embed_trivial_shift_unsupported():
@@ -346,7 +403,7 @@ def _grid_outcome(spec) -> str:
 
 # sha256 of every `embed` outcome on s = 3..8, t = 3..16, every shift d and
 # every reflection kind, in that order; any change to placement shows here
-GRID_DIGEST = "4df52a1e84ff09bb8c334e71aa76105809e262428487bc1d753d3736fbd7eaf3"
+GRID_DIGEST = "c5eb17a80f738a05a8915c63950b8b1c3cde8aeb64aa6c26f0045011b53f2558"
 
 
 def test_embed_outcomes_on_small_grid_are_pinned():
@@ -370,10 +427,9 @@ def _plan_text(spec) -> str:
 
 # sha256 of every layout's plan (rule, spine, fixed list in order, todo list
 # in order) on the sweep grid s = 3..12, t = 3..30, shifts then reflections:
-# 1280 rows, including the odd-gcd rows that fail later in `embed`.  The
-# fixed order names the edge a failing spec reports; the todo length sets
-# the depth of the completion search.
-PLAN_DIGEST = "91dd52b41c28e124e442c860013fe587b0bcb59082de50ff0840af440e886d02"
+# 1280 rows.  The fixed order is the order of placement; the todo length
+# sets the depth of the completion search.
+PLAN_DIGEST = "5c8f8cee3217f78caf08e86c65be2f3ae560ec367747212d63ead15401d57983"
 
 
 def test_layout_plans_on_sweep_grid_are_pinned():

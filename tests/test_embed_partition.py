@@ -1,13 +1,11 @@
 """Every spec's `embed` outcome, on random specs beyond the tier-1 grid.
 
-Three outcomes partition the specs: Unsupported (trivial and coprime
-shifts; a coprime shift's circulant reduction is checked against the graph
-as given, d not folded to t - d), CompletionError (exactly the nonbipartite
-shifts with odd g = gcd(t, d) > 1 and d > g, whose closed-form page table
-is known to be wrong), and a valid embedding at the parity page count.
-Specs stay at n = s*t <= 900: a todo list much longer than that exceeds
-Python's recursion limit in the recursive completion search, a known
-defect that `test_e4k_embed_completes` shows.
+Two outcomes partition the specs: Unsupported (trivial and coprime shifts;
+a coprime shift's circulant reduction is checked against the graph as
+given), and a valid embedding of ``bundle(spec)``, d as given, at the
+parity page count.  Specs stay at n = s*t <= 900: a todo list much longer
+than that exceeds Python's recursion limit in the recursive completion
+search, a known defect that `test_e4k_embed_completes` shows.
 """
 
 from math import gcd
@@ -18,7 +16,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bookbind.constructions import (  # noqa: E402
-    CompletionError,
     ConstructionResult,
     Unsupported,
     embed,
@@ -30,7 +27,6 @@ from bookbind.graph_core import (  # noqa: E402
     Shift,
     bundle,
     is_bipartite,
-    normalize_shift,
     predict_bipartite,
 )
 from bookbind.oracle import check_isomorphism, lower_bound  # noqa: E402
@@ -49,23 +45,19 @@ def specs(draw, max_n=900):
 @settings(max_examples=200)
 @given(specs())
 @example(BundleSpec(29, 31, Reflection("one")))  # the longest todo list, 899 edges
-@example(BundleSpec(3, 15, Shift(6)))  # the smallest odd-gcd failure
+@example(BundleSpec(3, 15, Shift(6)))  # the smallest nonbipartite odd-gcd shift with d > g
+@example(BundleSpec(5, 8, Shift(6)))  # d > t/2, laid out as given
 def test_embed_outcome_partition(spec):
-    norm = normalize_shift(spec)
-    d = norm.phi.d if isinstance(norm.phi, Shift) else None
-    g = None if d is None else gcd(spec.t, d)
-    if d is not None and (d == 0 or g == 1):
+    d = spec.phi.d if isinstance(spec.phi, Shift) else None
+    if d is not None and (d == 0 or gcd(spec.t, d) == 1):
         with pytest.raises(Unsupported) as info:
             embed(spec)
-        if d:  # the reduction is of the graph as drawn, not of its normal form
+        if d:  # the reduction is of the graph as drawn
             red = info.value.reduction
             assert check_isomorphism(bundle(spec), red.target(), red.flat_map())
         return
-    if g is not None and g % 2 == 1 and not predict_bipartite(norm) and d > g:
-        with pytest.raises(CompletionError):
-            embed(spec)
-        return
     res = embed(spec)
     assert isinstance(res, ConstructionResult) and res.report.ok
-    assert res.embedding.m == res.report.pages_used == parity_pages(norm) == lower_bound(res.graph)
-    assert predict_bipartite(norm) == is_bipartite(res.graph)
+    assert res.graph == bundle(spec)
+    assert res.embedding.m == res.report.pages_used == parity_pages(spec) == lower_bound(res.graph)
+    assert predict_bipartite(spec) == is_bipartite(res.graph)

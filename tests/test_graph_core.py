@@ -20,7 +20,6 @@ from bookbind.graph_core import (
     is_regular,
     make_edge,
     max_degree,
-    normalize_shift,
     parse_bundle_spec,
     predict_bipartite,
     vertex_index,
@@ -169,15 +168,6 @@ def test_predict_bipartite_matches_bfs():
             specs.append(BundleSpec(s, t, Reflection(rng.choice(kinds))))
     for spec in specs:
         assert predict_bipartite(spec) == is_bipartite(bundle(spec)), spec
-
-
-def test_normalize_shift_folds_large_d():
-    spec = normalize_shift(BundleSpec(5, 8, Shift(6)))
-    assert spec.phi == Shift(2)
-    # already-canonical specs and reflections pass through
-    assert normalize_shift(BundleSpec(5, 8, Shift(3))).phi == Shift(3)
-    refl = BundleSpec(5, 8, Reflection("two"))
-    assert normalize_shift(refl) is refl
 
 
 def test_parse_format_roundtrip():
