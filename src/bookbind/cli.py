@@ -42,6 +42,7 @@ from .graph_core import (
     circulant,
     format_bundle_spec,
     parse_bundle_spec,
+    parse_int,
     vertex_pair,
 )
 from .layout_engine import (
@@ -90,8 +91,8 @@ def _parse_spec(text: str) -> Graph | BundleSpec:
         if not sep or not left.startswith("n="):
             raise SpecFormatError(f"expected circulant:n=<int>,S=<k1>,<k2>,..: {text!r}")
         try:
-            n = int(left[2:])
-            jumps = [int(part) for part in right.split(",")]
+            n = parse_int(left[2:])
+            jumps = [parse_int(part) for part in right.split(",")]
         except ValueError as exc:
             raise SpecFormatError(f"bad circulant spec {text!r}: {exc}") from exc
         return circulant(n, jumps)
@@ -211,13 +212,13 @@ _MARGIN = 40.0  # canvas border around the spine circle, room for the labels
 def _render_svg(
     emb: BookEmbedding, radius: float, palette: list[str], labels: str, t: int
 ) -> str:
-    n = len(emb.order)
     size = 2 * (radius + _MARGIN)
     cx = cy = radius + _MARGIN
-    pos = {}
-    for k, v in enumerate(emb.order):  # clockwise from twelve o'clock
-        theta = 2 * math.pi * k / n
-        pos[v] = (cx + radius * math.sin(theta), cy - radius * math.cos(theta))
+
+    def at(v: int, r: float) -> tuple[float, float]:  # clockwise from twelve o'clock
+        theta = 2 * math.pi * emb.pos[v] / len(emb.order)
+        return cx + r * math.sin(theta), cy - r * math.cos(theta)
+
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.2f}" '
         f'height="{size:.2f}" viewBox="0 0 {size:.2f} {size:.2f}">',
@@ -225,22 +226,17 @@ def _render_svg(
         f'fill="none" stroke="#cccccc"/>',
     ]
     for (u, v), page in sorted(emb.pages.items()):
-        (x1, y1), (x2, y2) = pos[u], pos[v]
+        (x1, y1), (x2, y2) = at(u, radius), at(v, radius)
         lines.append(
             f'  <line class="chord" x1="{x1:.2f}" y1="{y1:.2f}" '
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="{palette[page]}"/>'
         )
-    for k, v in enumerate(emb.order):
-        x, y = pos[v]
+    for v in emb.order:
+        x, y = at(v, radius)
         lines.append(f'  <circle class="vertex" cx="{x:.2f}" cy="{y:.2f}" r="3.00" fill="#222222"/>')
-        if labels == "pair":
-            p, q = vertex_pair(v, t)
-            label = f"({p + 1},{q + 1})"
-        else:
-            label = str(v)
-        theta = 2 * math.pi * k / n
-        lx = cx + (radius + 16) * math.sin(theta)
-        ly = cy - (radius + 16) * math.cos(theta)
+        p, q = vertex_pair(v, t)
+        label = f"({p + 1},{q + 1})" if labels == "pair" else str(v)
+        lx, ly = at(v, radius + 16)
         lines.append(
             f'  <text class="label" x="{lx:.2f}" y="{ly:.2f}" '
             f'font-size="10" text-anchor="middle">{label}</text>'
@@ -269,11 +265,10 @@ def cmd_render(args) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     try:
-        a = int(lo)
-        b = int(hi) if sep else a
+        a = parse_int(lo)
+        return a, parse_int(hi) if sep else a
     except ValueError as exc:
         raise SpecFormatError(f"bad range {text!r}; want A or A:B") from exc
-    return a, b
 
 
 def _sweep_specs(family: str, s_range: tuple[int, int], t_range: tuple[int, int]):

@@ -23,7 +23,7 @@ within each edge's palette, and validates the result once; a faulty plan,
 completion or validation raises instead of silently substituting pages.
 
 Placement never compares a chord with every chord on its page: each page
-keeps an index over spine positions (``_PageAssigner``), so a test walks
+keeps an index over the embedding's ``pos`` (``_PageAssigner``), so a test walks
 only the new chord's own span and jumps over the chords nested inside it.
 """
 
@@ -165,10 +165,10 @@ Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
 
-def _check_plan(graph: Graph, plan: Plan, m: int, rule: str) -> None:
-    """The one check of a plan: a spine of every vertex once, every edge
-    (canonical) fixed or todo exactly once, every page named below m, and
-    fixed pages that the validator's own page test passes."""
+def _check_plan(graph: Graph, plan: Plan, emb: BookEmbedding, rule: str) -> None:
+    """The one check of a plan, on the embedding built on its spine: a spine
+    of every vertex once, every edge (canonical) fixed or todo exactly once,
+    every page named below m, and fixed pages that pass ``validate``'s test."""
 
     spine, fixed, todo = plan
     if sorted(spine) != list(range(graph.n)):
@@ -176,24 +176,24 @@ def _check_plan(graph: Graph, plan: Plan, m: int, rule: str) -> None:
     listed = [e for e, _ in fixed] + [e for e, _ in todo]
     named = {p for _, p in fixed}.union(*[palette for _, palette in todo])
     exact = len(listed) == len(graph.edges) == len(graph.edges.intersection(listed))
-    if not (exact and named <= set(range(m))):
+    if not (exact and named <= set(range(emb.m))):
         count = Counter(listed)  # the plan is faulty: name up to four offenders
         pages = chain(fixed, ((e, p) for e, palette in todo for p in palette))
         for fault, offenders in (
             ("not edges of the graph", sorted(count.keys() - graph.edges)),
             ("listed twice", [e for e, k in count.items() if k > 1]),
             ("missing from the plan", sorted(graph.edges - count.keys())),
-            (f"pages outside 0..{m - 1}", [(e, p) for e, p in pages if not 0 <= p < m]),
+            (f"pages outside 0..{emb.m - 1}", [(e, p) for e, p in pages if not 0 <= p < emb.m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
-    clashes = violations(fixed, {v: k for k, v in enumerate(spine)})
+    clashes = violations(fixed, emb.pos)
     if clashes:
         raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
 
 
 class _PageAssigner:
-    """Incremental page assignment with properness/crossing enforcement.
+    """Incremental page assignment into ``emb.pages``, properness/crossing enforced.
 
     Each page keeps an index over spine positions: ``partner[page][k]`` is -1
     while position k is free on that page, else the position of the other
@@ -202,15 +202,14 @@ class _PageAssigner:
     nested inside, meets no chord that leaves (a, b).
     """
 
-    def __init__(self, spine: Sequence[int], m: int, rule: str):
+    def __init__(self, emb: BookEmbedding, rule: str):
+        self.emb = emb
         self.rule = rule
-        self.pos = sorted(range(len(spine)), key=spine.__getitem__)  # pos[v]: v's place
-        self.pages: dict[Edge, int] = {}
-        self.partner = [[-1] * len(spine) for _ in range(m)]
+        self.partner = [[-1] * len(emb.order) for _ in range(emb.m)]
 
     def _conflicts(self, e: Edge, page: int) -> bool:
-        partner = self.partner[page]
-        a, b = self.pos[e[0]], self.pos[e[1]]
+        partner, pos = self.partner[page], self.emb.pos
+        a, b = pos[e[0]], pos[e[1]]
         if a > b:
             a, b = b, a
         if partner[a] != -1 or partner[b] != -1:
@@ -228,13 +227,13 @@ class _PageAssigner:
 
     def _place(self, e: Edge, page: int) -> None:
         partner = self.partner[page]
-        a, b = self.pos[e[0]], self.pos[e[1]]
+        a, b = self.emb.pos[e[0]], self.emb.pos[e[1]]
         partner[a], partner[b] = b, a
-        self.pages[e] = page
+        self.emb.pages[e] = page
 
     def _unplace(self, e: Edge) -> None:
-        partner = self.partner[self.pages.pop(e)]
-        partner[self.pos[e[0]]] = partner[self.pos[e[1]]] = -1
+        partner = self.partner[self.emb.pages.pop(e)]
+        partner[self.emb.pos[e[0]]] = partner[self.emb.pos[e[1]]] = -1
 
     def complete(self, todo: list[Todo]) -> None:
         """Depth-first completion of `todo` in order, palettes as given."""
@@ -580,19 +579,18 @@ def embed(spec: BundleSpec) -> ConstructionResult:
     """
 
     rule, layout = _select(spec)
-    m = parity_pages(spec)
     graph = bundle(spec)
     spine, fixed, todo = plan = layout(SequenceCatalog(spec.s, spec.t), spec)
-    _check_plan(graph, plan, m, rule)
-    asg = _PageAssigner(spine, m, rule)
+    emb = BookEmbedding(spine, {}, parity_pages(spec))
+    _check_plan(graph, plan, emb, rule)
+    asg = _PageAssigner(emb, rule)
     for e, page in fixed:
         asg._place(e, page)
     asg.complete(todo)
 
-    emb = BookEmbedding(spine, asg.pages, m)
     report = validate(graph, emb)
     if not report.ok:
         raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")
-    if report.pages_used != m:
-        raise CompletionError(rule, f"used {report.pages_used} pages, claimed {m}")
+    if report.pages_used != emb.m:
+        raise CompletionError(rule, f"used {report.pages_used} pages, claimed {emb.m}")
     return ConstructionResult(graph, emb, rule, report)

@@ -9,6 +9,7 @@ applied.  Vertices are addressed either as pairs ``(p, q)`` with
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -221,8 +222,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     for key in ("s", "t", "phi"):
         if key not in fields:
             raise SpecFormatError(f"missing field {key!r} in spec {text!r}")
-    s = _parse_int(fields["s"])
-    t = _parse_int(fields["t"])
+    s, t = _parse_int(fields["s"]), _parse_int(fields["t"])
     phi_text = fields["phi"]
     if ":" not in phi_text:
         raise SpecFormatError(f"gluing must look like shift:D or refl:KIND, got {phi_text!r}")
@@ -245,8 +245,16 @@ def format_bundle_spec(spec: BundleSpec) -> str:
     return f"s={spec.s},t={spec.t},phi={phi}"
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` for ASCII decimals only: ``1_0`` or ``３`` raise ValueError."""
+    value = int(text)  # what int rejects keeps int's own message
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return value
+
+
 def _parse_int(text: str) -> int:
     try:
-        return int(text)
+        return parse_int(text)
     except ValueError as exc:
         raise SpecFormatError(f"expected integer, got {text!r}") from exc

@@ -9,8 +9,9 @@ for a construction's fixed pages.  Only a page that fails is swept once
 more, by ``_page_violations``, to list its shared endpoints and crossings
 in O(P log P + K) for its P edges and K violations.
 
-``BookEmbedding`` converts to and from plain data (``to_payload`` and
-``from_payload``); only ``cli`` encodes and decodes JSON.
+``BookEmbedding`` is an embedding's one index: spine order, page map and
+``pos`` (vertex -> spine place, built once).  It converts to and from plain
+data (``to_payload``, ``from_payload``); only ``cli`` encodes and decodes JSON.
 """
 
 from __future__ import annotations
@@ -35,20 +36,19 @@ class CoverageError(ValueError):
     """Embedding is structurally broken: wrong vertex order or edge set."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BookEmbedding:
-    """Spine order plus a total edge -> page map using ``m`` pages."""
+    """Spine order plus a total edge -> page map using ``m`` pages; frozen, so
+    ``pos`` (vertex -> spine place) cannot go stale, but the map is writable."""
 
     order: tuple[int, ...]
     pages: dict[Edge, int]
     m: int
+    pos: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.order = tuple(self.order)
-        self.pages = {make_edge(u, v): p for (u, v), p in self.pages.items()}
-
-    def position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
+        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "pos", {v: i for i, v in enumerate(self.order)})
 
     def pages_used(self) -> int:
         return len(set(self.pages.values()))
@@ -67,16 +67,15 @@ class BookEmbedding:
         """The embedding in a ``to_payload`` object ``{order, pages, m}``.
 
         Every number must be a JSON integer (not ``true``, ``1.0`` or ``"1"``);
-        an edge listed twice keeps its last page.
+        edges are canonicalised, and one listed twice keeps its last page.
         """
 
         try:
             order = tuple(_integer(v) for v in payload["order"])
             pages: dict[Edge, int] = {}
             for u, v, p in payload["pages"]:
-                e = (_integer(u), _integer(v))
-                pages.pop(e[::-1], None)  # the same edge listed the other way round
-                pages[e] = _integer(p)
+                u, v, p = _integer(u), _integer(v), _integer(p)
+                pages[make_edge(u, v)] = p
             return cls(order, pages, _integer(payload["m"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
@@ -187,9 +186,9 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
 
     if sorted(emb.order) != list(range(g.n)):
         raise CoverageError("spine order is not a permutation of the vertex set")
-    if set(emb.pages) != g.edges:
-        missing = sorted(g.edges - set(emb.pages))
-        extra = sorted(set(emb.pages) - g.edges)
+    if emb.pages.keys() != g.edges:
+        missing = sorted(g.edges - emb.pages.keys())
+        extra = sorted(emb.pages.keys() - g.edges)
         raise CoverageError(f"page map mismatch: missing {missing}, extra {extra}")
     if emb.m < 1:
         raise CoverageError(f"page count m={emb.m} must be at least 1")
@@ -197,7 +196,7 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
         if not 0 <= p < emb.m:
             raise CoverageError(f"page {p} of edge {e} outside 0..{emb.m - 1}")
 
-    found = violations(emb.pages.items(), emb.position())
+    found = violations(emb.pages.items(), emb.pos)
     is_proper = all(r != REASON_ENDPOINT for _, _, r in found)
     is_noncrossing = all(r != REASON_CROSSING for _, _, r in found)
     return ValidationReport(is_proper, is_noncrossing, emb.pages_used(), tuple(found))

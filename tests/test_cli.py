@@ -338,6 +338,28 @@ def test_usage_errors(capsys):
     assert run(capsys, "embed", "s=3,t=6,phi=shift:2,d=4")[0] == 64
     assert run(capsys, "embed", "s=3,t=6,phi=shift:2,s=5")[0] == 64
     assert run(capsys, "sweep", "--family", "shift", "--s", "x", "--t", "6")[0] == 64
+    # spec integers are ASCII decimals: int() alone would read all of these
+    assert run(capsys, "embed", "s=1_0,t=4,phi=shift:2")[0] == 64
+    assert run(capsys, "embed", "s=\uff13,t=4,phi=shift:2")[0] == 64
+    assert run(capsys, "build", "circulant:n=1_0,S=1")[0] == 64
+    assert run(capsys, "build", "circulant:n=9,S=\uff11")[0] == 64
+    assert run(capsys, "sweep", "--family", "shift", "--s", "1_0", "--t", "6")[0] == 64
+
+
+def test_spec_integer_messages(capsys):
+    # what int() rejects keeps its message; what only int() accepts reads the same way
+    code, _, err = run(capsys, "build", "circulant:n=x,S=1")
+    assert code == 64 and err == (
+        "bookbind: bad circulant spec 'circulant:n=x,S=1': "
+        "invalid literal for int() with base 10: 'x'\n"
+    )
+    code, _, err = run(capsys, "build", "circulant:n=1_0,S=1")
+    assert code == 64 and err == (
+        "bookbind: bad circulant spec 'circulant:n=1_0,S=1': "
+        "invalid literal for int() with base 10: '1_0'\n"
+    )
+    code, _, err = run(capsys, "embed", "s=1_0,t=4,phi=shift:2")
+    assert code == 64 and err == "bookbind: expected integer, got '1_0'\n"
 
 
 def test_param_errors(capsys):
@@ -449,13 +471,14 @@ def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
 
 
 def test_make_edge_runs_once_per_graph_and_embedding(tmp_path, monkeypatch, capsys):
-    # embed: the layout builds each edge, then the graph and the embedding
-    # each canonicalise it once; verify: the graph and the embedding only
+    # embed: the layout builds each edge and the graph canonicalises it;
+    # the embedding is filled with those edges as they are.  verify: the
+    # graph and the payload decode, once each
     spec, edges = "s=22,t=22,phi=shift:2", 2 * 22 * 22
     out_file = tmp_path / "embed.json"
     calls = _count_calls(monkeypatch, graph_core.make_edge)
     assert run(capsys, "embed", spec, "--out", str(out_file))[0] == 0
-    assert len(calls) <= 3 * edges
+    assert len(calls) <= 2 * edges
     calls.clear()
     assert run(capsys, "verify", spec, "--embedding", str(out_file))[0] == 0
     assert len(calls) <= 2 * edges

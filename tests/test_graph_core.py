@@ -185,11 +185,20 @@ def test_parse_format_roundtrip():
         "s=5.0,t=7,phi=shift:1",
         "s=3,t=6,phi=shift:2,d=4",
         "s=3,t=6,phi=shift:2,s=5",
+        # int() reads these too, but a spec integer is a sign and ASCII digits
+        "s=1_0,t=4,phi=shift:2",
+        "s=\uff13,t=4,phi=shift:2",
+        "s=5,t=7,phi=shift:\u0661",
+        "s=5,t=+-7,phi=shift:1",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(SpecFormatError):
         parse_bundle_spec(text)
+
+
+def test_parse_allows_spaces_and_a_sign_around_the_digits():
+    assert parse_bundle_spec(" s = 5 ,t=+7,phi=shift: 1 ") == BundleSpec(5, 7, Shift(1))
 
 
 def test_parse_names_unknown_and_repeated_keys():

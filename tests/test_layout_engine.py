@@ -1,6 +1,7 @@
 """Chord geometry (the tests' reference predicate), embedding containers,
 and the validity checker."""
 
+import dataclasses
 import json
 
 import pytest
@@ -34,10 +35,35 @@ def test_chords_cross_truth_table():
 
 
 def test_book_embedding_canonicalizes_pages():
-    emb = BookEmbedding((0, 1, 2), {(2, 0): 1, (0, 1): 0}, 2)
-    assert (0, 2) in emb.pages and (2, 0) not in emb.pages
-    assert emb.position() == {0: 0, 1: 1, 2: 2}
+    # a file's edges are canonicalised where they enter, in from_payload
+    emb = BookEmbedding.from_payload({"order": [1, 0, 2], "pages": [[2, 0, 1], [0, 1, 0]], "m": 2})
+    assert emb.pages == {(0, 2): 1, (0, 1): 0}
+    assert emb.pos == {1: 0, 0: 1, 2: 2}
     assert emb.pages_used() == 2
+
+
+def test_payload_keeps_the_last_listing_of_an_edge_in_either_orientation():
+    payload = {"order": [0, 1], "pages": [[1, 0, 1], [0, 1, 0], [1, 0, 2]], "m": 3}
+    assert BookEmbedding.from_payload(payload).pages == {(0, 1): 2}
+
+
+def test_validate_names_a_non_canonical_page_key():
+    # a hand-built page map is not repaired: its keys must be (u, v) with u < v
+    g = Graph(3, frozenset({(0, 1), (0, 2)}))
+    emb = BookEmbedding((0, 1, 2), {(2, 0): 1, (0, 1): 0}, 2)
+    with pytest.raises(CoverageError) as info:
+        validate(g, emb)
+    assert str(info.value) == "page map mismatch: missing [(0, 2)], extra [(2, 0)]"
+
+
+def test_book_embedding_fields_are_not_reassigned():
+    # pos is computed once, so order cannot change under it; the map stays writable
+    emb = BookEmbedding([2, 0, 1], {}, 2)
+    assert emb.order == (2, 0, 1) and emb.pos == {2: 0, 0: 1, 1: 2}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.order = (0, 1, 2)
+    emb.pages[(0, 1)] = 1
+    assert emb.pages == {(0, 1): 1}
 
 
 def test_book_embedding_json_roundtrip():

@@ -66,7 +66,7 @@ def _conflict(e, f, pos) -> str | None:
 def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     """Every pair of same-page edges compared directly."""
 
-    pos = emb.position()
+    pos = emb.pos
     edges = sorted(emb.pages)
     violations = []
     for i, e in enumerate(edges):
@@ -166,23 +166,23 @@ def test_validate_matches_pairwise_reference_on_e1k_flip_mutants(pick, shift):
 )
 def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, steps):
     g, order = case
-    asg = _PageAssigner(order, 4, "test")
-    pos = asg.pos
+    emb = BookEmbedding(order, {}, 4)
+    asg = _PageAssigner(emb, "test")
     edges = g.edge_list
 
     def pairwise_conflicts(e, page):
-        return any(_conflict(e, f, pos) for f, p in asg.pages.items() if p == page)
+        return any(_conflict(e, f, emb.pos) for f, p in emb.pages.items() if p == page)
 
     for remove, pick, page in steps:
-        if remove and asg.pages:
-            placed = sorted(asg.pages)
+        if remove and emb.pages:
+            placed = sorted(emb.pages)
             asg._unplace(placed[pick % len(placed)])
         else:
             e = edges[pick % len(edges)]
-            if e not in asg.pages and not pairwise_conflicts(e, page):
+            if e not in emb.pages and not pairwise_conflicts(e, page):
                 asg._place(e, page)
         for e in edges:
-            if e not in asg.pages:
+            if e not in emb.pages:
                 for p in range(4):
                     assert asg._conflicts(e, p) == pairwise_conflicts(e, p), (e, p)
 
@@ -236,7 +236,7 @@ def test_valid_embedding_is_built_and_checked_without_pairwise_scans(spec):
 def test_failing_page_lists_every_violation():
     res = _BUILT[BundleSpec(5, 8, Reflection("none"))]
     emb = res.embedding
-    pos = emb.position()
+    pos = emb.pos
     e = max(emb.pages, key=lambda f: abs(pos[f[0]] - pos[f[1]]))  # the longest chord
     pages = dict(emb.pages)
     pages[e] = (pages[e] + 1) % emb.m
