@@ -1,25 +1,23 @@
 """Cycle decompositions of twisted tori and the reduction to circulants.
 
 Every twisted torus splits into its ``s`` fibre cycles plus a residual
-2-regular graph made of the rung and seam edges.  The shape of the residual
-depends on the gluing: a ``d``-shift residual falls into ``gcd(t, d)`` long
-cycles, a reflection residual into column pairs; each comes back as a plain
-tuple of cycles (``cycle_edges`` lists one's edges).  When ``gcd(t, d) = 1`` the
-whole graph collapses to a circulant on ``Z_{s*t}`` and ``to_circulant``
-returns the relabelling as a certificate instead of an embedding.  The
-reduction hands out plain data (``to_payload``); only ``cli`` encodes JSON.
+2-regular graph of rung and seam edges, whose cycles are the column orbits
+under the gluing ``phi``: ``residual_cycles`` finds them all by one walk
+(``cycle_edges`` lists a cycle's edges).  When the walk is one Hamiltonian
+cycle (a shift with ``gcd(t, d) = 1``), numbering the vertices along it
+carries the graph onto a circulant on ``Z_{s*t}``; ``to_circulant`` returns
+that relabelling as a certificate instead of an embedding.  The reduction
+hands out plain data (``to_payload``); only ``cli`` encodes JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .graph_core import (
     BundleSpec,
     Edge,
     Graph,
-    Reflection,
     Shift,
     circulant,
     make_edge,
@@ -40,51 +38,28 @@ def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
     return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]
 
 
-def shift_residual_cycles(s: int, t: int, d: int) -> Cycles:
-    """Cycles of the rung+seam subgraph of a d-shift torus.
+def residual_cycles(spec: BundleSpec) -> Cycles:
+    """Cycles of the rung+seam subgraph, one walk for every gluing.
 
-    The residual is ``gcd(t, d)`` cycles of length ``s * t / gcd(t, d)``:
-    from column ``k`` walk the rungs to the seam, cross to column ``k + d``,
-    and repeat until the column orbit closes.  The trivial shift ``d = 0``
-    (``gcd(t, 0) = t``) gives ``t`` plain s-cycles, one per column.
+    From the lowest column not yet walked, go down its rungs, cross the seam
+    by ``phi`` and repeat until the walk is back at its first column.  A
+    d-shift gives ``gcd(t, d)`` cycles of ``s * t / gcd(t, d)`` vertices
+    (``t`` plain s-cycles for ``d = 0``); a reflection gives one 2s-cycle
+    per swapped column pair and one s-cycle per fixed column.  Cycles are
+    listed by ascending first column.
     """
 
-    BundleSpec(s, t, Shift(d))  # bounds check
-    g = gcd(t, d)
-    length = t // g
+    s, t, phi = spec.s, spec.t, spec.phi
     cycles = []
-    for k in range(g):
-        cyc = []
-        for l in range(length):
-            col = (k + l * d) % t
-            cyc.extend(vertex_index(p, col, t) for p in range(s))
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
-def reflection_residual_cycles(s: int, t: int, kind: str) -> Cycles:
-    """Cycles of the rung+seam subgraph of a reflection torus.
-
-    Columns swapped by the reflection merge into one cycle of length ``2s``;
-    each fixed column closes into its own s-cycle.  Cycles are listed by
-    ascending smallest column.
-    """
-
-    phi = Reflection(kind)
-    BundleSpec(s, t, phi)  # bounds + parity check
-    cycles = []
-    seen: set[int] = set()
-    for c in range(t):
-        if c in seen:
-            continue
-        mate = phi.apply(c, t)
-        seen.update({c, mate})
-        if mate == c:
-            cycles.append(tuple(vertex_index(p, c, t) for p in range(s)))
-        else:
-            down = [vertex_index(p, c, t) for p in range(s)]
-            back = [vertex_index(p, mate, t) for p in range(s)]
-            cycles.append(tuple(down + back))
+    walked: set[int] = set()
+    for col in range(t):
+        cycle: list[int] = []
+        while col not in walked:  # phi permutes the columns: the orbit closes
+            walked.add(col)
+            cycle.extend(vertex_index(p, col, t) for p in range(s))
+            col = phi.apply(col, t)
+        if cycle:
+            cycles.append(tuple(cycle))
     return tuple(cycles)
 
 
@@ -124,23 +99,22 @@ class CirculantReduction:
 def to_circulant(s: int, t: int, d: int) -> CirculantReduction:
     """Reduce a shift torus with ``gcd(t, d) = 1`` to ``C(Z_{st}, {1, jump})``.
 
-    The rung+seam residual is then a single Hamiltonian cycle; numbering the
-    vertices along it (starting at ``(0, 0)`` and crossing the seam first)
-    sends rungs and seams to jump 1, and every fibre edge to the constant
-    jump ``s * x0`` with ``x0 = -d^{-1} mod t``.
+    The rung+seam residual is then a single Hamiltonian cycle.  Giving its
+    k-th vertex the label ``-k mod st`` numbers it backwards from ``(0, 0)``,
+    across the seam first, and sends rungs and seams to jump 1; every fibre
+    edge then spans the same jump, read off the label of ``(0, 1)``.
     """
 
-    BundleSpec(s, t, Shift(d))  # bounds check
-    if d == 0 or gcd(t, d) != 1:
+    cycles = residual_cycles(BundleSpec(s, t, Shift(d)))
+    if len(cycles) != 1:
         raise DecompositionError(
             f"circulant reduction needs gcd(t, d) = 1 with d > 0, got t={t}, d={d}"
         )
     n = s * t
-    d_inv = pow(d, -1, t)
-    raw = (s * (-d_inv % t)) % n
-    jump = min(raw, n - raw)
-    # listed in (p, q) order, which is already the sorted order
-    labels = tuple(
-        (p, q, ((-q * d_inv) % t * s - p) % n) for p in range(s) for q in range(t)
-    )
-    return CirculantReduction(s, t, d, n, jump, labels)
+    label = [0] * n
+    for k, v in enumerate(cycles[0]):
+        label[v] = -k % n
+    raw = label[vertex_index(0, 1, t)]
+    # flat index order is (p, q) order, which is already the sorted order
+    labels = tuple((*divmod(v, t), lab) for v, lab in enumerate(label))
+    return CirculantReduction(s, t, d, n, min(raw, n - raw), labels)

@@ -82,6 +82,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_option(text: str) -> int:
+    return parse_int(text)
+
+
+_int_option.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
+
+
 def _parse_spec(text: str) -> Graph | BundleSpec:
     """Bundle spec string, or ``circulant:n=..,S=k1,k2,..`` for a graph."""
 
@@ -346,9 +353,9 @@ def _parser() -> _Parser:
 
     m = sub.add_parser("mbt", help="brute-force matching book thickness")
     m.add_argument("spec")
-    m.add_argument("--pages", type=int, help="test exactly this page count")
-    m.add_argument("--max-orders", type=int)
-    m.add_argument("--max-nodes", type=int)
+    m.add_argument("--pages", type=_int_option, help="test exactly this page count")
+    m.add_argument("--max-orders", type=_int_option)
+    m.add_argument("--max-nodes", type=_int_option)
     m.add_argument("--time-limit", type=float, help="seconds")
     m.set_defaults(func=cmd_mbt)
 

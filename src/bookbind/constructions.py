@@ -38,8 +38,7 @@ from math import gcd
 from .bundle_decomp import (
     CirculantReduction,
     cycle_edges,
-    reflection_residual_cycles,
-    shift_residual_cycles,
+    residual_cycles,
     to_circulant,
 )
 from .graph_core import (
@@ -282,7 +281,7 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    V = shift_residual_cycles(s, t, d)
+    V = residual_cycles(spec)
     _, wrapping = _wraps(t, d)
 
     def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
@@ -318,14 +317,14 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     s, t, d = spec.s, spec.t, spec.phi.d
     g_ = gcd(t, d)
-    V = shift_residual_cycles(s, t, d)
+    V = residual_cycles(spec)
     even_residual = len(V[0]) % 2 == 0
     landing, wrapping = _wraps(t, d)
 
-    # For g = 3 the blue fibre edge below would end on (s, 3-d), the last
-    # vertex of the last residual cycle and so an endpoint of its blue
-    # closing seam; yellow is the proper repair.
-    special = {
+    # Odd residuals only.  For g = 3 the blue fibre edge below would end on
+    # (s, 3-d), the last vertex of the last residual cycle and so an endpoint
+    # of its blue closing seam; yellow is the proper repair.
+    special = {} if even_residual else {
         (s, cat.col(2 - d)): YELLOW if g_ == 3 else BLUE,
         (2, 1): BLUE,
         (s, cat.col(1 - d)): GREEN,
@@ -336,14 +335,6 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
         k = (j - 1) % g_ + 1
-        if even_residual:
-            if k % 2 == 0:
-                return GREEN
-            if k == 1:
-                return YELLOW if j in landing else PURPLE
-            if k == g_:
-                return PURPLE if j in wrapping else YELLOW
-            return YELLOW
         if (i, j) in special:
             return special[(i, j)]
         if j in wrapping:
@@ -417,16 +408,11 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
 
 def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
-    s, t = spec.s, spec.t
-    spine = _zigzag(cat.column(j) for j in range(1, t + 1))
+    spine = _zigzag(cat.column(j) for j in range(1, spec.t + 1))
     fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 1 else GREEN)
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
-    todo = [
-        (e, (PURPLE, RED))
-        for cyc in reflection_residual_cycles(s, t, REFL_TWO)
-        for e in cycle_edges(cyc)
-    ]
+    todo = [(e, (PURPLE, RED)) for cyc in residual_cycles(spec) for e in cycle_edges(cyc)]
     return spine, fixed, todo
 
 
@@ -476,7 +462,7 @@ def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     pinned = {e for e, _ in fixed}
     todo = [
         (e, (BLUE, PURPLE))
-        for cyc in reflection_residual_cycles(s, t, REFL_ONE)
+        for cyc in residual_cycles(spec)
         for e in cycle_edges(cyc)
         if e not in pinned
     ]

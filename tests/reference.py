@@ -2,18 +2,15 @@
 
 Nothing under ``src/bookbind`` imports these: the crossing predicate is the
 plain pairwise definition that ``validate``, the page index and the oracle's
-conflict masks are checked against, and the fibre/residual decompositions
-by spec are the partition the acceptance criteria audit.
+conflict masks are checked against, and the fibre cycles are the rows that,
+with ``bundle_decomp.residual_cycles``, make up the partition the acceptance
+criteria audit.
 """
 
 from __future__ import annotations
 
-from bookbind.bundle_decomp import (
-    Cycles,
-    reflection_residual_cycles,
-    shift_residual_cycles,
-)
-from bookbind.graph_core import BundleSpec, Shift, vertex_index
+from bookbind.bundle_decomp import Cycles
+from bookbind.graph_core import BundleSpec, vertex_index
 
 
 def chords_cross(a: int, b: int, c: int, d: int) -> bool:
@@ -35,11 +32,3 @@ def fiber_cycles(spec: BundleSpec) -> Cycles:
 
     t = spec.t
     return tuple(tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s))
-
-
-def residual_cycles(spec: BundleSpec) -> Cycles:
-    """The rung+seam cycles of any spec, by its gluing's own formula."""
-
-    if isinstance(spec.phi, Shift):
-        return shift_residual_cycles(spec.s, spec.t, spec.phi.d)
-    return reflection_residual_cycles(spec.s, spec.t, spec.phi.kind)

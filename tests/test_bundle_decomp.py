@@ -1,5 +1,7 @@
 """Cycle decompositions and the coprime-shift relabelling."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -9,8 +11,7 @@ from bookbind import cli
 from bookbind.bundle_decomp import (
     DecompositionError,
     cycle_edges,
-    reflection_residual_cycles,
-    shift_residual_cycles,
+    residual_cycles,
     to_circulant,
 )
 from bookbind.graph_core import (
@@ -22,7 +23,7 @@ from bookbind.graph_core import (
     make_edge,
     vertex_index,
 )
-from reference import fiber_cycles, residual_cycles
+from reference import fiber_cycles
 
 
 def _cycle_edges_in(dec, g):
@@ -50,7 +51,7 @@ def test_fiber_cycles_rows():
 
 
 def test_shift_residual_frozen_small_case():
-    dec = shift_residual_cycles(3, 6, 2)
+    dec = residual_cycles(BundleSpec(3, 6, Shift(2)))
     assert dec == (
         (0, 6, 12, 2, 8, 14, 4, 10, 16),
         (1, 7, 13, 3, 9, 15, 5, 11, 17),
@@ -59,7 +60,7 @@ def test_shift_residual_frozen_small_case():
 
 def test_shift_residual_counts_and_lengths():
     for s, t, d in ((3, 6, 2), (4, 8, 2), (5, 12, 3), (3, 9, 3), (4, 10, 5)):
-        dec = shift_residual_cycles(s, t, d)
+        dec = residual_cycles(BundleSpec(s, t, Shift(d)))
         g = math.gcd(t, d)
         assert len(dec) == g
         assert all(len(c) == s * t // g for c in dec)
@@ -67,8 +68,8 @@ def test_shift_residual_counts_and_lengths():
 
 
 def test_shift_residual_trivial_kind():
-    # d = 0 is the general formula with gcd(t, 0) = t: one s-cycle per column
-    dec = shift_residual_cycles(4, 5, 0)
+    # d = 0 is the general walk with gcd(t, 0) = t: one s-cycle per column
+    dec = residual_cycles(BundleSpec(4, 5, Shift(0)))
     assert dec == tuple(
         tuple(vertex_index(p, q, 5) for p in range(4)) for q in range(5)
     )
@@ -77,21 +78,21 @@ def test_shift_residual_trivial_kind():
 
 def test_reflection_residual_counts():
     # swapped pair -> 2s-cycle, fixed column -> s-cycle
-    dec = reflection_residual_cycles(3, 6, "none")
+    dec = residual_cycles(BundleSpec(3, 6, Reflection("none")))
     assert len(dec) == 3 and all(len(c) == 6 for c in dec)
 
-    dec = reflection_residual_cycles(4, 6, "two")
+    dec = residual_cycles(BundleSpec(4, 6, Reflection("two")))
     assert len(dec) == 4
     assert sorted(len(c) for c in dec) == [4, 4, 8, 8]
 
-    dec = reflection_residual_cycles(3, 7, "one")
+    dec = residual_cycles(BundleSpec(3, 7, Reflection("one")))
     assert len(dec) == 4
     assert sorted(len(c) for c in dec) == [3, 6, 6, 6]
 
 
 def test_reflection_residual_order_and_edges():
     for s, t, kind in ((3, 6, "none"), (4, 6, "two"), (3, 7, "one"), (4, 8, "none")):
-        dec = reflection_residual_cycles(s, t, kind)
+        dec = residual_cycles(BundleSpec(s, t, Reflection(kind)))
         # cycles listed by ascending smallest column
         starts = [min(c) for c in dec]
         assert starts == sorted(starts)
@@ -192,3 +193,33 @@ def test_to_circulant_rejects_shared_factor():
 def test_to_circulant_json_mentions_jump():
     red = to_circulant(3, 3, 1)
     assert '"jump": 3' in cli._dumps(red.to_payload())
+
+
+def _walk_text(spec) -> str:
+    text = json.dumps([list(cyc) for cyc in residual_cycles(spec)])
+    if isinstance(spec.phi, Shift):
+        try:
+            text += " " + json.dumps(to_circulant(spec.s, spec.t, spec.phi.d).to_payload())
+        except DecompositionError as exc:
+            text += f" {exc}"
+    return text
+
+
+# sha256 of every spec's residual cycles on s = 3..10, t = 3..24, every shift
+# d and every reflection kind, in that order; each shift also carries its
+# circulant reduction's payload or the DecompositionError text: 2640 rows
+WALK_DIGEST = "f1503b0b2f980aaf4c8cc2b744312ae92a0f010a2651af1ceeed093bc0a2dfbb"
+
+
+def test_residual_walks_and_reductions_are_pinned():
+    digest = hashlib.sha256()
+    rows = 0
+    for s in range(3, 11):
+        for t in range(3, 25):
+            phis = [Shift(d) for d in range(t)]
+            phis += [Reflection(kind) for kind in (("one",) if t % 2 else ("none", "two"))]
+            for phi in phis:
+                digest.update(_walk_text(BundleSpec(s, t, phi)).encode() + b"\n")
+                rows += 1
+    assert rows == 2640
+    assert digest.hexdigest() == WALK_DIGEST

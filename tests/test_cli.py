@@ -344,6 +344,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "build", "circulant:n=1_0,S=1")[0] == 64
     assert run(capsys, "build", "circulant:n=9,S=\uff11")[0] == 64
     assert run(capsys, "sweep", "--family", "shift", "--s", "1_0", "--t", "6")[0] == 64
+    for option in ("--pages", "--max-orders", "--max-nodes"):  # as spec integers
+        for value in ("1_0", "\uff15", "+-7"):
+            assert run(capsys, "mbt", "circulant:n=6,S=1", option, value)[0] == 64
 
 
 def test_spec_integer_messages(capsys):
@@ -360,6 +363,8 @@ def test_spec_integer_messages(capsys):
     )
     code, _, err = run(capsys, "embed", "s=1_0,t=4,phi=shift:2")
     assert code == 64 and err == "bookbind: expected integer, got '1_0'\n"
+    code, _, err = run(capsys, "mbt", "circulant:n=6,S=1", "--pages", "1_0")
+    assert code == 64 and err.endswith(": error: argument --pages: invalid int value: '1_0'\n")
 
 
 def test_param_errors(capsys):

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from bookbind import cli, constructions
-from bookbind.bundle_decomp import shift_residual_cycles
+from bookbind.bundle_decomp import residual_cycles
 from bookbind.constructions import (
     RULE_REFL_BASE_EVEN,
     RULE_REFL_BASE_ODD,
@@ -318,7 +318,7 @@ def _walked_wraps(s: int, t: int, d: int) -> tuple[set[int], set[int]]:
     wraps iff its fibre edges land on one of cycle 1's first u blocks.
     """
 
-    cycles = shift_residual_cycles(s, t, d)
+    cycles = residual_cycles(BundleSpec(s, t, Shift(d)))
     first, last = cycles[0], cycles[-1]
     block = {first[b * s] % t: b for b in range(len(first) // s)}  # column -> block
     u = block[(last[0] + 1) % t]
