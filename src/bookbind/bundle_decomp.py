@@ -2,8 +2,9 @@
 
 Every twisted torus splits into its ``s`` fibre cycles plus a residual
 2-regular graph of rung and seam edges, whose cycles are the column orbits
-under the gluing ``phi``: ``residual_cycles`` finds them all by one walk
-(``cycle_edges`` lists a cycle's edges).  When the walk is one Hamiltonian
+under the gluing ``phi``: ``residual_cycles`` finds them all by one walk and
+lists each as its vertices in walk order (each vertex's rung or seam leads to
+the next).  When the walk is one Hamiltonian
 cycle (a shift with ``gcd(t, d) = 1``), numbering the vertices along it
 carries the graph onto a circulant on ``Z_{s*t}``; ``to_circulant`` returns
 that relabelling as a certificate instead of an embedding.  The reduction
@@ -14,15 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import (
-    BundleSpec,
-    Edge,
-    Graph,
-    Shift,
-    circulant,
-    make_edge,
-    vertex_index,
-)
+from .graph_core import BundleSpec, Graph, Shift, circulant, vertex_index
 
 
 class DecompositionError(ValueError):
@@ -30,12 +23,6 @@ class DecompositionError(ValueError):
 
 
 Cycles = tuple[tuple[int, ...], ...]  # vertex-disjoint cycles, each a closed vertex sequence
-
-
-def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
-    """Edges of a cycle in traversal order, closing edge last."""
-
-    return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]
 
 
 def residual_cycles(spec: BundleSpec) -> Cycles:

@@ -4,22 +4,29 @@ Each supported parameter family is one rule: a rule tag plus a layout
 function ``(cat, spec) -> (spine, fixed, todo)`` that returns the family's
 spine order, the edges with a closed-form page (in placement order), and the
 edges that only have a palette prescribed ("finish this cycle with these
-pages").  A layout is written as data: its spine is one ``_zigzag`` of
-named blocks (rows, columns, residual cycles or column pairs, every other
-block reversed), its fibre pages are one rule ``page_of(row, column)``
-handed to ``SequenceCatalog.fibres``, its rung and seam pages are explicit
-lists, and palettes cover the rest.  ``_select`` maps a spec to its
-``(rule tag, layout)`` pair; coprime and trivial shifts have no rule and
-raise Unsupported.  Shifts are laid out as given; ``_wraps`` is the one
-place that says where their residual cycles wrap.
+pages").  Layouts name an edge by its number in ``SequenceCatalog``: vertex
+(i, j) owns ``cat.fibre(i, j)``, toward column j+1, and ``cat.rung(i, j)``,
+toward row i+1 and across the seam from row s; a residual cycle's edges are
+``2 * v + 1`` for its vertices in walk order.  ``SequenceCatalog.decode``
+turns a number into a vertex pair and is the one place that applies ``phi``,
+so no layout works out where a seam lands.  A layout is written as data: its
+spine is one ``_zigzag`` of named blocks (rows, columns, residual cycles or
+column pairs, every other block reversed), its fibre pages are one rule
+``page_of(row, column)`` handed to ``SequenceCatalog.fibres``, its rung and
+seam pages are explicit lists, and palettes cover the rest.  ``_select``
+maps a spec to its ``(rule tag, layout)`` pair; coprime and trivial shifts
+have no rule and raise Unsupported.  Shifts are laid out as given;
+``_wraps`` is the one place that says where their residual cycles wrap.
 
 ``embed`` is the one driver.  It decides the page count first, by
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
-then checks the plan once (``_check_plan``, fixed pages included), places
-the fixed edges, completes the todo list by a small backtracking search
-within each edge's palette, and validates the result once; a faulty plan,
+then checks the plan once (``_check_plan``: every number 0..2st-1 listed
+once, the fixed pages entered into the page map and tested there), completes
+the todo list by a small backtracking search within each edge's palette,
+decoding each edge as it is reached, and validates the result once against
+``bundle(spec)``, which is built without the numbering; a faulty plan,
 completion or validation raises instead of silently substituting pages.
 
 Placement never compares a chord with every chord on its page: each page
@@ -35,12 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .bundle_decomp import (
-    CirculantReduction,
-    cycle_edges,
-    residual_cycles,
-    to_circulant,
-)
+from .bundle_decomp import CirculantReduction, residual_cycles, to_circulant
 from .graph_core import (
     BundleSpec,
     Edge,
@@ -50,7 +52,6 @@ from .graph_core import (
     REFL_TWO,
     Shift,
     bundle,
-    make_edge,
     predict_bipartite,
 )
 from .layout_engine import (
@@ -107,29 +108,42 @@ def parity_pages(spec: BundleSpec) -> int:
 
 
 class SequenceCatalog:
-    """Named vertex sequences (rows, columns) and edges in flat ids.
+    """Named vertex sequences (rows, columns) in flat ids, and edges by number.
 
     Arguments use 1-based row/column indices and wrap modulo s and t, so
-    formulas like column ``1 - d`` can be used verbatim.
+    formulas like column ``1 - d`` can be used verbatim.  Each vertex (i, j)
+    owns two edges, numbered ``2 * flat(i, j) + kind``: kind 0 is the fibre
+    edge toward column j+1, kind 1 the rung toward row i+1, which from row s
+    is the seam across ``phi``.  The numbers 0..2st-1 name every edge once,
+    and ``decode`` is the one place that applies ``phi``.
     """
 
-    def __init__(self, s: int, t: int):
-        self.s = s
-        self.t = t
+    def __init__(self, spec: BundleSpec):
+        self.s = spec.s
+        self.t = spec.t
+        self.phi = spec.phi
+        self.size = 2 * spec.s * spec.t  # edge count
+        self.row_s = (spec.s - 1) * spec.t  # flat id of (s, 1): from here on kind 1 is a seam
 
     def flat(self, i: int, j: int) -> int:
         return ((i - 1) % self.s) * self.t + ((j - 1) % self.t)
 
-    def col(self, j: int) -> int:
-        return ((j - 1) % self.t) + 1
+    def fibre(self, i: int, j: int) -> int:
+        return 2 * self.flat(i, j)
 
-    def edge(self, i1: int, j1: int, i2: int, j2: int) -> Edge:
-        return make_edge(self.flat(i1, j1), self.flat(i2, j2))
+    def rung(self, i: int, j: int) -> int:
+        return 2 * self.flat(i, j) + 1
 
-    def fiber_edge(self, i: int, j: int) -> Edge:
-        """The fibre edge leaving (i, j) toward column j+1."""
+    def decode(self, k: int) -> Edge:
+        """Edge number k as its canonical vertex pair, lower id first."""
 
-        return self.edge(i, j, i, j + 1)
+        v, t = k >> 1, self.t
+        q = v % t
+        if k % 2 == 0:  # the fibre edge from column t wraps to the row's first vertex
+            return (v, v + 1) if q < t - 1 else (v - q, v)
+        if v < self.row_s:
+            return (v, v + t)
+        return (self.phi.apply(q, t), v)  # the seam, landing on row 1
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(self.flat(i, j) for j in range(1, self.t + 1))
@@ -141,7 +155,7 @@ class SequenceCatalog:
         """Every fibre edge with page ``page_of(i, j)`` of its tail, row by row."""
 
         return [
-            (self.fiber_edge(i, j), page_of(i, j))
+            (self.fibre(i, j), page_of(i, j))
             for i in range(1, self.s + 1)
             for j in range(1, self.t + 1)
         ]
@@ -156,43 +170,48 @@ def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> li
     return spine
 
 
-Todo = tuple[Edge, tuple[int, ...]]
-Fixed = tuple[Edge, int]
+Todo = tuple[int, tuple[int, ...]]  # edge number, palette
+Fixed = tuple[int, int]  # edge number, page
 Plan = tuple[list[int], list[Fixed], list[Todo]]  # spine, fixed pages, palettes
 Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
 
-def _check_plan(graph: Graph, plan: Plan, emb: BookEmbedding, rule: str) -> None:
+def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str) -> None:
     """The one check of a plan, on the embedding built on its spine: a spine
-    of every vertex once, every edge (canonical) fixed or todo exactly once,
-    every page named below m, and fixed pages that pass ``validate``'s test."""
+    of every vertex once, every edge number 0..2st-1 fixed or todo exactly
+    once, every page named below m, and fixed pages that pass ``validate``'s
+    test.  The fixed pages are entered into ``emb.pages`` to be tested, each
+    edge decoded once, as its page-map key."""
 
     spine, fixed, todo = plan
-    if sorted(spine) != list(range(graph.n)):
+    if sorted(spine) != list(range(cat.s * cat.t)):
         raise CompletionError(rule, "spine is not a permutation of the vertices")
-    listed = [e for e, _ in fixed] + [e for e, _ in todo]
+    listed = [k for k, _ in fixed] + [k for k, _ in todo]
     named = {p for _, p in fixed}.union(*[palette for _, palette in todo])
-    exact = len(listed) == len(graph.edges) == len(graph.edges.intersection(listed))
-    if not (exact and named <= set(range(emb.m))):
+    edges, m = range(cat.size), emb.m
+    if not (sorted(listed) == list(edges) and named <= set(range(m))):
         count = Counter(listed)  # the plan is faulty: name up to four offenders
-        pages = chain(fixed, ((e, p) for e, palette in todo for p in palette))
+        pages = chain(fixed, ((k, p) for k, palette in todo for p in palette))
+        decode = cat.decode
         for fault, offenders in (
-            ("not edges of the graph", sorted(count.keys() - graph.edges)),
-            ("listed twice", [e for e, k in count.items() if k > 1]),
-            ("missing from the plan", sorted(graph.edges - count.keys())),
-            (f"pages outside 0..{emb.m - 1}", [(e, p) for e, p in pages if not 0 <= p < emb.m]),
+            (f"numbers outside 0..{cat.size - 1}", sorted(count.keys() - edges)),
+            ("listed twice", [decode(k) for k, n in count.items() if n > 1]),
+            ("missing from the plan", sorted(decode(k) for k in edges if k not in count)),
+            (f"pages outside 0..{m - 1}", [(decode(k), p) for k, p in pages if not 0 <= p < m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
-    clashes = violations(fixed, emb.pos)
+    emb.pages.update((cat.decode(k), page) for k, page in fixed)
+    clashes = violations(emb.pages.items(), emb.pos)
     if clashes:
         raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
 
 
 class _PageAssigner:
-    """Incremental page assignment into ``emb.pages``, properness/crossing enforced.
+    """Incremental page assignment into ``emb.pages``, properness/crossing
+    enforced, starting from the pages it already holds.
 
     Each page keeps an index over spine positions: ``partner[page][k]`` is -1
     while position k is free on that page, else the position of the other
@@ -205,6 +224,8 @@ class _PageAssigner:
         self.emb = emb
         self.rule = rule
         self.partner = [[-1] * len(emb.order) for _ in range(emb.m)]
+        for e, page in emb.pages.items():  # _place only rewrites the value: safe mid-iteration
+            self._place(e, page)
 
     def _conflicts(self, e: Edge, page: int) -> bool:
         partner, pos = self.partner[page], self.emb.pos
@@ -234,10 +255,12 @@ class _PageAssigner:
         partner = self.partner[self.emb.pages.pop(e)]
         partner[self.emb.pos[e[0]]] = partner[self.emb.pos[e[1]]] = -1
 
-    def complete(self, todo: list[Todo]) -> None:
-        """Depth-first completion of `todo` in order, palettes as given."""
+    def complete(self, todo: list[Todo], decode: Callable[[int], Edge]) -> None:
+        """Depth-first completion of `todo` in order, palettes as given; each
+        edge number is decoded when the search reaches it."""
 
         self._nodes = 0
+        self._decode = decode
         if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
 
@@ -250,7 +273,8 @@ class _PageAssigner:
         self._nodes += 1
         if self._nodes > _NODE_CAP:
             raise CompletionError(self.rule, f"completion exceeded {_NODE_CAP} nodes")
-        e, palette = todo[i]
+        k, palette = todo[i]
+        e = self._decode(k)
         for page in palette:
             if self._conflicts(e, page):
                 continue
@@ -294,10 +318,9 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
-    cycles = [cycle_edges(cyc) for cyc in V]
-    fixed = cat.fibres(fibre_page) + [(edges[-1], RED) for edges in cycles]
+    fixed = cat.fibres(fibre_page) + [(2 * cyc[-1] + 1, RED) for cyc in V]
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
-    todo = [(e, palette) for edges in cycles for e in edges[:-1]]
+    todo = [(2 * v + 1, palette) for cyc in V for v in cyc[:-1]]
     return _zigzag(V), fixed, todo
 
 
@@ -307,8 +330,8 @@ def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     s, t, d = spec.s, spec.t, spec.phi.d
     spine = _zigzag(cat.column(j) for r in range(t // 2) for j in (1 + 2 * r, t - 2 * r))
     fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 0 else GREEN)
-    fixed += [(cat.edge(1, j, s, j - d), RED if j % 2 == 1 else PURPLE) for j in range(1, t + 1)]
-    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in cycle_edges(cat.column(j))[:-1]]
+    fixed += [(cat.rung(s, j - d), RED if j % 2 == 1 else PURPLE) for j in range(1, t + 1)]
+    todo = [(cat.rung(i, j), (RED, PURPLE)) for j in range(1, t + 1) for i in range(1, s)]
     return spine, fixed, todo
 
 
@@ -325,18 +348,16 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # (s, 3-d), the last vertex of the last residual cycle and so an endpoint
     # of its blue closing seam; yellow is the proper repair.
     special = {} if even_residual else {
-        (s, cat.col(2 - d)): YELLOW if g_ == 3 else BLUE,
-        (2, 1): BLUE,
-        (s, cat.col(1 - d)): GREEN,
-        (1, 1): PURPLE,
-        (s - 1, cat.col(1 - d)): RED,
-        (1, t): RED,
+        cat.fibre(s, 2 - d): YELLOW if g_ == 3 else BLUE,
+        cat.fibre(2, 1): BLUE,
+        cat.fibre(s, 1 - d): GREEN,
+        cat.fibre(1, 1): PURPLE,
+        cat.fibre(s - 1, 1 - d): RED,
+        cat.fibre(1, t): RED,
     }
 
     def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
         k = (j - 1) % g_ + 1
-        if (i, j) in special:
-            return special[(i, j)]
         if j in wrapping:
             return PURPLE  # (1, t) is special above
         if j in landing:
@@ -349,13 +370,12 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # the first two cycles interleaved element by element, then the others
     spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
-    fixed = cat.fibres(fibre_page)
+    fixed = [(e, special.get(e, page)) for e, page in cat.fibres(fibre_page)]
 
     # first two residual cycles: fully explicit alternations
     for k in (1, 2):
-        edges = cycle_edges(V[k - 1])
-        L = len(edges)
-        for idx, e in enumerate(edges, start=1):
+        L = len(V[k - 1])
+        for idx, v in enumerate(V[k - 1], start=1):
             if even_residual:
                 page = RED if idx % 2 == 1 else BLUE
             elif idx == 1:
@@ -366,14 +386,14 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
                 page = BLUE if k == 1 else RED
             else:
                 page = RED if idx % 2 == 0 else BLUE
-            fixed.append((e, page))
+            fixed.append((2 * v + 1, page))
 
     # middle residual cycles, whole cycle searched
-    todo = [(e, (RED, PURPLE, BLUE)) for k in range(3, g_) for e in cycle_edges(V[k - 1])]
+    todo = [(2 * v + 1, (RED, PURPLE, BLUE)) for k in range(3, g_) for v in V[k - 1]]
 
     # last residual cycle: blue closing seam, yellow/red on the ladder through
     # the wrapping columns it ends with, purple/red before it
-    *path, closing = cycle_edges(V[g_ - 1])
+    *path, closing = (2 * v + 1 for v in V[g_ - 1])
     start = len(path) + 1 - s * len(wrapping)  # path-edge index the ladder follows
     fixed.append((closing, BLUE))
     todo += [(e, (YELLOW, RED) if idx > start else (PURPLE, RED)) for idx, e in enumerate(path, 1)]
@@ -392,18 +412,18 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     spine = _zigzag((cat.row(i) for i in range(1, s + 1)), first_reversed=True)
 
     fixed: list[Fixed] = [
-        (cat.edge(i, j, i + 1, j), YELLOW if i % 2 == 1 else GREEN)
+        (cat.rung(i, j), YELLOW if i % 2 == 1 else GREEN)
         for i in range(1, s)
         for j in range(1, t + 1)
     ]
     if kind in (REFL_NONE, REFL_ONE):
-        fixed += [(cat.edge(s, i, 1, t + 1 - i), PURPLE) for i in range(1, t + 1)]
-    else:
-        fixed.append((cat.edge(1, 1, s, 1), BLUE))
-        fixed += [(cat.edge(1, i, s, t + 2 - i), PURPLE) for i in range(2, t + 1)]
+        fixed += [(cat.rung(s, j), PURPLE) for j in range(1, t + 1)]
+    else:  # the seam on the fixed column 1, then the others by falling tail column
+        fixed.append((cat.rung(s, 1), BLUE))
+        fixed += [(cat.rung(s, j), PURPLE) for j in range(t, 1, -1)]
 
     palette = (YELLOW, GREEN, PURPLE, RED) if t % 2 == 0 else (YELLOW, GREEN, PURPLE, RED, BLUE)
-    todo = [(e, palette) for i in range(1, s + 1) for e in cycle_edges(cat.row(i))]
+    todo = [(cat.fibre(i, j), palette) for i in range(1, s + 1) for j in range(1, t + 1)]
     return spine, fixed, todo
 
 
@@ -412,7 +432,7 @@ def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 1 else GREEN)
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
-    todo = [(e, (PURPLE, RED)) for cyc in residual_cycles(spec) for e in cycle_edges(cyc)]
+    todo = [(2 * v + 1, (PURPLE, RED)) for cyc in residual_cycles(spec) for v in cyc]
     return spine, fixed, todo
 
 
@@ -436,17 +456,13 @@ def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     rows = ((BLUE, YELLOW, RED), (PURPLE, BLUE, RED))  # row 1, then rows 2..s
     fixed = cat.fibres(lambda i, j: rows[i > 1][j - 1])
     for i in range(1, s):
-        fixed.append((cat.edge(i, 1, i + 1, 1), YELLOW if i % 2 == 1 else GREEN))
-        fixed.append((cat.edge(i, 2, i + 1, 2), GREEN if i % 2 == 1 else YELLOW))
+        fixed.append((cat.rung(i, 1), YELLOW if i % 2 == 1 else GREEN))
+        fixed.append((cat.rung(i, 2), GREEN if i % 2 == 1 else YELLOW))
         if i == 1:
-            fixed.append((cat.edge(1, 3, 2, 3), PURPLE))
+            fixed.append((cat.rung(1, 3), PURPLE))
         else:
-            fixed.append((cat.edge(i, 3, i + 1, 3), GREEN if i % 2 == 0 else YELLOW))
-    fixed += [
-        (cat.edge(s, 1, 1, 3), GREEN),
-        (cat.edge(s, 3, 1, 1), GREEN),
-        (cat.edge(s, 2, 1, 2), RED),
-    ]
+            fixed.append((cat.rung(i, 3), GREEN if i % 2 == 0 else YELLOW))
+    fixed += [(cat.rung(s, 1), GREEN), (cat.rung(s, 3), GREEN), (cat.rung(s, 2), RED)]
     return _one_fixed_spine(cat, s, 3), fixed, []
 
 
@@ -457,15 +473,11 @@ def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # and purple seams, everything else alternates blue/purple
     fixed: list[Fixed] = []
     for i in (1, 2):
-        fixed.append((cat.edge(1, t + 1 - i, 2, t + 1 - i), RED))
-        fixed.append((cat.edge(1, t + 1 - i, s, i), PURPLE))
+        fixed.append((cat.rung(1, t + 1 - i), RED))
+        fixed.append((cat.rung(s, i), PURPLE))
     pinned = {e for e, _ in fixed}
-    todo = [
-        (e, (BLUE, PURPLE))
-        for cyc in residual_cycles(spec)
-        for e in cycle_edges(cyc)
-        if e not in pinned
-    ]
+    rungs = [2 * v + 1 for cyc in residual_cycles(spec) for v in cyc]
+    todo = [(e, (BLUE, PURPLE)) for e in rungs if e not in pinned]
 
     def fibre_page(i: int, j: int) -> int:
         if j == t:
@@ -500,24 +512,19 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
         (s, t): RED,
     }
     fixed = cat.fibres(lambda i, j: exceptional.get((i, j), GREEN if j % 2 == 0 else YELLOW))
-    for i in (1, h):
-        fixed += [(cat.edge(s - 1, i, s, i), PURPLE), (cat.edge(1, i, 2, i), RED)]
-    for i in (h + 1, t):
-        fixed += [(cat.edge(s - 1, i, s, i), BLUE), (cat.edge(1, i, 2, i), PURPLE)]
-    for i, j in ((1, 1), (s, 1)):
-        fixed.append((cat.edge(i, j, s + 1 - i, t + 1 - j), GREEN))
+    for j in (1, h):
+        fixed += [(cat.rung(s - 1, j), PURPLE), (cat.rung(1, j), RED)]
+    for j in (h + 1, t):
+        fixed += [(cat.rung(s - 1, j), BLUE), (cat.rung(1, j), PURPLE)]
+    fixed += [(cat.rung(s, t), GREEN), (cat.rung(s, 1), GREEN)]
     for j in range(2, h):
-        fixed += [(cat.edge(1, j, s, t + 1 - j), RED), (cat.edge(s, j, 1, t + 1 - j), RED)]
+        fixed += [(cat.rung(s, t + 1 - j), RED), (cat.rung(s, j), RED)]
     half_seam = YELLOW if h % 2 == 1 else GREEN
-    fixed += [(cat.edge(1, h, s, h + 1), half_seam), (cat.edge(s, h, 1, h + 1), half_seam)]
+    fixed += [(cat.rung(s, h + 1), half_seam), (cat.rung(s, h), half_seam)]
 
     placed = {e for e, _ in fixed}
-    todo = [
-        (e, (RED, PURPLE, BLUE))
-        for j in range(1, t + 1)
-        for e in cycle_edges(cat.column(j))[:-1]
-        if e not in placed
-    ]
+    rungs = [cat.rung(i, j) for j in range(1, t + 1) for i in range(1, s)]
+    todo = [(e, (RED, PURPLE, BLUE)) for e in rungs if e not in placed]
     return spine, fixed, todo
 
 
@@ -566,13 +573,11 @@ def embed(spec: BundleSpec) -> ConstructionResult:
 
     rule, layout = _select(spec)
     graph = bundle(spec)
-    spine, fixed, todo = plan = layout(SequenceCatalog(spec.s, spec.t), spec)
+    cat = SequenceCatalog(spec)
+    spine, _, todo = plan = layout(cat, spec)
     emb = BookEmbedding(spine, {}, parity_pages(spec))
-    _check_plan(graph, plan, emb, rule)
-    asg = _PageAssigner(emb, rule)
-    for e, page in fixed:
-        asg._place(e, page)
-    asg.complete(todo)
+    _check_plan(cat, plan, emb, rule)
+    _PageAssigner(emb, rule).complete(todo, cat.decode)
 
     report = validate(graph, emb)
     if not report.ok:

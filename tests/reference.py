@@ -2,15 +2,17 @@
 
 Nothing under ``src/bookbind`` imports these: the crossing predicate is the
 plain pairwise definition that ``validate``, the page index and the oracle's
-conflict masks are checked against, and the fibre cycles are the rows that,
+conflict masks are checked against; the fibre cycles are the rows that,
 with ``bundle_decomp.residual_cycles``, make up the partition the acceptance
-criteria audit.
+criteria audit; and ``cycle_edges`` lists a cycle's edges as vertex pairs,
+which the edge numbers of ``constructions.SequenceCatalog`` are checked
+against.
 """
 
 from __future__ import annotations
 
 from bookbind.bundle_decomp import Cycles
-from bookbind.graph_core import BundleSpec, vertex_index
+from bookbind.graph_core import BundleSpec, Edge, make_edge, vertex_index
 
 
 def chords_cross(a: int, b: int, c: int, d: int) -> bool:
@@ -32,3 +34,9 @@ def fiber_cycles(spec: BundleSpec) -> Cycles:
 
     t = spec.t
     return tuple(tuple(vertex_index(p, q, t) for q in range(t)) for p in range(spec.s))
+
+
+def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
+    """Edges of a cycle in traversal order, closing edge last."""
+
+    return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]

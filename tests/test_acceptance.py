@@ -12,7 +12,7 @@ import time
 import pytest
 
 from bookbind import cli
-from bookbind.bundle_decomp import cycle_edges, residual_cycles, to_circulant
+from bookbind.bundle_decomp import residual_cycles, to_circulant
 from bookbind.constructions import ConstructionResult, embed, parity_pages
 from bookbind.graph_core import (
     BundleSpec,
@@ -35,7 +35,7 @@ from bookbind.oracle import (
     lower_bound,
     search_fixed_pages,
 )
-from reference import chords_cross, fiber_cycles
+from reference import chords_cross, cycle_edges, fiber_cycles
 
 SEED = 20260814
 

@@ -8,12 +8,7 @@ import random
 import pytest
 
 from bookbind import cli
-from bookbind.bundle_decomp import (
-    DecompositionError,
-    cycle_edges,
-    residual_cycles,
-    to_circulant,
-)
+from bookbind.bundle_decomp import DecompositionError, residual_cycles, to_circulant
 from bookbind.graph_core import (
     BundleSpec,
     Reflection,
@@ -23,7 +18,7 @@ from bookbind.graph_core import (
     make_edge,
     vertex_index,
 )
-from reference import fiber_cycles
+from reference import cycle_edges, fiber_cycles
 
 
 def _cycle_edges_in(dec, g):

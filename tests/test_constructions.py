@@ -33,6 +33,7 @@ from bookbind.graph_core import (
     predict_bipartite,
 )
 from bookbind.layout_engine import PURPLE, RED, YELLOW, validate
+from reference import cycle_edges
 
 
 def _check(result, spec):
@@ -46,18 +47,48 @@ def _check(result, spec):
 
 
 def test_sequence_catalog_wraps_indices():
-    cat = SequenceCatalog(3, 5)
+    cat = SequenceCatalog(BundleSpec(3, 5, Shift(2)))
     assert cat.flat(1, 1) == 0
     assert cat.flat(3, 5) == 14
     assert cat.flat(4, 6) == 0  # wraps both axes
     assert cat.flat(1, 0) == 4  # column 0 means column t
-    assert cat.col(0) == 5 and cat.col(6) == 1
     assert cat.row(2) == (5, 6, 7, 8, 9)
     assert cat.column(2) == (1, 6, 11)
-    assert cat.fiber_edge(1, 5) == (0, 4)  # wraps back to column 1
+    assert cat.size == 30
+    # kind 0 is the fibre edge toward column j+1, kind 1 the rung toward row i+1
+    assert (cat.fibre(1, 1), cat.rung(1, 1)) == (0, 1)
+    assert cat.fibre(1, 5) == cat.fibre(4, 0) == 8 and cat.decode(8) == (0, 4)  # back to column 1
+    assert cat.rung(2, 5) == cat.rung(-1, 10) == 19 and cat.decode(19) == (9, 14)
+    # the rung from row s is the seam, landing on row 1 at phi(column)
+    assert cat.rung(3, 1) == cat.rung(0, 1) == 21 and cat.decode(21) == (2, 10)
+    assert cat.rung(3, 4) == 27 and cat.decode(27) == (0, 13)  # 3 + 2 wraps to 0
+    assert SequenceCatalog(BundleSpec(3, 4, Reflection("two"))).decode(17) == (0, 8)
+
+
+def _catalog_specs(s_max: int, t_max: int):
+    for s in range(3, s_max + 1):
+        for t in range(3, t_max + 1):
+            kinds = ("one",) if t % 2 else ("none", "two")
+            yield from (BundleSpec(s, t, Shift(d)) for d in range(t))
+            yield from (BundleSpec(s, t, Reflection(kind)) for kind in kinds)
+
+
+def test_edge_numbers_name_every_edge_once():
+    # 2 * flat + kind is a bijection onto the edges, and a residual cycle's
+    # edges are the rungs 2 * v + 1 of its vertices in walk order
+    checked = 0
+    for spec in _catalog_specs(9, 15):
+        cat = SequenceCatalog(spec)
+        decoded = [cat.decode(k) for k in range(cat.size)]
+        assert len(set(decoded)) == cat.size and set(decoded) == bundle(spec).edges, spec
+        for cyc in residual_cycles(spec):
+            assert cycle_edges(cyc) == [cat.decode(2 * v + 1) for v in cyc], spec
+        checked += 1
+    assert checked == 7 * 136
 
 
 _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
+_decode = SequenceCatalog(_PLAN_SPEC).decode
 
 
 def _edit_plan(monkeypatch, edit) -> None:
@@ -88,46 +119,32 @@ def _assert_plan_fault(monkeypatch, edit) -> None:
     assert str(info.value) == f"{RULE_SHIFT_EVEN_GCD}: {named[0]}"
 
 
-def _reverse_first(entries) -> str:
-    (u, v), page = entries[0]
-    entries[0] = ((v, u), page)
-    return f"not edges of the graph: [{(v, u)}]"
-
-
-def test_plan_check_rejects_non_canonical_edges(monkeypatch):
-    # layouts hand over canonical (low, high) edges; a reversed one is named,
-    # not silently repaired, whether it has a fixed page or a palette
-    _assert_plan_fault(monkeypatch, lambda spine, fixed, todo: _reverse_first(fixed))
-    _assert_plan_fault(monkeypatch, lambda spine, fixed, todo: _reverse_first(todo))
-
-
-def _non_edge(spine, fixed, todo) -> str:
-    assert (0, 2) not in bundle(_PLAN_SPEC).edges
-    fixed[0] = ((0, 2), fixed[0][1])
-    return "not edges of the graph: [(0, 2)]"
+def _number_past_the_end(spine, fixed, todo) -> str:
+    fixed[0] = (24, fixed[0][1])  # _PLAN_SPEC has 2 * 3 * 4 = 24 edges
+    return "numbers outside 0..23: [24]"
 
 
 def _repeat(source, target, page=None) -> str:
-    e, palette = source[0]
-    target.append((e, palette if page is None else page))
-    return f"listed twice: [{e}]"
+    k, palette = source[0]
+    target.append((k, palette if page is None else page))
+    return f"listed twice: [{_decode(k)}]"
 
 
 def _drop_last_todo(spine, fixed, todo) -> str:
-    e, _ = todo.pop()
-    return f"missing from the plan: [{e}]"
+    k, _ = todo.pop()
+    return f"missing from the plan: [{_decode(k)}]"
 
 
 def _fixed_page_5(spine, fixed, todo) -> str:
-    e, _ = fixed[0]
-    fixed[0] = (e, 5)
-    return f"pages outside 0..4: [{(e, 5)}]"
+    k, _ = fixed[0]
+    fixed[0] = (k, 5)
+    return f"pages outside 0..4: [{(_decode(k), 5)}]"
 
 
 def _palette_page_5(spine, fixed, todo) -> str:
-    e, _ = todo[-1]
-    todo[-1] = (e, (RED, 5))
-    return f"pages outside 0..4: [{(e, 5)}]"
+    k, _ = todo[-1]
+    todo[-1] = (k, (RED, 5))
+    return f"pages outside 0..4: [{(_decode(k), 5)}]"
 
 
 def _spine_repeats_a_vertex(spine, fixed, todo) -> str:
@@ -136,26 +153,28 @@ def _spine_repeats_a_vertex(spine, fixed, todo) -> str:
 
 
 # _PLAN_SPEC's spine is 0 4 8 2 6 10 11 7 3 9 5 1; its fixed list opens with
-# the fibre edges (0, 1) yellow, (1, 2) purple, (2, 3) yellow, and its red
-# seams are (0, 10) and (1, 11)
+# the fibre edges 0 = (0, 1) yellow, 2 = (1, 2) purple, 4 = (2, 3) yellow,
+# and its red seams are 21 = (0, 10) and 23 = (1, 11)
 
 
 def _fixed_share_an_endpoint(spine, fixed, todo) -> str:
-    assert fixed[:2] == [((0, 1), YELLOW), ((1, 2), PURPLE)]
-    fixed[0] = ((0, 1), PURPLE)
+    assert fixed[:2] == [(0, YELLOW), (2, PURPLE)]
+    assert (_decode(0), _decode(2)) == ((0, 1), (1, 2))
+    fixed[0] = (0, PURPLE)
     return "fixed pages clash: [((0, 1), (1, 2), 'shared-endpoint')]"
 
 
 def _fixed_cross(spine, fixed, todo) -> str:
-    assert fixed[2] == ((2, 3), YELLOW) and {((0, 10), RED), ((1, 11), RED)} <= set(fixed)
-    fixed[2] = ((2, 3), RED)  # spine places 3..8 inside the seams' 0..5 and 6..11
+    assert fixed[2] == (4, YELLOW) and {(21, RED), (23, RED)} <= set(fixed)
+    assert [_decode(k) for k in (4, 21, 23)] == [(2, 3), (0, 10), (1, 11)]
+    fixed[2] = (4, RED)  # spine places 3..8 inside the seams' 0..5 and 6..11
     return (
         "fixed pages clash: [((0, 10), (2, 3), 'crossing'), ((1, 11), (2, 3), 'crossing')]"
     )
 
 
 PLAN_FAULTS = {
-    "non-edge": _non_edge,
+    "number >= 2st": _number_past_the_end,
     "repeat within fixed": lambda spine, fixed, todo: _repeat(fixed, fixed),
     "repeat within todo": lambda spine, fixed, todo: _repeat(todo, todo),
     "repeat across fixed and todo": lambda spine, fixed, todo: _repeat(todo, fixed, RED),
@@ -419,9 +438,10 @@ def test_embed_outcomes_on_small_grid_are_pinned():
 
 def _plan_text(spec) -> str:
     rule, layout = _select(spec)
-    spine, fixed, todo = layout(SequenceCatalog(spec.s, spec.t), spec)
-    fixed = [[list(e), page] for e, page in fixed]
-    todo = [[list(e), list(palette)] for e, palette in todo]
+    cat = SequenceCatalog(spec)
+    spine, fixed, todo = layout(cat, spec)
+    fixed = [[list(cat.decode(k)), page] for k, page in fixed]
+    todo = [[list(cat.decode(k)), list(palette)] for k, palette in todo]
     return json.dumps([rule, list(spine), fixed, todo])
 
 

@@ -5,7 +5,8 @@ failing page's violations in one sweep along the spine; ``_PageAssigner``
 answers conflict queries from a per-page index over spine positions; the
 oracle builds its per-order conflict masks from prefix XORs along the spine.
 All three are compared here with the plain pairwise definitions, built on
-the crossing predicate in ``reference``, which no bookbind module binds.
+the crossing predicate in ``reference``; no bookbind module binds a name
+that ``reference`` defines.
 """
 
 import importlib
@@ -34,6 +35,7 @@ from bookbind.layout_engine import (  # noqa: E402
     ValidationReport,
     validate,
 )
+import reference  # noqa: E402
 from reference import chords_cross  # noqa: E402
 
 # one small spec per rule tag, plus the three-column one-fixed pattern
@@ -207,12 +209,23 @@ def test_oracle_conflict_masks_match_pairwise_reference(case):
     assert oracle._Incidence(g).conflict_masks(order) == reference_conflict_masks(g, order)
 
 
-def _modules_binding_chords_cross() -> list[str]:
-    """The bookbind modules that bind a name ``chords_cross``: with the
-    pairwise predicate out of the package, no check can fall back on it."""
+def _reference_names_in_bookbind() -> list[str]:
+    """Every ``module.name`` by which a bookbind module binds a name that
+    ``reference`` defines: with the references out of the package (the
+    pairwise crossing predicate, the fibre cycles, ``cycle_edges``), no
+    runtime code can fall back on them."""
 
-    names = ["bookbind"] + [f"bookbind.{m.name}" for m in pkgutil.iter_modules(bookbind.__path__)]
-    return [name for name in names if hasattr(importlib.import_module(name), "chords_cross")]
+    defined = {
+        name for name, value in vars(reference).items()
+        if getattr(value, "__module__", None) == reference.__name__
+    }
+    assert {"chords_cross", "cycle_edges", "fiber_cycles"} <= defined
+    modules = ["bookbind"] + [f"bookbind.{m.name}" for m in pkgutil.iter_modules(bookbind.__path__)]
+    return [
+        f"{module}.{name}"
+        for module in modules
+        for name in sorted(defined & vars(importlib.import_module(module)).keys())
+    ]
 
 
 # besides one embed per spec, one exhaustive search whose witness is validated
@@ -230,7 +243,7 @@ def test_valid_embedding_is_built_and_checked_without_pairwise_scans(spec):
         res = embed(spec)
         g, emb = res.graph, res.embedding
     assert validate(g, emb).ok
-    assert _modules_binding_chords_cross() == []
+    assert _reference_names_in_bookbind() == []
 
 
 def test_failing_page_lists_every_violation():
@@ -242,6 +255,6 @@ def test_failing_page_lists_every_violation():
     pages[e] = (pages[e] + 1) % emb.m
     mutant = BookEmbedding(emb.order, pages, emb.m)
     report = validate(res.graph, mutant)
-    assert not report.ok and _modules_binding_chords_cross() == []
+    assert not report.ok and _reference_names_in_bookbind() == []
     assert report == reference_validate(res.graph, mutant)
     assert any(e in (f, h) for f, h, _ in report.violations)
