@@ -28,6 +28,8 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .constructions import CompletionError, ConstructionResult, Unsupported, embed, parity_pages
@@ -117,8 +119,54 @@ def _graph_of(parsed: Graph | BundleSpec) -> Graph:
 
 
 def _dumps(payload) -> str:
-    """The one JSON encoder: every payload bookbind prints or writes."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The one JSON encoder: every payload bookbind prints or writes.
+
+    The text is byte-for-byte ``json.dumps(payload, indent=2,
+    sort_keys=True)`` plus a newline.  It is not that call because before
+    Python 3.13 ``indent`` turns off the stdlib's C encoder, and writing an
+    embedding then took longer than building it.  So the shapes bookbind's
+    payloads are made of are written here: a list of ints with one join, a
+    list of equal-length int lists (edges, pages, relabel) with one ``%``
+    format; other lists and str-keyed dicts recurse, and a finite float is
+    its ``repr``.  Any other value (NaN, an infinity, a tuple, a dict with
+    other keys) goes to the stdlib at indent 0, and each newline in its text
+    becomes the newline and indent of its place.  That is safe because a
+    JSON string never holds a raw newline (it is escaped as ``\\n``), so
+    every newline in the text is layout.
+    """
+
+    def encode(x, nl: str) -> str:
+        kind = type(x)
+        if kind is int:
+            return int.__repr__(x)
+        if kind is str:
+            return encode_basestring_ascii(x)
+        if x is None:
+            return "null"
+        if kind is bool:
+            return "true" if x else "false"
+        if kind is float and math.isfinite(x):
+            return float.__repr__(x)
+        inner = nl + "  "
+        sep = "," + inner
+        if kind is dict and x and {*map(type, x)} == {str}:
+            items = sorted(x.items())
+            body = sep.join(f"{encode_basestring_ascii(k)}: {encode(v, inner)}" for k, v in items)
+            return "{" + inner + body + nl + "}"
+        if kind is list and x:
+            kinds = {*map(type, x)}
+            if kinds == {int}:
+                return "[" + inner + sep.join(map(int.__repr__, x)) + nl + "]"
+            if kinds == {list} and len({*map(len, x)}) == 1:
+                flat = tuple(chain.from_iterable(x))
+                if {*map(type, flat)} == {int}:
+                    cell = inner + "  "
+                    row = "[" + cell + ("," + cell).join(["%d"] * len(x[0])) + inner + "]"
+                    return ("[" + inner + sep.join([row] * len(x)) + nl + "]") % flat
+            return "[" + inner + sep.join([encode(v, inner) for v in x]) + nl + "]"
+        return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
+
+    return encode(payload, "\n") + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,8 +217,9 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         sys.stderr.write(f"cannot read {args.embedding}: {exc}\n")
         return EXIT_IO
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # not UTF-8, not JSON, or nested past the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an integer past sys.get_int_max_str_digits(),
+        # or nested past the decoder's recursion limit
         sys.stderr.write(f"{args.embedding}: bad embedding payload: {exc}\n")
         return EXIT_IO
     if isinstance(payload, dict) and "embedding" in payload:  # written by `embed --out`

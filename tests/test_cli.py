@@ -11,7 +11,12 @@ from bookbind import cli, graph_core, layout_engine
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
 from bookbind.oracle import check_isomorphism
-from test_constructions import PLAN_FAULTS, _edit_plan
+from test_constructions import GRID_SPECS, PLAN_FAULTS, _edit_plan
+
+try:
+    from hypothesis import example, given, strategies as st
+except ImportError:  # hypothesis is a dev-only dependency; only the property test needs it
+    given = None
 
 
 def run(capsys, *argv):
@@ -161,8 +166,12 @@ def test_verify_junk_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "data",
-    [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
-    ids=["not-utf8", "nested-too-deep"],
+    [
+        b"\xff\xfe",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"order": [' + b"9" * 5000 + b'], "pages": [], "m": 4}',
+    ],
+    ids=["not-utf8", "nested-too-deep", "huge-int"],
 )
 def test_verify_undecodable_file(data, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -435,6 +444,84 @@ GOLDEN_PAYLOADS = {
 def test_payload_output_is_pinned(argv, capsys):
     code, out, _ = run(capsys, *argv.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GOLDEN_PAYLOADS[argv]
+
+
+def _stdlib_dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_stdlib_on_every_payload_shape(tmp_path, monkeypatch, capsys):
+    # every payload bookbind emits goes through cli._dumps; record each one
+    payloads = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda payload: payloads.append(payload) or dumps(payload))
+    # embed on the grid: embeddings, and unsupported reports with a reduction
+    # (coprime shifts) and without one (d = 0)
+    for spec in GRID_SPECS:
+        cli.main(["embed", graph_core.format_bundle_spec(spec)])
+    emb_file = tmp_path / "emb.json"
+    run(capsys, "embed", "s=3,t=6,phi=shift:2", "--out", str(emb_file))
+    emb = json.loads(emb_file.read_text())["embedding"]
+    emb["pages"][0][2] = emb["pages"][1][2]  # two edges at vertex 0 share a page
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(emb))
+    emb["pages"] = emb["pages"][1:]  # an edge left out: a CoverageError
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(emb))
+    for argv, code in [
+        (["build", "s=3,t=6,phi=shift:2"], 0),
+        (["build", "circulant:n=9,S=1,3"], 0),
+        (["verify", "s=3,t=6,phi=shift:2", "--embedding", str(emb_file)], 0),
+        (["verify", "s=3,t=6,phi=shift:2", "--embedding", str(flipped)], 2),
+        (["verify", "s=3,t=6,phi=shift:2", "--embedding", str(short)], 2),
+        (["mbt", "circulant:n=5,S=1"], 0),
+        (["mbt", "circulant:n=5,S=1", "--pages", "2"], 0),
+    ]:
+        assert cli.main(argv) == code, argv
+    capsys.readouterr()
+    kinds = {tuple(sorted(payload)) for payload in payloads}
+    assert kinds == {
+        ("classification", "embedding", "pages", "rule", "spec"),
+        ("reduction", "unsupported"),
+        ("edges", "n"),
+        ("noncrossing", "ok", "pages_used", "proper", "violations"),
+        ("error", "ok"),
+        ("counters", "status", "value", "witness"),
+        ("counters", "exhausted", "found", "m", "witness"),
+    }
+    for key in ("reduction", "witness"):  # each both null and not
+        assert {payload[key] is None for payload in payloads if key in payload} == {True, False}
+    assert any(payload.get("violations") for payload in payloads)
+    for payload in payloads:
+        assert dumps(payload) == _stdlib_dumps(payload)
+
+
+if given is not None:
+    # any code point, lone surrogates included, or one of the characters JSON
+    # escapes specially
+    _chars = st.builds(chr, st.integers(0, 0x10FFFF)) | st.sampled_from('"\\/\x00\x1f\x7f\n\u2028')
+    _scalars = st.none() | st.booleans() | st.integers(-(2**100), 2**100) | st.floats() | st.text(_chars)
+    # lists of equal-length lists, the shape of edges and pages, with a bool
+    # or a big int now and then; k = 0 gives lists of empty lists
+    _cells = st.integers(-(2**70), 2**70) | st.booleans()
+    _rows = st.integers(0, 3).flatmap(lambda k: st.lists(st.lists(_cells, min_size=k, max_size=k)))
+    _json_values = st.recursive(
+        _scalars | _rows,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_chars), inner, max_size=4),
+        max_leaves=24,
+    )
+
+    @given(_json_values)
+    @example(None)
+    @example([True, False, 0, 1, -1, 2**64, -(2**64) - 1])
+    @example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+    @example('quote " backslash \\ nul \x00 unit \x1f \u00e9 \u2028 \U0001f600')
+    @example([[], [1], [1, 2], []])
+    @example([[1, True], [0, 2]])
+    @example([[], []])
+    @example({"": {}, "b": [], "a": [[1, 2, 3], [4, 5, 6]], "c": {"d": [[]]}})
+    def test_dumps_matches_stdlib(value):
+        assert cli._dumps(value) == _stdlib_dumps(value)
 
 
 def test_embed_failure_message_is_pinned(monkeypatch, capsys):

@@ -420,19 +420,23 @@ def _grid_outcome(spec) -> str:
     return f"{res.rule} {res.embedding.m} {text}"
 
 
-# sha256 of every `embed` outcome on s = 3..8, t = 3..16, every shift d and
-# every reflection kind, in that order; any change to placement shows here
+# s = 3..8, t = 3..16, every shift d and every reflection kind, in that order
+GRID_SPECS = [
+    BundleSpec(s, t, phi)
+    for s in range(3, 9)
+    for t in range(3, 17)
+    for phi in [Shift(d) for d in range(t)]
+    + [Reflection(kind) for kind in (("one",) if t % 2 else ("none", "two"))]
+]
+
+# sha256 of every `embed` outcome on GRID_SPECS; any change to placement shows here
 GRID_DIGEST = "c5eb17a80f738a05a8915c63950b8b1c3cde8aeb64aa6c26f0045011b53f2558"
 
 
 def test_embed_outcomes_on_small_grid_are_pinned():
     digest = hashlib.sha256()
-    for s in range(3, 9):
-        for t in range(3, 17):
-            phis = [Shift(d) for d in range(t)]
-            phis += [Reflection(kind) for kind in (("one",) if t % 2 else ("none", "two"))]
-            for phi in phis:
-                digest.update(_grid_outcome(BundleSpec(s, t, phi)).encode() + b"\n")
+    for spec in GRID_SPECS:
+        digest.update(_grid_outcome(spec).encode() + b"\n")
     assert digest.hexdigest() == GRID_DIGEST
 
 
