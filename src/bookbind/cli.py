@@ -209,8 +209,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _parse_spec(args.spec)
-    g = _graph_of(spec)
+    spec = _parse_spec(args.spec)  # spec errors first, then the file, then the graph
     try:
         with open(args.embedding, encoding="utf-8") as fh:
             payload = json.loads(fh.read())
@@ -230,7 +229,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"{args.embedding}: {exc}\n")
         return EXIT_IO
     try:
-        report = validate(g, emb)
+        report = validate(_graph_of(spec), emb)
     except CoverageError as exc:
         sys.stdout.write(_dumps({"ok": False, "error": str(exc)}))
         return EXIT_INVALID_EMBEDDING

@@ -23,15 +23,19 @@ have no rule and raise Unsupported.  Shifts are laid out as given;
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
 then checks the plan once (``_check_plan``: every number 0..2st-1 listed
-once, the fixed pages entered into the page map and tested there), completes
-the todo list by a small backtracking search within each edge's palette,
-decoding each edge as it is reached, and validates the result once against
-``bundle(spec)``, which is built without the numbering; a faulty plan,
-completion or validation raises instead of silently substituting pages.
+once, each marked in a slot, and the fixed pages pinned into the search's
+index and tested there), completes the todo list by a small backtracking
+search within each edge's palette, decoding each edge as it is reached,
+writes the page map once from the slots, and validates the result once
+against ``bundle(spec)``, which is built without the numbering; a faulty
+plan, completion or validation raises instead of silently substituting
+pages.
 
-Placement never compares a chord with every chord on its page: each page
-keeps an index over the embedding's ``pos`` (``_PageAssigner``), so a test walks
-only the new chord's own span and jumps over the chords nested inside it.
+Until the search ends an edge's page is one byte, ``slot[k]`` of
+``_PageAssigner``, and no page map exists.  Placement never compares a chord
+with every chord on its page: each page keeps an index over the
+embedding's ``pos``, so a test walks only the new chord's own span and
+jumps over the chords nested inside it.
 """
 
 from __future__ import annotations
@@ -178,20 +182,24 @@ Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
 
-def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str) -> None:
+_UNLISTED, _TODO = 255, 254  # slot marks; a placed edge's slot holds its page (< 5)
+
+
+def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str) -> _PageAssigner:
     """The one check of a plan, on the embedding built on its spine: a spine
     of every vertex once, every edge number 0..2st-1 fixed or todo exactly
     once, every page named below m, and fixed pages that pass ``validate``'s
-    test.  The fixed pages are entered into ``emb.pages`` to be tested, each
-    edge decoded once, as its page-map key."""
+    test.  Returns the search's index with every fixed page pinned in it;
+    ``emb.pages`` stays empty."""
 
     spine, fixed, todo = plan
-    if sorted(spine) != list(range(cat.s * cat.t)):
+    n = cat.s * cat.t  # n distinct vertices, none below 0 or above n-1: all of them
+    if not (len(spine) == len(emb.pos) == n and min(spine) == 0 and max(spine) == n - 1):
         raise CompletionError(rule, "spine is not a permutation of the vertices")
-    listed = [k for k, _ in fixed] + [k for k, _ in todo]
-    named = {p for _, p in fixed}.union(*[palette for _, palette in todo])
     edges, m = range(cat.size), emb.m
-    if not (sorted(listed) == list(edges) and named <= set(range(m))):
+    index = _PageAssigner(emb, cat.size, rule)
+    if not index.mark(fixed, todo):
+        listed = [k for k, _ in fixed] + [k for k, _ in todo]
         count = Counter(listed)  # the plan is faulty: name up to four offenders
         pages = chain(fixed, ((k, p) for k, palette in todo for p in palette))
         decode = cat.decode
@@ -203,57 +211,98 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
-    emb.pages.update((cat.decode(k), page) for k, page in fixed)
-    clashes = violations(emb.pages.items(), emb.pos)
-    if clashes:
+    if not index.pin(fixed, cat.decode):
+        clashes = violations(((cat.decode(k), page) for k, page in fixed), emb.pos)
         raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
+    return index
 
 
 class _PageAssigner:
-    """Incremental page assignment into ``emb.pages``, properness/crossing
-    enforced, starting from the pages it already holds.
+    """The pages of one embedding while it is built, by edge number.
 
-    Each page keeps an index over spine positions: ``partner[page][k]`` is -1
-    while position k is free on that page, else the position of the other
-    end of the chord placed there.  A chord (a, b) fits a page when both
-    ends are free and a walk from a+1 to b-1, jumping over every chord
-    nested inside, meets no chord that leaves (a, b).
+    ``slot[k]`` is edge k's page once placed, else ``_TODO`` (or
+    ``_UNLISTED`` while the plan is checked).  Each page keeps an index over
+    spine positions: ``partner[page][x]`` is -1 while position x is free on
+    that page, else the position of the other end of the chord placed
+    there.  A chord (a, b), a < b, fits a page when both ends are free and a
+    walk from a+1 to b-1, jumping over every chord nested inside, meets no
+    chord that leaves (a, b).  Edges are decoded only to find their two
+    positions; the page map is the caller's to write, from ``slot``.
     """
 
-    def __init__(self, emb: BookEmbedding, rule: str):
-        self.emb = emb
+    def __init__(self, emb: BookEmbedding, size: int, rule: str):
+        self.pos = emb.pos
         self.rule = rule
+        self.slot = bytearray([_UNLISTED]) * size
         self.partner = [[-1] * len(emb.order) for _ in range(emb.m)]
-        for e, page in emb.pages.items():  # _place only rewrites the value: safe mid-iteration
-            self._place(e, page)
 
-    def _conflicts(self, e: Edge, page: int) -> bool:
-        partner, pos = self.partner[page], self.emb.pos
-        a, b = pos[e[0]], pos[e[1]]
-        if a > b:
-            a, b = b, a
+    def mark(self, fixed: list[Fixed], todo: list[Todo]) -> bool:
+        """Fill the slots from a plan: a fixed edge's page, ``_TODO`` for the
+        rest.  False unless every number is listed exactly once and every
+        page named is below m."""
+
+        slot, size, m = self.slot, len(self.slot), len(self.partner)
+        for k, page in fixed:
+            if not (0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m):
+                return False
+            slot[k] = page
+        palettes = set()
+        for k, palette in todo:
+            if not (0 <= k < size and slot[k] == _UNLISTED):
+                return False
+            slot[k] = _TODO
+            palettes.add(palette)
+        return _UNLISTED not in slot and all(0 <= p < m for p in chain(*palettes))
+
+    def _span(self, e: Edge) -> tuple[int, int]:
+        a, b = self.pos[e[0]], self.pos[e[1]]
+        return (a, b) if a < b else (b, a)
+
+    def pin(self, fixed: list[Fixed], decode: Callable[[int], Edge]) -> bool:
+        """Enter the fixed pages into the index; False on a clash.  A shared
+        endpoint shows as a pin lands on a taken position, a crossing in one
+        bracket walk per page along the spine."""
+
+        partner, pos = self.partner, self.pos
+        for k, page in fixed:
+            u, v = decode(k)
+            a, b, index = pos[u], pos[v], partner[page]
+            if index[a] != -1 or index[b] != -1:
+                return False
+            index[a], index[b] = b, a
+        for index in partner:
+            closers: list[int] = []  # far ends of the open chords, innermost last
+            for x, y in enumerate(index):
+                if y > x:
+                    closers.append(y)
+                elif y != -1 and closers.pop() != x:
+                    return False
+        return True
+
+    def _conflicts(self, a: int, b: int, page: int) -> bool:
+        partner = self.partner[page]
         if partner[a] != -1 or partner[b] != -1:
             return True
-        k = a + 1
-        while k < b:
-            q = partner[k]
-            if q == -1:
-                k += 1
-            elif k < q < b:
-                k = q + 1
+        x = a + 1
+        while x < b:
+            y = partner[x]
+            if y == -1:
+                x += 1
+            elif x < y < b:
+                x = y + 1
             else:
                 return True
         return False
 
-    def _place(self, e: Edge, page: int) -> None:
+    def _place(self, k: int, a: int, b: int, page: int) -> None:
         partner = self.partner[page]
-        a, b = self.emb.pos[e[0]], self.emb.pos[e[1]]
         partner[a], partner[b] = b, a
-        self.emb.pages[e] = page
+        self.slot[k] = page
 
-    def _unplace(self, e: Edge) -> None:
-        partner = self.partner[self.emb.pages.pop(e)]
-        partner[self.emb.pos[e[0]]] = partner[self.emb.pos[e[1]]] = -1
+    def _unplace(self, k: int, a: int, b: int) -> None:
+        partner = self.partner[self.slot[k]]
+        partner[a] = partner[b] = -1
+        self.slot[k] = _TODO
 
     def complete(self, todo: list[Todo], decode: Callable[[int], Edge]) -> None:
         """Depth-first completion of `todo` in order, palettes as given; each
@@ -274,14 +323,14 @@ class _PageAssigner:
         if self._nodes > _NODE_CAP:
             raise CompletionError(self.rule, f"completion exceeded {_NODE_CAP} nodes")
         k, palette = todo[i]
-        e = self._decode(k)
+        a, b = self._span(self._decode(k))
         for page in palette:
-            if self._conflicts(e, page):
+            if self._conflicts(a, b, page):
                 continue
-            self._place(e, page)
+            self._place(k, a, b, page)
             if self._search(todo, i + 1):
                 return True
-            self._unplace(e)
+            self._unplace(k, a, b)
         return False
 
 
@@ -574,10 +623,13 @@ def embed(spec: BundleSpec) -> ConstructionResult:
     rule, layout = _select(spec)
     graph = bundle(spec)
     cat = SequenceCatalog(spec)
-    spine, _, todo = plan = layout(cat, spec)
-    emb = BookEmbedding(spine, {}, parity_pages(spec))
-    _check_plan(cat, plan, emb, rule)
-    _PageAssigner(emb, rule).complete(todo, cat.decode)
+    plan = layout(cat, spec)
+    emb = BookEmbedding(plan[0], {}, parity_pages(spec))
+    index = _check_plan(cat, plan, emb, rule)
+    todo = plan[2]
+    del plan  # the spine is in emb and the fixed pages in the index
+    index.complete(todo, cat.decode)
+    emb.pages.update(zip(map(cat.decode, range(cat.size)), index.slot))
 
     report = validate(graph, emb)
     if not report.ok:

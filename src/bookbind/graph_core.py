@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 Edge = tuple[int, int]
 Pair = tuple[int, int]
@@ -47,6 +48,14 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InvalidSpecError(f"negative vertex count {self.n}")
+        if type(self.edges) is frozenset:
+            for e in self.edges:  # a set of canonical tuples is kept as it is
+                if not (type(e) is tuple and len(e) == 2 and e[0] < e[1]):
+                    break
+                if not (0 <= e[0] and e[1] < self.n):
+                    raise InvalidSpecError(f"edge {e} out of range for n={self.n}")
+            else:
+                return
         canon = set()
         for u, v in self.edges:
             e = make_edge(u, v)
@@ -152,18 +161,23 @@ def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[
 
 
 def bundle(spec: BundleSpec) -> Graph:
-    """Twisted torus on ``s*t`` vertices.
+    """Twisted torus on ``s*t`` vertices, each edge built once, canonical.
 
-    Edges: fibre edges ``(p,q)-(p,q+1)`` for every row; rung edges
-    ``(p,q)-(p+1,q)`` for ``p < s-1``; and seam edges
-    ``(s-1,q)-(0,phi(q))`` closing the base cycle.
+    Edges: fibre edges ``(p,q)-(p,q+1)`` for every row, the last one
+    ``(p,0)-(p,t-1)``; rung edges ``(p,q)-(p+1,q)`` for ``p < s-1``; and seam
+    edges ``(0,phi(q))-(s-1,q)`` closing the base cycle.
     """
 
     s, t, phi = spec.s, spec.t, spec.phi
-    edges = [(p * t + q, p * t + (q + 1) % t) for p in range(s) for q in range(t)]
-    edges += [(p * t + q, (p + 1) * t + q) for p in range(s - 1) for q in range(t)]
-    edges += [((s - 1) * t + q, phi.apply(q, t)) for q in range(t)]
-    return Graph(s * t, frozenset(edges))
+    n, last = s * t, (s - 1) * t  # last: flat id of (s-1, 0)
+    ids = list(range(n))  # one int per vertex, shared by its four edges
+    edges = chain(
+        chain.from_iterable(zip(ids[r : r + t - 1], ids[r + 1 : r + t]) for r in range(0, n, t)),
+        zip(ids[::t], ids[t - 1 :: t]),
+        zip(ids[:last], ids[t:]),
+        ((ids[phi.apply(q, t)], ids[last + q]) for q in range(t)),
+    )
+    return Graph(n, frozenset(edges))
 
 
 def max_degree(g: Graph) -> int:

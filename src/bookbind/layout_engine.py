@@ -5,9 +5,10 @@ An embedding is valid when its page assignment is a proper edge colouring
 cross in the circular layout.  Equivalently, each page is a matching whose
 chords, read along the spine, nest like balanced brackets; ``violations``
 checks that in one pass per page (O(E log E) in all), for ``validate`` and
-for a construction's fixed pages.  Only a page that fails is swept once
-more, by ``_page_violations``, to list its shared endpoints and crossings
-in O(P log P + K) for its P edges and K violations.
+for the fixed pages of a construction whose plan check found a clash (the
+text of that error is this function's).  Only a page that fails is swept
+once more, by ``_page_violations``, to list its shared endpoints and
+crossings in O(P log P + K) for its P edges and K violations.
 
 ``BookEmbedding`` is an embedding's one index: spine order, page map and
 ``pos`` (vertex -> spine place, built once).  It converts to and from plain

@@ -181,6 +181,18 @@ def test_verify_undecodable_file(data, tmp_path, capsys):
     assert err.startswith(f"{bad}: bad embedding payload: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "data", [None, b"not an embedding", b'{"order": [0, 1], "m": 4}'], ids=["missing", "not-json", "bad-payload"]
+)
+def test_verify_reads_the_file_before_building_the_graph(data, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "bundle", lambda spec: pytest.fail("graph built before the file was read"))
+    emb_file = tmp_path / "emb.json"
+    if data is not None:
+        emb_file.write_bytes(data)
+    code, out, err = run(capsys, "verify", "s=300,t=300,phi=shift:2", "--embedding", str(emb_file))
+    assert code == 66 and out == "" and err.count("\n") == 1
+
+
 def test_mbt_exact_on_small_circulant(capsys):
     code, out, _ = run(capsys, "mbt", "circulant:n=5,S=1")
     assert code == 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -93,7 +94,8 @@ _decode = SequenceCatalog(_PLAN_SPEC).decode
 
 def _edit_plan(monkeypatch, edit) -> None:
     """Make `embed` of _PLAN_SPEC use its plan as changed in place by
-    `edit(spine, fixed, todo)`, and fail the test if placement starts."""
+    `edit(spine, fixed, todo)`, and fail the test if the search starts (the
+    plan check itself pins the fixed pages into the search's index)."""
 
     rule, layout = _select(_PLAN_SPEC)
 
@@ -102,11 +104,11 @@ def _edit_plan(monkeypatch, edit) -> None:
         edit(spine, fixed, todo)
         return spine, fixed, todo
 
-    def no_placement(*args):
-        raise AssertionError("placement started on a faulty plan")
+    def no_search(*args):
+        raise AssertionError("the search started on a faulty plan")
 
     monkeypatch.setattr(constructions, "_select", lambda spec: (rule, edited))
-    monkeypatch.setattr(constructions, "_PageAssigner", no_placement)
+    monkeypatch.setattr(constructions._PageAssigner, "complete", no_search)
 
 
 def _assert_plan_fault(monkeypatch, edit) -> None:
@@ -319,6 +321,21 @@ def test_embed_dispatch_covers_all_supported_families():
 def test_e4k_embed_completes():
     spec = BundleSpec(44, 44, Shift(2))  # about 1900 todo edges
     _check(embed(spec), spec)
+
+
+def test_embed_footprint_per_edge_is_pinned():
+    # one slot per edge number until the search ends, and one int per vertex
+    # in the graph: a whole e4k embed peaks near 355-370 bytes per edge on
+    # Python 3.10-3.13; holding each edge three times took 487-547
+    spec = BundleSpec(44, 45, Shift(3))  # E = 3960, about 660 todo edges
+    tracemalloc.start()
+    try:
+        res = embed(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _check(res, spec)
+    assert peak < 425 * 3960, peak / 3960
 
 
 def test_embed_lays_out_large_shifts_as_given():

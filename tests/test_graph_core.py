@@ -43,8 +43,13 @@ def test_graph_canonicalizes_and_validates():
     assert g.edge_list == ((0, 1), (1, 3))
     assert len(g.adjacency[1]) == 2 and len(g.adjacency[2]) == 0
     assert g.adjacency[1] == (0, 3)
-    with pytest.raises(InvalidSpecError):
-        Graph(2, frozenset({(0, 5)}))
+    canonical = frozenset({(0, 1), (1, 3)})
+    assert Graph(4, canonical).edges is canonical  # kept as it is handed
+    for edges in (frozenset({(0, 5)}), frozenset({(5, 0)}), {(0, 5)}):
+        with pytest.raises(InvalidSpecError, match=r"^edge \(0, 5\) out of range for n=2$"):
+            Graph(2, edges)
+    with pytest.raises(InvalidSpecError, match="^loop edge at vertex 1$"):
+        Graph(4, frozenset({(0, 1), (1, 1)}))
     with pytest.raises(InvalidSpecError):
         Graph(-1, frozenset())
 

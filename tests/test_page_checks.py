@@ -6,7 +6,8 @@ answers conflict queries from a per-page index over spine positions; the
 oracle builds its per-order conflict masks from prefix XORs along the spine.
 All three are compared here with the plain pairwise definitions, built on
 the crossing predicate in ``reference``; no bookbind module binds a name
-that ``reference`` defines.
+that ``reference`` defines.  The plan check, which pins fixed pages into the
+index and walks each page once, is compared with ``violations``.
 """
 
 import importlib
@@ -19,7 +20,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import bookbind  # noqa: E402
 from bookbind import oracle  # noqa: E402
-from bookbind.constructions import _PageAssigner, embed  # noqa: E402
+from bookbind.constructions import (  # noqa: E402
+    _TODO,
+    CompletionError,
+    SequenceCatalog,
+    _check_plan,
+    _PageAssigner,
+    embed,
+    parity_pages,
+)
 from bookbind.graph_core import (  # noqa: E402
     BundleSpec,
     Graph,
@@ -34,6 +43,7 @@ from bookbind.layout_engine import (  # noqa: E402
     BookEmbedding,
     ValidationReport,
     validate,
+    violations,
 )
 import reference  # noqa: E402
 from reference import chords_cross  # noqa: E402
@@ -169,24 +179,69 @@ def test_validate_matches_pairwise_reference_on_e1k_flip_mutants(pick, shift):
 def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, steps):
     g, order = case
     emb = BookEmbedding(order, {}, 4)
-    asg = _PageAssigner(emb, "test")
-    edges = g.edge_list
+    edges = g.edge_list  # edge number k is edges[k]
+    asg = _PageAssigner(emb, len(edges), "test")
+    placed: dict[int, int] = {}  # edge number -> page, beside the index
 
     def pairwise_conflicts(e, page):
-        return any(_conflict(e, f, emb.pos) for f, p in emb.pages.items() if p == page)
+        return any(_conflict(e, edges[k], emb.pos) for k, p in placed.items() if p == page)
 
     for remove, pick, page in steps:
-        if remove and emb.pages:
-            placed = sorted(emb.pages)
-            asg._unplace(placed[pick % len(placed)])
+        if remove and placed:
+            numbers = sorted(placed)
+            k = numbers[pick % len(numbers)]
+            asg._unplace(k, *asg._span(edges[k]))
+            del placed[k]
         else:
-            e = edges[pick % len(edges)]
-            if e not in emb.pages and not pairwise_conflicts(e, page):
-                asg._place(e, page)
-        for e in edges:
-            if e not in emb.pages:
+            k = pick % len(edges)
+            if k not in placed and not pairwise_conflicts(edges[k], page):
+                asg._place(k, *asg._span(edges[k]), page)
+                placed[k] = page
+        assert all(asg.slot[k] == p for k, p in placed.items())
+        for k, e in enumerate(edges):
+            if k not in placed:
+                assert asg.slot[k] >= _TODO
                 for p in range(4):
-                    assert asg._conflicts(e, p) == pairwise_conflicts(e, p), (e, p)
+                    assert asg._conflicts(*asg._span(e), p) == pairwise_conflicts(e, p), (e, p)
+
+
+@st.composite
+def plans_with_fixed_pages(draw):
+    """A small bundle's catalog, a random spine, and a plan that fixes random
+    pages on a random few of its edge numbers and leaves the rest to do."""
+
+    spec = draw(st.sampled_from(SPECS[:3] + SPECS[4:]))  # 18 to 40 vertices
+    cat = SequenceCatalog(spec)
+    m = parity_pages(spec)
+    spine = draw(st.permutations(range(spec.s * spec.t)))
+    fixed = draw(
+        st.lists(
+            st.tuples(st.integers(0, cat.size - 1), st.integers(0, m - 1)),
+            max_size=12,
+            unique_by=lambda f: f[0],
+        )
+    )
+    pinned = {k for k, _ in fixed}
+    todo = [(k, (0,)) for k in range(cat.size) if k not in pinned]
+    return cat, (list(spine), fixed, todo), BookEmbedding(spine, {}, m)
+
+
+@given(plans_with_fixed_pages())
+def test_plan_check_pins_fixed_pages_iff_the_validator_finds_no_clash(case):
+    cat, plan, emb = case
+    _, fixed, _ = plan
+    clashes = violations(((cat.decode(k), p) for k, p in fixed), emb.pos)
+    if clashes:
+        with pytest.raises(CompletionError) as info:
+            _check_plan(cat, plan, emb, "test")
+        assert str(info.value) == f"test: fixed pages clash: {clashes[:4]}"
+    else:
+        index = _check_plan(cat, plan, emb, "test")
+        for k, p in fixed:
+            a, b = index._span(cat.decode(k))
+            assert index.slot[k] == p and index.partner[p][a] == b and index.partner[p][b] == a
+        assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
+    assert emb.pages == {}
 
 
 def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
