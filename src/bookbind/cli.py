@@ -13,7 +13,8 @@ Exit codes:
       other unexpected exception (reported in one line)
 
 Spec strings: ``s=5,t=8,phi=shift:2``, ``s=4,t=9,phi=refl:one``, or
-``circulant:n=9,S=1,3`` where a circulant is accepted (build/mbt only).
+``circulant:n=9,S=1,3`` where a circulant is accepted (build, verify and
+mbt; embed and render need a bundle spec and exit 65 on a circulant).
 
 BOOKBIND_THREADS is accepted but ignored, since the tool is single-threaded;
 any value other than 1 earns a note on stderr.
@@ -61,6 +62,7 @@ from .oracle import (
     SearchBudget,
     brute_force_mbt,
     certify,
+    check_page_count,
     search_fixed_pages,
 )
 
@@ -245,14 +247,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mbt(args) -> int:
-    g = _graph_of(_parse_spec(args.spec))
+    parsed = _parse_spec(args.spec)  # spec errors first, then the options, then the graph
     budget = SearchBudget(args.max_orders, args.max_nodes, args.time_limit)
     if args.pages is not None:
-        res = search_fixed_pages(g, args.pages, budget)
+        check_page_count(args.pages)
+        res = search_fixed_pages(_graph_of(parsed), args.pages, budget)
         payload = {"m": res.m, "found": res.found, "exhausted": res.exhausted}
         code = EXIT_OK if res.found or res.exhausted else EXIT_UNDECIDED
     else:
-        res = brute_force_mbt(g, budget)
+        res = brute_force_mbt(_graph_of(parsed), budget)
         payload = {"status": res.status, "value": res.value}
         code = EXIT_OK if res.status == EXACT else EXIT_UNDECIDED
     payload["counters"] = res.counters
@@ -343,7 +346,7 @@ def cmd_sweep(args) -> int:
     s_range = _parse_range(args.s)
     t_range = _parse_range(args.t)
     if s_range[0] > s_range[1] or t_range[0] > t_range[1]:
-        raise InvalidSpecError(f"empty sweep ranges s={args.s} t={args.t}")
+        raise InvalidSpecError(f"empty sweep ranges s={args.s!r} t={args.t!r}")
     for name, (low, _) in (("s", s_range), ("t", t_range)):
         if low < 3:  # a cycle needs 3 vertices, in both families
             raise InvalidSpecError(f"sweep bound {name}={low} is below 3")

@@ -22,14 +22,14 @@ have no rule and raise Unsupported.  Shifts are laid out as given;
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
-then checks the plan once (``_check_plan``: every number 0..2st-1 listed
-once, each marked in a slot, and the fixed pages pinned into the search's
-index and tested there), completes the todo list by a small backtracking
-search within each edge's palette, decoding each edge as it is reached,
-writes the page map once from the slots, and validates the result once
-against ``bundle(spec)``, which is built without the numbering; a faulty
-plan, completion or validation raises instead of silently substituting
-pages.
+then checks the plan once (``_check_plan``: one walk over the fixed list
+marks each number's slot and pins its page into the search's index, one
+over the todo list marks the rest), completes the todo list by
+``_PageAssigner``, a backtracking search within each edge's palette that
+decodes each edge as it is reached, writes the page map once from the
+slots, and validates the result once against ``bundle(spec)``, which is
+built without the numbering; a faulty plan, completion or validation raises
+instead of substituting pages.
 
 Until the search ends an edge's page is one byte, ``slot[k]`` of
 ``_PageAssigner``, and no page map exists.  Placement never compares a chord
@@ -190,44 +190,73 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
     of every vertex once, every edge number 0..2st-1 fixed or todo exactly
     once, every page named below m, and fixed pages that pass ``validate``'s
     test.  Returns the search's index with every fixed page pinned in it;
-    ``emb.pages`` stays empty."""
+    ``emb.pages`` stays empty.  One walk tests, marks and pins each fixed
+    entry (a pin on a taken position is a shared endpoint), one marks each
+    todo entry; only a faulty plan is read again, to name its offenders."""
 
     spine, fixed, todo = plan
     n = cat.s * cat.t  # n distinct vertices, none below 0 or above n-1: all of them
     if not (len(spine) == len(emb.pos) == n and min(spine) == 0 and max(spine) == n - 1):
         raise CompletionError(rule, "spine is not a permutation of the vertices")
-    edges, m = range(cat.size), emb.m
     index = _PageAssigner(emb, cat.size, rule)
-    if not index.mark(fixed, todo):
-        listed = [k for k, _ in fixed] + [k for k, _ in todo]
-        count = Counter(listed)  # the plan is faulty: name up to four offenders
+    slot, partner, pos, decode = index.slot, index.partner, emb.pos, cat.decode
+    size, m = cat.size, emb.m
+    shared = False  # a pin landed on a taken position
+    for k, page in fixed:
+        if 0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m:
+            slot[k] = page
+            u, v = decode(k)
+            a, b, at = pos[u], pos[v], partner[page]
+            if at[a] != -1 or at[b] != -1:
+                shared = True
+            at[a], at[b] = b, a
+    palettes = set()
+    for k, palette in todo:
+        if 0 <= k < size and slot[k] == _UNLISTED:
+            slot[k] = _TODO
+            palettes.add(palette)
+    # each entry marked a slot iff there are 2st entries and no slot is left unlisted
+    listed = len(fixed) + len(todo) == size and _UNLISTED not in slot
+    if not (listed and {*chain(*palettes)} <= {*range(m)}):
+        # read through cat and emb, so that the walks' names stay locals, not closure cells
+        count = Counter([k for k, _ in fixed] + [k for k, _ in todo])  # name up to four offenders
         pages = chain(fixed, ((k, p) for k, palette in todo for p in palette))
-        decode = cat.decode
+        edges = range(size)
         for fault, offenders in (
-            (f"numbers outside 0..{cat.size - 1}", sorted(count.keys() - edges)),
-            ("listed twice", [decode(k) for k, n in count.items() if n > 1]),
-            ("missing from the plan", sorted(decode(k) for k in edges if k not in count)),
-            (f"pages outside 0..{m - 1}", [(decode(k), p) for k, p in pages if not 0 <= p < m]),
+            (f"numbers outside 0..{size - 1}", sorted(count.keys() - edges)),
+            ("listed twice", [cat.decode(k) for k, n in count.items() if n > 1]),
+            ("missing from the plan", sorted(cat.decode(k) for k in edges if k not in count)),
+            (f"pages outside 0..{m - 1}", [(cat.decode(k), p) for k, p in pages if not 0 <= p < emb.m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
-    if not index.pin(fixed, cat.decode):
-        clashes = violations(((cat.decode(k), page) for k, page in fixed), emb.pos)
+
+    def crossed(at: list[int]) -> bool:  # one bracket walk along the spine
+        closers: list[int] = []  # far ends of the open chords, innermost last
+        for x, y in enumerate(at):
+            if y > x:
+                closers.append(y)
+            elif y != -1 and closers.pop() != x:
+                return True
+        return False
+
+    if shared or any(map(crossed, partner)):
+        clashes = violations(((cat.decode(k), page) for k, page in fixed), pos)
         raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
     return index
 
 
 class _PageAssigner:
-    """The pages of one embedding while it is built, by edge number.
+    """The completion search, over one embedding's pages by edge number.
 
     ``slot[k]`` is edge k's page once placed, else ``_TODO`` (or
-    ``_UNLISTED`` while the plan is checked).  Each page keeps an index over
-    spine positions: ``partner[page][x]`` is -1 while position x is free on
-    that page, else the position of the other end of the chord placed
-    there.  A chord (a, b), a < b, fits a page when both ends are free and a
-    walk from a+1 to b-1, jumping over every chord nested inside, meets no
-    chord that leaves (a, b).  Edges are decoded only to find their two
-    positions; the page map is the caller's to write, from ``slot``.
+    ``_UNLISTED`` until ``_check_plan`` has read the plan).  Each page keeps
+    an index over spine positions: ``partner[page][x]`` is -1 while position
+    x is free on that page, else the position of the other end of the chord
+    placed there.  A chord (a, b), a < b, fits a page when both ends are
+    free and a walk from a+1 to b-1, jumping over every chord nested inside,
+    meets no chord that leaves (a, b).  Edges are decoded only to find their
+    two positions; the page map is the caller's to write, from ``slot``.
     """
 
     def __init__(self, emb: BookEmbedding, size: int, rule: str):
@@ -236,48 +265,9 @@ class _PageAssigner:
         self.slot = bytearray([_UNLISTED]) * size
         self.partner = [[-1] * len(emb.order) for _ in range(emb.m)]
 
-    def mark(self, fixed: list[Fixed], todo: list[Todo]) -> bool:
-        """Fill the slots from a plan: a fixed edge's page, ``_TODO`` for the
-        rest.  False unless every number is listed exactly once and every
-        page named is below m."""
-
-        slot, size, m = self.slot, len(self.slot), len(self.partner)
-        for k, page in fixed:
-            if not (0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m):
-                return False
-            slot[k] = page
-        palettes = set()
-        for k, palette in todo:
-            if not (0 <= k < size and slot[k] == _UNLISTED):
-                return False
-            slot[k] = _TODO
-            palettes.add(palette)
-        return _UNLISTED not in slot and all(0 <= p < m for p in chain(*palettes))
-
     def _span(self, e: Edge) -> tuple[int, int]:
         a, b = self.pos[e[0]], self.pos[e[1]]
         return (a, b) if a < b else (b, a)
-
-    def pin(self, fixed: list[Fixed], decode: Callable[[int], Edge]) -> bool:
-        """Enter the fixed pages into the index; False on a clash.  A shared
-        endpoint shows as a pin lands on a taken position, a crossing in one
-        bracket walk per page along the spine."""
-
-        partner, pos = self.partner, self.pos
-        for k, page in fixed:
-            u, v = decode(k)
-            a, b, index = pos[u], pos[v], partner[page]
-            if index[a] != -1 or index[b] != -1:
-                return False
-            index[a], index[b] = b, a
-        for index in partner:
-            closers: list[int] = []  # far ends of the open chords, innermost last
-            for x, y in enumerate(index):
-                if y > x:
-                    closers.append(y)
-                elif y != -1 and closers.pop() != x:
-                    return False
-        return True
 
     def _conflicts(self, a: int, b: int, page: int) -> bool:
         partner = self.partner[page]

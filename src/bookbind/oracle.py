@@ -264,11 +264,15 @@ def _color_edges(
             free ^= bit
 
 
+def check_page_count(m: int) -> None:
+    if m < 1:  # the one test of a page count asked for
+        raise OracleError(f"page count must be positive, got {m}")
+
+
 def search_fixed_pages(g: Graph, m: int, budget: SearchBudget | None = None) -> PageSearchResult:
     """Try every spine order for an m-page matching book embedding."""
 
-    if m < 1:
-        raise OracleError(f"page count must be positive, got {m}")
+    check_page_count(m)
     return _search_phase(g.n, _Incidence(g), m, _BudgetClock(budget))
 
 

@@ -220,6 +220,35 @@ def test_mbt_rejects_zero_pages(capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-orders", "0", "max_orders must be positive and finite, got 0"),
+        ("--max-nodes", "0", "max_nodes must be positive and finite, got 0"),
+        ("--time-limit", "nan", "time_limit must be positive and finite, got nan"),
+        ("--pages", "0", "page count must be positive, got 0"),
+    ],
+)
+def test_mbt_checks_its_options_before_building_the_graph(option, value, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "bundle", lambda spec: pytest.fail("graph built before the options were checked"))
+    code, out, err = run(capsys, "mbt", "s=300,t=300,phi=shift:2", option, value)
+    assert code == 65 and out == "" and err == f"bookbind: {message}\n"
+    # a spec error still comes first
+    assert run(capsys, "mbt", "s=300,t=300,phi=twist:2", option, value)[0] == 64
+    assert run(capsys, "mbt", "s=2,t=300,phi=shift:2", option, value)[0] == 65
+
+
+def test_verify_accepts_a_circulant_spec(tmp_path, capsys):
+    code, out, _ = run(capsys, "mbt", "circulant:n=6,S=1,2")
+    assert code == 0
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(json.loads(out)["witness"]))
+    code, out, err = run(capsys, "verify", "circulant:n=6,S=1,2", "--embedding", str(witness))
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] and payload["pages_used"] == 5
+
+
 def test_render_svg_chords_and_pages(capsys):
     code, out, _ = run(capsys, "render", "s=3,t=6,phi=shift:2")
     assert code == 0

@@ -20,9 +20,11 @@ from bookbind.constructions import (
     ConstructionResult,
     SequenceCatalog,
     Unsupported,
+    _check_plan,
     _select,
     _wraps,
     embed,
+    parity_pages,
 )
 from bookbind.cli import _sweep_specs
 from bookbind.graph_core import (
@@ -33,7 +35,7 @@ from bookbind.graph_core import (
     format_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import PURPLE, RED, YELLOW, validate
+from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate
 from reference import cycle_edges
 
 
@@ -200,6 +202,28 @@ def test_plan_fault_exits_as_construction_failure(monkeypatch, capsys):
     assert cli.main(["embed", format_bundle_spec(_PLAN_SPEC)]) == cli.EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith(f"bookbind: construction failed: {RULE_SHIFT_EVEN_GCD}: pages outside")
+
+
+class _CountedList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("spec", [_PLAN_SPEC, BundleSpec(5, 7, Reflection("one"))])
+def test_plan_check_walks_a_sound_fixed_list_once(spec):
+    rule, layout = _select(spec)
+    cat = SequenceCatalog(spec)
+    spine, fixed, todo = layout(cat, spec)
+    fixed = _CountedList(fixed)
+    emb = BookEmbedding(spine, {}, parity_pages(spec))
+    index = _check_plan(cat, (spine, fixed, todo), emb, rule)
+    assert fixed.iterations == 1
+    assert all(index.slot[k] == page for k, page in list.__iter__(fixed))
 
 
 def test_shift_even_gcd_cases():
@@ -468,8 +492,8 @@ def _plan_text(spec) -> str:
 
 # sha256 of every layout's plan (rule, spine, fixed list in order, todo list
 # in order) on the sweep grid s = 3..12, t = 3..30, shifts then reflections:
-# 1280 rows.  The fixed order is the order of placement; the todo length
-# sets the depth of the completion search.
+# 1280 rows.  Fixed pages are pinned, so their order changes nothing but this
+# digest; the todo order is the search's, and its length sets the search depth.
 PLAN_DIGEST = "5c8f8cee3217f78caf08e86c65be2f3ae560ec367747212d63ead15401d57983"
 
 

@@ -7,16 +7,19 @@ oracle builds its per-order conflict masks from prefix XORs along the spine.
 All three are compared here with the plain pairwise definitions, built on
 the crossing predicate in ``reference``; no bookbind module binds a name
 that ``reference`` defines.  The plan check, which pins fixed pages into the
-index and walks each page once, is compared with ``violations``.
+index and walks each page once, is compared with ``violations``, and on
+plans with several faults at once with a reference built from ``Counter``
+and ``violations``.
 """
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
 import bookbind  # noqa: E402
 from bookbind import oracle  # noqa: E402
@@ -26,6 +29,7 @@ from bookbind.constructions import (  # noqa: E402
     SequenceCatalog,
     _check_plan,
     _PageAssigner,
+    _select,
     embed,
     parity_pages,
 )
@@ -242,6 +246,127 @@ def test_plan_check_pins_fixed_pages_iff_the_validator_finds_no_clash(case):
             assert index.slot[k] == p and index.partner[p][a] == b and index.partner[p][b] == a
         assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
     assert emb.pages == {}
+
+
+def reference_plan_verdict(cat: SequenceCatalog, plan, m: int) -> str | None:
+    """What the plan check must say, from its definition: the first listing
+    fault in priority order (numbers out of range, numbers listed twice,
+    numbers missing, pages out of range), each naming up to four offenders,
+    else the validator's clashes among the fixed pages; None for a sound plan."""
+
+    spine, fixed, todo = plan
+    decode, edges = cat.decode, range(cat.size)
+    count = Counter(k for k, _ in [*fixed, *todo])
+    pages = [*fixed, *((k, p) for k, palette in todo for p in palette)]
+    for fault, offenders in (
+        (f"numbers outside 0..{cat.size - 1}", sorted(set(count) - set(edges))),
+        ("listed twice", [decode(k) for k, c in count.items() if c > 1]),
+        ("missing from the plan", sorted(decode(k) for k in edges if k not in count)),
+        (f"pages outside 0..{m - 1}", [(decode(k), p) for k, p in pages if not 0 <= p < m]),
+    ):
+        if offenders:
+            return f"{fault}: {offenders[:4]}"
+    pos = {v: x for x, v in enumerate(spine)}
+    clashes = violations(((decode(k), p) for k, p in fixed), pos)
+    return f"fixed pages clash: {clashes[:4]}" if clashes else None
+
+
+# one spec per shift rule tag and two reflections; each plan has fixed and todo entries
+PLAN_SPECS = (
+    BundleSpec(3, 4, Shift(2)),
+    BundleSpec(3, 6, Shift(3)),
+    BundleSpec(4, 6, Shift(3)),
+    BundleSpec(3, 15, Shift(3)),
+    BundleSpec(5, 7, Reflection("one")),
+    BundleSpec(4, 6, Reflection("two")),
+)
+PLAN_FAULT_KINDS = (
+    "number past the end",
+    "repeat within fixed",
+    "repeat within todo",
+    "repeat across the lists",
+    "drop a number",
+    "fixed page >= m",
+    "palette page >= m",
+    "move a fixed page onto a clash",
+)
+
+
+@st.composite
+def multi_fault_plans(draw):
+    """A layout's own plan with up to three listing faults and up to two
+    fixed pages moved onto a clash, applied one after another in a drawn order."""
+
+    spec = draw(st.sampled_from(PLAN_SPECS))
+    cat, m = SequenceCatalog(spec), parity_pages(spec)
+    rule, layout = _select(spec)
+    spine, fixed, todo = layout(cat, spec)
+    pos = {v: x for x, v in enumerate(spine)}
+
+    def clash(e, f) -> bool:
+        return bool(set(e) & set(f)) or chords_cross(pos[e[0]], pos[e[1]], pos[f[0]], pos[f[1]])
+
+    moves = ["move a fixed page onto a clash"] * draw(st.integers(0, 2))
+    faults = draw(st.lists(st.sampled_from(PLAN_FAULT_KINDS[:-1]), max_size=3))
+    for fault in draw(st.permutations(faults + moves)):
+        lists = [entries for entries in (fixed, todo) if entries]
+        entries = lists[draw(st.integers(0, len(lists) - 1))]
+        i = draw(st.integers(0, len(entries) - 1))
+        k, page = entries[i]
+        if fault == "number past the end":
+            entries[i] = (cat.size + draw(st.integers(0, 3)), page)
+        elif fault == "repeat within fixed" and fixed:
+            fixed.append(fixed[i % len(fixed)])
+        elif fault == "repeat within todo" and todo:
+            todo.append(todo[i % len(todo)])
+        elif fault == "repeat across the lists":
+            p = draw(st.integers(0, m - 1))
+            if entries is todo:
+                fixed.append((k, p))
+            else:
+                todo.append((k, (p,)))
+        elif fault == "drop a number":
+            del entries[i]
+        elif fault == "fixed page >= m" and fixed:
+            j = i % len(fixed)
+            fixed[j] = (fixed[j][0], m + draw(st.integers(0, 2)))
+        elif fault == "palette page >= m" and todo:
+            j = i % len(todo)
+            todo[j] = (todo[j][0], todo[j][1] + (m + draw(st.integers(0, 2)),))
+        elif fault == "move a fixed page onto a clash" and fixed:
+            j = i % len(fixed)
+            k, page = fixed[j]
+            edge = cat.decode(k) if k in range(cat.size) else None
+            # the pages of the fixed edges this one would clash with
+            onto = sorted(
+                {p for k2, p in fixed if edge and k2 != k and k2 in range(cat.size) and clash(edge, cat.decode(k2))}
+                - {page}
+            )
+            if onto:
+                fixed[j] = (k, draw(st.sampled_from(onto)))
+    return cat, rule, (spine, fixed, todo), m
+
+
+@settings(max_examples=200)  # eight fault kinds in combination on six specs
+@given(multi_fault_plans())
+def test_plan_check_names_faults_in_combination_as_the_reference_does(case):
+    cat, rule, plan, m = case
+    _, fixed, todo = plan
+    emb = BookEmbedding(plan[0], {}, m)
+    verdict = reference_plan_verdict(cat, plan, m)
+    event("sound" if verdict is None else verdict.split(":")[0])
+    if verdict is not None:
+        with pytest.raises(CompletionError) as info:
+            _check_plan(cat, plan, emb, rule)
+        assert str(info.value) == f"{rule}: {verdict}"
+        return
+    index = _check_plan(cat, plan, emb, rule)
+    assert all(index.slot[k] == p for k, p in fixed)
+    assert all(index.slot[k] == _TODO for k, _ in todo)
+    for k, p in fixed:
+        a, b = index._span(cat.decode(k))
+        assert index.partner[p][a] == b and index.partner[p][b] == a
+    assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
 
 
 def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
