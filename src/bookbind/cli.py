@@ -45,6 +45,7 @@ from .graph_core import (
     circulant,
     format_bundle_spec,
     parse_bundle_spec,
+    parse_float,
     parse_int,
     vertex_pair,
 )
@@ -91,6 +92,13 @@ def _int_option(text: str) -> int:
 
 
 _int_option.__name__ = "int"  # argparse names it: "invalid int value: 'x'"
+
+
+def _float_option(text: str) -> float:
+    return parse_float(text)
+
+
+_float_option.__name__ = "float"  # argparse names it: "invalid float value: 'x'"
 
 
 def _parse_spec(text: str) -> Graph | BundleSpec:
@@ -216,19 +224,19 @@ def cmd_verify(args) -> int:
         with open(args.embedding, encoding="utf-8") as fh:
             payload = json.loads(fh.read())
     except OSError as exc:
-        sys.stderr.write(f"cannot read {args.embedding}: {exc}\n")
+        sys.stderr.write(f"cannot read {args.embedding!r}: {exc}\n")
         return EXIT_IO
     except (ValueError, RecursionError) as exc:
         # not UTF-8, not JSON, an integer past sys.get_int_max_str_digits(),
         # or nested past the decoder's recursion limit
-        sys.stderr.write(f"{args.embedding}: bad embedding payload: {exc}\n")
+        sys.stderr.write(f"{args.embedding!r}: bad embedding payload: {exc}\n")
         return EXIT_IO
     if isinstance(payload, dict) and "embedding" in payload:  # written by `embed --out`
         payload = payload["embedding"]
     try:
         emb = BookEmbedding.from_payload(payload)
     except SpecFormatError as exc:
-        sys.stderr.write(f"{args.embedding}: {exc}\n")
+        sys.stderr.write(f"{args.embedding!r}: {exc}\n")
         return EXIT_IO
     try:
         report = validate(_graph_of(spec), emb)
@@ -407,13 +415,13 @@ def _parser() -> _Parser:
     m.add_argument("--pages", type=_int_option, help="test exactly this page count")
     m.add_argument("--max-orders", type=_int_option)
     m.add_argument("--max-nodes", type=_int_option)
-    m.add_argument("--time-limit", type=float, help="seconds")
+    m.add_argument("--time-limit", type=_float_option, help="seconds")
     m.set_defaults(func=cmd_mbt)
 
     r = sub.add_parser("render", help="deterministic SVG of the embedding")
     r.add_argument("spec")
     r.add_argument("--out")
-    r.add_argument("--radius", type=float, default=180.0)
+    r.add_argument("--radius", type=_float_option, default=180.0)
     r.add_argument("--palette", help="comma-separated chord colors, one per page")
     r.add_argument("--labels", choices=("flat", "pair"), default="flat")
     r.set_defaults(func=cmd_render)

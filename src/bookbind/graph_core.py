@@ -267,6 +267,18 @@ def parse_int(text: str) -> int:
     return value
 
 
+_FLOAT = r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:nan|inf|infinity))\s*"
+
+
+def parse_float(text: str) -> float:
+    """``float(text)`` for ASCII decimals with an optional exponent, and for
+    ``nan``, ``inf`` and ``infinity``: ``1_0`` or ``１０`` raise ValueError."""
+    value = float(text)  # what float rejects keeps float's own message
+    if not re.fullmatch(_FLOAT, text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return value
+
+
 def _parse_int(text: str) -> int:
     try:
         return parse_int(text)

@@ -8,11 +8,16 @@ checks that in one pass per page (O(E log E) in all), for ``validate`` and
 for the fixed pages of a construction whose plan check found a clash (the
 text of that error is this function's).  Only a page that fails is swept
 once more, by ``_page_violations``, to list its shared endpoints and
-crossings in O(P log P + K) for its P edges and K violations.
+crossings in O(P log P + K) for its P edges and K violations; the sweep
+sorts one integer key per chord end, not tuples.  ``validate``'s structural
+checks (spine a permutation, page indices in range) are ``len``, ``min`` and
+``max`` over the spine and the page map, so they run at C speed; only a
+failing range check walks the map, to name the first offending edge.
 
 ``BookEmbedding`` is an embedding's one index: spine order, page map and
 ``pos`` (vertex -> spine place, built once).  It converts to and from plain
-data (``to_payload``, ``from_payload``); only ``cli`` encodes and decodes JSON.
+data (``to_payload``, ``from_payload``, one inline pass per listed edge);
+only ``cli`` encodes and decodes JSON.
 """
 
 from __future__ import annotations
@@ -69,14 +74,25 @@ class BookEmbedding:
 
         Every number must be a JSON integer (not ``true``, ``1.0`` or ``"1"``);
         edges are canonicalised, and one listed twice keeps its last page.
+        The common case costs one inline pass: a list ``order`` of ints is
+        taken whole, and a triple of ints with ``u < v`` is stored as it
+        stands.  ``_integer`` runs only once a type test fails, to name the
+        first offender (u, then v, then p), and only ``u >= v`` goes
+        through ``make_edge``, which swaps the pair or refuses a loop.
         """
 
         try:
-            order = tuple(_integer(v) for v in payload["order"])
+            order = payload["order"]
+            if type(order) is not list or not all(type(v) is int for v in order):
+                order = tuple(_integer(v) for v in order)
             pages: dict[Edge, int] = {}
             for u, v, p in payload["pages"]:
-                u, v, p = _integer(u), _integer(v), _integer(p)
-                pages[make_edge(u, v)] = p
+                if type(u) is not int or type(v) is not int or type(p) is not int:
+                    u, v, p = _integer(u), _integer(v), _integer(p)
+                if u < v:
+                    pages[u, v] = p
+                else:
+                    pages[make_edge(u, v)] = p
             return cls(order, pages, _integer(payload["m"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
@@ -127,39 +143,60 @@ def _page_violations(page_edges: list[Edge], pos: dict[int, int]) -> list[Violat
     """Every shared endpoint and every crossing on one page, each pair once.
 
     Costs O(P log P + K) for P edges and K violations.  Edges at one vertex
-    pairwise share it.  For crossings, the chord ends are swept in spine
-    order with the open chords kept in opening order: the chords opened
+    pairwise share it; a ``seen`` set finds the vertices met twice, and only
+    those get edge lists.  For crossings, chord i with spine ends a < b
+    gets the integer keys ``(2a + 1) P + i`` (opens) and ``2b P + i``
+    (closes), so one sort of 2P ints puts the ends in spine order with the
+    closers at a position before its openers, which share that end.  The
+    open chords are kept as indices in opening order: the chords opened
     after a chord and still open when it closes are exactly those that
     cross it or share one of its endpoints.
     """
 
     violations: list[Violation] = []
-    at: dict[int, list[Edge]] = {}
-    # (position, opens, edge): False sorts first, so at one position the
-    # closing chords leave before the opening ones, which share that end
-    ends: list[tuple[int, bool, Edge]] = []
-    for e in page_edges:
-        for v in e:
-            at.setdefault(v, []).append(e)
-        a, b = sorted((pos[e[0]], pos[e[1]]))
-        ends += ((a, True, e), (b, False, e))
-    for edges in at.values():
-        for i, e in enumerate(edges):
-            for f in edges[i + 1 :]:
-                violations.append((min(e, f), max(e, f), REASON_ENDPOINT))
-    ends.sort()
-    open_chords: list[Edge] = []
-    for _, opens, e in ends:
-        if opens:
-            open_chords.append(e)
-            continue
-        i = len(open_chords) - 1
-        if open_chords[i] != e:  # a well-nested chord closes innermost
-            i = open_chords.index(e)
-        for f in open_chords[i + 1 :]:
-            if e[0] not in f and e[1] not in f:
-                violations.append((min(e, f), max(e, f), REASON_CROSSING))
-        del open_chords[i]
+    seen: set[int] = set()
+    shared: set[int] = set()
+    keys: list[int] = []
+    size = len(page_edges)
+    for i, (u, v) in enumerate(page_edges):
+        if u in seen:
+            shared.add(u)
+        else:
+            seen.add(u)
+        if v in seen:
+            shared.add(v)
+        else:
+            seen.add(v)
+        a, b = pos[u], pos[v]
+        if a > b:
+            a, b = b, a
+        keys += ((2 * a + 1) * size + i, 2 * b * size + i)
+    if shared:
+        at: dict[int, list[Edge]] = {w: [] for w in shared}
+        for e in page_edges:
+            for w in e:
+                if w in at:
+                    at[w].append(e)
+        for edges in at.values():
+            for i, e in enumerate(edges):
+                for f in edges[i + 1 :]:
+                    violations.append((min(e, f), max(e, f), REASON_ENDPOINT))
+    keys.sort()
+    open_chords: list[int] = []
+    for key in keys:
+        end, i = divmod(key, size)  # end: 2a + 1 where chord i opens, 2b where it closes
+        if end & 1:
+            open_chords.append(i)
+        elif open_chords[-1] == i:  # a well-nested chord closes innermost
+            open_chords.pop()
+        else:
+            j = open_chords.index(i)
+            e = page_edges[i]
+            for k in open_chords[j + 1 :]:
+                f = page_edges[k]
+                if e[0] not in f and e[1] not in f:
+                    violations.append((min(e, f), max(e, f), REASON_CROSSING))
+            del open_chords[j]
     return violations
 
 
@@ -185,7 +222,8 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     outside ``0..m-1``.  Colouring faults are collected as violations.
     """
 
-    if sorted(emb.order) != list(range(g.n)):
+    order, n = emb.order, g.n  # n distinct ints from 0 to n-1 are a permutation
+    if not (len(emb.pos) == len(order) == n and (not order or (min(order), max(order)) == (0, n - 1))):
         raise CoverageError("spine order is not a permutation of the vertex set")
     if emb.pages.keys() != g.edges:
         missing = sorted(g.edges - emb.pages.keys())
@@ -193,9 +231,10 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
         raise CoverageError(f"page map mismatch: missing {missing}, extra {extra}")
     if emb.m < 1:
         raise CoverageError(f"page count m={emb.m} must be at least 1")
-    for e, p in emb.pages.items():
-        if not 0 <= p < emb.m:
-            raise CoverageError(f"page {p} of edge {e} outside 0..{emb.m - 1}")
+    pages = emb.pages.values()
+    if pages and not (0 <= min(pages) and max(pages) < emb.m):
+        e, p = next((e, p) for e, p in emb.pages.items() if not 0 <= p < emb.m)
+        raise CoverageError(f"page {p} of edge {e} outside 0..{emb.m - 1}")
 
     found = violations(emb.pages.items(), emb.pos)
     is_proper = all(r != REASON_ENDPOINT for _, _, r in found)

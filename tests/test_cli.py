@@ -178,7 +178,26 @@ def test_verify_undecodable_file(data, tmp_path, capsys):
     bad.write_bytes(data)
     code, out, err = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(bad))
     assert code == 66 and out == ""
-    assert err.startswith(f"{bad}: bad embedding payload: ") and err.count("\n") == 1
+    assert err.startswith(f"{str(bad)!r}: bad embedding payload: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (None, "cannot read 'a\\nb.json': "),
+        (b"not json", "'a\\nb.json': bad embedding payload: "),
+        (b'{"order": [0, 1], "m": 4}', "'a\\nb.json': bad embedding payload: 'pages'"),
+    ],
+    ids=["missing", "not-json", "bad-payload"],
+)
+def test_verify_quotes_the_embedding_path(data, message, monkeypatch, tmp_path, capsys):
+    # a newline in the path must not split the one stderr line
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / "a\nb.json").write_bytes(data)
+    code, out, err = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", "a\nb.json")
+    assert code == 66 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -415,6 +434,25 @@ def test_spec_integer_messages(capsys):
     assert code == 64 and err == "bookbind: expected integer, got '1_0'\n"
     code, _, err = run(capsys, "mbt", "circulant:n=6,S=1", "--pages", "1_0")
     assert code == 64 and err.endswith(": error: argument --pages: invalid int value: '1_0'\n")
+
+
+@pytest.mark.parametrize("value", ["1_0", "１０", "１_0", "0x1", "1e"])
+@pytest.mark.parametrize(
+    "argv", [("render", "s=3,t=6,phi=shift:2", "--radius"), ("mbt", "circulant:n=5,S=1", "--time-limit")]
+)
+def test_float_options_take_ascii_decimals_only(argv, value, capsys):
+    # as for the integer options, what only Python's float reads is a usage error
+    code, out, err = run(capsys, *argv, value)
+    assert code == 64 and out == ""
+    assert err.endswith(f": error: argument {argv[-1]}: invalid float value: {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["2e2", " 200.5 ", ".5E+3", "5.", "+180"])
+def test_float_options_take_decimal_and_exponent_syntax(value, capsys):
+    code, out, _ = run(capsys, "render", "s=3,t=6,phi=shift:2", "--radius", value)
+    assert code == 0 and f'r="{float(value):.2f}"' in out
+    code, _, _ = run(capsys, "mbt", "circulant:n=5,S=1", "--time-limit", value)
+    assert code == 0
 
 
 def test_param_errors(capsys):

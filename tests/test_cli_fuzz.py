@@ -233,6 +233,7 @@ def argvs(draw) -> list[str]:
 
 @given(argvs())
 @example(["sweep", "--family", "shift", "--s", " 5\n:4", "--t", "3"])
+@example(["verify", "s=3,t=6,phi=shift:2", "--embedding", "no\nsuch.json"])
 def test_cli_contract_holds_on_fuzzed_arguments(argv):
     code, _, err = run(*argv)
     assert_contract(code, err)

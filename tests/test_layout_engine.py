@@ -85,6 +85,80 @@ def test_book_embedding_rejects_bad_payload(text):
         BookEmbedding.from_payload(json.loads(text))
 
 
+# (payload, exact message): the first offender is named, reading `order`, then
+# each triple's u, v and p, then `m`; each key is read only after the one before
+BAD_PAYLOADS = [
+    ('{"order": [true, 1], "pages": [], "m": 1}', "expected an integer, got True"),
+    ('{"order": [0, 1.0, "1"], "pages": [], "m": 1}', "expected an integer, got 1.0"),
+    ('{"order": ["1", true], "pages": [], "m": 1}', "expected an integer, got '1'"),
+    ('{"order": [0, 1], "pages": [[true, 1.0, "1"]], "m": 1}', "expected an integer, got True"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0], [0, 1.0, "1"]], "m": 1}', "expected an integer, got 1.0"),
+    ('{"order": [0, 1], "pages": [[0, 1, "1"]], "m": 1.0}', "expected an integer, got '1'"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0]], "m": true}', "expected an integer, got True"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0]], "m": 1.0}', "expected an integer, got 1.0"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0]], "m": "1"}', "expected an integer, got '1'"),
+    ('{"order": [true], "m": 1}', "expected an integer, got True"),
+    ('{"order": [0, 1], "pages": [[0, true, 0]]}', "expected an integer, got True"),
+    ('{"order": {"a": 1}, "pages": [], "m": 1}', "expected an integer, got 'a'"),
+    ('{"order": [0, 1], "pages": [{"a": 1, "b": 2, "c": 3}], "m": 1}', "expected an integer, got 'a'"),
+    ('{"pages": [[0, 1, 0]], "m": 1}', "'order'"),
+    ('{"order": [0, 1], "m": 1}', "'pages'"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0]]}', "'m'"),
+    ("[]", "list indices must be integers or slices, not str"),
+    ('{"order": 5, "pages": [], "m": 1}', "'int' object is not iterable"),
+    ('{"order": [0, 1], "pages": [[0, 1]], "m": 1}', "not enough values to unpack (expected 3, got 2)"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0, 0]], "m": 1}', "too many values to unpack (expected 3)"),
+    ('{"order": [0, 1], "pages": 3, "m": 1}', "'int' object is not iterable"),
+    ('{"order": [0, 1], "pages": [[0, 1, 0], [1, 1, 0]], "m": 1}', "loop edge at vertex 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_PAYLOADS)
+def test_bad_payload_messages_are_pinned(text, message):
+    with pytest.raises(SpecFormatError) as info:
+        BookEmbedding.from_payload(json.loads(text))
+    assert str(info.value) == f"bad embedding payload: {message}"
+
+
+def test_payload_order_may_be_any_iterable_of_integers():
+    # `order` need not be a list: any iterable of ints is read one by one, and "" is an empty spine
+    emb = BookEmbedding.from_payload({"order": "", "pages": [], "m": 1})
+    assert emb.order == () and emb.pages == {}
+    emb = BookEmbedding.from_payload({"order": (1, 0), "pages": ((1, 0, 0),), "m": 1})
+    assert emb.order == (1, 0) and emb.pages == {(0, 1): 0}
+
+
+_C4_PAGES = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
+_NOT_A_PERMUTATION = "spine order is not a permutation of the vertex set"
+
+
+@pytest.mark.parametrize(
+    "order, pages, m, message",
+    [
+        ((0, 1, 2, 2), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # a duplicate
+        ((0, 1, 2), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # a missing vertex
+        ((0, 1, 2, 4), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # past the end
+        ((-1, 1, 2, 3), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # below zero
+        ((0, 1, 2, 3, 4), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # one too many
+        ((0, 1, 2, 3), {(0, 1): 0, (1, 2): 1, (2, 3): 0}, 2, "page map mismatch: missing [(0, 3)], extra []"),
+        ((0, 1, 2, 3), _C4_PAGES, 0, "page count m=0 must be at least 1"),
+        # two pages out of range: the first in map order is named
+        ((0, 1, 2, 3), {(0, 1): 0, (1, 2): 5, (2, 3): 0, (0, 3): -1}, 2, "page 5 of edge (1, 2) outside 0..1"),
+        ((0, 1, 2, 3), {(0, 3): -1, (1, 2): 5, (2, 3): 0, (0, 1): 0}, 2, "page -1 of edge (0, 3) outside 0..1"),
+        ((0, 1, 2, 3), {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 3}, 3, "page 3 of edge (0, 3) outside 0..2"),
+    ],
+)
+def test_coverage_messages_are_pinned(order, pages, m, message):
+    with pytest.raises(CoverageError) as info:
+        validate(circulant(4, {1}), BookEmbedding(order, dict(pages), m))
+    assert str(info.value) == message
+
+
+def test_validate_accepts_the_empty_graph():
+    report = validate(Graph(0, frozenset()), BookEmbedding((), {}, 1))
+    assert report.ok and report.pages_used == 0 and report.violations == ()
+
+
 def _c4_embedding():
     g = circulant(4, {1})
     pages = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}

@@ -46,6 +46,7 @@ from bookbind.layout_engine import (  # noqa: E402
     REASON_ENDPOINT,
     BookEmbedding,
     ValidationReport,
+    _page_violations,
     validate,
     violations,
 )
@@ -151,6 +152,48 @@ def dense_single_pages(draw, max_n=16):
 def test_validate_matches_pairwise_reference_on_dense_single_pages(case):
     g, emb = case
     assert validate(g, emb) == reference_validate(g, emb)
+
+
+def pairwise_page_violations(page_edges, pos) -> list:
+    """Every pair of one page's edges compared directly, each pair once."""
+
+    found = []
+    for i, e in enumerate(page_edges):
+        for f in page_edges[i + 1 :]:
+            why = _conflict(e, f, pos)
+            if why is not None:
+                found.append((min(e, f), max(e, f), why))
+    return found
+
+
+@st.composite
+def pages_with_ties(draw):
+    """One page, listed in a drawn order, where chords meet at one or two hub
+    vertices (so several open or close at one spine position), plus a few
+    chords anywhere, which may cross the hub chords or each other."""
+
+    n = draw(st.integers(4, 14))
+    pos = {v: i for i, v in enumerate(draw(st.permutations(range(n))))}
+    edges = set()
+    for hub in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+        others = st.integers(0, n - 1).filter(lambda v, hub=hub: v != hub)
+        edges |= {(min(hub, v), max(hub, v)) for v in draw(st.lists(others, min_size=2, max_size=n, unique=True))}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return draw(st.permutations(sorted(edges))), pos
+
+
+@given(pages_with_ties())
+@example(([(0, 3), (0, 5), (2, 4), (1, 6)], {v: v for v in range(7)}))  # opens tie at 0, both crossed
+@example(([(1, 4), (0, 4), (4, 6), (4, 7), (3, 5), (2, 8)], {v: v for v in range(9)}))  # closes and opens at 4
+@example(([(2, 5), (0, 5), (5, 7), (1, 5), (3, 6), (4, 8)], {v: (2 * v) % 9 for v in range(9)}))
+def test_page_listing_matches_pairwise_reference_on_ties(case):
+    page_edges, pos = case
+    got = _page_violations(page_edges, pos)
+    ends = Counter(pos[v] for e in page_edges for v in e)
+    event("tie" if max(ends.values()) > 1 else "no tie")
+    event("crossing" if any(r == REASON_CROSSING for _, _, r in got) else "no crossing")
+    assert sorted(got) == sorted(pairwise_page_violations(page_edges, pos))
 
 
 def _flip_mutant(res, pick: int, shift: int) -> BookEmbedding:
