@@ -7,13 +7,14 @@ edges that only have a palette prescribed ("finish this cycle with these
 pages").  Layouts name an edge by its number in ``SequenceCatalog``: vertex
 (i, j) owns ``cat.fibre(i, j)``, toward column j+1, and ``cat.rung(i, j)``,
 toward row i+1 and across the seam from row s; a residual cycle's edges are
-``2 * v + 1`` for its vertices in walk order.  ``SequenceCatalog.decode``
-turns a number into a vertex pair and is the one place that applies ``phi``,
-so no layout works out where a seam lands.  A layout is written as data: its
-spine is one ``_zigzag`` of named blocks (rows, columns, residual cycles or
-column pairs, every other block reversed), its fibre pages are one rule
-``page_of(row, column)`` handed to ``SequenceCatalog.fibres``, its rung and
-seam pages are explicit lists, and palettes cover the rest.  ``_select``
+``2 * v + 1`` for its vertices in walk order.  Edge k is
+``graph_core.bundle_edges(spec)[k]``, which ``SequenceCatalog`` holds as
+``edges`` (``decode`` reads it); that list is the one place that applies
+``phi``, so no layout works out where a seam lands.  A layout is written as
+data: its spine is one ``_zigzag`` of named blocks (rows, columns, residual
+cycles or column pairs, every other block reversed), its fibre pages are one
+rule ``page_of(row, column)`` handed to ``SequenceCatalog.fibres``, its rung
+and seam pages are explicit lists, and palettes cover the rest.  ``_select``
 maps a spec to its ``(rule tag, layout)`` pair; coprime and trivial shifts
 have no rule and raise Unsupported.  Shifts are laid out as given;
 ``_wraps`` is the one place that says where their residual cycles wrap.
@@ -22,14 +23,19 @@ have no rule and raise Unsupported.  Shifts are laid out as given;
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
-then checks the plan once (``_check_plan``: one walk over the fixed list
-marks each number's slot and pins its page into the search's index, one
-over the todo list marks the rest), completes the todo list by
-``_PageAssigner``, a backtracking search within each edge's palette that
-decodes each edge as it is reached, writes the page map once from the
-slots, and validates the result once against ``bundle(spec)``, which is
-built without the numbering; a faulty plan, completion or validation raises
-instead of substituting pages.
+builds the edge list once and the graph from it, so the graph, the search
+and the page map share one tuple per edge.  It then checks the plan once
+(``_check_plan``: one walk over the fixed list marks each number's slot and
+pins its page into the search's index, one over the todo list marks the
+rest), completes the todo list by ``_PageAssigner``, a backtracking search
+within each edge's palette that reads each edge by number as it is reached,
+writes the page map once by zipping the edge list with the slots, and
+validates the result once against the graph; a faulty plan, completion or
+validation raises instead of substituting pages.  ``validate`` checks
+crossings and shared endpoints, not the numbering: the graph and the page
+map come from one list, so a wrong number in ``bundle_edges`` would go
+unseen here, and the tests compare that list with an independent
+definition.
 
 Until the search ends an edge's page is one byte, ``slot[k]`` of
 ``_PageAssigner``, and no page map exists.  Placement never compares a chord
@@ -55,7 +61,7 @@ from .graph_core import (
     REFL_ONE,
     REFL_TWO,
     Shift,
-    bundle,
+    bundle_edges,
     predict_bipartite,
 )
 from .layout_engine import (
@@ -118,16 +124,16 @@ class SequenceCatalog:
     formulas like column ``1 - d`` can be used verbatim.  Each vertex (i, j)
     owns two edges, numbered ``2 * flat(i, j) + kind``: kind 0 is the fibre
     edge toward column j+1, kind 1 the rung toward row i+1, which from row s
-    is the seam across ``phi``.  The numbers 0..2st-1 name every edge once,
-    and ``decode`` is the one place that applies ``phi``.
+    is the seam across ``phi``.  The numbers 0..2st-1 name every edge once;
+    ``edges`` is ``bundle_edges(spec)``, edge k at index k, built once, and
+    the graph, the search and the page map all share its tuples.
     """
 
     def __init__(self, spec: BundleSpec):
         self.s = spec.s
         self.t = spec.t
-        self.phi = spec.phi
-        self.size = 2 * spec.s * spec.t  # edge count
-        self.row_s = (spec.s - 1) * spec.t  # flat id of (s, 1): from here on kind 1 is a seam
+        self.edges = bundle_edges(spec)
+        self.size = len(self.edges)  # edge count, 2st
 
     def flat(self, i: int, j: int) -> int:
         return ((i - 1) % self.s) * self.t + ((j - 1) % self.t)
@@ -139,15 +145,9 @@ class SequenceCatalog:
         return 2 * self.flat(i, j) + 1
 
     def decode(self, k: int) -> Edge:
-        """Edge number k as its canonical vertex pair, lower id first."""
+        """Edge number k (0 <= k < size) as its canonical vertex pair."""
 
-        v, t = k >> 1, self.t
-        q = v % t
-        if k % 2 == 0:  # the fibre edge from column t wraps to the row's first vertex
-            return (v, v + 1) if q < t - 1 else (v - q, v)
-        if v < self.row_s:
-            return (v, v + t)
-        return (self.phi.apply(q, t), v)  # the seam, landing on row 1
+        return self.edges[k]
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(self.flat(i, j) for j in range(1, self.t + 1))
@@ -199,13 +199,13 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
     if not (len(spine) == len(emb.pos) == n and min(spine) == 0 and max(spine) == n - 1):
         raise CompletionError(rule, "spine is not a permutation of the vertices")
     index = _PageAssigner(emb, cat.size, rule)
-    slot, partner, pos, decode = index.slot, index.partner, emb.pos, cat.decode
+    slot, partner, pos, edges = index.slot, index.partner, emb.pos, cat.edges
     size, m = cat.size, emb.m
     shared = False  # a pin landed on a taken position
     for k, page in fixed:
         if 0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m:
             slot[k] = page
-            u, v = decode(k)
+            u, v = edges[k]
             a, b, at = pos[u], pos[v], partner[page]
             if at[a] != -1 or at[b] != -1:
                 shared = True
@@ -220,12 +220,14 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
     if not (listed and {*chain(*palettes)} <= {*range(m)}):
         # read through cat and emb, so that the walks' names stay locals, not closure cells
         count = Counter([k for k, _ in fixed] + [k for k, _ in todo])  # name up to four offenders
+        numbers = range(size)
+        outside = sorted(count.keys() - numbers)
+        if outside:  # first, as only numbers in range can be decoded
+            raise CompletionError(rule, f"numbers outside 0..{size - 1}: {outside[:4]}")
         pages = chain(fixed, ((k, p) for k, palette in todo for p in palette))
-        edges = range(size)
         for fault, offenders in (
-            (f"numbers outside 0..{size - 1}", sorted(count.keys() - edges)),
             ("listed twice", [cat.decode(k) for k, n in count.items() if n > 1]),
-            ("missing from the plan", sorted(cat.decode(k) for k in edges if k not in count)),
+            ("missing from the plan", sorted(cat.decode(k) for k in numbers if k not in count)),
             (f"pages outside 0..{m - 1}", [(cat.decode(k), p) for k, p in pages if not 0 <= p < emb.m]),
         ):
             if offenders:
@@ -255,8 +257,8 @@ class _PageAssigner:
     x is free on that page, else the position of the other end of the chord
     placed there.  A chord (a, b), a < b, fits a page when both ends are
     free and a walk from a+1 to b-1, jumping over every chord nested inside,
-    meets no chord that leaves (a, b).  Edges are decoded only to find their
-    two positions; the page map is the caller's to write, from ``slot``.
+    meets no chord that leaves (a, b).  Edges are read by number only to find
+    their two positions; the page map is the caller's to write, from ``slot``.
     """
 
     def __init__(self, emb: BookEmbedding, size: int, rule: str):
@@ -294,12 +296,12 @@ class _PageAssigner:
         partner[a] = partner[b] = -1
         self.slot[k] = _TODO
 
-    def complete(self, todo: list[Todo], decode: Callable[[int], Edge]) -> None:
-        """Depth-first completion of `todo` in order, palettes as given; each
-        edge number is decoded when the search reaches it."""
+    def complete(self, todo: list[Todo], edges: list[Edge]) -> None:
+        """Depth-first completion of `todo` in order, palettes as given; edge
+        k is ``edges[k]``, read when the search reaches it."""
 
         self._nodes = 0
-        self._decode = decode
+        self._edges = edges
         if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
 
@@ -313,7 +315,7 @@ class _PageAssigner:
         if self._nodes > _NODE_CAP:
             raise CompletionError(self.rule, f"completion exceeded {_NODE_CAP} nodes")
         k, palette = todo[i]
-        a, b = self._span(self._decode(k))
+        a, b = self._span(self._edges[k])
         for page in palette:
             if self._conflicts(a, b, page):
                 continue
@@ -611,15 +613,15 @@ def embed(spec: BundleSpec) -> ConstructionResult:
     """
 
     rule, layout = _select(spec)
-    graph = bundle(spec)
     cat = SequenceCatalog(spec)
+    graph = Graph(spec.s * spec.t, frozenset(cat.edges))  # bundle(spec), on the same tuples
     plan = layout(cat, spec)
     emb = BookEmbedding(plan[0], {}, parity_pages(spec))
     index = _check_plan(cat, plan, emb, rule)
     todo = plan[2]
     del plan  # the spine is in emb and the fixed pages in the index
-    index.complete(todo, cat.decode)
-    emb.pages.update(zip(map(cat.decode, range(cat.size)), index.slot))
+    index.complete(todo, cat.edges)
+    emb.pages.update(zip(cat.edges, index.slot))
 
     report = validate(graph, emb)
     if not report.ok:

@@ -10,6 +10,7 @@ applied.  Vertices are addressed either as pairs ``(p, q)`` with
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -160,28 +161,37 @@ def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[
     return Graph(n, frozenset((i, (i + k) % n) for k in ks for i in range(n)))
 
 
-def bundle(spec: BundleSpec) -> Graph:
-    """Twisted torus on ``s*t`` vertices, each edge built once, canonical.
+def bundle_edges(spec: BundleSpec) -> list[Edge]:
+    """Every edge of the twisted torus once, canonical, edge ``2 * v + kind``
+    at index ``2 * v + kind`` for vertex ``v = p * t + q``.
 
-    Edges: fibre edges ``(p,q)-(p,q+1)`` for every row, the last one
-    ``(p,0)-(p,t-1)``; rung edges ``(p,q)-(p+1,q)`` for ``p < s-1``; and seam
-    edges ``(0,phi(q))-(s-1,q)`` closing the base cycle.
+    Kind 0 is the fibre edge ``(p,q)-(p,q+1)``, from column ``t-1`` the
+    wrapping edge ``(p,0)-(p,t-1)``; kind 1 is the rung ``(p,q)-(p+1,q)``,
+    from row ``s-1`` the seam ``(0,phi(q))-(s-1,q)`` closing the base cycle.
+    This is the one place that applies ``phi``.
     """
 
     s, t, phi = spec.s, spec.t, spec.phi
     n, last = s * t, (s - 1) * t  # last: flat id of (s-1, 0)
     ids = list(range(n))  # one int per vertex, shared by its four edges
-    edges = chain(
-        chain.from_iterable(zip(ids[r : r + t - 1], ids[r + 1 : r + t]) for r in range(0, n, t)),
-        zip(ids[::t], ids[t - 1 :: t]),
-        zip(ids[:last], ids[t:]),
-        ((ids[phi.apply(q, t)], ids[last + q]) for q in range(t)),
-    )
-    return Graph(n, frozenset(edges))
+    fibres = list(zip(ids, ids[1:] + ids[:1]))  # (v, v+1), but for each row's last column:
+    fibres[t - 1 :: t] = zip(ids[::t], ids[t - 1 :: t])  # (p,0)-(p,t-1) in its place
+    rungs = list(zip(ids[:last], ids[t:]))
+    rungs += [(ids[phi.apply(q, t)], ids[last + q]) for q in range(t)]
+    edges = [None] * (2 * n)  # every slot is written below
+    edges[0::2], edges[1::2] = fibres, rungs
+    return edges
+
+
+def bundle(spec: BundleSpec) -> Graph:
+    """Twisted torus on ``s*t`` vertices: the edges of ``bundle_edges``."""
+
+    return Graph(spec.s * spec.t, frozenset(bundle_edges(spec)))
 
 
 def max_degree(g: Graph) -> int:
-    return max(map(len, g.adjacency), default=0)
+    """Largest vertex degree: one count of every edge end, no adjacency."""
+    return max(Counter(chain.from_iterable(g.edges)).values(), default=0)
 
 
 def is_regular(g: Graph, k: int) -> bool:

@@ -62,9 +62,10 @@ class BookEmbedding:
     def to_payload(self) -> dict:
         """The embedding as plain data: ``{order, pages, m}``."""
 
+        pages = self.pages
         return {
             "order": list(self.order),
-            "pages": [[u, v, p] for (u, v), p in sorted(self.pages.items())],
+            "pages": [[*e, pages[e]] for e in sorted(pages)],  # keys are unique: sort them alone
             "m": self.m,
         }
 

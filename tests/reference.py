@@ -4,9 +4,11 @@ Nothing under ``src/bookbind`` imports these: the crossing predicate is the
 plain pairwise definition that ``validate``, the page index and the oracle's
 conflict masks are checked against; the fibre cycles are the rows that,
 with ``bundle_decomp.residual_cycles``, make up the partition the acceptance
-criteria audit; and ``cycle_edges`` lists a cycle's edges as vertex pairs,
+criteria audit; ``cycle_edges`` lists a cycle's edges as vertex pairs,
 which the edge numbers of ``constructions.SequenceCatalog`` are checked
-against.
+against; and ``reference_decode`` works out edge number k from its
+definition, which ``graph_core.bundle_edges`` (the graph, the search and
+the page map all read that one list) is checked against.
 """
 
 from __future__ import annotations
@@ -40,3 +42,20 @@ def cycle_edges(seq: tuple[int, ...]) -> list[Edge]:
     """Edges of a cycle in traversal order, closing edge last."""
 
     return [make_edge(u, v) for u, v in zip(seq, (*seq[1:], seq[0]))]
+
+
+def reference_decode(spec: BundleSpec, k: int) -> Edge:
+    """Edge number k = 2v + kind of the twisted torus, lower id first.
+
+    Kind 0 is the fibre edge from vertex v toward the next column, which
+    wraps to the row's first vertex; kind 1 the rung toward the next row,
+    which from the last row is the seam, landing on row 0 at phi(column).
+    """
+
+    v, t = k >> 1, spec.t
+    q = v % t
+    if k % 2 == 0:
+        return (v, v + 1) if q < t - 1 else (v - q, v)
+    if v < (spec.s - 1) * t:
+        return (v, v + t)
+    return (spec.phi.apply(q, t), v)

@@ -32,11 +32,12 @@ from bookbind.graph_core import (
     Reflection,
     Shift,
     bundle,
+    bundle_edges,
     format_bundle_spec,
     predict_bipartite,
 )
 from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate
-from reference import cycle_edges
+from reference import cycle_edges, reference_decode
 
 
 def _check(result, spec):
@@ -90,6 +91,25 @@ def test_edge_numbers_name_every_edge_once():
     assert checked == 7 * 136
 
 
+def test_bundle_edges_follow_the_numbering_by_definition():
+    # the graph, the search and the page map all read this one list, so
+    # validate cannot see a wrong number in it; the reference can
+    checked = 0
+    for spec in _catalog_specs(10, 24):
+        edges = bundle_edges(spec)
+        assert edges == [reference_decode(spec, k) for k in range(2 * spec.s * spec.t)], spec
+        checked += 1
+    assert checked == 8 * 330
+
+
+def test_page_map_shares_the_graph_tuples():
+    # the tuples bundle_edges built once, not equal copies of them
+    specs = (BundleSpec(5, 8, Shift(2)), BundleSpec(6, 9, Shift(3)), BundleSpec(4, 7, Reflection("one")))
+    for spec in specs:
+        res = embed(spec)
+        assert {*map(id, res.embedding.pages)} == {*map(id, res.graph.edges)}, spec
+
+
 _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
 _decode = SequenceCatalog(_PLAN_SPEC).decode
 
@@ -125,6 +145,12 @@ def _assert_plan_fault(monkeypatch, edit) -> None:
 
 def _number_past_the_end(spine, fixed, todo) -> str:
     fixed[0] = (24, fixed[0][1])  # _PLAN_SPEC has 2 * 3 * 4 = 24 edges
+    return "numbers outside 0..23: [24]"
+
+
+def _number_past_the_end_twice(spine, fixed, todo) -> str:
+    # the other faults are never looked up for a number with no edge
+    fixed[:2] = [(24, 5), (24, 5)]
     return "numbers outside 0..23: [24]"
 
 
@@ -179,6 +205,7 @@ def _fixed_cross(spine, fixed, todo) -> str:
 
 PLAN_FAULTS = {
     "number >= 2st": _number_past_the_end,
+    "number >= 2st twice, page >= m": _number_past_the_end_twice,
     "repeat within fixed": lambda spine, fixed, todo: _repeat(fixed, fixed),
     "repeat within todo": lambda spine, fixed, todo: _repeat(todo, todo),
     "repeat across fixed and todo": lambda spine, fixed, todo: _repeat(todo, fixed, RED),
@@ -348,9 +375,11 @@ def test_e4k_embed_completes():
 
 
 def test_embed_footprint_per_edge_is_pinned():
-    # one slot per edge number until the search ends, and one int per vertex
-    # in the graph: a whole e4k embed peaks near 355-370 bytes per edge on
-    # Python 3.10-3.13; holding each edge three times took 487-547
+    # one slot per edge number until the search ends, one int per vertex and
+    # one tuple per edge, shared by the graph and the page map: a whole e4k
+    # embed peaks near 280 bytes per edge on Python 3.11, 302 when it is the
+    # first embed in the process; building the page map's tuples a second
+    # time took 355-378, holding each edge three times 487-547
     spec = BundleSpec(44, 45, Shift(3))  # E = 3960, about 660 todo edges
     tracemalloc.start()
     try:
@@ -359,7 +388,7 @@ def test_embed_footprint_per_edge_is_pinned():
     finally:
         tracemalloc.stop()
     _check(res, spec)
-    assert peak < 425 * 3960, peak / 3960
+    assert peak < 340 * 3960, peak / 3960
 
 
 def test_embed_lays_out_large_shifts_as_given():

@@ -301,8 +301,10 @@ def reference_plan_verdict(cat: SequenceCatalog, plan, m: int) -> str | None:
     decode, edges = cat.decode, range(cat.size)
     count = Counter(k for k, _ in [*fixed, *todo])
     pages = [*fixed, *((k, p) for k, palette in todo for p in palette)]
+    outside = sorted(set(count) - set(edges))
+    if outside:  # decode reads the edge list, so it is only asked about numbers in range
+        return f"numbers outside 0..{cat.size - 1}: {outside[:4]}"
     for fault, offenders in (
-        (f"numbers outside 0..{cat.size - 1}", sorted(set(count) - set(edges))),
         ("listed twice", [decode(k) for k, c in count.items() if c > 1]),
         ("missing from the plan", sorted(decode(k) for k in edges if k not in count)),
         (f"pages outside 0..{m - 1}", [(decode(k), p) for k, p in pages if not 0 <= p < m]),
