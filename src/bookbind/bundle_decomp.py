@@ -43,7 +43,7 @@ def residual_cycles(spec: BundleSpec) -> Cycles:
         cycle: list[int] = []
         while col not in walked:  # phi permutes the columns: the orbit closes
             walked.add(col)
-            cycle.extend(vertex_index(p, col, t) for p in range(s))
+            cycle.extend(range(col, s * t, t))  # (0, col), (1, col), ..
             col = phi.apply(col, t)
         if cycle:
             cycles.append(tuple(cycle))

@@ -126,7 +126,9 @@ class SequenceCatalog:
     edge toward column j+1, kind 1 the rung toward row i+1, which from row s
     is the seam across ``phi``.  The numbers 0..2st-1 name every edge once;
     ``edges`` is ``bundle_edges(spec)``, edge k at index k, built once, and
-    the graph, the search and the page map all share its tuples.
+    the graph, the search and the page map all share its tuples.  A row is
+    a run of t consecutive ids and a column a range of stride t, so both are
+    built from ``range`` without a call per vertex.
     """
 
     def __init__(self, spec: BundleSpec):
@@ -150,19 +152,19 @@ class SequenceCatalog:
         return self.edges[k]
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self.flat(i, j) for j in range(1, self.t + 1))
+        start = self.flat(i, 1)
+        return tuple(range(start, start + self.t))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.flat(i, j) for i in range(1, self.s + 1))
+        return tuple(range(self.flat(1, j), self.s * self.t, self.t))
 
     def fibres(self, page_of: Callable[[int, int], int]) -> list[Fixed]:
-        """Every fibre edge with page ``page_of(i, j)`` of its tail, row by row."""
+        """Every fibre edge with page ``page_of(i, j)`` of its tail, row by row:
+        row-major order numbers the fibre edges 0, 2, .., 2st-2."""
 
-        return [
-            (self.fibre(i, j), page_of(i, j))
-            for i in range(1, self.s + 1)
-            for j in range(1, self.t + 1)
-        ]
+        s, t = self.s, self.t
+        pages = [page_of(i, j) for i in range(1, s + 1) for j in range(1, t + 1)]
+        return list(zip(range(0, 2 * s * t, 2), pages))
 
 
 def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> list[int]:

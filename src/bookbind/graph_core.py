@@ -10,10 +10,8 @@ applied.  Vertices are addressed either as pairs ``(p, q)`` with
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 Edge = tuple[int, int]
 Pair = tuple[int, int]
@@ -47,16 +45,19 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidSpecError(f"negative vertex count {self.n}")
-        if type(self.edges) is frozenset:
-            for e in self.edges:  # a set of canonical tuples is kept as it is
-                if not (type(e) is tuple and len(e) == 2 and e[0] < e[1]):
-                    break
-                if not (0 <= e[0] and e[1] < self.n):
-                    raise InvalidSpecError(f"edge {e} out of range for n={self.n}")
-            else:
-                return
+        n = self.n
+        if n < 0:
+            raise InvalidSpecError(f"negative vertex count {n}")
+        if type(self.edges) is frozenset:  # kept as it is if every edge is canonical
+            try:
+                for u, v in self.edges:
+                    if not 0 <= u < v < n:
+                        break
+                else:  # a bytes or frozenset pair unpacks too; only tuples are kept
+                    if {*map(type, self.edges)} <= {tuple}:
+                        return
+            except (TypeError, ValueError):
+                pass  # the loop below raises what it raises, message and all
         canon = set()
         for u, v in self.edges:
             e = make_edge(u, v)
@@ -189,32 +190,46 @@ def bundle(spec: BundleSpec) -> Graph:
     return Graph(spec.s * spec.t, frozenset(bundle_edges(spec)))
 
 
-def max_degree(g: Graph) -> int:
-    """Largest vertex degree: one count of every edge end, no adjacency."""
-    return max(Counter(chain.from_iterable(g.edges)).values(), default=0)
+def _neighbours(g: Graph) -> list[list[int]]:
+    """Neighbours of each vertex in one pass over the edges, in no order."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
-def is_regular(g: Graph, k: int) -> bool:
-    return all(len(a) == k for a in g.adjacency)
-
-
-def is_bipartite(g: Graph) -> bool:
+def _two_colourable(rows: list[list[int]]) -> bool:
     """Two-colour by BFS: is there a proper 2-colouring of the vertices?"""
 
-    colour = [-1] * g.n
-    for root in range(g.n):
+    colour = [-1] * len(rows)
+    for root in range(len(rows)):
         if colour[root] != -1:
             continue
         colour[root] = 0
         queue = [root]
         for u in queue:  # the queue grows while it is walked
-            for v in g.adjacency[u]:
+            for v in rows[u]:
                 if colour[v] == -1:
                     colour[v] = 1 - colour[u]
                     queue.append(v)
                 elif colour[v] == colour[u]:
                     return False
     return True
+
+
+def max_degree(g: Graph) -> int:
+    """Largest vertex degree: the longest neighbour row."""
+    return max(map(len, _neighbours(g)), default=0)
+
+
+def is_regular(g: Graph, k: int) -> bool:
+    return all(len(a) == k for a in _neighbours(g))
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Is there a proper 2-colouring of the vertices?"""
+    return _two_colourable(_neighbours(g))
 
 
 def predict_bipartite(spec: BundleSpec) -> bool:

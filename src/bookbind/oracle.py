@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .graph_core import Graph, is_bipartite, is_regular, make_edge, max_degree
+from .graph_core import Graph, _neighbours, _two_colourable, make_edge
 from .layout_engine import BookEmbedding, ValidationReport
 
 EXACT = "exact"
@@ -123,11 +123,15 @@ def lower_bound(g: Graph) -> int:
     Every vertex's edges need distinct pages, so Δ pages are necessary; a
     regular graph that embeds in Δ pages splits into Δ perfect matchings and
     each page of a book embedding with all matchings perfect forces an even
-    structure, so nonbipartite regular graphs need Δ+1.
+    structure, so nonbipartite regular graphs need Δ+1.  Δ, regularity and
+    the 2-colouring are read off one unsorted neighbour list per vertex,
+    built in one pass over the edges.
     """
 
-    delta = max_degree(g)
-    if delta > 0 and is_regular(g, delta) and not is_bipartite(g):
+    rows = _neighbours(g)
+    degrees = list(map(len, rows))
+    delta = max(degrees, default=0)
+    if delta > 0 and min(degrees) == delta and not _two_colourable(rows):
         return delta + 1
     return delta
 

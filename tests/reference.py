@@ -8,13 +8,16 @@ criteria audit; ``cycle_edges`` lists a cycle's edges as vertex pairs,
 which the edge numbers of ``constructions.SequenceCatalog`` are checked
 against; and ``reference_decode`` works out edge number k from its
 definition, which ``graph_core.bundle_edges`` (the graph, the search and
-the page map all read that one list) is checked against.
+the page map all read that one list) is checked against; and
+``reference_graph_edges`` is the per-edge check ``Graph`` made before its
+one unpacking loop, which the accepted inputs, the kept or canonical edges
+and the errors of ``Graph`` are checked against.
 """
 
 from __future__ import annotations
 
 from bookbind.bundle_decomp import Cycles
-from bookbind.graph_core import BundleSpec, Edge, make_edge, vertex_index
+from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, make_edge, vertex_index
 
 
 def chords_cross(a: int, b: int, c: int, d: int) -> bool:
@@ -59,3 +62,30 @@ def reference_decode(spec: BundleSpec, k: int) -> Edge:
     if v < (spec.s - 1) * t:
         return (v, v + t)
     return (spec.phi.apply(q, t), v)
+
+
+def reference_graph_edges(n, edges):
+    """What ``Graph(n, edges).edges`` is, by a check of each edge in turn.
+
+    A frozenset of canonical in-range 2-tuples is kept as it is handed;
+    anything else is canonicalised edge by edge, and the first bad edge
+    raises.
+    """
+
+    if n < 0:
+        raise InvalidSpecError(f"negative vertex count {n}")
+    if type(edges) is frozenset:
+        for e in edges:
+            if not (type(e) is tuple and len(e) == 2 and e[0] < e[1]):
+                break
+            if not (0 <= e[0] and e[1] < n):
+                raise InvalidSpecError(f"edge {e} out of range for n={n}")
+        else:
+            return edges
+    canon = set()
+    for u, v in edges:
+        e = make_edge(u, v)
+        if not (0 <= e[0] < n and 0 <= e[1] < n):
+            raise InvalidSpecError(f"edge {e} out of range for n={n}")
+        canon.add(e)
+    return frozenset(canon)

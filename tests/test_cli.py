@@ -10,7 +10,7 @@ import pytest
 from bookbind import cli, graph_core, layout_engine
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
-from bookbind.oracle import check_isomorphism
+from bookbind.oracle import CERTIFIED, certify, check_isomorphism
 from test_constructions import GRID_SPECS, PLAN_FAULTS, _edit_plan
 
 try:
@@ -640,6 +640,17 @@ def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
     assert rows > 0
     assert len(validates) == rows and len(bundles) == rows
 
+
+
+@pytest.mark.parametrize("text", ["s=3,t=6,phi=shift:2", "s=4,t=6,phi=shift:2"])
+def test_certify_builds_no_sorted_structure(text):
+    # one nonbipartite row (bound Δ+1) and one bipartite (Δ): certify reads
+    # degrees and the 2-colouring off unsorted neighbour rows; edge_list and
+    # adjacency are cached properties, so building either leaves its key
+    res = embed(graph_core.parse_bundle_spec(text))
+    cert = certify(res.graph, res.report)
+    assert (cert.status, cert.pages) == (CERTIFIED, res.report.pages_used)
+    assert "edge_list" not in vars(res.graph) and "adjacency" not in vars(res.graph)
 
 def test_make_edge_runs_once_per_graph_and_embedding(tmp_path, monkeypatch, capsys):
     # embed: the layout builds each edge and the graph canonicalises it;
