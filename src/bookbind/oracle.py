@@ -7,15 +7,21 @@ structure (conflict = shared endpoint or crossing chords).  Budgets cap the
 work; an exhausted budget is reported as such, never converted into a claim.
 
 The kernel is bit-parallel: bit ``e`` of an integer stands for edge ``e``.
-Per order, the conflict masks come from one prefix-XOR pass over the spine
-plus three bit operations per edge, on incidence masks built once per
-graph (``brute_force_mbt`` shares one build and one budget across its page
-counts).  The colouring is an explicit-stack DFS that keeps, per page, the
-union of its edges' conflict masks.  A node counts those unions level by
-level (one mask per k of the uncoloured edges that at least k of them
-contain) to find the most saturated edges in a few AND/OR operations per
-page, and edges bucketed by conflict degree break ties in the order of
-the ``(saturation, degree, -index)`` key.
+Per order, one prefix-XOR pass over the spine and one loop over the edges
+give the conflict masks (three bit operations per edge) and the edges
+bucketed by conflict degree, on incidence masks built once per graph
+(``brute_force_mbt`` shares one build and one budget across its page
+counts).  A page count whose m pages of ⌊n/2⌋ edges cannot hold every edge
+is refuted by that one test; its orders are still walked and counted.  The
+colouring is an explicit-stack DFS that keeps, per page, the union of its
+edges' conflict masks, and the saturation levels: one mask per k of the
+edges in at least k of those unions.  Placing an edge updates the levels
+with one AND/OR per level from the edges its page's union gains, a frame
+keeps the levels it replaced for the backtrack, and a node reads the most
+saturated uncoloured edges off the top level that holds one; the degree
+buckets break ties in the order of the ``(saturation, degree, -index)`` key.
+Nodes and orders are counted in locals, and ``_BudgetClock`` is asked only
+where a budget can cut.
 """
 
 from __future__ import annotations
@@ -55,40 +61,67 @@ class SearchBudget:
                 raise OracleError(f"{name} must be positive and finite, got {v}")
 
 
+# more nodes or orders than any search takes: the grant of an uncapped budget
+_UNCAPPED = 1 << 63
+
+
 class _BudgetClock:
-    """Mutable spend tracker shared across the phases of one search."""
+    """Mutable spend tracker shared across the phases of one search.
+
+    The search counts nodes and orders in locals and asks the clock only
+    where a cut can fall: ``grant_nodes`` and ``grant_orders`` return the
+    count it may reach before it asks again, and a grant equal to the
+    count stops it.  The search writes its counts back to ``nodes`` and
+    ``orders`` before it asks and before it returns, so both are exact
+    whenever the clock reads them.
+    """
 
     def __init__(self, budget: SearchBudget | None):
         self.budget = budget or SearchBudget()
         self.orders = 0
         self.nodes = 0
+        self.node_stop = 0  # the last grant of nodes; a search starts there
         self.start = time.monotonic()
         self._deadline = (
             None if self.budget.time_limit is None else self.start + self.budget.time_limit
         )
 
-    def take_order(self) -> bool:
-        if self.budget.max_orders is not None and self.orders >= self.budget.max_orders:
-            return False
-        self.orders += 1
-        return True
+    def grant_orders(self) -> int:
+        """The order count that spine orders may start up to.
 
-    def take_node(self) -> bool:
-        """Grant one search node; a refused node is not counted."""
+        ``max_orders`` refuses the first order past the cap, uncounted.  The
+        deadline is read before every order, so with a time limit one order
+        is granted at a time; an order is taken before the deadline is read,
+        so the order it stops is counted.
+        """
 
-        if self.budget.max_nodes is not None and self.nodes >= self.budget.max_nodes:
-            return False
-        if (
-            self._deadline is not None
-            and (self.nodes + 1) % 256 == 0
-            and time.monotonic() >= self._deadline
-        ):
-            return False
-        self.nodes += 1
-        return True
+        cap = self.budget.max_orders
+        stop = _UNCAPPED if cap is None else cap
+        if self._deadline is not None and stop > self.orders:
+            if time.monotonic() >= self._deadline:
+                self.orders += 1
+                return self.orders
+            return self.orders + 1
+        return stop
 
-    def timed_out(self) -> bool:
-        return self._deadline is not None and time.monotonic() >= self._deadline
+    def grant_nodes(self) -> int:
+        """The node count that search nodes may be taken up to.
+
+        ``max_nodes`` refuses the first node past the cap, and the deadline
+        is read on every 256th node, which it may refuse; a refused node is
+        not counted.
+        """
+
+        cap = self.budget.max_nodes
+        stop = _UNCAPPED if cap is None else cap
+        if self._deadline is not None and stop > self.nodes:
+            step = (self.nodes + 1) % 256  # 0 when the next node is a 256th one
+            if not step and time.monotonic() >= self._deadline:
+                stop = self.nodes
+            else:  # up to the node before the next 256th one
+                stop = min(stop, self.nodes + 256 - step)
+        self.node_stop = stop
+        return stop
 
     def counters(self) -> dict[str, float]:
         return {
@@ -152,39 +185,51 @@ class _Incidence:
     every spine order and page count searched on it.
 
     Bit ``e`` of a mask stands for ``edges[e]``.  ``vertex_masks[v]`` holds
-    the edges at ``v``; ``ends[e]`` holds the edges at either end of edge
-    ``e``, itself included, and ``bits[e]`` is edge ``e`` alone.
+    the edges at ``v``; ``rows[e]`` is ``(u, v, ends, bit)`` for edge
+    ``e = (u, v)``, where ``ends`` holds the edges at either end of it,
+    itself included, and ``bit`` is edge ``e`` alone.
     """
 
     def __init__(self, g: Graph):
         self.edges = g.edge_list
-        self.vertex_masks = [0] * g.n
+        self.vertex_masks = vm = [0] * g.n
         for e, (u, v) in enumerate(self.edges):
-            self.vertex_masks[u] |= 1 << e
-            self.vertex_masks[v] |= 1 << e
-        self.bits = [1 << e for e in range(len(self.edges))]
-        self.ends = [self.vertex_masks[u] | self.vertex_masks[v] for u, v in self.edges]
+            vm[u] |= 1 << e
+            vm[v] |= 1 << e
+        self.rows = [(u, v, vm[u] | vm[v], 1 << e) for e, (u, v) in enumerate(self.edges)]
 
     def conflict_masks(self, order: tuple[int, ...]) -> list[int]:
-        """Bitmask per edge of the edges it cannot share a page with.
+        """Bitmask per edge of the edges it cannot share a page with."""
+
+        return self.conflicts(order)[0]
+
+    def conflicts(self, order: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """The conflict masks of one spine order, and its edges by conflict
+        degree: one mask per degree that some edge has, highest first.
 
         One pass over the spine stores ``before[v]``, the XOR of the masks
         of the vertices ahead of ``v``.  For a chord with ends at positions
         ``lo < hi``, ``before[u] ^ before[v]`` holds the edges with exactly
         one end in ``[lo, hi)``: every chord crossing it, the chord itself
         and some of the edges sharing an end with it.  OR-ing in ``ends``
-        adds the rest of those and XOR-ing out ``bits`` drops the chord.
+        adds the rest of those and XOR-ing out ``bit`` drops the chord.
+        The same loop files each edge under its degree.
         """
 
+        vertex_masks = self.vertex_masks
         before = [0] * len(order)
         acc = 0
         for v in order:
             before[v] = acc
-            acc ^= self.vertex_masks[v]
-        return [
-            ((before[u] ^ before[v]) | ends) ^ bit
-            for (u, v), ends, bit in zip(self.edges, self.ends, self.bits)
-        ]
+            acc ^= vertex_masks[v]
+        masks: list[int] = []
+        keep = masks.append
+        by_degree = [0] * len(self.rows)
+        for u, v, ends, bit in self.rows:
+            keep(mask := ((before[u] ^ before[v]) | ends) ^ bit)
+            by_degree[mask.bit_count()] |= bit
+        # within one degree the lowest set bit is the lowest edge index
+        return masks, [*filter(None, reversed(by_degree))]
 
 
 def _color_edges(
@@ -195,76 +240,86 @@ def _color_edges(
     Depth-first search that colours next the uncoloured edge of highest
     saturation (pages already holding a conflicting edge), then highest
     conflict degree, then lowest index, trying pages in increasing order
-    and opening at most one new page per step.  Returns ("sat", coloring),
-    ("unsat", None), or ("cut", None) when the budget ran dry mid-search.
+    and opening at most one new page per step.  A page takes no edge that
+    conflicts with one of its edges, so it is a matching and never holds
+    more than ⌊n/2⌋ edges.  Each node is counted on ``clock``.
+    Returns ("sat", coloring), ("unsat", None), or ("cut", None) when the
+    budget ran dry mid-search.
     """
 
     edges = inc.edges
     ne = len(edges)
     if ne == 0:
         return "sat", {}
-    cap = len(order) // 2  # a page is a matching: at most ⌊n/2⌋ edges
-    if m * cap < ne:
-        return "unsat", None
     m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
-    masks = inc.conflict_masks(order)
-    # the edges of each conflict degree, highest degree first; within one
-    # degree the lowest set bit is the lowest edge index
-    by_degree = [0] * ne
-    for mask, bit in zip(masks, inc.bits):
-        by_degree[mask.bit_count()] |= bit
-    ranks = [edges_of for edges_of in reversed(by_degree) if edges_of]
+    masks, ranks = inc.conflicts(order)
     near = [0] * m  # per page: OR of the conflict masks of its edges
-    counts = [0] * m
     free = (1 << ne) - 1  # uncoloured edges
     used = 0  # pages 0..used-1 are the nonempty ones
+    # levels[k]: the edges in the unions ``near`` of at least k pages,
+    # coloured ones included (-1 stands for every edge), up to the highest
+    # nonempty level.  A list is never changed once built, so a frame keeps
+    # the one it replaced.
+    levels = [-1]
     # an explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, kept alive until a full collection
-    frames: list[tuple[int, int, int]] = []  # (edge, page, near[page] before)
+    # itself is a reference cycle, kept alive until a full collection;
+    # a frame is (edge, page, near[page], levels, used) before a placement
+    frames: list[tuple[int, int, int, list[int], int]] = []
+    nodes, stop = clock.nodes, clock.node_stop  # take nodes until ``nodes`` reaches ``stop``
     descend = True
     while True:
         if descend:
             if not free:
-                return "sat", {edges[e]: c for e, c, _ in sorted(frames)}
-            if not clock.take_node():
-                return "cut", None
-            # at_least[k]: uncoloured edges in the conflict sets of >= k pages
-            at_least = [free]
-            for c in range(used):
-                x = near[c]
-                at_least.append(at_least[-1] & x)
-                for k in range(c, 0, -1):
-                    at_least[k] |= at_least[k - 1] & x
-            k = len(at_least) - 1
-            while not at_least[k]:
+                clock.nodes = nodes
+                return "sat", {edges[f[0]]: f[1] for f in sorted(frames)}
+            if nodes == stop:
+                clock.nodes = nodes
+                stop = clock.grant_nodes()
+                if nodes == stop:
+                    return "cut", None
+            nodes += 1
+            k = len(levels) - 1
+            while not levels[k] & free:
                 k -= 1
+            best = levels[k] & free  # the most saturated uncoloured edges
             for rank in ranks:
-                best = at_least[k] & rank
-                if best:
+                top = best & rank
+                if top:
                     break
-            e = (best & -best).bit_length() - 1
+            e = (top & -top).bit_length() - 1
             c = -1
         else:  # the last colouring failed below: undo it, try the next page
             if not frames:
+                clock.nodes = nodes
                 return "unsat", None
-            e, c, saved = frames.pop()
+            e, c, saved, levels, used = frames.pop()
             near[c] = saved
-            counts[c] -= 1
             free |= 1 << e
-            if not counts[c]:
-                used -= 1
         bit = 1 << e
-        limit = min(used + 1, m)
+        limit = used + 1 if used < m else m
         c += 1
-        while c < limit and (counts[c] >= cap or near[c] & bit):
+        while c < limit and near[c] & bit:
             c += 1
         descend = c < limit
         if descend:
-            frames.append((e, c, near[c]))
-            near[c] |= masks[e]
-            if not counts[c]:
+            saved = near[c]
+            frames.append((e, c, saved, levels, used))
+            mask = masks[e]
+            near[c] = saved | mask
+            delta = mask & ~saved  # the edges page c's union gains
+            if delta:
+                # an edge of ``delta`` at level k-1 reaches level k; a plain
+                # loop builds these few levels faster than a comprehension
+                lifted = []
+                lo = 0
+                for hi in levels:
+                    lifted.append(hi | lo & delta)
+                    lo = hi
+                if lo & delta:
+                    lifted.append(lo & delta)
+                levels = lifted
+            if c == used:  # c opens a page
                 used += 1
-            counts[c] += 1
             free ^= bit
 
 
@@ -282,21 +337,33 @@ def search_fixed_pages(g: Graph, m: int, budget: SearchBudget | None = None) -> 
 
 def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageSearchResult:
     """One page count over every spine order of ``n`` vertices, spending
-    from ``clock`` (which the phases of one ``brute_force_mbt`` share)."""
+    from ``clock`` (which the phases of one ``brute_force_mbt`` share).
 
-    exhausted = True
+    A page is a matching, so when m pages of ⌊n/2⌋ edges cannot hold every
+    edge, each order is refuted without a search; the orders are still
+    walked and counted against the budget.
+    """
+
+    refuted = m * (n // 2) < len(inc.edges)
+    orders = stop = clock.orders  # orders may start until ``orders`` reaches ``stop``
     for order in _spine_orders(n):
-        if not clock.take_order() or clock.timed_out():
-            exhausted = False
-            break
+        if orders == stop:
+            clock.orders = orders
+            stop = clock.grant_orders()
+            if stop == clock.orders:
+                return PageSearchResult(m, False, None, False, clock.counters())
+        orders += 1
+        if refuted:
+            continue
         verdict, coloring = _color_edges(inc, order, m, clock)
-        if verdict == "sat":
-            witness = BookEmbedding(order, coloring, m)
-            return PageSearchResult(m, True, witness, False, clock.counters())
-        if verdict == "cut":
-            exhausted = False
-            break
-    return PageSearchResult(m, False, None, exhausted, clock.counters())
+        if verdict != "unsat":
+            clock.orders = orders
+            if verdict == "sat":
+                witness = BookEmbedding(order, coloring, m)
+                return PageSearchResult(m, True, witness, False, clock.counters())
+            return PageSearchResult(m, False, None, False, clock.counters())
+    clock.orders = orders
+    return PageSearchResult(m, False, None, True, clock.counters())
 
 
 def brute_force_mbt(g: Graph, budget: SearchBudget | None = None) -> MbtResult:

@@ -11,7 +11,10 @@ definition, which ``graph_core.bundle_edges`` (the graph, the search and
 the page map all read that one list) is checked against; and
 ``reference_graph_edges`` is the per-edge check ``Graph`` made before its
 one unpacking loop, which the accepted inputs, the kept or canonical edges
-and the errors of ``Graph`` are checked against.
+and the errors of ``Graph`` are checked against; and
+``reference_color_edges`` is the oracle's colouring search written out
+plainly, recursive and counting saturations page by page, which the
+bit-parallel ``oracle._color_edges`` is checked against node for node.
 """
 
 from __future__ import annotations
@@ -89,3 +92,59 @@ def reference_graph_edges(n, edges):
             raise InvalidSpecError(f"edge {e} out of range for n={n}")
         canon.add(e)
     return frozenset(canon)
+
+
+def reference_color_edges(edges, order, m, max_nodes=None):
+    """The oracle's exact m-colouring of one spine order, by definition.
+
+    Two edges conflict when they share an end or their chords cross.  Each
+    node colours the uncoloured edge with the largest key (saturation,
+    conflict degree, -index), where the saturation is the number of pages
+    holding an edge it conflicts with.  Pages are tried in increasing
+    order, at most one new page per step, and a page takes at most
+    ⌊n/2⌋ edges and no two that conflict.  Returns ``(verdict, colouring,
+    nodes)``: "sat" with the edge -> page map, "unsat", or "cut" when node
+    ``max_nodes + 1`` would be taken (the refused node is not counted).
+    """
+
+    pos = {v: i for i, v in enumerate(order)}
+    cap = len(order) // 2
+
+    def conflict(e, f):
+        (a, b), (c, d) = e, f
+        return bool({a, b} & {c, d}) or chords_cross(pos[a], pos[b], pos[c], pos[d])
+
+    ne = len(edges)
+    near = [[f for f in range(ne) if f != e and conflict(edges[e], edges[f])] for e in range(ne)]
+    page = [None] * ne
+    nodes = 0
+
+    def search():
+        nonlocal nodes
+        todo = [e for e in range(ne) if page[e] is None]
+        if not todo:
+            return "sat"
+        if max_nodes is not None and nodes >= max_nodes:
+            return "cut"
+        nodes += 1
+        pages = [[f for f in range(ne) if page[f] == c] for c in range(m)]
+        used = sum(1 for members in pages if members)
+
+        def key(e):
+            saturation = sum(1 for members in pages if set(members) & set(near[e]))
+            return saturation, len(near[e]), -e
+
+        e = max(todo, key=key)
+        for c in range(min(used + 1, m)):
+            if len(pages[c]) >= cap or set(pages[c]) & set(near[e]):
+                continue
+            page[e] = c
+            verdict = search()
+            if verdict != "unsat":
+                return verdict
+            page[e] = None
+        return "unsat"
+
+    verdict = search()
+    colouring = {edges[e]: page[e] for e in range(ne)} if verdict == "sat" else None
+    return verdict, colouring, nodes

@@ -645,12 +645,12 @@ def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
 @pytest.mark.parametrize("text", ["s=3,t=6,phi=shift:2", "s=4,t=6,phi=shift:2"])
 def test_certify_builds_no_sorted_structure(text):
     # one nonbipartite row (bound Δ+1) and one bipartite (Δ): certify reads
-    # degrees and the 2-colouring off unsorted neighbour rows; edge_list and
-    # adjacency are cached properties, so building either leaves its key
+    # degrees and the 2-colouring off unsorted neighbour rows; edge_list is
+    # a cached property, so building it leaves its key
     res = embed(graph_core.parse_bundle_spec(text))
     cert = certify(res.graph, res.report)
     assert (cert.status, cert.pages) == (CERTIFIED, res.report.pages_used)
-    assert "edge_list" not in vars(res.graph) and "adjacency" not in vars(res.graph)
+    assert "edge_list" not in vars(res.graph)
 
 def test_make_edge_runs_once_per_graph_and_embedding(tmp_path, monkeypatch, capsys):
     # embed: the layout builds each edge and the graph canonicalises it;

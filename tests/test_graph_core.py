@@ -13,6 +13,7 @@ from bookbind.graph_core import (
     Reflection,
     Shift,
     SpecFormatError,
+    _neighbours,
     bundle,
     circulant,
     format_bundle_spec,
@@ -41,8 +42,9 @@ def test_graph_canonicalizes_and_validates():
     g = Graph(4, frozenset({(3, 1), (0, 1)}))
     assert g.edges == {(1, 3), (0, 1)}
     assert g.edge_list == ((0, 1), (1, 3))
-    assert len(g.adjacency[1]) == 2 and len(g.adjacency[2]) == 0
-    assert g.adjacency[1] == (0, 3)
+    rows = _neighbours(g)
+    assert len(rows[1]) == 2 and len(rows[2]) == 0
+    assert sorted(rows[1]) == [0, 3]
     canonical = frozenset({(0, 1), (1, 3)})
     assert Graph(4, canonical).edges is canonical  # kept as it is handed
     for edges in (frozenset({(0, 5)}), frozenset({(5, 0)}), {(0, 5)}):

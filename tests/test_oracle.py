@@ -169,23 +169,35 @@ def test_budget_starves_first_phase_to_inconclusive():
 
 
 def test_time_limit_counts_only_explored_nodes(monkeypatch):
-    # the clock expires after the first node; the next deadline check falls
-    # on node 256, inside the first order's 658-node search, and refuses it
-    explored = []
-    take_node = oracle._BudgetClock.take_node
+    # the clock is read when it starts and before the first order, then it
+    # expires; the next deadline check falls on node 256, inside the first
+    # order's 658-node search, and refuses it
+    reads = []
 
-    def counted(self):
-        granted = take_node(self)
-        if granted:
-            explored.append(self.nodes)
-        return granted
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 100.0
 
-    monkeypatch.setattr(oracle._BudgetClock, "take_node", counted)
-    monkeypatch.setattr(oracle.time, "monotonic", lambda: 100.0 if explored else 0.0)
+    monkeypatch.setattr(oracle.time, "monotonic", monotonic)
     res = search_fixed_pages(circulant(10, {1, 2, 3}), 8, SearchBudget(time_limit=1.0))
     assert not res.found and not res.exhausted
     assert res.counters["orders"] == 1
-    assert res.counters["nodes"] == len(explored) == 255
+    assert res.counters["nodes"] == 255
+
+
+def test_time_limit_is_read_on_every_256th_node(monkeypatch):
+    # the reads at the start, before the first order and on node 256 find
+    # time left; the clock then expires and node 512 is refused
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 3 else 100.0
+
+    monkeypatch.setattr(oracle.time, "monotonic", monotonic)
+    res = search_fixed_pages(circulant(10, {1, 2, 3}), 8, SearchBudget(time_limit=1.0))
+    assert not res.found and not res.exhausted
+    assert (res.counters["orders"], res.counters["nodes"]) == (1, 511)
 
 
 def test_budget_validation():

@@ -3,13 +3,13 @@
 ``validate`` checks each page in one bracket-matching pass and lists a
 failing page's violations in one sweep along the spine; ``_PageAssigner``
 answers conflict queries from a per-page index over spine positions; the
-oracle builds its per-order conflict masks from prefix XORs along the spine.
-All three are compared here with the plain pairwise definitions, built on
-the crossing predicate in ``reference``; no bookbind module binds a name
-that ``reference`` defines.  The plan check, which pins fixed pages into the
-index and walks each page once, is compared with ``violations``, and on
-plans with several faults at once with a reference built from ``Counter``
-and ``violations``.
+oracle builds its per-order conflict masks from prefix XORs along the spine
+and colours them with a bit-parallel search.  All four are compared here
+with the plain pairwise definitions, built on the crossing predicate in
+``reference``; no bookbind module binds a name that ``reference`` defines.
+The plan check, which pins fixed pages into the index and walks each page
+once, is compared with ``violations``, and on plans with several faults at
+once with a reference built from ``Counter`` and ``violations``.
 """
 
 import importlib
@@ -39,6 +39,7 @@ from bookbind.graph_core import (  # noqa: E402
     Reflection,
     Shift,
     bundle,
+    circulant,
     format_bundle_spec,
 )
 from bookbind.layout_engine import (  # noqa: E402
@@ -432,6 +433,64 @@ def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
 def test_oracle_conflict_masks_match_pairwise_reference(case):
     g, order = case
     assert oracle._Incidence(g).conflict_masks(order) == reference_conflict_masks(g, order)
+
+
+@st.composite
+def colouring_cases(draw):
+    """Graphs on up to 9 vertices with a spine: from ``graphs_with_spines``,
+    most of them thinned to a drawn maximum degree, or circulants, so that
+    m = 1..5 pages leave the search real work."""
+
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 9))
+        jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=2))
+        return circulant(n, jumps), tuple(draw(st.permutations(range(n))))
+    g, order = draw(graphs_with_spines(min_n=0, max_n=9))
+    most = draw(st.sampled_from([2, 3, 4, None]))
+    if most is None:
+        return g, order
+    degree = [0] * g.n
+    kept = []
+    for u, v in g.edge_list:
+        if degree[u] < most and degree[v] < most:
+            kept.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(g.n, frozenset(kept)), order
+
+
+@settings(max_examples=300)  # a few milliseconds each; unsat needs many draws
+@given(colouring_cases(), st.integers(1, 5), st.integers(1, 200))
+@example((Graph(4, frozenset({(0, 1), (2, 3)})), (0, 1, 2, 3)), 1, 10)  # no conflicts at all
+@example((Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})), (0, 2, 4, 1, 3)), 2, 200)
+@example((circulant(8, {1, 2}), (0, 3, 6, 1, 4, 7, 2, 5)), 4, 200)
+@example(  # a page whose union already holds part of the next edge's mask
+    (
+        Graph(
+            8,
+            frozenset({(0, 1), (0, 6), (0, 7), (1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (3, 7)}),
+        ),
+        (3, 2, 6, 7, 4, 0, 5, 1),
+    ),
+    4,
+    200,
+)
+def test_oracle_colouring_matches_reference_node_for_node(case, m, max_nodes):
+    # two spine orders on one budget, so the second search starts where the
+    # first one left the clock: verdicts, colourings and node counts agree
+    g, order = case
+    inc = oracle._Incidence(g)
+    clock = oracle._BudgetClock(oracle.SearchBudget(max_nodes=max_nodes))
+    spent = 0
+    for spine in (order[::-1], order):
+        got = oracle._color_edges(inc, spine, m, clock)
+        verdict, colouring, nodes = reference.reference_color_edges(
+            g.edge_list, spine, m, max_nodes - spent
+        )
+        spent += nodes
+        event(verdict)
+        assert got == (verdict, colouring)
+        assert clock.nodes == spent
 
 
 def _reference_names_in_bookbind() -> list[str]:
