@@ -7,7 +7,8 @@ Exit codes:
   3   construction unsupported for the given parameters (reduction printed)
   4   search ended without a definitive answer (budget exhausted)
   64  usage: bad arguments or malformed spec string
-  65  well-formed but invalid parameters (bounds, palette too small, ...)
+  65  well-formed but invalid parameters (bounds, palette too small, a spec
+      over 10**6 vertices, ...)
   66  I/O or unreadable input file
   70  internal error: a construction recipe failed to complete, or any
       other unexpected exception (reported in one line)
@@ -35,6 +36,7 @@ from math import gcd
 
 from .constructions import CompletionError, ConstructionResult, Unsupported, embed, parity_pages
 from .graph_core import (
+    MAX_VERTICES,
     BundleSpec,
     Graph,
     InvalidSpecError,
@@ -358,6 +360,11 @@ def cmd_sweep(args) -> int:
     for name, (low, _) in (("s", s_range), ("t", t_range)):
         if low < 3:  # a cycle needs 3 vertices, in both families
             raise InvalidSpecError(f"sweep bound {name}={low} is below 3")
+    (_, s_hi), (_, t_hi) = s_range, t_range
+    if s_hi * t_hi > MAX_VERTICES:  # refused before the first row, not at its own
+        raise InvalidSpecError(
+            f"s*t is over the limit of {MAX_VERTICES} vertices, got s={s_hi}, t={t_hi}"
+        )
     rows = failures = 0
     for spec in _sweep_specs(args.family, s_range, t_range):
         rows += 1

@@ -22,6 +22,11 @@ REFL_TWO = "two"    # q -> (t-q) % t, t even, fixes columns 0 and t//2
 
 _REFL_KINDS = (REFL_NONE, REFL_ONE, REFL_TWO)
 
+# the most vertices a bundle (s*t) or circulant (n) spec may name; a larger
+# one is refused before anything is built, since building it would exhaust
+# memory or overflow an index
+MAX_VERTICES = 10**6
+
 
 class InvalidSpecError(ValueError):
     """Well-formed input whose values are out of range or inconsistent."""
@@ -126,6 +131,10 @@ class BundleSpec:
             raise InvalidSpecError(f"base cycle needs s >= 3, got {self.s}")
         if self.t < 3:
             raise InvalidSpecError(f"fibre cycle needs t >= 3, got {self.t}")
+        if self.s * self.t > MAX_VERTICES:
+            raise InvalidSpecError(
+                f"s*t is over the limit of {MAX_VERTICES} vertices, got s={self.s}, t={self.t}"
+            )
         self.phi.validate(self.t)
 
 
@@ -142,6 +151,8 @@ def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[
 
     if n < 3:
         raise InvalidSpecError(f"circulant needs n >= 3, got {n}")
+    if n > MAX_VERTICES:
+        raise InvalidSpecError(f"n is over the limit of {MAX_VERTICES} vertices, got {n}")
     raw = list(jumps)
     ks = sorted(set(raw))
     if len(ks) != len(raw):

@@ -20,8 +20,10 @@ with one AND/OR per level from the edges its page's union gains, a frame
 keeps the levels it replaced for the backtrack, and a node reads the most
 saturated uncoloured edges off the top level that holds one; the degree
 buckets break ties in the order of the ``(saturation, degree, -index)`` key.
-Nodes and orders are counted in locals, and ``_BudgetClock`` is asked only
-where a budget can cut.
+Nodes and orders are counted in locals and refused by one rule,
+``_BudgetClock.grant``: a cap refuses the first order or node past it, the
+deadline is read before every order and every 256th node and refuses it,
+and a refused order or node is never counted.
 """
 
 from __future__ import annotations
@@ -68,59 +70,35 @@ _UNCAPPED = 1 << 63
 class _BudgetClock:
     """Mutable spend tracker shared across the phases of one search.
 
-    The search counts nodes and orders in locals and asks the clock only
-    where a cut can fall: ``grant_nodes`` and ``grant_orders`` return the
-    count it may reach before it asks again, and a grant equal to the
-    count stops it.  The search writes its counts back to ``nodes`` and
-    ``orders`` before it asks and before it returns, so both are exact
-    whenever the clock reads them.
+    Orders and nodes are refused by one rule, ``grant``: a cap refuses the
+    first step past it, the deadline is read before every ``period``-th
+    step (every order, every 256th node) and refuses that step, and a
+    refused step is never counted.  The search counts in locals, asks for a
+    grant when its count reaches the last one, and writes its counts back to
+    ``orders`` and ``nodes`` before it returns.
     """
 
     def __init__(self, budget: SearchBudget | None):
         self.budget = budget or SearchBudget()
         self.orders = 0
         self.nodes = 0
-        self.node_stop = 0  # the last grant of nodes; a search starts there
         self.start = time.monotonic()
         self._deadline = (
             None if self.budget.time_limit is None else self.start + self.budget.time_limit
         )
 
-    def grant_orders(self) -> int:
-        """The order count that spine orders may start up to.
+    def grant(self, count: int, cap: int | None, period: int) -> int:
+        """The count that steps may be taken up to, ``count`` of them taken:
+        up to ``cap``, and up to the step before the next ``period``-th one
+        while the deadline runs.  A grant equal to ``count`` refuses the
+        next step."""
 
-        ``max_orders`` refuses the first order past the cap, uncounted.  The
-        deadline is read before every order, so with a time limit one order
-        is granted at a time; an order is taken before the deadline is read,
-        so the order it stops is counted.
-        """
-
-        cap = self.budget.max_orders
         stop = _UNCAPPED if cap is None else cap
-        if self._deadline is not None and stop > self.orders:
-            if time.monotonic() >= self._deadline:
-                self.orders += 1
-                return self.orders
-            return self.orders + 1
-        return stop
-
-    def grant_nodes(self) -> int:
-        """The node count that search nodes may be taken up to.
-
-        ``max_nodes`` refuses the first node past the cap, and the deadline
-        is read on every 256th node, which it may refuse; a refused node is
-        not counted.
-        """
-
-        cap = self.budget.max_nodes
-        stop = _UNCAPPED if cap is None else cap
-        if self._deadline is not None and stop > self.nodes:
-            step = (self.nodes + 1) % 256  # 0 when the next node is a 256th one
+        if self._deadline is not None and stop > count:
+            step = (count + 1) % period  # 0 when the next step is a period-th one
             if not step and time.monotonic() >= self._deadline:
-                stop = self.nodes
-            else:  # up to the node before the next 256th one
-                stop = min(stop, self.nodes + 256 - step)
-        self.node_stop = stop
+                return count
+            stop = min(stop, count + period - step)
         return stop
 
     def counters(self) -> dict[str, float]:
@@ -198,11 +176,6 @@ class _Incidence:
             vm[v] |= 1 << e
         self.rows = [(u, v, vm[u] | vm[v], 1 << e) for e, (u, v) in enumerate(self.edges)]
 
-    def conflict_masks(self, order: tuple[int, ...]) -> list[int]:
-        """Bitmask per edge of the edges it cannot share a page with."""
-
-        return self.conflicts(order)[0]
-
     def conflicts(self, order: tuple[int, ...]) -> tuple[list[int], list[int]]:
         """The conflict masks of one spine order, and its edges by conflict
         degree: one mask per degree that some edge has, highest first.
@@ -265,7 +238,8 @@ def _color_edges(
     # itself is a reference cycle, kept alive until a full collection;
     # a frame is (edge, page, near[page], levels, used) before a placement
     frames: list[tuple[int, int, int, list[int], int]] = []
-    nodes, stop = clock.nodes, clock.node_stop  # take nodes until ``nodes`` reaches ``stop``
+    nodes = stop = clock.nodes  # take nodes until ``nodes`` reaches ``stop``
+    cap = clock.budget.max_nodes
     descend = True
     while True:
         if descend:
@@ -273,9 +247,9 @@ def _color_edges(
                 clock.nodes = nodes
                 return "sat", {edges[f[0]]: f[1] for f in sorted(frames)}
             if nodes == stop:
-                clock.nodes = nodes
-                stop = clock.grant_nodes()
+                stop = clock.grant(nodes, cap, 256)
                 if nodes == stop:
+                    clock.nodes = nodes
                     return "cut", None
             nodes += 1
             k = len(levels) - 1
@@ -346,11 +320,12 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
 
     refuted = m * (n // 2) < len(inc.edges)
     orders = stop = clock.orders  # orders may start until ``orders`` reaches ``stop``
+    cap = clock.budget.max_orders
     for order in _spine_orders(n):
         if orders == stop:
-            clock.orders = orders
-            stop = clock.grant_orders()
-            if stop == clock.orders:
+            stop = clock.grant(orders, cap, 1)
+            if orders == stop:
+                clock.orders = orders
                 return PageSearchResult(m, False, None, False, clock.counters())
         orders += 1
         if refuted:

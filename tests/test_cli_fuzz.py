@@ -26,7 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from bookbind import cli  # noqa: E402
+from bookbind import cli, constructions, graph_core  # noqa: E402
 from bookbind.graph_core import BundleSpec, Reflection, Shift, format_bundle_spec  # noqa: E402
 
 EXIT_CODES = {0, 1, 2, 3, 4, 64, 65, 66, 70}  # README's table
@@ -248,6 +248,44 @@ def test_embed_and_render_exit_0_or_3_on_a_valid_spec(case):
     assert runs["embed"][0] == runs["render"][0]
     if runs["embed"][0] == 3:  # the plain torus and the coprime shifts
         assert isinstance(spec.phi, Shift)
+
+
+# ---------------------------------------------------------- size limit ---
+
+_OVER_LIMIT_SPECS = [
+    f"s={HUGE},t=6,phi=shift:3",
+    "s=1001,t=1000,phi=refl:two",  # one row past 10**6 vertices
+    f"circulant:n={HUGE},S=1,2",
+    "circulant:n=1000001,S=1",
+]
+
+
+def _over_limit_argvs():
+    for spec in _OVER_LIMIT_SPECS:
+        yield ["build", spec]
+        yield ["embed", spec]
+        yield ["verify", spec, "--embedding", "emb.json"]
+        yield ["mbt", spec, "--pages", "4", "--max-orders", "1"]
+        yield ["render", spec]
+    yield ["sweep", "--family", "shift", "--s", "3:1001", "--t", "1000"]
+
+
+@pytest.mark.parametrize("argv", _over_limit_argvs(), ids=" ".join)
+def test_over_limit_spec_exits_65_before_any_graph_is_built(argv):
+    # every way to build a graph's edges is stubbed to fail the test at once
+    # (pytest.fail is a BaseException, so no `except Exception` hides it);
+    # a missing check would otherwise allocate until memory runs out
+    def build(*_):
+        pytest.fail(f"a graph was built for {argv}")
+
+    with (
+        mock.patch.object(graph_core, "bundle_edges", build),
+        mock.patch.object(constructions, "bundle_edges", build),
+        mock.patch.object(graph_core, "frozenset", build, create=True),  # circulant's edge set
+    ):
+        code, out, err = run(*argv)
+    assert (code, out) == (65, "")
+    assert err.count("\n") == 1 and "over the limit of 1000000 vertices" in err, err
 
 
 # -------------------------------------------------------- verify files ---

@@ -7,6 +7,7 @@ import pytest
 
 from bookbind import cli
 from bookbind.graph_core import (
+    MAX_VERTICES,
     BundleSpec,
     Graph,
     InvalidSpecError,
@@ -127,6 +128,18 @@ def test_bundle_spec_bounds():
         BundleSpec(2, 5, Shift(1))
     with pytest.raises(InvalidSpecError):
         BundleSpec(5, 2, Shift(1))
+
+
+def test_vertex_count_limit():
+    # MAX_VERTICES itself is allowed; a bundle or circulant past it is refused
+    assert MAX_VERTICES == 10**6
+    assert BundleSpec(1000, 1000, Shift(2)).s == 1000
+    with pytest.raises(InvalidSpecError, match="over the limit"):
+        BundleSpec(1001, 1000, Shift(2))
+    with pytest.raises(InvalidSpecError, match="over the limit"):
+        BundleSpec(3, 10**20, Shift(1))
+    with pytest.raises(InvalidSpecError, match="over the limit"):
+        circulant(MAX_VERTICES + 1, {1})
 
 
 def test_vertex_indexing_roundtrip():

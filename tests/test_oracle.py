@@ -200,6 +200,22 @@ def test_time_limit_is_read_on_every_256th_node(monkeypatch):
     assert (res.counters["orders"], res.counters["nodes"]) == (1, 511)
 
 
+def test_time_limit_never_counts_a_refused_order(monkeypatch):
+    # three pages of three edges cannot hold C6(1, 2)'s twelve, so no order
+    # takes a node; the reads at the start and before the first order find
+    # time left, and the read before the second order refuses it uncounted
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 100.0
+
+    monkeypatch.setattr(oracle.time, "monotonic", monotonic)
+    res = search_fixed_pages(circulant(6, {1, 2}), 3, SearchBudget(time_limit=1.0))
+    assert not res.found and not res.exhausted
+    assert (res.counters["orders"], res.counters["nodes"]) == (1, 0)
+
+
 def test_budget_validation():
     with pytest.raises(OracleError):
         SearchBudget(max_orders=0)

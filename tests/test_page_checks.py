@@ -14,7 +14,9 @@ once with a reference built from ``Counter`` and ``violations``.
 
 import importlib
 import pkgutil
+import types
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -432,7 +434,7 @@ def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
 @example((Graph(2, frozenset({(0, 1)})), (1, 0)))
 def test_oracle_conflict_masks_match_pairwise_reference(case):
     g, order = case
-    assert oracle._Incidence(g).conflict_masks(order) == reference_conflict_masks(g, order)
+    assert oracle._Incidence(g).conflicts(order)[0] == reference_conflict_masks(g, order)
 
 
 @st.composite
@@ -460,10 +462,13 @@ def colouring_cases(draw):
 
 
 @settings(max_examples=300)  # a few milliseconds each; unsat needs many draws
-@given(colouring_cases(), st.integers(1, 5), st.integers(1, 200))
-@example((Graph(4, frozenset({(0, 1), (2, 3)})), (0, 1, 2, 3)), 1, 10)  # no conflicts at all
-@example((Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})), (0, 2, 4, 1, 3)), 2, 200)
-@example((circulant(8, {1, 2}), (0, 3, 6, 1, 4, 7, 2, 5)), 4, 200)
+@given(colouring_cases(), st.integers(1, 5), st.integers(1, 200), st.sampled_from([None, 1.0]))
+@example((Graph(4, frozenset({(0, 1), (2, 3)})), (0, 1, 2, 3)), 1, 10, None)  # no conflicts at all
+@example((Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})), (0, 2, 4, 1, 3)), 2, 200, 1.0)
+@example((circulant(8, {1, 2}), (0, 3, 6, 1, 4, 7, 2, 5)), 4, 200, None)
+@example(  # 166 nodes per order: the deadline is read at node 256, then node 301 is cut
+    (circulant(10, {1, 3}), (9, 2, 8, 5, 6, 3, 7, 4, 0, 1)), 6, 300, 1.0
+)
 @example(  # a page whose union already holds part of the next edge's mask
     (
         Graph(
@@ -474,23 +479,27 @@ def colouring_cases(draw):
     ),
     4,
     200,
+    None,
 )
-def test_oracle_colouring_matches_reference_node_for_node(case, m, max_nodes):
+def test_oracle_colouring_matches_reference_node_for_node(case, m, max_nodes, time_limit):
     # two spine orders on one budget, so the second search starts where the
-    # first one left the clock: verdicts, colourings and node counts agree
+    # first one left the clock: verdicts, colourings and node counts agree;
+    # with a time limit on a clock that never moves, every deadline read
+    # finds time left and must cut nothing
     g, order = case
     inc = oracle._Incidence(g)
-    clock = oracle._BudgetClock(oracle.SearchBudget(max_nodes=max_nodes))
-    spent = 0
-    for spine in (order[::-1], order):
-        got = oracle._color_edges(inc, spine, m, clock)
-        verdict, colouring, nodes = reference.reference_color_edges(
-            g.edge_list, spine, m, max_nodes - spent
-        )
-        spent += nodes
-        event(verdict)
-        assert got == (verdict, colouring)
-        assert clock.nodes == spent
+    with mock.patch.object(oracle, "time", types.SimpleNamespace(monotonic=lambda: 0.0)):
+        clock = oracle._BudgetClock(oracle.SearchBudget(max_nodes=max_nodes, time_limit=time_limit))
+        spent = 0
+        for spine in (order[::-1], order):
+            got = oracle._color_edges(inc, spine, m, clock)
+            verdict, colouring, nodes = reference.reference_color_edges(
+                g.edge_list, spine, m, max_nodes - spent
+            )
+            spent += nodes
+            event(verdict)
+            assert got == (verdict, colouring)
+            assert clock.nodes == spent
 
 
 def _reference_names_in_bookbind() -> list[str]:
