@@ -72,6 +72,7 @@ from .layout_engine import (
     RED,
     ValidationReport,
     YELLOW,
+    nests,
     validate,
     violations,
 )
@@ -194,11 +195,11 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
     test.  Returns the search's index with every fixed page pinned in it;
     ``emb.pages`` stays empty.  One walk tests, marks and pins each fixed
     entry (a pin on a taken position is a shared endpoint), one marks each
-    todo entry; only a faulty plan is read again, to name its offenders."""
+    todo entry, and ``validate``'s own ``nests`` walks each page's index
+    once; only a faulty plan is read again, to name its offenders."""
 
     spine, fixed, todo = plan
-    n = cat.s * cat.t  # n distinct vertices, none below 0 or above n-1: all of them
-    if not (len(spine) == len(emb.pos) == n and min(spine) == 0 and max(spine) == n - 1):
+    if not len(spine) == len(emb.pos) == cat.s * cat.t:  # pos is [] unless the spine is a permutation
         raise CompletionError(rule, "spine is not a permutation of the vertices")
     index = _PageAssigner(emb, cat.size, rule)
     slot, partner, pos, edges = index.slot, index.partner, emb.pos, cat.edges
@@ -235,16 +236,7 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
 
-    def crossed(at: list[int]) -> bool:  # one bracket walk along the spine
-        closers: list[int] = []  # far ends of the open chords, innermost last
-        for x, y in enumerate(at):
-            if y > x:
-                closers.append(y)
-            elif y != -1 and closers.pop() != x:
-                return True
-        return False
-
-    if shared or any(map(crossed, partner)):
+    if shared or not all(map(nests, partner)):
         clashes = violations(((cat.decode(k), page) for k, page in fixed), pos)
         raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
     return index

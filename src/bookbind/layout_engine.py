@@ -3,21 +3,28 @@
 An embedding is valid when its page assignment is a proper edge colouring
 (no two edges at a common vertex share a page) and no two same-page chords
 cross in the circular layout.  Equivalently, each page is a matching whose
-chords, read along the spine, nest like balanced brackets; ``violations``
-checks that in one pass per page (O(E log E) in all), for ``validate`` and
-for the fixed pages of a construction whose plan check found a clash (the
-text of that error is this function's).  Only a page that fails is swept
-once more, by ``_page_violations``, to list its shared endpoints and
-crossings in O(P log P + K) for its P edges and K violations; the sweep
-sorts one integer key per chord end, not tuples.  ``validate``'s structural
-checks (spine a permutation, page indices in range) are ``len``, ``min`` and
-``max`` over the spine and the page map, so they run at C speed; only a
-failing range check walks the map, to name the first offending edge.
+chords, read along the spine, nest like balanced brackets.  ``violations``
+checks each page in one of two ways.  A dense page, one of at least n/4
+chords for n spine places, is written into one list of n places (the other
+end of the chord there, or -1) and walked once by ``nests``; a place
+written twice is a shared endpoint.  Every other page, and a dense page
+that fails the walk, is listed by ``_page_violations``, one sweep along the
+spine that finds every shared endpoint and crossing in O(P log P + K) for
+its P edges and K violations (nothing on a sound page) and sorts one
+integer key per chord end, not tuples.  So the dense walks cover at most 4E
+places however many pages are used, and a page of one chord costs O(1).
+The plan check of a construction walks its pinned pages by the same
+``nests``.  ``validate``'s structural checks run at C speed: the spine is
+a permutation when ``pos`` is as long as it, and the page indices are in
+range by ``min`` and ``max`` over the page map; only a failing range check
+walks the map, to name the first offending edge.
 
 ``BookEmbedding`` is an embedding's one index: spine order, page map and
-``pos`` (vertex -> spine place, built once).  It converts to and from plain
-data (``to_payload``, ``from_payload``, one inline pass per listed edge);
-only ``cli`` encodes and decodes JSON.
+``pos``, a list with vertex v's spine place at index v, built once and only
+for a spine that is a permutation of 0..n-1 (else it is empty, and
+``validate`` refuses the spine).  It converts to and from plain data
+(``to_payload``, ``from_payload``, one inline pass per listed edge); only
+``cli`` encodes and decodes JSON.
 """
 
 from __future__ import annotations
@@ -45,16 +52,19 @@ class CoverageError(ValueError):
 @dataclass(frozen=True)
 class BookEmbedding:
     """Spine order plus a total edge -> page map using ``m`` pages; frozen, so
-    ``pos`` (vertex -> spine place) cannot go stale, but the map is writable."""
+    ``pos`` (``pos[v]`` is vertex v's spine place) cannot go stale, but the
+    map is writable.  ``pos`` is empty unless the order is a permutation of
+    0..n-1."""
 
     order: tuple[int, ...]
     pages: dict[Edge, int]
     m: int
-    pos: dict[int, int] = field(init=False, repr=False, compare=False)
+    pos: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "pos", {v: i for i, v in enumerate(self.order)})
+        order = tuple(self.order)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "pos", _positions(order))
 
     def pages_used(self) -> int:
         return len(set(self.pages.values()))
@@ -99,6 +109,20 @@ class BookEmbedding:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
 
 
+def _positions(order: tuple[int, ...]) -> list[int]:
+    """The inverse of a spine that is a permutation of 0..n-1, else ``[]``:
+    a repeat, a gap, a negative or an out-of-range vertex.  The range is
+    tested first, so a negative vertex never writes ``pos[-1]``."""
+
+    n = len(order)
+    if not order or min(order) < 0 or max(order) >= n:
+        return []
+    pos = [-1] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return [] if -1 in pos else pos  # n vertices in range leave a gap iff one repeats
+
+
 def _integer(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
@@ -120,27 +144,39 @@ class ValidationReport:
         return self.is_proper and self.is_noncrossing
 
 
-def _page_nests(page_edges: list[Edge], pos: dict[int, int]) -> bool:
-    """Is this page a matching whose chords nest like balanced brackets?"""
+def nests(at: list[int]) -> bool:
+    """Do the chords written into ``at`` nest like balanced brackets?
 
-    partner: dict[int, int] = {}
-    for u, v in page_edges:
-        a, b = pos[u], pos[v]
-        partner[a] = b
-        partner[b] = a
-    if len(partner) != 2 * len(page_edges):
-        return False  # two edges share an endpoint
+    ``at`` has one slot per spine place: the place of the other end of the
+    chord there, or -1 for a free place.  One walk along the spine keeps the
+    far ends of the open chords on a stack; a chord that closes anywhere but
+    on top crosses one opened inside it.  ``validate``'s dense pages and the
+    plan check's pinned pages are walked here.
+    """
+
     closers: list[int] = []  # far ends of the open chords, innermost last
-    for a in sorted(partner):
-        b = partner[a]
-        if b > a:
-            closers.append(b)
-        elif closers.pop() != a:
-            return False  # the chord closing here crosses an open one
+    for x, y in enumerate(at):
+        if y > x:
+            closers.append(y)
+        elif y != -1 and closers.pop() != x:
+            return False
     return True
 
 
-def _page_violations(page_edges: list[Edge], pos: dict[int, int]) -> list[Violation]:
+def _page_nests(page_edges: list[Edge], pos: list[int]) -> bool:
+    """Is this page a matching whose chords nest?  Its chords are written
+    into one list of n places: a place written twice is a shared endpoint,
+    so fewer than 2P places are taken; then ``nests`` walks the list."""
+
+    at = [-1] * len(pos)
+    for u, v in page_edges:
+        a, b = pos[u], pos[v]
+        at[a] = b
+        at[b] = a
+    return at.count(-1) == len(at) - 2 * len(page_edges) and nests(at)
+
+
+def _page_violations(page_edges: list[Edge], pos: list[int]) -> list[Violation]:
     """Every shared endpoint and every crossing on one page, each pair once.
 
     Costs O(P log P + K) for P edges and K violations.  Edges at one vertex
@@ -201,16 +237,22 @@ def _page_violations(page_edges: list[Edge], pos: dict[int, int]) -> list[Violat
     return violations
 
 
-def violations(pages: Iterable[tuple[Edge, int]], pos: dict[int, int]) -> list[Violation]:
-    """Every violation among (edge, page) pairs, sorted: one nesting pass per
-    page, and ``_page_violations`` only on a page that fails it."""
+def violations(pages: Iterable[tuple[Edge, int]], pos: list[int]) -> list[Violation]:
+    """Every violation among (edge, page) pairs, sorted.
+
+    A page of at least n/4 chords, for n spine places, gets the dense walk
+    (``_page_nests``); any other page, and a dense page that fails it, is
+    listed by ``_page_violations``, which finds nothing on a sound page.
+    So the dense walks cover at most 4E places in all, however many pages
+    there are, and a sparse page costs O(P log P)."""
 
     by_page: dict[int, list[Edge]] = {}
     for e, p in pages:
         by_page.setdefault(p, []).append(e)
     found: list[Violation] = []
+    n = len(pos)
     for page_edges in by_page.values():
-        if not _page_nests(page_edges, pos):
+        if 4 * len(page_edges) < n or not _page_nests(page_edges, pos):
             found += _page_violations(page_edges, pos)
     return sorted(found)
 
@@ -223,8 +265,7 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     outside ``0..m-1``.  Colouring faults are collected as violations.
     """
 
-    order, n = emb.order, g.n  # n distinct ints from 0 to n-1 are a permutation
-    if not (len(emb.pos) == len(order) == n and (not order or (min(order), max(order)) == (0, n - 1))):
+    if not len(emb.pos) == len(emb.order) == g.n:  # pos is [] unless the order is a permutation
         raise CoverageError("spine order is not a permutation of the vertex set")
     if emb.pages.keys() != g.edges:
         missing = sorted(g.edges - emb.pages.keys())

@@ -182,6 +182,12 @@ def _spine_repeats_a_vertex(spine, fixed, todo) -> str:
     return "spine is not a permutation of the vertices"
 
 
+def _spine_has_a_negative_vertex(spine, fixed, todo) -> str:
+    # -n in place of vertex 0: indexing from the end, it would name vertex 0 again
+    spine[spine.index(0)] = -len(spine)
+    return "spine is not a permutation of the vertices"
+
+
 # _PLAN_SPEC's spine is 0 4 8 2 6 10 11 7 3 9 5 1; its fixed list opens with
 # the fibre edges 0 = (0, 1) yellow, 2 = (1, 2) purple, 4 = (2, 3) yellow,
 # and its red seams are 21 = (0, 10) and 23 = (1, 11)
@@ -213,6 +219,7 @@ PLAN_FAULTS = {
     "fixed page >= m": _fixed_page_5,
     "palette page >= m": _palette_page_5,
     "spine not a permutation": _spine_repeats_a_vertex,
+    "spine holds a negative vertex": _spine_has_a_negative_vertex,
     "fixed edges share an endpoint": _fixed_share_an_endpoint,
     "fixed edges cross": _fixed_cross,
 }
@@ -375,11 +382,12 @@ def test_e4k_embed_completes():
 
 
 def test_embed_footprint_per_edge_is_pinned():
-    # one slot per edge number until the search ends, one int per vertex and
-    # one tuple per edge, shared by the graph and the page map: a whole e4k
-    # embed peaks near 280 bytes per edge on Python 3.11, 302 when it is the
-    # first embed in the process; building the page map's tuples a second
-    # time took 355-378, holding each edge three times 487-547
+    # one slot per edge number until the search ends, one list slot per
+    # vertex for the spine places and one tuple per edge, shared by the graph
+    # and the page map: a whole e4k embed peaks near 248 bytes per edge on
+    # Python 3.11, 270 when it is the first embed in the process (with the
+    # places in a dict, 280 and 302); building the page map's tuples a
+    # second time took 355-378, holding each edge three times 487-547
     spec = BundleSpec(44, 45, Shift(3))  # E = 3960, about 660 todo edges
     tracemalloc.start()
     try:

@@ -38,7 +38,7 @@ def test_book_embedding_canonicalizes_pages():
     # a file's edges are canonicalised where they enter, in from_payload
     emb = BookEmbedding.from_payload({"order": [1, 0, 2], "pages": [[2, 0, 1], [0, 1, 0]], "m": 2})
     assert emb.pages == {(0, 2): 1, (0, 1): 0}
-    assert emb.pos == {1: 0, 0: 1, 2: 2}
+    assert emb.pos == [1, 0, 2]  # pos[v] is vertex v's spine place
     assert emb.pages_used() == 2
 
 
@@ -59,7 +59,7 @@ def test_validate_names_a_non_canonical_page_key():
 def test_book_embedding_fields_are_not_reassigned():
     # pos is computed once, so order cannot change under it; the map stays writable
     emb = BookEmbedding([2, 0, 1], {}, 2)
-    assert emb.order == (2, 0, 1) and emb.pos == {2: 0, 0: 1, 1: 2}
+    assert emb.order == (2, 0, 1) and emb.pos == [1, 2, 0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         emb.order = (0, 1, 2)
     emb.pages[(0, 1)] = 1
@@ -139,6 +139,7 @@ _NOT_A_PERMUTATION = "spine order is not a permutation of the vertex set"
         ((0, 1, 2), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # a missing vertex
         ((0, 1, 2, 4), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # past the end
         ((-1, 1, 2, 3), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # below zero
+        ((1, 2, 3, -4), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # below zero, where pos[-4] is pos[0]
         ((0, 1, 2, 3, 4), _C4_PAGES, 2, _NOT_A_PERMUTATION),  # one too many
         ((0, 1, 2, 3), {(0, 1): 0, (1, 2): 1, (2, 3): 0}, 2, "page map mismatch: missing [(0, 3)], extra []"),
         ((0, 1, 2, 3), _C4_PAGES, 0, "page count m=0 must be at least 1"),

@@ -1,7 +1,9 @@
 """The near-linear page checks agree with pairwise scans.
 
-``validate`` checks each page in one bracket-matching pass and lists a
-failing page's violations in one sweep along the spine; ``_PageAssigner``
+``validate`` walks each page of at least n/4 chords once along the spine
+and lists every other page, and a dense page that fails the walk, in one
+sweep along the spine (pages on both sides of that cut are drawn here, and
+a spy pins the walks at 4E places); ``_PageAssigner``
 answers conflict queries from a per-page index over spine positions; the
 oracle builds its per-order conflict masks from prefix XORs along the spine
 and colours them with a bit-parallel search.  All four are compared here
@@ -24,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import event, example, given, settings, strategies as st  # noqa: E402
 
 import bookbind  # noqa: E402
-from bookbind import oracle  # noqa: E402
+from bookbind import layout_engine, oracle  # noqa: E402
 from bookbind.constructions import (  # noqa: E402
     _TODO,
     CompletionError,
@@ -50,6 +52,7 @@ from bookbind.layout_engine import (  # noqa: E402
     BookEmbedding,
     ValidationReport,
     _page_violations,
+    nests,
     validate,
     violations,
 )
@@ -84,9 +87,10 @@ def _conflict(e, f, pos) -> str | None:
 
 
 def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
-    """Every pair of same-page edges compared directly."""
+    """Every pair of same-page edges compared directly, on spine places read
+    off the order here, not off the embedding's ``pos``."""
 
-    pos = emb.pos
+    pos = {v: i for i, v in enumerate(emb.order)}
     edges = sorted(emb.pages)
     violations = []
     for i, e in enumerate(edges):
@@ -111,7 +115,10 @@ def graphs_with_spines(draw, min_n=3, max_n=12):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if not pairs:
         return Graph(n, frozenset()), tuple(range(n))
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n, unique=True))
+    # no more unique edges than there are pairs; the invalid examples that
+    # --hypothesis-show-statistics reports here are overruns of the engine's
+    # own mutation replays, which stop before the test body runs
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=min(3 * n, len(pairs)), unique=True))
     order = draw(st.permutations(range(n)))
     return Graph(n, frozenset(edges)), tuple(order)
 
@@ -128,6 +135,69 @@ def random_embeddings(draw):
 def test_validate_matches_pairwise_reference_on_random_pages(case):
     g, emb = case
     assert validate(g, emb) == reference_validate(g, emb)
+
+
+def _crowded(n, edges, crowd, order=None):
+    """The first ``crowd`` of ``edges`` on page 0 and every other one on a
+    page of its own, spine ``order`` (default 0..n-1)."""
+
+    g = Graph(n, frozenset(edges))
+    pages = {e: max(0, i - crowd + 1) for i, e in enumerate(edges)}
+    return g, BookEmbedding(order or range(n), pages, len(edges) - crowd + 1)
+
+
+_C12 = circulant(12, {1, 2}).edge_list  # 24 edges on 12 places, so the cut is at 3 chords
+
+
+@st.composite
+def embeddings_across_the_cut(draw):
+    """Pages on both sides of ``violations``' cut at n/4 chords: a drawn
+    share of the edges crowds onto one to three pages, which may reach the
+    dense walk, and the rest spread over up to E more, mostly far below it."""
+
+    g, order = draw(graphs_with_spines(min_n=5, max_n=16))
+    edges = draw(st.permutations(g.edge_list))
+    crowd, few = draw(st.integers(0, len(edges))), draw(st.integers(1, 3))
+    pages = {
+        e: draw(st.integers(0, few - 1)) if i < crowd else few + draw(st.integers(0, len(edges)))
+        for i, e in enumerate(edges)
+    }
+    dense = {4 * size >= g.n for size in Counter(pages.values()).values()}  # which sides are reached
+    event("both sides" if len(dense) == 2 else "dense pages only" if True in dense else "sparse pages only")
+    return g, BookEmbedding(order, pages, max(pages.values()) + 1)
+
+
+@settings(max_examples=200)
+@given(embeddings_across_the_cut())
+@example(_crowded(12, _C12, 1))  # one edge per page: no page is dense
+@example(_crowded(12, _C12, len(_C12)))  # every edge on one page
+@example(_crowded(12, _C12, 3))  # page 0 holds exactly n/4 chords: dense
+@example(_crowded(13, _C12, 3))  # one place more: the same page is sparse
+@example(_crowded(12, _C12, 6, (0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)))  # a dense page that fails
+def test_validate_matches_pairwise_reference_across_the_dense_cut(case):
+    g, emb = case
+    assert validate(g, emb) == reference_validate(g, emb)
+
+
+def test_dense_walks_cover_at_most_4e_places():
+    # only a page of at least n/4 chords is walked place by place, so the
+    # walks cover at most 4E places however many pages an embedding uses;
+    # walking every page would cover E * n = 468512 places at one edge per page
+    walked = []
+
+    def spy(at):
+        walked.append(len(at))
+        return nests(at)
+
+    g, emb = _E1K.graph, _E1K.embedding
+    spread = BookEmbedding(emb.order, {e: i for i, e in enumerate(sorted(emb.pages))}, len(emb.pages))
+    with mock.patch.object(layout_engine, "nests", spy):
+        assert validate(g, emb).ok
+        assert walked == [g.n] * emb.m  # every page of the construction is dense
+        walked.clear()
+        report = validate(g, spread)
+    assert report.ok and report.pages_used == len(g.edges)
+    assert sum(walked) <= 4 * len(g.edges)
 
 
 def _one_page(n, edges, order=None):
