@@ -24,17 +24,19 @@ have no rule and raise Unsupported.  Shifts are laid out as given;
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
 builds the edge list once and the graph from it, so the graph, the search
-and the page map share one tuple per edge.  It then checks the plan once
-(``_check_plan``: one walk over the fixed list marks each number's slot and
-pins its page into the search's index, one over the todo list marks the
-rest), completes the todo list by ``_PageAssigner``, a backtracking search
-within each edge's palette that reads each edge by number as it is reached,
-writes the page map once by zipping the edge list with the slots, and
-validates the result once against the graph; a faulty plan, completion or
-validation raises instead of substituting pages.  ``validate`` checks
-crossings and shared endpoints, not the numbering: the graph and the page
-map come from one list, so a wrong number in ``bundle_edges`` would go
-unseen here, and the tests compare that list with an independent
+and the page map share one tuple per edge.  It then checks the plan's
+listing once (``_check_plan``: one walk over the fixed list marks each
+number's slot and pins its page into the search's index, one over the todo
+list marks the rest), completes the todo list by ``_PageAssigner``, a
+backtracking search within each edge's palette that reads each edge by
+number as it is reached, writes the page map once by zipping the edge list
+with the slots, and validates the result once against the graph; a faulty
+plan, completion or validation raises instead of substituting pages.
+``validate`` is the one judge of crossings and shared endpoints, fixed
+pages included: a plan whose fixed pages clash either leaves the search no
+completion or is named by it.  It does not check the numbering: the graph
+and the page map come from one list, so a wrong number in ``bundle_edges``
+would go unseen here, and the tests compare that list with an independent
 definition.
 
 Until the search ends an edge's page is one byte, ``slot[k]`` of
@@ -72,9 +74,7 @@ from .layout_engine import (
     RED,
     ValidationReport,
     YELLOW,
-    nests,
     validate,
-    violations,
 )
 
 RULE_SHIFT_EVEN_GCD = "shift/gcd-even"
@@ -189,14 +189,13 @@ _UNLISTED, _TODO = 255, 254  # slot marks; a placed edge's slot holds its page (
 
 
 def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str) -> _PageAssigner:
-    """The one check of a plan, on the embedding built on its spine: a spine
-    of every vertex once, every edge number 0..2st-1 fixed or todo exactly
-    once, every page named below m, and fixed pages that pass ``validate``'s
-    test.  Returns the search's index with every fixed page pinned in it;
-    ``emb.pages`` stays empty.  One walk tests, marks and pins each fixed
-    entry (a pin on a taken position is a shared endpoint), one marks each
-    todo entry, and ``validate``'s own ``nests`` walks each page's index
-    once; only a faulty plan is read again, to name its offenders."""
+    """The one check of a plan's listing, on the embedding built on its
+    spine: a spine of every vertex once, every edge number 0..2st-1 fixed or
+    todo exactly once, and every page named below m.  Returns the search's
+    index with every fixed page pinned in it; ``emb.pages`` stays empty.
+    One walk tests, marks and pins each fixed entry, and one marks each todo
+    entry; only a faulty plan is read again, to name its offenders.  Whether
+    the fixed pages cross or share an endpoint is ``validate``'s to say."""
 
     spine, fixed, todo = plan
     if not len(spine) == len(emb.pos) == cat.s * cat.t:  # pos is [] unless the spine is a permutation
@@ -204,15 +203,12 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
     index = _PageAssigner(emb, cat.size, rule)
     slot, partner, pos, edges = index.slot, index.partner, emb.pos, cat.edges
     size, m = cat.size, emb.m
-    shared = False  # a pin landed on a taken position
     for k, page in fixed:
         if 0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m:
             slot[k] = page
             u, v = edges[k]
             a, b, at = pos[u], pos[v], partner[page]
-            if at[a] != -1 or at[b] != -1:
-                shared = True
-            at[a], at[b] = b, a
+            at[a], at[b] = b, a  # a pin on a taken place overwrites it; validate names that clash
     palettes = set()
     for k, palette in todo:
         if 0 <= k < size and slot[k] == _UNLISTED:
@@ -235,10 +231,6 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
-
-    if shared or not all(map(nests, partner)):
-        clashes = violations(((cat.decode(k), page) for k, page in fixed), pos)
-        raise CompletionError(rule, f"fixed pages clash: {clashes[:4]}")
     return index
 
 

@@ -224,10 +224,6 @@ def max_degree(g: Graph) -> int:
     return max(map(len, _neighbours(g)), default=0)
 
 
-def is_regular(g: Graph, k: int) -> bool:
-    return all(len(a) == k for a in _neighbours(g))
-
-
 def is_bipartite(g: Graph) -> bool:
     """Is there a proper 2-colouring of the vertices?"""
     return _two_colourable(_neighbours(g))

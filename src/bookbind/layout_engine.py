@@ -13,11 +13,11 @@ spine that finds every shared endpoint and crossing in O(P log P + K) for
 its P edges and K violations (nothing on a sound page) and sorts one
 integer key per chord end, not tuples.  So the dense walks cover at most 4E
 places however many pages are used, and a page of one chord costs O(1).
-The plan check of a construction walks its pinned pages by the same
-``nests``.  ``validate``'s structural checks run at C speed: the spine is
-a permutation when ``pos`` is as long as it, and the page indices are in
-range by ``min`` and ``max`` over the page map; only a failing range check
-walks the map, to name the first offending edge.
+``validate``, the one judge of crossings and shared endpoints (a
+construction's fixed pages included), runs its structural checks at C
+speed: the spine is a permutation when ``pos`` is as long as it, and the
+page indices are in range by ``min`` and ``max`` over the page map; only a
+failing range check walks the map, to name the first offending edge.
 
 ``BookEmbedding`` is an embedding's one index: spine order, page map and
 ``pos``, a list with vertex v's spine place at index v, built once and only
@@ -150,8 +150,8 @@ def nests(at: list[int]) -> bool:
     ``at`` has one slot per spine place: the place of the other end of the
     chord there, or -1 for a free place.  One walk along the spine keeps the
     far ends of the open chords on a stack; a chord that closes anywhere but
-    on top crosses one opened inside it.  ``validate``'s dense pages and the
-    plan check's pinned pages are walked here.
+    on top crosses one opened inside it.  ``validate``'s dense pages are
+    walked here.
     """
 
     closers: list[int] = []  # far ends of the open chords, innermost last

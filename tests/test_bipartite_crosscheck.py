@@ -1,7 +1,7 @@
 """The one-pass degree and colouring helpers against their definitions:
-``max_degree``, ``is_regular``, ``is_bipartite`` and ``oracle.lower_bound``
-read unsorted neighbour rows, and are checked here against networkx's
-degrees and 2-colouring (networkx is test-only)."""
+``max_degree``, ``is_bipartite`` and ``oracle.lower_bound`` read unsorted
+neighbour rows, and are checked here against networkx's degrees and
+2-colouring (networkx is test-only)."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from bookbind.graph_core import (  # noqa: E402
     bundle,
     circulant,
     is_bipartite,
-    is_regular,
     max_degree,
 )
 from bookbind.oracle import lower_bound  # noqa: E402
@@ -66,7 +65,5 @@ def test_degree_helpers_and_lower_bound_match_their_definitions(g):
     bipartite = nx.is_bipartite(h)
     regular = all(d == delta for d in degrees)
     assert max_degree(g) == delta
-    for k in range(delta + 2):
-        assert is_regular(g, k) == all(d == k for d in degrees), k
     assert is_bipartite(g) == bipartite
     assert lower_bound(g) == (delta + 1 if delta > 0 and regular and not bipartite else delta)

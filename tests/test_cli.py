@@ -11,7 +11,7 @@ from bookbind import cli, graph_core, layout_engine
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
 from bookbind.oracle import CERTIFIED, certify, check_isomorphism
-from test_constructions import GRID_SPECS, PLAN_FAULTS, _edit_plan
+from test_constructions import GRID_SPECS, PLAN_CLASHES, _edit_plan
 
 try:
     from hypothesis import example, given, strategies as st
@@ -603,15 +603,20 @@ if given is not None:
         assert cli._dumps(value) == _stdlib_dumps(value)
 
 
-def test_embed_failure_message_is_pinned(monkeypatch, capsys):
-    # a layout whose fixed pages clash fails before placement, naming both edges
-    _edit_plan(monkeypatch, PLAN_FAULTS["fixed edges cross"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("fixed edges share an endpoint", "assignment invalid: (((0, 1), (1, 2), 'shared-endpoint'),)"),
+        ("fixed edges cross", "no completion within the given palette"),
+    ],
+)
+def test_embed_failure_message_is_pinned(fault, message, monkeypatch, capsys):
+    # a layout whose fixed pages clash runs the search, and validate or the
+    # search names the failure
+    _edit_plan(monkeypatch, PLAN_CLASHES[fault], search=True)
     code, out, err = run(capsys, "embed", "s=3,t=4,phi=shift:2")
     assert code == 70 and out == ""
-    assert err == (
-        "bookbind: construction failed: shift/gcd-even: fixed pages clash: "
-        "[((0, 10), (2, 3), 'crossing'), ((1, 11), (2, 3), 'crossing')]\n"
-    )
+    assert err == f"bookbind: construction failed: shift/gcd-even: {message}\n"
 
 
 def _count_calls(monkeypatch, fn) -> list:

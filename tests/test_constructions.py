@@ -36,7 +36,7 @@ from bookbind.graph_core import (
     format_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate
+from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate, violations
 from reference import cycle_edges, reference_decode
 
 
@@ -114,10 +114,10 @@ _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and to
 _decode = SequenceCatalog(_PLAN_SPEC).decode
 
 
-def _edit_plan(monkeypatch, edit) -> None:
+def _edit_plan(monkeypatch, edit, search: bool = False) -> None:
     """Make `embed` of _PLAN_SPEC use its plan as changed in place by
-    `edit(spine, fixed, todo)`, and fail the test if the search starts (the
-    plan check itself pins the fixed pages into the search's index)."""
+    `edit(spine, fixed, todo)`.  Unless `search` is set, fail the test if
+    the search starts: a listing fault must stop the plan check first."""
 
     rule, layout = _select(_PLAN_SPEC)
 
@@ -130,14 +130,15 @@ def _edit_plan(monkeypatch, edit) -> None:
         raise AssertionError("the search started on a faulty plan")
 
     monkeypatch.setattr(constructions, "_select", lambda spec: (rule, edited))
-    monkeypatch.setattr(constructions._PageAssigner, "complete", no_search)
+    if not search:
+        monkeypatch.setattr(constructions._PageAssigner, "complete", no_search)
 
 
-def _assert_plan_fault(monkeypatch, edit) -> None:
+def _assert_plan_fault(monkeypatch, edit, search: bool = False) -> None:
     """`edit` returns the fault it made; `embed` must name exactly that."""
 
     named = []
-    _edit_plan(monkeypatch, lambda *plan: named.append(edit(*plan)))
+    _edit_plan(monkeypatch, lambda *plan: named.append(edit(*plan)), search)
     with pytest.raises(CompletionError) as info:
         embed(_PLAN_SPEC)
     assert str(info.value) == f"{RULE_SHIFT_EVEN_GCD}: {named[0]}"
@@ -193,20 +194,23 @@ def _spine_has_a_negative_vertex(spine, fixed, todo) -> str:
 # and its red seams are 21 = (0, 10) and 23 = (1, 11)
 
 
+# Clashing fixed pages list every number once, so the plan check passes
+# them and the search runs.  It completes around a shared endpoint, which
+# ``validate`` then names; no todo edge fits beside the crossing red chord.
+
+
 def _fixed_share_an_endpoint(spine, fixed, todo) -> str:
     assert fixed[:2] == [(0, YELLOW), (2, PURPLE)]
     assert (_decode(0), _decode(2)) == ((0, 1), (1, 2))
     fixed[0] = (0, PURPLE)
-    return "fixed pages clash: [((0, 1), (1, 2), 'shared-endpoint')]"
+    return "assignment invalid: (((0, 1), (1, 2), 'shared-endpoint'),)"
 
 
 def _fixed_cross(spine, fixed, todo) -> str:
     assert fixed[2] == (4, YELLOW) and {(21, RED), (23, RED)} <= set(fixed)
     assert [_decode(k) for k in (4, 21, 23)] == [(2, 3), (0, 10), (1, 11)]
     fixed[2] = (4, RED)  # spine places 3..8 inside the seams' 0..5 and 6..11
-    return (
-        "fixed pages clash: [((0, 10), (2, 3), 'crossing'), ((1, 11), (2, 3), 'crossing')]"
-    )
+    return "no completion within the given palette"
 
 
 PLAN_FAULTS = {
@@ -220,6 +224,8 @@ PLAN_FAULTS = {
     "palette page >= m": _palette_page_5,
     "spine not a permutation": _spine_repeats_a_vertex,
     "spine holds a negative vertex": _spine_has_a_negative_vertex,
+}
+PLAN_CLASHES = {
     "fixed edges share an endpoint": _fixed_share_an_endpoint,
     "fixed edges cross": _fixed_cross,
 }
@@ -228,6 +234,11 @@ PLAN_FAULTS = {
 @pytest.mark.parametrize("fault", PLAN_FAULTS)
 def test_plan_fault_fails_before_placement(fault, monkeypatch):
     _assert_plan_fault(monkeypatch, PLAN_FAULTS[fault])
+
+
+@pytest.mark.parametrize("fault", PLAN_CLASHES)
+def test_plan_clash_fails_in_the_search_or_the_validator(fault, monkeypatch):
+    _assert_plan_fault(monkeypatch, PLAN_CLASHES[fault], search=True)
 
 
 def test_plan_fault_exits_as_construction_failure(monkeypatch, capsys):
@@ -518,10 +529,8 @@ def test_embed_outcomes_on_small_grid_are_pinned():
     assert digest.hexdigest() == GRID_DIGEST
 
 
-def _plan_text(spec) -> str:
-    rule, layout = _select(spec)
-    cat = SequenceCatalog(spec)
-    spine, fixed, todo = layout(cat, spec)
+def _plan_text(rule, cat, plan) -> str:
+    spine, fixed, todo = plan
     fixed = [[list(cat.decode(k)), page] for k, page in fixed]
     todo = [[list(cat.decode(k)), list(palette)] for k, palette in todo]
     return json.dumps([rule, list(spine), fixed, todo])
@@ -539,7 +548,14 @@ def test_layout_plans_on_sweep_grid_are_pinned():
     rows = 0
     for family in ("shift", "reflection"):
         for spec in _sweep_specs(family, (3, 12), (3, 30)):
-            digest.update(_plan_text(spec).encode() + b"\n")
+            rule, layout = _select(spec)
+            cat = SequenceCatalog(spec)
+            plan = layout(cat, spec)
+            # the plan check leaves clashes to validate: a layout edit that
+            # makes its fixed pages clash is named here, before the digest
+            fixed = ((cat.decode(k), page) for k, page in plan[1])
+            assert violations(fixed, BookEmbedding(plan[0], {}, 1).pos) == [], spec
+            digest.update(_plan_text(rule, cat, plan).encode() + b"\n")
             rows += 1
     assert rows == 1280
     assert digest.hexdigest() == PLAN_DIGEST

@@ -19,7 +19,6 @@ from bookbind.graph_core import (
     circulant,
     format_bundle_spec,
     is_bipartite,
-    is_regular,
     make_edge,
     max_degree,
     parse_bundle_spec,
@@ -27,6 +26,15 @@ from bookbind.graph_core import (
     vertex_index,
     vertex_pair,
 )
+
+
+def _regular_degree(g: Graph) -> int:
+    """The degree of g, asserted regular: Δ·n counts every edge twice only
+    when every degree is Δ."""
+
+    delta = max_degree(g)
+    assert delta * g.n == 2 * len(g.edges)
+    return delta
 
 
 def test_make_edge_orders_endpoints():
@@ -73,16 +81,16 @@ def test_cycle_graph_small():
 def test_circulant_edges_and_degree():
     g = circulant(9, {1, 3})
     assert g.n == 9 and len(g.edges) == 18
-    assert is_regular(g, 4)
+    assert _regular_degree(g) == 4
     # the half jump contributes a single edge per vertex pair
     h = circulant(8, {4})
-    assert len(h.edges) == 4 and is_regular(h, 1)
+    assert len(h.edges) == 4 and _regular_degree(h) == 1
 
 
 def test_circulant_accepts_any_iterable():
     # generators must not be consumed before duplicate detection
     g = circulant(6, (k for k in (1, 2)))
-    assert is_regular(g, 4)
+    assert _regular_degree(g) == 4
 
 
 def test_circulant_rejects_bad_jumps():
@@ -153,7 +161,7 @@ def test_bundle_shape_and_seam():
     spec = BundleSpec(4, 6, Shift(2))
     g = bundle(spec)
     assert g.n == 24 and len(g.edges) == 48
-    assert is_regular(g, 4)
+    assert _regular_degree(g) == 4
     # seam joins (s-1, q) to (0, (q+2) % 6)
     assert make_edge(vertex_index(3, 1, 6), vertex_index(0, 3, 6)) in g.edges
     # interior rung
@@ -165,7 +173,7 @@ def test_bundle_shape_and_seam():
 def test_bundle_reflection_seam():
     g = bundle(BundleSpec(3, 6, Reflection("two")))
     assert make_edge(vertex_index(2, 2, 6), vertex_index(0, 4, 6)) in g.edges
-    assert is_regular(g, 4)
+    assert _regular_degree(g) == 4
 
 
 def test_is_bipartite_even_cycle():
