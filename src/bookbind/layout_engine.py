@@ -6,13 +6,15 @@ cross in the circular layout.  Equivalently, each page is a matching whose
 chords, read along the spine, nest like balanced brackets.  ``violations``
 checks each page in one of two ways.  A dense page, one of at least n/4
 chords for n spine places, is written into one list of n places (the other
-end of the chord there, or -1) and walked once by ``nests``; a place
-written twice is a shared endpoint.  Every other page, and a dense page
-that fails the walk, is listed by ``_page_violations``, one sweep along the
-spine that finds every shared endpoint and crossing in O(P log P + K) for
-its P edges and K violations (nothing on a sound page) and sorts one
-integer key per chord end, not tuples.  So the dense walks cover at most 4E
-places however many pages are used, and a page of one chord costs O(1).
+end of the chord there, or -1) and walked once with a bracket stack by
+``_page_nests``; a place written twice is a shared endpoint.  Every other
+page, and a dense page that fails the walk, is listed by
+``_page_violations``: one sort of one integer key per chord end (not
+tuples) and one sweep along the spine, where ends met at one place are
+shared endpoints and chords that close out of bracket order cross, in
+O(P log P + K) for its P edges and K violations (nothing on a sound page).
+So the dense walks cover at most 4E places however many pages are used,
+and a page of one chord costs O(1).
 ``validate``, the one judge of crossings and shared endpoints (a
 construction's fixed pages included), runs its structural checks at C
 speed: the spine is a permutation when ``pos`` is as long as it, and the
@@ -144,16 +146,23 @@ class ValidationReport:
         return self.is_proper and self.is_noncrossing
 
 
-def nests(at: list[int]) -> bool:
-    """Do the chords written into ``at`` nest like balanced brackets?
+def _page_nests(page_edges: list[Edge], pos: list[int]) -> bool:
+    """Is this page a matching whose chords nest like balanced brackets?
 
-    ``at`` has one slot per spine place: the place of the other end of the
-    chord there, or -1 for a free place.  One walk along the spine keeps the
-    far ends of the open chords on a stack; a chord that closes anywhere but
-    on top crosses one opened inside it.  ``validate``'s dense pages are
-    walked here.
+    Its chords are written into one list of n places (the place of the
+    chord's other end, or -1 for a free place): a place written twice is a
+    shared endpoint, so fewer than 2P places are taken.  Then one walk along
+    the spine keeps the far ends of the open chords on a stack; a chord that
+    closes anywhere but on top crosses one opened inside it.
     """
 
+    at = [-1] * len(pos)
+    for u, v in page_edges:
+        a, b = pos[u], pos[v]
+        at[a] = b
+        at[b] = a
+    if at.count(-1) != len(at) - 2 * len(page_edges):
+        return False
     closers: list[int] = []  # far ends of the open chords, innermost last
     for x, y in enumerate(at):
         if y > x:
@@ -163,65 +172,40 @@ def nests(at: list[int]) -> bool:
     return True
 
 
-def _page_nests(page_edges: list[Edge], pos: list[int]) -> bool:
-    """Is this page a matching whose chords nest?  Its chords are written
-    into one list of n places: a place written twice is a shared endpoint,
-    so fewer than 2P places are taken; then ``nests`` walks the list."""
-
-    at = [-1] * len(pos)
-    for u, v in page_edges:
-        a, b = pos[u], pos[v]
-        at[a] = b
-        at[b] = a
-    return at.count(-1) == len(at) - 2 * len(page_edges) and nests(at)
-
-
 def _page_violations(page_edges: list[Edge], pos: list[int]) -> list[Violation]:
     """Every shared endpoint and every crossing on one page, each pair once.
 
-    Costs O(P log P + K) for P edges and K violations.  Edges at one vertex
-    pairwise share it; a ``seen`` set finds the vertices met twice, and only
-    those get edge lists.  For crossings, chord i with spine ends a < b
-    gets the integer keys ``(2a + 1) P + i`` (opens) and ``2b P + i``
-    (closes), so one sort of 2P ints puts the ends in spine order with the
-    closers at a position before its openers, which share that end.  The
-    open chords are kept as indices in opening order: the chords opened
-    after a chord and still open when it closes are exactly those that
-    cross it or share one of its endpoints.
+    Costs O(P log P + K) for P edges and K violations.  Chord i with spine
+    ends a < b gets the integer keys ``(2a + 1) P + i`` (opens) and
+    ``2b P + i`` (closes), so one sort of 2P ints puts the ends in spine
+    order, with the closers at a place before its openers.  Ends at one
+    place share its vertex, so each end is paired with the ends already met
+    at that place.  The open chords are kept as indices in opening order:
+    the chords opened after a chord and still open when it closes are
+    exactly those that cross it or share one of its endpoints (paired
+    already at that place).
     """
 
-    violations: list[Violation] = []
-    seen: set[int] = set()
-    shared: set[int] = set()
-    keys: list[int] = []
     size = len(page_edges)
+    keys: list[int] = []
     for i, (u, v) in enumerate(page_edges):
-        if u in seen:
-            shared.add(u)
-        else:
-            seen.add(u)
-        if v in seen:
-            shared.add(v)
-        else:
-            seen.add(v)
         a, b = pos[u], pos[v]
         if a > b:
             a, b = b, a
         keys += ((2 * a + 1) * size + i, 2 * b * size + i)
-    if shared:
-        at: dict[int, list[Edge]] = {w: [] for w in shared}
-        for e in page_edges:
-            for w in e:
-                if w in at:
-                    at[w].append(e)
-        for edges in at.values():
-            for i, e in enumerate(edges):
-                for f in edges[i + 1 :]:
-                    violations.append((min(e, f), max(e, f), REASON_ENDPOINT))
     keys.sort()
+    violations: list[Violation] = []
     open_chords: list[int] = []
-    for key in keys:
+    place = first = -1  # the spine place swept, and where its ends begin in keys
+    for x, key in enumerate(keys):
         end, i = divmod(key, size)  # end: 2a + 1 where chord i opens, 2b where it closes
+        if end >> 1 != place:
+            place, first = end >> 1, x
+        else:  # chord i shares this place's vertex with every end met here before it
+            e = page_edges[i]
+            for other in keys[first:x]:
+                f = page_edges[other % size]
+                violations.append((min(e, f), max(e, f), REASON_ENDPOINT))
         if end & 1:
             open_chords.append(i)
         elif open_chords[-1] == i:  # a well-nested chord closes innermost

@@ -52,7 +52,6 @@ from bookbind.layout_engine import (  # noqa: E402
     BookEmbedding,
     ValidationReport,
     _page_violations,
-    nests,
     validate,
     violations,
 )
@@ -184,14 +183,15 @@ def test_dense_walks_cover_at_most_4e_places():
     # walks cover at most 4E places however many pages an embedding uses;
     # walking every page would cover E * n = 468512 places at one edge per page
     walked = []
+    walk = layout_engine._page_nests
 
-    def spy(at):
-        walked.append(len(at))
-        return nests(at)
+    def spy(page_edges, pos):
+        walked.append(len(pos))
+        return walk(page_edges, pos)
 
     g, emb = _E1K.graph, _E1K.embedding
     spread = BookEmbedding(emb.order, {e: i for i, e in enumerate(sorted(emb.pages))}, len(emb.pages))
-    with mock.patch.object(layout_engine, "nests", spy):
+    with mock.patch.object(layout_engine, "_page_nests", spy):
         assert validate(g, emb).ok
         assert walked == [g.n] * emb.m  # every page of the construction is dense
         walked.clear()
@@ -260,6 +260,9 @@ def pages_with_ties(draw):
 @example(([(0, 3), (0, 5), (2, 4), (1, 6)], {v: v for v in range(7)}))  # opens tie at 0, both crossed
 @example(([(1, 4), (0, 4), (4, 6), (4, 7), (3, 5), (2, 8)], {v: v for v in range(9)}))  # closes and opens at 4
 @example(([(2, 5), (0, 5), (5, 7), (1, 5), (3, 6), (4, 8)], {v: (2 * v) % 9 for v in range(9)}))
+@example(([(0, 4), (0, 2), (0, 6), (1, 5)], {v: v for v in range(7)}))  # three chords open at 0
+@example(([(0, 3), (3, 5), (3, 6), (1, 4)], {v: v for v in range(7)}))  # one closes and two open at 3
+@example(([(0, 2), (1, 2), (1, 3), (0, 3)], {v: v for v in range(4)}))  # ties at four adjacent places
 def test_page_listing_matches_pairwise_reference_on_ties(case):
     page_edges, pos = case
     got = _page_violations(page_edges, pos)
