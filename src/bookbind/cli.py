@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -134,17 +135,19 @@ def _dumps(payload) -> str:
     """The one JSON encoder: every payload bookbind prints or writes.
 
     The text is byte-for-byte ``json.dumps(payload, indent=2,
-    sort_keys=True)`` plus a newline.  It is not that call because before
-    Python 3.13 ``indent`` turns off the stdlib's C encoder, and writing an
-    embedding then took longer than building it.  So the shapes bookbind's
-    payloads are made of are written here: a list of ints with one join, a
-    list of equal-length int lists (edges, pages, relabel) with one ``%``
-    format; other lists and str-keyed dicts recurse, and a finite float is
-    its ``repr``.  Any other value (NaN, an infinity, a tuple, a dict with
-    other keys) goes to the stdlib at indent 0, and each newline in its text
-    becomes the newline and indent of its place.  That is safe because a
-    JSON string never holds a raw newline (it is escaped as ``\\n``), so
-    every newline in the text is layout.
+    sort_keys=True, default=BookEmbedding.to_payload)`` plus a newline.  It
+    is not that call because before Python 3.13 ``indent`` turns off the
+    stdlib's C encoder, and writing an embedding then took longer than
+    building it.  So the shapes bookbind's payloads are made of are written
+    here: a list of ints with one join, rows of ints with one ``%`` format
+    (``_int_rows``: a list of equal-length int lists, such as edges and
+    relabel, and an embedding's ``[u, v, page]`` rows, written from its
+    ``flat_rows`` with no list per row); other lists and str-keyed dicts
+    recurse, and a finite float is its ``repr``.  Any other value (NaN, an
+    infinity, a tuple, a dict with other keys) goes to the stdlib at indent
+    0, and each newline in its text becomes the newline and indent of its
+    place.  That is safe because a JSON string never holds a raw newline (it
+    is escaped as ``\\n``), so every newline in the text is layout.
     """
 
     def encode(x, nl: str) -> str:
@@ -161,6 +164,11 @@ def _dumps(payload) -> str:
             return float.__repr__(x)
         inner = nl + "  "
         sep = "," + inner
+        if kind is BookEmbedding:  # to_payload's keys in order, its rows from flat_rows
+            numbers = x.flat_rows()
+            rows = _int_rows(numbers, 3, inner) if numbers else "[]"
+            order = encode(list(x.order), inner)
+            return "{" + inner + f'"m": {encode(x.m, inner)}{sep}"order": {order}{sep}"pages": {rows}' + nl + "}"
         if kind is dict and x and {*map(type, x)} == {str}:
             items = sorted(x.items())
             body = sep.join(f"{encode_basestring_ascii(k)}: {encode(v, inner)}" for k, v in items)
@@ -172,13 +180,23 @@ def _dumps(payload) -> str:
             if kinds == {list} and len({*map(len, x)}) == 1:
                 flat = tuple(chain.from_iterable(x))
                 if {*map(type, flat)} == {int}:
-                    cell = inner + "  "
-                    row = "[" + cell + ("," + cell).join(["%d"] * len(x[0])) + inner + "]"
-                    return ("[" + inner + sep.join([row] * len(x)) + nl + "]") % flat
+                    return _int_rows(flat, len(x[0]), nl)
             return "[" + inner + sep.join([encode(v, inner) for v in x]) + nl + "]"
-        return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
+        text = json.dumps(x, indent=2, sort_keys=True, default=BookEmbedding.to_payload)
+        return text.replace("\n", nl)
 
     return encode(payload, "\n") + "\n"
+
+
+def _int_rows(numbers: Sequence[int], width: int, nl: str) -> str:
+    """Rows of ``width`` ints, given one row after another in ``numbers``
+    (not empty), as ``_dumps`` writes a list of lists at the indent ``nl``:
+    one ``%`` format of them all."""
+
+    inner = nl + "  "
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * (len(numbers) // width)) + nl + "]") % tuple(numbers)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -209,7 +227,7 @@ def _embedding_payload(spec: BundleSpec, res: ConstructionResult) -> dict:
         "rule": res.rule,
         "pages": res.embedding.m,
         "classification": classify(res.graph, res.report),
-        "embedding": res.embedding.to_payload(),
+        "embedding": res.embedding,
     }
 
 
@@ -240,6 +258,7 @@ def cmd_verify(args) -> int:
     except SpecFormatError as exc:
         sys.stderr.write(f"{args.embedding!r}: {exc}\n")
         return EXIT_IO
+    del payload  # the decoded JSON is not read again: free it before validating
     try:
         report = validate(_graph_of(spec), emb)
     except CoverageError as exc:
@@ -269,7 +288,7 @@ def cmd_mbt(args) -> int:
         payload = {"status": res.status, "value": res.value}
         code = EXIT_OK if res.status == EXACT else EXIT_UNDECIDED
     payload["counters"] = res.counters
-    payload["witness"] = None if res.witness is None else res.witness.to_payload()
+    payload["witness"] = res.witness
     sys.stdout.write(_dumps(payload))
     return code
 
@@ -293,7 +312,7 @@ def _render_svg(
         f'  <circle class="spine" cx="{cx:.2f}" cy="{cy:.2f}" r="{radius:.2f}" '
         f'fill="none" stroke="#cccccc"/>',
     ]
-    for (u, v), page in sorted(emb.pages.items()):
+    for (u, v), page in sorted(emb.items()):
         (x1, y1), (x2, y2) = at(u, radius), at(v, radius)
         lines.append(
             f'  <line class="chord" x1="{x1:.2f}" y1="{y1:.2f}" '

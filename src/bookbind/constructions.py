@@ -23,27 +23,31 @@ have no rule and raise Unsupported.  Shifts are laid out as given;
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
 meets the lower bound (4-regularity, plus the parity obstruction for
 nonbipartite regular graphs), so every produced embedding is optimal.  It
-builds the edge list once and the graph from it, so the graph, the search
-and the page map share one tuple per edge.  It then checks the plan's
-listing once (``_check_plan``: one walk over the fixed list marks each
-number's slot and pins its page into the search's index, one over the todo
-list marks the rest), completes the todo list by ``_PageAssigner``, a
-backtracking search within each edge's palette that reads each edge by
-number as it is reached, writes the page map once by zipping the edge list
-with the slots, and validates the result once against the graph; a faulty
-plan, completion or validation raises instead of substituting pages.
+builds the edge list once, and the graph from it once the search is done,
+so the graph, the search and the embedding share one tuple per edge.  It
+checks the plan's listing once (``_check_plan``: it builds the embedding on
+the plan's spine, over that edge list, with a bytearray of pages; one walk
+over the fixed list writes each number's page and pins it into the search's
+index, one over the todo list marks the rest), completes the todo list by
+``_PageAssigner``, a backtracking search within each edge's palette that
+reads each edge by number as it is reached and writes its page into the
+same bytearray, then builds the graph and validates the result once
+against it; a faulty plan, completion or validation raises instead of
+substituting pages.
 ``validate`` is the one judge of crossings and shared endpoints, fixed
 pages included: a plan whose fixed pages clash either leaves the search no
 completion or is named by it.  It does not check the numbering: the graph
-and the page map come from one list, so a wrong number in ``bundle_edges``
+and the embedding come from one list, so a wrong number in ``bundle_edges``
 would go unseen here, and the tests compare that list with an independent
 definition.
 
-Until the search ends an edge's page is one byte, ``slot[k]`` of
-``_PageAssigner``, and no page map exists.  Placement never compares a chord
-with every chord on its page: each page keeps an index over the
-embedding's ``pos``, so a test walks only the new chord's own span and
-jumps over the chords nested inside it.
+An edge's page is one byte, ``pages[k]`` of the embedding, from the plan
+check to the file: no page map is ever built.  The search takes one frame
+per todo edge, with the chord's span, its fit test, its placement and the
+undo written out in that frame.  Placement never compares a chord with
+every chord on its page: each page keeps an index over the embedding's
+``pos``, so a test walks only the new chord's own span and jumps over the
+chords nested inside it.
 """
 
 from __future__ import annotations
@@ -126,8 +130,8 @@ class SequenceCatalog:
     owns two edges, numbered ``2 * flat(i, j) + kind``: kind 0 is the fibre
     edge toward column j+1, kind 1 the rung toward row i+1, which from row s
     is the seam across ``phi``.  The numbers 0..2st-1 name every edge once;
-    ``edges`` is ``bundle_edges(spec)``, edge k at index k, built once, and
-    the graph, the search and the page map all share its tuples.  A row is
+    ``edges`` is ``bundle_edges(spec)`` as a tuple, edge k at index k, built once, and
+    the graph, the search and the embedding all share its tuples.  A row is
     a run of t consecutive ids and a column a range of stride t, so both are
     built from ``range`` without a call per vertex.
     """
@@ -135,7 +139,7 @@ class SequenceCatalog:
     def __init__(self, spec: BundleSpec):
         self.s = spec.s
         self.t = spec.t
-        self.edges = bundle_edges(spec)
+        self.edges = tuple(bundle_edges(spec))  # as BookEmbedding keeps it, so not copied there
         self.size = len(self.edges)  # edge count, 2st
 
     def flat(self, i: int, j: int) -> int:
@@ -185,37 +189,39 @@ Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
 
-_UNLISTED, _TODO = 255, 254  # slot marks; a placed edge's slot holds its page (< 5)
+_UNLISTED, _TODO = 255, 254  # page marks; a placed edge's page is below 5
 
 
-def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str) -> _PageAssigner:
-    """The one check of a plan's listing, on the embedding built on its
-    spine: a spine of every vertex once, every edge number 0..2st-1 fixed or
-    todo exactly once, and every page named below m.  Returns the search's
-    index with every fixed page pinned in it; ``emb.pages`` stays empty.
-    One walk tests, marks and pins each fixed entry, and one marks each todo
-    entry; only a faulty plan is read again, to name its offenders.  Whether
-    the fixed pages cross or share an endpoint is ``validate``'s to say."""
+def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAssigner:
+    """The one check of a plan's listing, on the embedding it builds on the
+    plan's spine, with a bytearray of ``m`` pages: a spine of every vertex
+    once, every edge number 0..2st-1 fixed or todo exactly once, and every
+    page named below m.  Returns the search's index with every fixed page
+    written and pinned in it and every todo edge marked ``_TODO``.  One walk
+    tests, marks and pins each fixed entry, and one marks each todo entry;
+    only a faulty plan is read again, to name its offenders.  Whether the
+    fixed pages cross or share an endpoint is ``validate``'s to say."""
 
     spine, fixed, todo = plan
+    size = cat.size
+    emb = BookEmbedding(spine, cat.edges, bytearray([_UNLISTED]) * size, m)
     if not len(spine) == len(emb.pos) == cat.s * cat.t:  # pos is [] unless the spine is a permutation
         raise CompletionError(rule, "spine is not a permutation of the vertices")
-    index = _PageAssigner(emb, cat.size, rule)
-    slot, partner, pos, edges = index.slot, index.partner, emb.pos, cat.edges
-    size, m = cat.size, emb.m
+    index = _PageAssigner(emb, rule)
+    pages, partner, pos, edges = emb.pages, index.partner, emb.pos, cat.edges
     for k, page in fixed:
-        if 0 <= k < size and slot[k] == _UNLISTED and 0 <= page < m:
-            slot[k] = page
+        if 0 <= k < size and pages[k] == _UNLISTED and 0 <= page < m:
+            pages[k] = page
             u, v = edges[k]
             a, b, at = pos[u], pos[v], partner[page]
             at[a], at[b] = b, a  # a pin on a taken place overwrites it; validate names that clash
     palettes = set()
     for k, palette in todo:
-        if 0 <= k < size and slot[k] == _UNLISTED:
-            slot[k] = _TODO
+        if 0 <= k < size and pages[k] == _UNLISTED:
+            pages[k] = _TODO
             palettes.add(palette)
-    # each entry marked a slot iff there are 2st entries and no slot is left unlisted
-    listed = len(fixed) + len(todo) == size and _UNLISTED not in slot
+    # each entry marked a page iff there are 2st entries and none is left unlisted
+    listed = len(fixed) + len(todo) == size and _UNLISTED not in pages
     if not (listed and {*chain(*palettes)} <= {*range(m)}):
         # read through cat and emb, so that the walks' names stay locals, not closure cells
         count = Counter([k for k, _ in fixed] + [k for k, _ in todo])  # name up to four offenders
@@ -223,11 +229,11 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
         outside = sorted(count.keys() - numbers)
         if outside:  # first, as only numbers in range can be decoded
             raise CompletionError(rule, f"numbers outside 0..{size - 1}: {outside[:4]}")
-        pages = chain(fixed, ((k, p) for k, palette in todo for p in palette))
+        listings = chain(fixed, ((k, p) for k, palette in todo for p in palette))
         for fault, offenders in (
             ("listed twice", [cat.decode(k) for k, n in count.items() if n > 1]),
             ("missing from the plan", sorted(cat.decode(k) for k in numbers if k not in count)),
-            (f"pages outside 0..{m - 1}", [(cat.decode(k), p) for k, p in pages if not 0 <= p < emb.m]),
+            (f"pages outside 0..{m - 1}", [(cat.decode(k), p) for k, p in listings if not 0 <= p < emb.m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
@@ -237,78 +243,69 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, emb: BookEmbedding, rule: str)
 class _PageAssigner:
     """The completion search, over one embedding's pages by edge number.
 
-    ``slot[k]`` is edge k's page once placed, else ``_TODO`` (or
-    ``_UNLISTED`` until ``_check_plan`` has read the plan).  Each page keeps
-    an index over spine positions: ``partner[page][x]`` is -1 while position
-    x is free on that page, else the position of the other end of the chord
-    placed there.  A chord (a, b), a < b, fits a page when both ends are
-    free and a walk from a+1 to b-1, jumping over every chord nested inside,
-    meets no chord that leaves (a, b).  Edges are read by number only to find
-    their two positions; the page map is the caller's to write, from ``slot``.
+    ``pages[k]`` (the embedding's bytearray) is ``_TODO`` until the search
+    first places edge k, then the page it was last placed on; a search that
+    succeeds places every todo edge on its final page.  Each page keeps an
+    index over spine positions:
+    ``partner[page][x]`` is -1 while position x is free on that page, else
+    the position of the other end of the chord placed there.  A chord
+    (a, b), a < b, fits a page when both ends are free and a walk from a+1
+    to b-1, jumping over every chord nested inside, meets no chord that
+    leaves (a, b).  Edges are read by number only to find their two
+    positions.
     """
 
-    def __init__(self, emb: BookEmbedding, size: int, rule: str):
-        self.pos = emb.pos
+    def __init__(self, emb: BookEmbedding, rule: str):
+        self.emb = emb
         self.rule = rule
-        self.slot = bytearray([_UNLISTED]) * size
+        self.edges, self.pos, self.pages = emb.edges, emb.pos, emb.pages
         self.partner = [[-1] * len(emb.order) for _ in range(emb.m)]
 
-    def _span(self, e: Edge) -> tuple[int, int]:
-        a, b = self.pos[e[0]], self.pos[e[1]]
-        return (a, b) if a < b else (b, a)
-
-    def _conflicts(self, a: int, b: int, page: int) -> bool:
-        partner = self.partner[page]
-        if partner[a] != -1 or partner[b] != -1:
-            return True
-        x = a + 1
-        while x < b:
-            y = partner[x]
-            if y == -1:
-                x += 1
-            elif x < y < b:
-                x = y + 1
-            else:
-                return True
-        return False
-
-    def _place(self, k: int, a: int, b: int, page: int) -> None:
-        partner = self.partner[page]
-        partner[a], partner[b] = b, a
-        self.slot[k] = page
-
-    def _unplace(self, k: int, a: int, b: int) -> None:
-        partner = self.partner[self.slot[k]]
-        partner[a] = partner[b] = -1
-        self.slot[k] = _TODO
-
-    def complete(self, todo: list[Todo], edges: list[Edge]) -> None:
-        """Depth-first completion of `todo` in order, palettes as given; edge
-        k is ``edges[k]``, read when the search reaches it."""
+    def complete(self, todo: list[Todo]) -> BookEmbedding:
+        """Depth-first completion of `todo` in order, palettes as given; the
+        embedding, its pages all written."""
 
         self._nodes = 0
-        self._edges = edges
         if not self._search(todo, 0):
             raise CompletionError(self.rule, "no completion within the given palette")
+        return self.emb
 
     def _search(self, todo: list[Todo], i: int) -> bool:
         # a method, not a closure over itself: a self-referencing closure is
         # a reference cycle that keeps the whole assignment alive until the
-        # garbage collector runs
+        # garbage collector runs.  One frame per todo edge: the span, the
+        # fit test, the placement and its undo are written out here; the
+        # undo leaves the page byte as it is, as nothing reads it before
+        # the search succeeds.
         if i == len(todo):
             return True
         self._nodes += 1
         if self._nodes > _NODE_CAP:
             raise CompletionError(self.rule, f"completion exceeded {_NODE_CAP} nodes")
         k, palette = todo[i]
-        a, b = self._span(self._edges[k])
+        e = self.edges[k]  # few locals: a deep search holds one frame per todo edge
+        a, b = self.pos[e[0]], self.pos[e[1]]
+        if a > b:
+            a, b = b, a
         for page in palette:
-            if self._conflicts(a, b, page):
+            at = self.partner[page]
+            if at[a] != -1 or at[b] != -1:
                 continue
-            self._place(k, a, b, page)
-            if self._search(todo, i + 1):
-                return True
-            self._unplace(k, a, b)
+            x = a + 1
+            while x < b:
+                y = at[x]
+                if y == -1:
+                    x += 1
+                elif x < y < b:  # a chord nested inside: jump past it
+                    x = y + 1
+                else:  # a chord leaving (a, b) crosses it
+                    break
+            else:
+                at[a], at[b] = b, a
+                self.pages[k] = page
+                if self._search(todo, i + 1):
+                    return True
+                at[a] = at[b] = -1
         return False
 
 
@@ -600,15 +597,16 @@ def embed(spec: BundleSpec) -> ConstructionResult:
 
     rule, layout = _select(spec)
     cat = SequenceCatalog(spec)
-    graph = Graph(spec.s * spec.t, frozenset(cat.edges))  # bundle(spec), on the same tuples
     plan = layout(cat, spec)
-    emb = BookEmbedding(plan[0], {}, parity_pages(spec))
-    index = _check_plan(cat, plan, emb, rule)
+    index = _check_plan(cat, plan, parity_pages(spec), rule)
     todo = plan[2]
-    del plan  # the spine is in emb and the fixed pages in the index
-    index.complete(todo, cat.edges)
-    emb.pages.update(zip(cat.edges, index.slot))
+    del plan  # the spine is in the embedding and the fixed pages in the index
+    emb = index.complete(todo)
+    del index  # its per-page places, before the graph and validate allocate their own
 
+    # bundle(spec) on the embedding's own edge set, which validate compares
+    # with it; built after the search, so the set never meets the index
+    graph = Graph(spec.s * spec.t, emb.edge_set)
     report = validate(graph, emb)
     if not report.ok:
         raise CompletionError(rule, f"assignment invalid: {report.violations[:3]}")

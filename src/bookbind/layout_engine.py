@@ -17,22 +17,34 @@ So the dense walks cover at most 4E places however many pages are used,
 and a page of one chord costs O(1).
 ``validate``, the one judge of crossings and shared endpoints (a
 construction's fixed pages included), runs its structural checks at C
-speed: the spine is a permutation when ``pos`` is as long as it, and the
-page indices are in range by ``min`` and ``max`` over the page map; only a
-failing range check walks the map, to name the first offending edge.
+speed: the spine is a permutation when ``pos`` is as long as it, the edge
+list is E(g) when its ``edge_set`` equals E(g) and is as long as the list,
+and the page indices are in range by ``min`` and ``max`` over the set of
+pages used, which also counts them; only a failing check reads further, to
+name the offenders.  One pass then drops each edge into its page's chord
+list.
 
-``BookEmbedding`` is an embedding's one index: spine order, page map and
-``pos``, a list with vertex v's spine place at index v, built once and only
-for a spine that is a permutation of 0..n-1 (else it is empty, and
-``validate`` refuses the spine).  It converts to and from plain data
-(``to_payload``, ``from_payload``, one inline pass per listed edge); only
-``cli`` encodes and decodes JSON.
+``BookEmbedding`` is an embedding's one index: spine order, two aligned
+arrays (``edges``, canonical tuples, and ``pages``, where ``pages[i]`` is
+the page of ``edges[i]``) and ``pos``, a list with vertex v's spine place at
+index v, built once and only for a spine that is a permutation of 0..n-1
+(else it is empty, and ``validate`` refuses the spine), and ``edge_set``,
+the edges' frozenset, built once when first asked.  ``embed`` hands it the
+catalogue's edge list and the bytearray its search wrote, and builds the
+graph on its ``edge_set``; ``from_payload`` fills both arrays from a file's
+rows in one inline pass, in file order, and finds a repeated row by the
+``edge_set`` that ``validate`` then reuses.  It converts to and from plain
+data (``to_payload``, its rows made from ``flat_rows``); only ``cli``
+encodes and decodes JSON, and it writes an embedding's rows from
+``flat_rows`` alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph_core import Edge, Graph, SpecFormatError, make_edge, max_degree
 
@@ -53,62 +65,108 @@ class CoverageError(ValueError):
 
 @dataclass(frozen=True)
 class BookEmbedding:
-    """Spine order plus a total edge -> page map using ``m`` pages; frozen, so
-    ``pos`` (``pos[v]`` is vertex v's spine place) cannot go stale, but the
-    map is writable.  ``pos`` is empty unless the order is a permutation of
-    0..n-1."""
+    """Spine order plus each edge's page in ``m`` pages: ``pages[i]`` is the
+    page of ``edges[i]``.  Frozen, so ``pos`` (``pos[v]`` is vertex v's spine
+    place) cannot go stale, but ``pages`` may be writable (``embed`` fills a
+    bytearray).  ``edges`` is kept as a tuple, so that ``edge_set``, its set
+    built once when first asked for, cannot go stale either; edges and pages
+    of different lengths raise ``ValueError``.  ``pos`` is empty unless the
+    order is a permutation of 0..n-1."""
 
     order: tuple[int, ...]
-    pages: dict[Edge, int]
+    edges: tuple[Edge, ...]
+    pages: Sequence[int]
     m: int
     pos: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        edges = tuple(self.edges)
+        if len(edges) != len(self.pages):
+            raise ValueError(f"{len(edges)} edges but {len(self.pages)} pages")
         order = tuple(self.order)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "pos", _positions(order))
 
-    def pages_used(self) -> int:
-        return len(set(self.pages.values()))
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        """The edges as a set: ``from_payload`` builds it to find an edge
+        listed twice, ``validate`` compares it with E(g), and ``embed``
+        makes the graph from it."""
+
+        return frozenset(self.edges)
+
+    def items(self) -> Iterator[tuple[Edge, int]]:
+        """Each edge with its page, in list order."""
+
+        return zip(self.edges, self.pages)
+
+    def flat_rows(self) -> list[int]:
+        """Every edge's ``u, v, page``, one row after another, rows sorted by
+        edge: the rows of ``to_payload`` laid end to end."""
+
+        edges, pages = self.edges, self.pages
+        numbers: list[int] = []
+        for i in sorted(range(len(edges)), key=edges.__getitem__):
+            numbers += edges[i]
+            numbers.append(pages[i])
+        return numbers
 
     def to_payload(self) -> dict:
-        """The embedding as plain data: ``{order, pages, m}``."""
+        """The embedding as plain data: ``{order, pages, m}``, with one
+        ``[u, v, page]`` row per edge, sorted by edge."""
 
-        pages = self.pages
-        return {
-            "order": list(self.order),
-            "pages": [[*e, pages[e]] for e in sorted(pages)],  # keys are unique: sort them alone
-            "m": self.m,
-        }
+        numbers = self.flat_rows()
+        rows = [numbers[i : i + 3] for i in range(0, len(numbers), 3)]
+        return {"order": list(self.order), "pages": rows, "m": self.m}
 
     @classmethod
     def from_payload(cls, payload) -> "BookEmbedding":
-        """The embedding in a ``to_payload`` object ``{order, pages, m}``.
+        """The embedding in a ``to_payload`` object ``{order, pages, m}``,
+        its edges and pages in the order of the rows.
 
         Every number must be a JSON integer (not ``true``, ``1.0`` or ``"1"``);
-        edges are canonicalised, and one listed twice keeps its last page.
-        The common case costs one inline pass: a list ``order`` of ints is
-        taken whole, and a triple of ints with ``u < v`` is stored as it
-        stands.  ``_integer`` runs only once a type test fails, to name the
-        first offender (u, then v, then p), and only ``u >= v`` goes
-        through ``make_edge``, which swaps the pair or refuses a loop.
+        edges are canonicalised, and one listed twice keeps its last page at
+        its first place.  The common case costs one inline pass: a list
+        ``order`` of ints is taken whole, and a triple of ints with ``u < v``
+        is stored as it stands.  ``_integer`` runs only once a type test
+        fails, to name the first offender (u, then v, then p), and only
+        ``u >= v`` goes through ``make_edge``, which swaps the pair or
+        refuses a loop.  Only a file that repeats an edge (its ``edge_set``
+        is smaller than its list) is read again.
         """
 
         try:
             order = payload["order"]
             if type(order) is not list or not all(type(v) is int for v in order):
                 order = tuple(_integer(v) for v in order)
-            pages: dict[Edge, int] = {}
+            edges: list[Edge] = []
+            pages: list[int] = []
+            add_edge, add_page = edges.append, pages.append
             for u, v, p in payload["pages"]:
                 if type(u) is not int or type(v) is not int or type(p) is not int:
                     u, v, p = _integer(u), _integer(v), _integer(p)
-                if u < v:
-                    pages[u, v] = p
-                else:
-                    pages[make_edge(u, v)] = p
-            return cls(order, pages, _integer(payload["m"]))
+                add_edge((u, v) if u < v else make_edge(u, v))
+                add_page(p)
+            emb = cls(order, edges, pages, _integer(payload["m"]))
+            if len(emb.edge_set) < len(edges):
+                emb = cls(order, *_last_pages(edges, pages), emb.m)
+            return emb
         except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
+
+
+def _last_pages(edges: list[Edge], pages: list[int]) -> tuple[list[Edge], list[int]]:
+    """Each edge once, at the place of its first listing, with the page of
+    its last."""
+
+    place: dict[Edge, int] = {}
+    for e in edges:
+        place.setdefault(e, len(place))
+    kept = [0] * len(place)
+    for e, p in zip(edges, pages):
+        kept[place[e]] = p
+    return list(place), kept
 
 
 def _positions(order: tuple[int, ...]) -> list[int]:
@@ -221,8 +279,9 @@ def _page_violations(page_edges: list[Edge], pos: list[int]) -> list[Violation]:
     return violations
 
 
-def violations(pages: Iterable[tuple[Edge, int]], pos: list[int]) -> list[Violation]:
-    """Every violation among (edge, page) pairs, sorted.
+def violations(edges: Sequence[Edge], pages: Sequence[int], pos: list[int]) -> list[Violation]:
+    """Every violation among edges on their pages (``edges[i]`` on
+    ``pages[i]``), sorted.
 
     A page of at least n/4 chords, for n spine places, gets the dense walk
     (``_page_nests``); any other page, and a dense page that fails it, is
@@ -231,7 +290,7 @@ def violations(pages: Iterable[tuple[Edge, int]], pos: list[int]) -> list[Violat
     there are, and a sparse page costs O(P log P)."""
 
     by_page: dict[int, list[Edge]] = {}
-    for e, p in pages:
+    for e, p in zip(edges, pages):
         by_page.setdefault(p, []).append(e)
     found: list[Violation] = []
     n = len(pos)
@@ -245,27 +304,32 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     """Check properness and page planarity; structural breakage raises.
 
     Raises CoverageError when the spine is not a permutation of the vertex
-    set, the page map does not cover exactly E(g), or a page index falls
-    outside ``0..m-1``.  Colouring faults are collected as violations.
+    set, the edges listed are not exactly E(g), or a page index falls
+    outside ``0..m-1``; an edge listed twice is named in the mismatch too.
+    Colouring faults are collected as violations.
     """
 
     if not len(emb.pos) == len(emb.order) == g.n:  # pos is [] unless the order is a permutation
         raise CoverageError("spine order is not a permutation of the vertex set")
-    if emb.pages.keys() != g.edges:
-        missing = sorted(g.edges - emb.pages.keys())
-        extra = sorted(emb.pages.keys() - g.edges)
-        raise CoverageError(f"page map mismatch: missing {missing}, extra {extra}")
-    if emb.m < 1:
-        raise CoverageError(f"page count m={emb.m} must be at least 1")
-    pages = emb.pages.values()
-    if pages and not (0 <= min(pages) and max(pages) < emb.m):
-        e, p = next((e, p) for e, p in emb.pages.items() if not 0 <= p < emb.m)
-        raise CoverageError(f"page {p} of edge {e} outside 0..{emb.m - 1}")
+    edges, pages, m = emb.edges, emb.pages, emb.m
+    listed = emb.edge_set
+    if listed != g.edges or len(listed) < len(edges):
+        missing, extra = sorted(g.edges - listed), sorted(listed - g.edges)
+        text = f"page map mismatch: missing {missing}, extra {extra}"
+        if len(listed) < len(edges):  # only by hand: from_payload keeps each edge once
+            text += f", listed twice {sorted(e for e, k in Counter(edges).items() if k > 1)}"
+        raise CoverageError(text)
+    if m < 1:
+        raise CoverageError(f"page count m={m} must be at least 1")
+    used = set(pages)  # one pass: the page range and the count of pages used
+    if used and not (0 <= min(used) and max(used) < m):
+        i = next(i for i, p in enumerate(pages) if not 0 <= p < m)
+        raise CoverageError(f"page {pages[i]} of edge {edges[i]} outside 0..{m - 1}")
 
-    found = violations(emb.pages.items(), emb.pos)
+    found = violations(edges, pages, emb.pos)
     is_proper = all(r != REASON_ENDPOINT for _, _, r in found)
     is_noncrossing = all(r != REASON_CROSSING for _, _, r in found)
-    return ValidationReport(is_proper, is_noncrossing, emb.pages_used(), tuple(found))
+    return ValidationReport(is_proper, is_noncrossing, len(used), tuple(found))
 
 
 def classify(g: Graph, report: ValidationReport) -> str:

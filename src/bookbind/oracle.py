@@ -23,7 +23,8 @@ buckets break ties in the order of the ``(saturation, degree, -index)`` key.
 Nodes and orders are counted in locals and refused by one rule,
 ``_BudgetClock.grant``: a cap refuses the first order or node past it, the
 deadline is read before every order and every 256th node and refuses it,
-and a refused order or node is never counted.
+and a refused order or node is never counted.  A witness is the graph's
+sorted edge list with each edge's page, read off the search's frames.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class _Incidence:
 
 def _color_edges(
     inc: _Incidence, order: tuple[int, ...], m: int, clock: _BudgetClock
-) -> tuple[str, dict | None]:
+) -> tuple[str, list[int] | None]:
     """Exact m-colouring of the conflict structure for one spine order.
 
     Depth-first search that colours next the uncoloured edge of highest
@@ -216,14 +217,13 @@ def _color_edges(
     and opening at most one new page per step.  A page takes no edge that
     conflicts with one of its edges, so it is a matching and never holds
     more than ⌊n/2⌋ edges.  Each node is counted on ``clock``.
-    Returns ("sat", coloring), ("unsat", None), or ("cut", None) when the
-    budget ran dry mid-search.
+    Returns ("sat", pages), edge ``inc.edges[i]`` on ``pages[i]``,
+    ("unsat", None), or ("cut", None) when the budget ran dry mid-search.
     """
 
-    edges = inc.edges
-    ne = len(edges)
+    ne = len(inc.edges)
     if ne == 0:
-        return "sat", {}
+        return "sat", []
     m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
     masks, ranks = inc.conflicts(order)
     near = [0] * m  # per page: OR of the conflict masks of its edges
@@ -245,7 +245,7 @@ def _color_edges(
         if descend:
             if not free:
                 clock.nodes = nodes
-                return "sat", {edges[f[0]]: f[1] for f in sorted(frames)}
+                return "sat", [f[1] for f in sorted(frames)]  # one frame per edge
             if nodes == stop:
                 stop = clock.grant(nodes, cap, 256)
                 if nodes == stop:
@@ -330,11 +330,11 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
         orders += 1
         if refuted:
             continue
-        verdict, coloring = _color_edges(inc, order, m, clock)
+        verdict, pages = _color_edges(inc, order, m, clock)
         if verdict != "unsat":
             clock.orders = orders
             if verdict == "sat":
-                witness = BookEmbedding(order, coloring, m)
+                witness = BookEmbedding(order, inc.edges, pages, m)
                 return PageSearchResult(m, True, witness, False, clock.counters())
             return PageSearchResult(m, False, None, False, clock.counters())
     clock.orders = orders
@@ -355,7 +355,7 @@ def brute_force_mbt(g: Graph, budget: SearchBudget | None = None) -> MbtResult:
     if g.n == 0:
         return MbtResult(EXACT, 0, None, {})
     if not g.edges:
-        witness = BookEmbedding(tuple(range(g.n)), {}, 1)
+        witness = BookEmbedding(tuple(range(g.n)), (), (), 1)
         return MbtResult(EXACT, 0, witness, {})
     clock = _BudgetClock(budget)
     inc = _Incidence(g)

@@ -14,13 +14,31 @@ one unpacking loop, which the accepted inputs, the kept or canonical edges
 and the errors of ``Graph`` are checked against; and
 ``reference_color_edges`` is the oracle's colouring search written out
 plainly, recursive and counting saturations page by page, which the
-bit-parallel ``oracle._color_edges`` is checked against node for node.
+bit-parallel ``oracle._color_edges`` is checked against node for node; and
+``reference_complete`` is the construction's completion search with each
+fit tested pairwise against the chords placed so far, which
+``constructions._PageAssigner`` is checked against node for node;
+``reference_verify`` is ``bookbind verify`` on a decoded file, with the
+file's rows read into an edge -> page map and every pair of same-page
+edges compared, which the array-backed decode and validator are checked
+against; ``embedding_of`` builds a ``BookEmbedding`` from an edge -> page
+map.
 """
 
 from __future__ import annotations
 
+import json
+
 from bookbind.bundle_decomp import Cycles
 from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, make_edge, vertex_index
+from bookbind.layout_engine import BookEmbedding
+
+
+def embedding_of(order, page_map: dict, m: int) -> BookEmbedding:
+    """The embedding with each key of ``page_map`` once, in map order, on its
+    page."""
+
+    return BookEmbedding(order, list(page_map), list(page_map.values()), m)
 
 
 def chords_cross(a: int, b: int, c: int, d: int) -> bool:
@@ -103,7 +121,7 @@ def reference_color_edges(edges, order, m, max_nodes=None):
     holding an edge it conflicts with.  Pages are tried in increasing
     order, at most one new page per step, and a page takes at most
     ⌊n/2⌋ edges and no two that conflict.  Returns ``(verdict, colouring,
-    nodes)``: "sat" with the edge -> page map, "unsat", or "cut" when node
+    nodes)``: "sat" with each edge's page in edge order, "unsat", or "cut" when node
     ``max_nodes + 1`` would be taken (the refused node is not counted).
     """
 
@@ -146,5 +164,95 @@ def reference_color_edges(edges, order, m, max_nodes=None):
         return "unsat"
 
     verdict = search()
-    colouring = {edges[e]: page[e] for e in range(ne)} if verdict == "sat" else None
+    colouring = page if verdict == "sat" else None
     return verdict, colouring, nodes
+
+
+def reference_complete(edges, order, todo):
+    """The construction's completion search, by definition.
+
+    The todo entries ``(k, palette)`` are taken in order and edge
+    ``edges[k]`` is tried on its palette's pages in order; a page fits when
+    the edge shares no end with, and crosses no chord of, the edges placed
+    on it so far.  Returns ``(found, nodes, placed)``: whether every entry
+    was placed, the nodes visited (one per entry reached), and the edge
+    number -> page map found, or None.
+    """
+
+    pos = {v: i for i, v in enumerate(order)}
+    placed: dict[int, int] = {}
+    nodes = 0
+
+    def fits(k, page):
+        (a, b) = e = edges[k]
+        for j, p in placed.items():
+            (c, d) = f = edges[j]
+            if p == page and (set(e) & set(f) or chords_cross(pos[a], pos[b], pos[c], pos[d])):
+                return False
+        return True
+
+    def search(i):
+        nonlocal nodes
+        if i == len(todo):
+            return True
+        nodes += 1
+        k, palette = todo[i]
+        for page in palette:
+            if fits(k, page):
+                placed[k] = page
+                if search(i + 1):
+                    return True
+                del placed[k]
+        return False
+
+    found = search(0)
+    return found, nodes, dict(placed) if found else None
+
+
+def reference_verify(edges, payload: dict) -> tuple[int, str]:
+    """``bookbind verify``'s exit code and stdout for a graph's edge set and
+    a decoded embedding whose numbers are all ints.
+
+    The rows go into a dict, so an edge listed twice, in either orientation,
+    keeps its last page at its first place; then the structural checks, in
+    order (spine, edge set, m, the first page out of range in map order),
+    and every pair of same-page edges."""
+
+    def out(report: dict) -> str:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    order, m = payload["order"], payload["m"]
+    pages: dict[Edge, int] = {}
+    for u, v, p in payload["pages"]:
+        pages[min(u, v), max(u, v)] = p
+    if sorted(order) != list(range(len(order))) or len(order) != 1 + max(v for e in edges for v in e):
+        return 2, out({"ok": False, "error": "spine order is not a permutation of the vertex set"})
+    if pages.keys() != edges:
+        missing, extra = sorted(edges - pages.keys()), sorted(pages.keys() - edges)
+        return 2, out({"ok": False, "error": f"page map mismatch: missing {missing}, extra {extra}"})
+    if m < 1:
+        return 2, out({"ok": False, "error": f"page count m={m} must be at least 1"})
+    for e, p in pages.items():
+        if not 0 <= p < m:
+            return 2, out({"ok": False, "error": f"page {p} of edge {e} outside 0..{m - 1}"})
+    pos = {v: i for i, v in enumerate(order)}
+    found = []
+    listed = sorted(pages)
+    for i, e in enumerate(listed):
+        for f in listed[i + 1 :]:
+            if pages[e] != pages[f]:
+                continue
+            if set(e) & set(f):
+                found.append([list(e), list(f), "shared-endpoint"])
+            elif chords_cross(pos[e[0]], pos[e[1]], pos[f[0]], pos[f[1]]):
+                found.append([list(e), list(f), "crossing"])
+    found.sort()
+    reasons = {why for _, _, why in found}
+    report = {
+        "ok": not found,
+        "proper": "shared-endpoint" not in reasons,
+        "noncrossing": "crossing" not in reasons,
+        "pages_used": len(set(pages.values())),
+        "violations": found,
+    }
+    return (2 if found else 0), out(report)

@@ -25,7 +25,7 @@ from bookbind.graph_core import (
     parse_bundle_spec,
     predict_bipartite,
 )
-from bookbind.layout_engine import REASON_ENDPOINT, BookEmbedding, validate
+from bookbind.layout_engine import REASON_ENDPOINT, validate
 from bookbind.oracle import (
     EXACT,
     LOWER_BOUND_ONLY,
@@ -35,7 +35,7 @@ from bookbind.oracle import (
     lower_bound,
     search_fixed_pages,
 )
-from reference import chords_cross, cycle_edges, fiber_cycles
+from reference import chords_cross, cycle_edges, embedding_of, fiber_cycles
 
 SEED = 20260814
 
@@ -272,12 +272,12 @@ def test_criterion_7_crossing_invariance_and_mutants(report):
     ]
     for i in range(100):
         res = pool[rng.randrange(len(pool))]
-        edges = sorted(res.embedding.pages)
+        pages = dict(res.embedding.items())
+        edges = sorted(pages)
         e = rng.choice(edges)
         f = rng.choice([x for x in edges if x != e and set(x) & set(e)])
-        pages = dict(res.embedding.pages)
         pages[e] = pages[f]
-        mutant = BookEmbedding(res.embedding.order, pages, res.embedding.m)
+        mutant = embedding_of(res.embedding.order, pages, res.embedding.m)
         verdict = validate(res.graph, mutant)
         pair = (min(e, f), max(e, f), REASON_ENDPOINT)
         if verdict.ok or pair not in verdict.violations:

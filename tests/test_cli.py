@@ -305,8 +305,8 @@ def test_render_palette_entries_are_escaped(capsys):
     code, out, _ = run(capsys, "render", "s=3,t=6,phi=shift:2", "--palette", ",".join(palette))
     assert code == 0
     chords = [el for el in ElementTree.fromstring(out) if el.get("class") == "chord"]
-    pages = embed(graph_core.parse_bundle_spec("s=3,t=6,phi=shift:2")).embedding.pages
-    assert [chord.get("stroke") for chord in chords] == [palette[p] for _, p in sorted(pages.items())]
+    emb = embed(graph_core.parse_bundle_spec("s=3,t=6,phi=shift:2")).embedding
+    assert [chord.get("stroke") for chord in chords] == [palette[p] for _, p in sorted(emb.items())]
     for chord in chords:
         assert set(chord.attrib) == {"class", "x1", "y1", "x2", "y2", "stroke"}
 
@@ -526,7 +526,7 @@ def test_payload_output_is_pinned(argv, capsys):
 
 
 def _stdlib_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=BookEmbedding.to_payload) + "\n"
 
 
 def test_dumps_matches_stdlib_on_every_payload_shape(tmp_path, monkeypatch, capsys):
@@ -570,6 +570,9 @@ def test_dumps_matches_stdlib_on_every_payload_shape(tmp_path, monkeypatch, caps
     }
     for key in ("reduction", "witness"):  # each both null and not
         assert {payload[key] is None for payload in payloads if key in payload} == {True, False}
+    # an embedding is handed over as it is, and written from its arrays
+    embeddings = [p.get("embedding", p.get("witness")) for p in payloads]
+    assert {type(emb) for emb in embeddings if emb is not None} == {BookEmbedding}
     assert any(payload.get("violations") for payload in payloads)
     for payload in payloads:
         assert dumps(payload) == _stdlib_dumps(payload)
@@ -584,8 +587,26 @@ if given is not None:
     # or a big int now and then; k = 0 gives lists of empty lists
     _cells = st.integers(-(2**70), 2**70) | st.booleans()
     _rows = st.integers(0, 3).flatmap(lambda k: st.lists(st.lists(_cells, min_size=k, max_size=k)))
+    # embeddings as bookbind builds them: distinct canonical edges in any
+    # order, pages in a bytearray (embed) or a list (verify, the oracle),
+    # the empty spine and the empty edge list included
+    _embeddings = st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 40)).map(lambda e: (e[0], e[0] + e[1])),
+        unique=True,
+        max_size=12,
+    ).flatmap(
+        lambda edges: st.builds(
+            lambda order, pages, m, as_bytes: BookEmbedding(
+                order, edges, bytearray(pages) if as_bytes else pages, m
+            ),
+            st.lists(st.integers(0, 90), max_size=6),
+            st.lists(st.integers(0, 255), min_size=len(edges), max_size=len(edges)),
+            st.integers(-3, 2**40),
+            st.booleans(),
+        )
+    )
     _json_values = st.recursive(
-        _scalars | _rows,
+        _scalars | _rows | _embeddings,
         lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_chars), inner, max_size=4),
         max_leaves=24,
     )
@@ -599,6 +620,8 @@ if given is not None:
     @example([[1, True], [0, 2]])
     @example([[], []])
     @example({"": {}, "b": [], "a": [[1, 2, 3], [4, 5, 6]], "c": {"d": [[]]}})
+    @example(BookEmbedding((), (), bytearray(), 1))
+    @example({"w": [BookEmbedding((1, 0), [(0, 1)], [3], 4), 1.5], "x": (BookEmbedding((0,), [], [], 1),)})
     def test_dumps_matches_stdlib(value):
         assert cli._dumps(value) == _stdlib_dumps(value)
 

@@ -28,6 +28,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from bookbind import cli, constructions, graph_core  # noqa: E402
 from bookbind.graph_core import BundleSpec, Reflection, Shift, format_bundle_spec  # noqa: E402
+from reference import reference_verify  # noqa: E402
 
 EXIT_CODES = {0, 1, 2, 3, 4, 64, 65, 66, 70}  # README's table
 HUGE = 10**20
@@ -382,6 +383,49 @@ def test_verify_keeps_the_contract_on_mutated_embed_output(workdir, case):
     assert_contract(code, err)
     if unchanged:
         assert code == 0 and json.loads(out)["ok"]
+
+
+@st.composite
+def reworked_rows(draw) -> tuple[str, dict]:
+    """A spec and ``embed``'s embedding of it with rows repeated (in either
+    orientation), pages moved to -1, m or past it (256 and more among
+    them), rows dropped, rows added for edges the graph lacks, m changed,
+    and rows shuffled."""
+
+    text = draw(st.sampled_from(_SMALL_SPECS))
+    emb = json.loads(_embed_output(text))["embedding"]
+    rows, n = emb["pages"], len(emb["order"])
+    page = st.integers(-2, 6) | st.sampled_from([255, 256, 300, 10**9, HUGE, -HUGE])
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(rows) - 1)) if rows else None
+        kind = draw(st.sampled_from(["repeat", "repeat reversed", "page", "drop", "extra", "m", "shuffle"]))
+        if kind.startswith("repeat") and rows:
+            u, v, _ = rows[i]
+            row = [v, u] if kind.endswith("reversed") else [u, v]
+            rows.insert(draw(st.integers(0, len(rows))), row + [draw(page)])
+        elif kind == "page" and rows:
+            rows[i][2] = draw(page)
+        elif kind == "drop" and rows:
+            del rows[i]
+        elif kind == "extra":
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            rows.insert(draw(st.integers(0, len(rows))), [u, v, draw(page)])
+        elif kind == "m":
+            emb["m"] = draw(st.sampled_from([0, -1, 1, 3, 4, 5, 6, 257, 10**9 + 1]))
+        elif kind == "shuffle":
+            rows[:] = draw(st.permutations(rows))
+    return text, emb
+
+
+@given(reworked_rows())
+@example(("s=3,t=4,phi=shift:2", {"order": list(range(12)), "pages": [[0, 1, 0]] * 3, "m": 5}))
+def test_verify_matches_the_page_dict_reference_on_reworked_rows(workdir, case):
+    text, emb = case
+    path = workdir / "rows.json"
+    path.write_text(json.dumps(emb))
+    code, out, err = run("verify", text, "--embedding", str(path))
+    edges = graph_core.bundle(graph_core.parse_bundle_spec(text)).edges
+    assert (code, out, err) == (*reference_verify(edges, emb), "")
 
 
 @given(bundle_specs().flatmap(lambda spec: st.tuples(st.just(spec), spec_text(spec))))

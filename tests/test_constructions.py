@@ -34,6 +34,7 @@ from bookbind.graph_core import (
     bundle,
     bundle_edges,
     format_bundle_spec,
+    parse_bundle_spec,
     predict_bipartite,
 )
 from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate, violations
@@ -107,7 +108,7 @@ def test_page_map_shares_the_graph_tuples():
     specs = (BundleSpec(5, 8, Shift(2)), BundleSpec(6, 9, Shift(3)), BundleSpec(4, 7, Reflection("one")))
     for spec in specs:
         res = embed(spec)
-        assert {*map(id, res.embedding.pages)} == {*map(id, res.graph.edges)}, spec
+        assert {*map(id, res.embedding.edges)} == {*map(id, res.graph.edges)}, spec
 
 
 _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
@@ -265,10 +266,9 @@ def test_plan_check_walks_a_sound_fixed_list_once(spec):
     cat = SequenceCatalog(spec)
     spine, fixed, todo = layout(cat, spec)
     fixed = _CountedList(fixed)
-    emb = BookEmbedding(spine, {}, parity_pages(spec))
-    index = _check_plan(cat, (spine, fixed, todo), emb, rule)
+    index = _check_plan(cat, (spine, fixed, todo), parity_pages(spec), rule)
     assert fixed.iterations == 1
-    assert all(index.slot[k] == page for k, page in list.__iter__(fixed))
+    assert all(index.pages[k] == page for k, page in list.__iter__(fixed))
 
 
 def test_shift_even_gcd_cases():
@@ -392,13 +392,45 @@ def test_e4k_embed_completes():
     _check(embed(spec), spec)
 
 
+# the completion search near E = 1k, one spec for each rule tag: (nodes
+# visited, todo edges).  One frame per todo edge, in plan order and palette
+# order, so a search that backtracks visits more nodes than it has todo
+# edges and any other visits exactly one per edge.
+E1K_SEARCH_NODES = {
+    "s=23,t=21,phi=shift:3": (297, 160),
+    "s=22,t=23,phi=refl:one": (522, 502),
+    "s=22,t=22,phi=shift:2": (482, 482),
+    "s=23,t=24,phi=shift:3": (528, 528),
+    "s=22,t=21,phi=shift:3": (153, 153),
+    "s=23,t=22,phi=refl:none": (506, 506),
+    "s=23,t=23,phi=refl:one": (529, 529),
+    "s=23,t=22,phi=refl:two": (506, 506),
+    "s=22,t=22,phi=refl:two": (484, 484),
+    "s=22,t=22,phi=refl:none": (454, 454),
+}
+
+
+@pytest.mark.parametrize("text", sorted(E1K_SEARCH_NODES))
+def test_search_nodes_on_the_e1k_ladder_are_pinned(text):
+    spec = parse_bundle_spec(text)
+    rule, layout = _select(spec)
+    cat = SequenceCatalog(spec)
+    spine, fixed, todo = layout(cat, spec)
+    index = _check_plan(cat, (spine, fixed, todo), parity_pages(spec), rule)
+    emb = index.complete(todo)
+    assert (index._nodes, len(todo)) == E1K_SEARCH_NODES[text]
+    assert validate(bundle(spec), emb).ok
+
+
 def test_embed_footprint_per_edge_is_pinned():
-    # one slot per edge number until the search ends, one list slot per
-    # vertex for the spine places and one tuple per edge, shared by the graph
-    # and the page map: a whole e4k embed peaks near 248 bytes per edge on
-    # Python 3.11, 270 when it is the first embed in the process (with the
-    # places in a dict, 280 and 302); building the page map's tuples a
-    # second time took 355-378, holding each edge three times 487-547
+    # one page byte per edge number, one list slot per vertex for the spine
+    # places and one tuple per edge, shared by the graph and the embedding,
+    # whose edge set is built after the search: a whole e4k embed peaks near
+    # 214 bytes per edge on Python 3.11 to 3.13, 239 when it is the first
+    # embed in the process (235 and 284 on 3.10); with the graph built
+    # before the search, 247 and 271 (264 and 317 on 3.10); with the places
+    # in a dict, 280 and 302; building the page map's tuples a second time
+    # took 355-378, holding each edge three times 487-547
     spec = BundleSpec(44, 45, Shift(3))  # E = 3960, about 660 todo edges
     tracemalloc.start()
     try:
@@ -407,7 +439,29 @@ def test_embed_footprint_per_edge_is_pinned():
     finally:
         tracemalloc.stop()
     _check(res, spec)
-    assert peak < 340 * 3960, peak / 3960
+    assert peak < 310 * 3960, peak / 3960
+
+
+def test_verify_footprint_per_edge_is_pinned():
+    # a decoded e4k file to a report: the rows become one list of edge
+    # tuples and one of pages, the embedding keeps the edges as a tuple and
+    # one set of them, built to find an edge listed twice and compared by
+    # validate with E(g); near 143 bytes per edge on Python 3.10 to 3.13
+    # when first in the process (114 after); the page dict it replaced took
+    # 128 (99 after); a set built and dropped in the constructor, with
+    # validate testing each edge against E(g), 122 (94 after), at one more
+    # hash per edge in validate
+    spec = BundleSpec(44, 45, Shift(3))
+    payload = json.loads(cli._dumps(embed(spec).embedding))
+    graph = bundle(spec)
+    tracemalloc.start()
+    try:
+        report = validate(graph, BookEmbedding.from_payload(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 150 * 3960, peak / 3960
 
 
 def test_embed_lays_out_large_shifts_as_given():
@@ -553,8 +607,9 @@ def test_layout_plans_on_sweep_grid_are_pinned():
             plan = layout(cat, spec)
             # the plan check leaves clashes to validate: a layout edit that
             # makes its fixed pages clash is named here, before the digest
-            fixed = ((cat.decode(k), page) for k, page in plan[1])
-            assert violations(fixed, BookEmbedding(plan[0], {}, 1).pos) == [], spec
+            edges = [cat.decode(k) for k, _ in plan[1]]
+            pages = [page for _, page in plan[1]]
+            assert violations(edges, pages, BookEmbedding(plan[0], (), (), 1).pos) == [], spec
             digest.update(_plan_text(rule, cat, plan).encode() + b"\n")
             rows += 1
     assert rows == 1280

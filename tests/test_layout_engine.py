@@ -19,8 +19,9 @@ from bookbind.layout_engine import (
     ValidationReport,
     classify,
     validate,
+    violations,
 )
-from reference import chords_cross
+from reference import chords_cross, embedding_of
 
 
 def test_chords_cross_truth_table():
@@ -37,45 +38,61 @@ def test_chords_cross_truth_table():
 def test_book_embedding_canonicalizes_pages():
     # a file's edges are canonicalised where they enter, in from_payload
     emb = BookEmbedding.from_payload({"order": [1, 0, 2], "pages": [[2, 0, 1], [0, 1, 0]], "m": 2})
-    assert emb.pages == {(0, 2): 1, (0, 1): 0}
+    assert (emb.edges, emb.pages) == (((0, 2), (0, 1)), [1, 0])  # in file order
     assert emb.pos == [1, 0, 2]  # pos[v] is vertex v's spine place
-    assert emb.pages_used() == 2
+    assert validate(Graph(3, frozenset(emb.edges)), emb).pages_used == 2
 
 
 def test_payload_keeps_the_last_listing_of_an_edge_in_either_orientation():
     payload = {"order": [0, 1], "pages": [[1, 0, 1], [0, 1, 0], [1, 0, 2]], "m": 3}
-    assert BookEmbedding.from_payload(payload).pages == {(0, 1): 2}
+    emb = BookEmbedding.from_payload(payload)
+    assert (emb.edges, emb.pages) == (((0, 1),), [2])
+
+
+def test_payload_keeps_a_repeated_edge_at_its_first_place():
+    rows = [[0, 2, 0], [1, 0, 1], [2, 1, 2], [0, 1, 3], [2, 0, 4]]
+    emb = BookEmbedding.from_payload({"order": [0, 1, 2], "pages": rows, "m": 5})
+    assert (emb.edges, emb.pages) == (((0, 2), (0, 1), (1, 2)), [4, 3, 2])
 
 
 def test_validate_names_a_non_canonical_page_key():
-    # a hand-built page map is not repaired: its keys must be (u, v) with u < v
+    # a hand-built edge list is not repaired: its edges must be (u, v) with u < v
     g = Graph(3, frozenset({(0, 1), (0, 2)}))
-    emb = BookEmbedding((0, 1, 2), {(2, 0): 1, (0, 1): 0}, 2)
+    emb = BookEmbedding((0, 1, 2), [(2, 0), (0, 1)], [1, 0], 2)
     with pytest.raises(CoverageError) as info:
         validate(g, emb)
     assert str(info.value) == "page map mismatch: missing [(0, 2)], extra [(2, 0)]"
 
 
 def test_book_embedding_fields_are_not_reassigned():
-    # pos is computed once, so order cannot change under it; the map stays writable
-    emb = BookEmbedding([2, 0, 1], {}, 2)
+    # pos and edge_set are computed once, so order and edges cannot change
+    # under them (the edges are kept as a tuple); a page array stays writable
+    edges = [(0, 1)]
+    emb = BookEmbedding([2, 0, 1], edges, bytearray([0]), 2)
     assert emb.order == (2, 0, 1) and emb.pos == [1, 2, 0]
+    edges.append((0, 1))
+    assert emb.edges == ((0, 1),) and emb.edge_set == {(0, 1)}
     with pytest.raises(dataclasses.FrozenInstanceError):
         emb.order = (0, 1, 2)
-    emb.pages[(0, 1)] = 1
-    assert emb.pages == {(0, 1): 1}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.pages = bytearray([1])
+    emb.pages[0] = 1
+    assert list(emb.items()) == [((0, 1), 1)]
+
+
+def test_book_embedding_needs_one_page_per_edge():
+    with pytest.raises(ValueError, match="2 edges but 1 pages"):
+        BookEmbedding((0, 1, 2), [(0, 1), (1, 2)], [0], 2)
 
 
 def test_book_embedding_json_roundtrip():
     g = circulant(5, {1})
-    emb = BookEmbedding(
-        (0, 1, 2, 3, 4),
-        {e: i % 3 for i, e in enumerate(g.edge_list)},
-        3,
-    )
-    back = BookEmbedding.from_payload(json.loads(cli._dumps(emb.to_payload())))
+    edges = g.edge_list[::-1]  # rows come out sorted by edge, whatever the list order
+    emb = BookEmbedding((0, 1, 2, 3, 4), edges, bytearray(i % 3 for i in range(len(edges))), 3)
+    back = BookEmbedding.from_payload(json.loads(cli._dumps(emb)))
     assert back.order == emb.order
-    assert back.pages == emb.pages
+    assert sorted(back.items()) == sorted(emb.items())
+    assert back.edges == tuple(sorted(edges))
     assert back.m == emb.m
 
 
@@ -123,9 +140,9 @@ def test_bad_payload_messages_are_pinned(text, message):
 def test_payload_order_may_be_any_iterable_of_integers():
     # `order` need not be a list: any iterable of ints is read one by one, and "" is an empty spine
     emb = BookEmbedding.from_payload({"order": "", "pages": [], "m": 1})
-    assert emb.order == () and emb.pages == {}
+    assert emb.order == () and list(emb.items()) == []
     emb = BookEmbedding.from_payload({"order": (1, 0), "pages": ((1, 0, 0),), "m": 1})
-    assert emb.order == (1, 0) and emb.pages == {(0, 1): 0}
+    assert emb.order == (1, 0) and list(emb.items()) == [((0, 1), 0)]
 
 
 _C4_PAGES = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
@@ -151,19 +168,18 @@ _NOT_A_PERMUTATION = "spine order is not a permutation of the vertex set"
 )
 def test_coverage_messages_are_pinned(order, pages, m, message):
     with pytest.raises(CoverageError) as info:
-        validate(circulant(4, {1}), BookEmbedding(order, dict(pages), m))
+        validate(circulant(4, {1}), embedding_of(order, pages, m))
     assert str(info.value) == message
 
 
 def test_validate_accepts_the_empty_graph():
-    report = validate(Graph(0, frozenset()), BookEmbedding((), {}, 1))
+    report = validate(Graph(0, frozenset()), BookEmbedding((), [], [], 1))
     assert report.ok and report.pages_used == 0 and report.violations == ()
 
 
 def _c4_embedding():
     g = circulant(4, {1})
-    pages = {(0, 1): 0, (1, 2): 1, (2, 3): 0, (0, 3): 1}
-    return g, BookEmbedding((0, 1, 2, 3), pages, 2)
+    return g, BookEmbedding((0, 1, 2, 3), [(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 0, 1], 2)
 
 
 def test_validate_accepts_two_page_square():
@@ -175,7 +191,7 @@ def test_validate_accepts_two_page_square():
 
 def test_validate_flags_shared_endpoint():
     g, emb = _c4_embedding()
-    emb.pages[(1, 2)] = 0  # now meets (0,1) at vertex 1
+    emb.pages[1] = 0  # (1, 2) now meets (0, 1) at vertex 1
     report = validate(g, emb)
     assert not report.ok and not report.is_proper
     assert ((0, 1), (1, 2), REASON_ENDPOINT) in report.violations
@@ -185,7 +201,7 @@ def test_validate_flags_crossing():
     g = circulant(4, {1})
     # order (0,1,2,3) makes the two diagonals of the square cross
     pages = {(0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 1}
-    emb = BookEmbedding((0, 2, 1, 3), pages, 2)
+    emb = embedding_of((0, 2, 1, 3), pages, 2)
     report = validate(g, emb)
     assert not report.is_noncrossing
     assert any(r == REASON_CROSSING for _, _, r in report.violations)
@@ -194,23 +210,41 @@ def test_validate_flags_crossing():
 def test_validate_raises_on_structural_breakage():
     g, emb = _c4_embedding()
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding((0, 1, 2), emb.pages, 2))
+        validate(g, BookEmbedding((0, 1, 2), emb.edges, emb.pages, 2))
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding((0, 1, 2, 2), emb.pages, 2))
-    missing = dict(emb.pages)
+        validate(g, BookEmbedding((0, 1, 2, 2), emb.edges, emb.pages, 2))
+    missing = dict(emb.items())
     del missing[(0, 1)]
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding(emb.order, missing, 2))
-    extra = dict(emb.pages)
+        validate(g, embedding_of(emb.order, missing, 2))
+    extra = dict(emb.items())
     extra[(0, 2)] = 0
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding(emb.order, extra, 2))
+        validate(g, embedding_of(emb.order, extra, 2))
+    # an edge listed twice, in place of a missing one or as one listing too many
+    twice = r"missing \[\(0, 3\)\], extra \[\], listed twice \[\(0, 1\)\]$"
+    with pytest.raises(CoverageError, match=twice):
+        validate(g, BookEmbedding(emb.order, [(0, 1), (0, 1), (1, 2), (2, 3)], [0, 1, 2, 0], 3))
+    twice = r"missing \[\], extra \[\], listed twice \[\(0, 1\), \(2, 3\)\]$"
+    with pytest.raises(CoverageError, match=twice):
+        validate(g, BookEmbedding(emb.order, [*emb.edges, (2, 3), (0, 1)], [*emb.pages, 0, 0], 2))
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding(emb.order, emb.pages, 0))
-    high = dict(emb.pages)
+        validate(g, BookEmbedding(emb.order, emb.edges, emb.pages, 0))
+    high = dict(emb.items())
     high[(0, 1)] = 7
     with pytest.raises(CoverageError):
-        validate(g, BookEmbedding(emb.order, high, 2))
+        validate(g, embedding_of(emb.order, high, 2))
+
+
+def test_violations_groups_edges_by_any_page_number():
+    # pages are only labels here: a negative or huge page is its own page
+    pos = [0, 1, 2, 3]
+    cross = [(0, 2), (1, 3)]
+    for p, q in ((-1, 5), (-1, -2), (0, 10**9)):
+        assert violations(cross, [p, q], pos) == []
+    for p in (-1, 0, 10**9):
+        assert violations(cross, [p, p], pos) == [((0, 2), (1, 3), REASON_CROSSING)]
+    assert violations([(0, 1), (1, 2), (0, 2)], [-3, 7, -3], pos) == [((0, 1), (0, 2), REASON_ENDPOINT)]
 
 
 def test_validation_report_ok_property():
@@ -222,14 +256,14 @@ def test_validation_report_ok_property():
 def test_classify_against_max_degree():
     g, emb = _c4_embedding()
     assert classify(g, validate(g, emb)) == DISPERSABLE  # 2 pages, max degree 2
-    three = BookEmbedding(emb.order, {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 1}, 3)
+    three = BookEmbedding(emb.order, emb.edges, [0, 1, 2, 1], 3)
     assert classify(g, validate(g, three)) == NEARLY_DISPERSABLE
-    four = BookEmbedding(emb.order, {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 3}, 4)
+    four = BookEmbedding(emb.order, emb.edges, [0, 1, 2, 3], 4)
     assert classify(g, validate(g, four)) == NEITHER
 
 
 def test_classify_rejects_invalid_embedding():
     g, emb = _c4_embedding()
-    emb.pages[(1, 2)] = 0
+    emb.pages[1] = 0  # (1, 2) on the page of (0, 1)
     with pytest.raises(CoverageError):
         classify(g, validate(g, emb))

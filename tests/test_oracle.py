@@ -14,7 +14,7 @@ import pytest
 
 from bookbind import cli, oracle
 from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant
-from bookbind.layout_engine import DISPERSABLE, BookEmbedding, classify, validate
+from bookbind.layout_engine import DISPERSABLE, classify, validate
 from bookbind.oracle import (
     CERTIFIED,
     EXACT,
@@ -30,6 +30,7 @@ from bookbind.oracle import (
     lower_bound,
     search_fixed_pages,
 )
+from reference import embedding_of
 
 K4 = Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
 K33 = Graph(6, frozenset({(a, b) for a in (0, 1, 2) for b in (3, 4, 5)}))
@@ -267,10 +268,10 @@ def test_certify_above_the_bound_is_only_an_upper_bound():
 
     spec = BundleSpec(4, 6, Shift(2))
     emb = embed(spec).embedding
-    pages = dict(emb.pages)
+    pages = dict(emb.items())
     moved = next(iter(pages))
     pages[moved] = 4  # push one edge onto a fresh page
-    wider = BookEmbedding(emb.order, pages, 5)
+    wider = embedding_of(emb.order, pages, 5)
     g = bundle(spec)
     cert = certify(g, validate(g, wider))
     assert cert.status == UPPER_BOUND_ONLY
@@ -282,13 +283,13 @@ def test_certify_rejects_invalid_embedding():
 
     spec = BundleSpec(4, 6, Shift(2))
     emb = embed(spec).embedding
-    pages = dict(emb.pages)
+    pages = dict(emb.items())
     e = next(iter(pages))
     # recolour e with the page of a neighbouring edge to break properness
     clash = next(f for f in pages if f != e and set(f) & set(e))
     pages[e] = pages[clash]
     g = bundle(spec)
-    report = validate(g, BookEmbedding(emb.order, pages, emb.m))
+    report = validate(g, embedding_of(emb.order, pages, emb.m))
     with pytest.raises(OracleError):
         certify(g, report)
 

@@ -3,8 +3,9 @@
 ``validate`` walks each page of at least n/4 chords once along the spine
 and lists every other page, and a dense page that fails the walk, in one
 sweep along the spine (pages on both sides of that cut are drawn here, and
-a spy pins the walks at 4E places); ``_PageAssigner``
-answers conflict queries from a per-page index over spine positions; the
+a spy pins the walks at 4E places); ``_PageAssigner``'s search tests each
+fit on a per-page index over spine positions and must visit the nodes of
+a search that tests fits pairwise; the
 oracle builds its per-order conflict masks from prefix XORs along the spine
 and colours them with a bit-parallel search.  All four are compared here
 with the plain pairwise definitions, built on the crossing predicate in
@@ -56,7 +57,7 @@ from bookbind.layout_engine import (  # noqa: E402
     violations,
 )
 import reference  # noqa: E402
-from reference import chords_cross  # noqa: E402
+from reference import chords_cross, embedding_of  # noqa: E402
 
 # one small spec per rule tag, plus the three-column one-fixed pattern
 SPECS = (
@@ -90,11 +91,12 @@ def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     off the order here, not off the embedding's ``pos``."""
 
     pos = {v: i for i, v in enumerate(emb.order)}
-    edges = sorted(emb.pages)
+    pages = dict(emb.items())
+    edges = sorted(pages)
     violations = []
     for i, e in enumerate(edges):
         for f in edges[i + 1 :]:
-            if emb.pages[e] == emb.pages[f]:
+            if pages[e] == pages[f]:
                 why = _conflict(e, f, pos)
                 if why is not None:
                     violations.append((e, f, why))
@@ -103,7 +105,7 @@ def reference_validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     return ValidationReport(
         REASON_ENDPOINT not in reasons,
         REASON_CROSSING not in reasons,
-        len(set(emb.pages.values())),
+        len(set(pages.values())),
         tuple(violations),
     )
 
@@ -127,7 +129,7 @@ def random_embeddings(draw):
     g, order = draw(graphs_with_spines())
     m = draw(st.integers(1, 4))
     pages = {e: draw(st.integers(0, m - 1)) for e in sorted(g.edges)}
-    return g, BookEmbedding(order, pages, m)
+    return g, embedding_of(order, pages, m)
 
 
 @given(random_embeddings())
@@ -142,7 +144,7 @@ def _crowded(n, edges, crowd, order=None):
 
     g = Graph(n, frozenset(edges))
     pages = {e: max(0, i - crowd + 1) for i, e in enumerate(edges)}
-    return g, BookEmbedding(order or range(n), pages, len(edges) - crowd + 1)
+    return g, embedding_of(order or range(n), pages, len(edges) - crowd + 1)
 
 
 _C12 = circulant(12, {1, 2}).edge_list  # 24 edges on 12 places, so the cut is at 3 chords
@@ -163,7 +165,7 @@ def embeddings_across_the_cut(draw):
     }
     dense = {4 * size >= g.n for size in Counter(pages.values()).values()}  # which sides are reached
     event("both sides" if len(dense) == 2 else "dense pages only" if True in dense else "sparse pages only")
-    return g, BookEmbedding(order, pages, max(pages.values()) + 1)
+    return g, embedding_of(order, pages, max(pages.values()) + 1)
 
 
 @settings(max_examples=200)
@@ -190,7 +192,7 @@ def test_dense_walks_cover_at_most_4e_places():
         return walk(page_edges, pos)
 
     g, emb = _E1K.graph, _E1K.embedding
-    spread = BookEmbedding(emb.order, {e: i for i, e in enumerate(sorted(emb.pages))}, len(emb.pages))
+    spread = BookEmbedding(emb.order, emb.edges, list(range(len(emb.edges))), len(emb.edges))
     with mock.patch.object(layout_engine, "_page_nests", spy):
         assert validate(g, emb).ok
         assert walked == [g.n] * emb.m  # every page of the construction is dense
@@ -204,7 +206,7 @@ def _one_page(n, edges, order=None):
     """All of ``edges`` on one page, spine ``order`` (default 0..n-1)."""
 
     g = Graph(n, frozenset(edges))
-    return g, BookEmbedding(order or range(n), dict.fromkeys(g.edges, 0), 1)
+    return g, embedding_of(order or range(n), dict.fromkeys(g.edges, 0), 1)
 
 
 @st.composite
@@ -274,11 +276,11 @@ def test_page_listing_matches_pairwise_reference_on_ties(case):
 
 def _flip_mutant(res, pick: int, shift: int) -> BookEmbedding:
     emb = res.embedding
-    edges = sorted(emb.pages)
+    pages = dict(emb.items())
+    edges = sorted(pages)
     e = edges[pick % len(edges)]
-    pages = dict(emb.pages)
     pages[e] = (pages[e] + shift) % emb.m
-    return BookEmbedding(emb.order, pages, emb.m)
+    return embedding_of(emb.order, pages, emb.m)
 
 
 @given(st.sampled_from(SPECS), st.integers(0, 10**6), st.integers(1, 4))
@@ -295,37 +297,28 @@ def test_validate_matches_pairwise_reference_on_e1k_flip_mutants(pick, shift):
     assert validate(_E1K.graph, mutant) == reference_validate(_E1K.graph, mutant)
 
 
-@given(
-    graphs_with_spines(),
-    st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
-)
-def test_page_index_matches_pairwise_scan_through_places_and_backtracks(case, steps):
+@given(graphs_with_spines(), st.data())
+def test_completion_search_matches_pairwise_reference_node_for_node(case, data):
+    # up to eight todo edges of a small graph, each with a palette of up to
+    # four pages in a drawn order: the folded search (span, fit walk,
+    # placement and undo in one frame) must visit exactly the nodes of the
+    # pairwise search and find the same pages, or fail where it fails
     g, order = case
-    emb = BookEmbedding(order, {}, 4)
     edges = g.edge_list  # edge number k is edges[k]
-    asg = _PageAssigner(emb, len(edges), "test")
-    placed: dict[int, int] = {}  # edge number -> page, beside the index
-
-    def pairwise_conflicts(e, page):
-        return any(_conflict(e, edges[k], emb.pos) for k, p in placed.items() if p == page)
-
-    for remove, pick, page in steps:
-        if remove and placed:
-            numbers = sorted(placed)
-            k = numbers[pick % len(numbers)]
-            asg._unplace(k, *asg._span(edges[k]))
-            del placed[k]
-        else:
-            k = pick % len(edges)
-            if k not in placed and not pairwise_conflicts(edges[k], page):
-                asg._place(k, *asg._span(edges[k]), page)
-                placed[k] = page
-        assert all(asg.slot[k] == p for k, p in placed.items())
-        for k, e in enumerate(edges):
-            if k not in placed:
-                assert asg.slot[k] >= _TODO
-                for p in range(4):
-                    assert asg._conflicts(*asg._span(e), p) == pairwise_conflicts(e, p), (e, p)
+    m = data.draw(st.integers(1, 4))
+    numbers = data.draw(st.lists(st.integers(0, len(edges) - 1), unique=True, max_size=8))
+    todo = [(k, tuple(data.draw(st.permutations(range(m)))[: data.draw(st.integers(1, m))])) for k in numbers]
+    emb = BookEmbedding(order, edges, bytearray([_TODO]) * len(edges), m)
+    asg = _PageAssigner(emb, "test")
+    found, nodes, placed = reference.reference_complete(edges, order, todo)
+    event("found" if found else "no completion")
+    if found:
+        assert asg.complete(todo) is emb
+        assert {k: emb.pages[k] for k in numbers} == placed
+    else:
+        with pytest.raises(CompletionError, match="no completion within the given palette"):
+            asg.complete(todo)
+    assert asg._nodes == nodes
 
 
 @st.composite
@@ -346,30 +339,32 @@ def plans_with_fixed_pages(draw):
     )
     pinned = {k for k, _ in fixed}
     todo = [(k, (0,)) for k in range(cat.size) if k not in pinned]
-    return cat, (list(spine), fixed, todo), BookEmbedding(spine, {}, m)
+    return cat, (list(spine), fixed, todo), m
 
 
-def _assert_pinned(index: _PageAssigner, cat: SequenceCatalog, fixed, pos) -> None:
-    """Every fixed page is in ``slot``; unless two fixed edges share an end
+def _assert_pinned(index: _PageAssigner, cat: SequenceCatalog, fixed) -> None:
+    """Every fixed page is in ``pages``; unless two fixed edges share an end
     on one page (the later pin then overwrites that place), the index holds
     exactly the fixed chords."""
 
-    assert all(index.slot[k] == p for k, p in fixed)
-    clashes = violations(((cat.decode(k), p) for k, p in fixed), pos)
+    pos = index.emb.pos
+    assert all(index.pages[k] == p for k, p in fixed)
+    clashes = violations([cat.decode(k) for k, _ in fixed], [p for _, p in fixed], pos)
     if any(why == REASON_ENDPOINT for _, _, why in clashes):
         return
     for k, p in fixed:
-        a, b = index._span(cat.decode(k))
+        a, b = sorted(pos[v] for v in cat.decode(k))
         assert index.partner[p][a] == b and index.partner[p][b] == a
     assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
 
 
 @given(plans_with_fixed_pages())
 def test_plan_check_pins_fixed_pages_and_leaves_clashes_to_the_validator(case):
-    cat, plan, emb = case
-    index = _check_plan(cat, plan, emb, "test")  # a clash is no listing fault
-    _assert_pinned(index, cat, plan[1], emb.pos)
-    assert emb.pages == {}
+    cat, plan, m = case
+    index = _check_plan(cat, plan, m, "test")  # a clash is no listing fault
+    _assert_pinned(index, cat, plan[1])
+    assert index.emb.edges is cat.edges and len(index.pages) == cat.size
+    assert all(index.pages[k] == _TODO for k, _ in plan[2])
 
 
 def reference_plan_verdict(cat: SequenceCatalog, plan, m: int) -> str | None:
@@ -476,17 +471,16 @@ def multi_fault_plans(draw):
 def test_plan_check_names_faults_in_combination_as_the_reference_does(case):
     cat, rule, plan, m = case
     _, fixed, todo = plan
-    emb = BookEmbedding(plan[0], {}, m)
     verdict = reference_plan_verdict(cat, plan, m)
     event("sound" if verdict is None else verdict.split(":")[0])
     if verdict is not None:
         with pytest.raises(CompletionError) as info:
-            _check_plan(cat, plan, emb, rule)
+            _check_plan(cat, plan, m, rule)
         assert str(info.value) == f"{rule}: {verdict}"
         return
-    index = _check_plan(cat, plan, emb, rule)
-    _assert_pinned(index, cat, fixed, emb.pos)
-    assert all(index.slot[k] == _TODO for k, _ in todo)
+    index = _check_plan(cat, plan, m, rule)
+    _assert_pinned(index, cat, fixed)
+    assert all(index.pages[k] == _TODO for k, _ in todo)
 
 
 def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
@@ -615,10 +609,10 @@ def test_failing_page_lists_every_violation():
     res = _BUILT[BundleSpec(5, 8, Reflection("none"))]
     emb = res.embedding
     pos = emb.pos
-    e = max(emb.pages, key=lambda f: abs(pos[f[0]] - pos[f[1]]))  # the longest chord
-    pages = dict(emb.pages)
+    e = max(emb.edges, key=lambda f: abs(pos[f[0]] - pos[f[1]]))  # the longest chord
+    pages = dict(emb.items())
     pages[e] = (pages[e] + 1) % emb.m
-    mutant = BookEmbedding(emb.order, pages, emb.m)
+    mutant = embedding_of(emb.order, pages, emb.m)
     report = validate(res.graph, mutant)
     assert not report.ok and _reference_names_in_bookbind() == []
     assert report == reference_validate(res.graph, mutant)
