@@ -164,11 +164,10 @@ def _dumps(payload) -> str:
             return float.__repr__(x)
         inner = nl + "  "
         sep = "," + inner
-        if kind is BookEmbedding:  # to_payload's keys in order, its rows from flat_rows
-            numbers = x.flat_rows()
-            rows = _int_rows(numbers, 3, inner) if numbers else "[]"
-            order = encode(list(x.order), inner)
-            return "{" + inner + f'"m": {encode(x.m, inner)}{sep}"order": {order}{sep}"pages": {rows}' + nl + "}"
+        if kind is BookEmbedding:  # to_payload, its rows written from flat_rows
+            return encode(x.to_payload(_FlatRows(x.flat_rows())), nl)
+        if kind is _FlatRows:
+            return _int_rows(x.numbers, 3, nl) if x.numbers else "[]"
         if kind is dict and x and {*map(type, x)} == {str}:
             items = sorted(x.items())
             body = sep.join(f"{encode_basestring_ascii(k)}: {encode(v, inner)}" for k, v in items)
@@ -186,6 +185,16 @@ def _dumps(payload) -> str:
         return text.replace("\n", nl)
 
     return encode(payload, "\n") + "\n"
+
+
+class _FlatRows:
+    """An embedding's ``[u, v, page]`` rows laid end to end, as
+    ``flat_rows`` gives them: ``_dumps`` writes them as the rows."""
+
+    __slots__ = ("numbers",)
+
+    def __init__(self, numbers: list[int]) -> None:
+        self.numbers = numbers
 
 
 def _int_rows(numbers: Sequence[int], width: int, nl: str) -> str:

@@ -9,7 +9,7 @@ pages").  Layouts name an edge by its number in ``SequenceCatalog``: vertex
 toward row i+1 and across the seam from row s; a residual cycle's edges are
 ``2 * v + 1`` for its vertices in walk order.  Edge k is
 ``graph_core.bundle_edges(spec)[k]``, which ``SequenceCatalog`` holds as
-``edges`` (``decode`` reads it); that list is the one place that applies
+``edges``; that list is the one place that applies
 ``phi``, so no layout works out where a seam lands.  A layout is written as
 data: its spine is one ``_zigzag`` of named blocks (rows, columns, residual
 cycles or column pairs, every other block reversed), its fibre pages are one
@@ -61,7 +61,6 @@ from math import gcd
 from .bundle_decomp import CirculantReduction, residual_cycles, to_circulant
 from .graph_core import (
     BundleSpec,
-    Edge,
     Graph,
     REFL_NONE,
     REFL_ONE,
@@ -151,11 +150,6 @@ class SequenceCatalog:
     def rung(self, i: int, j: int) -> int:
         return 2 * self.flat(i, j) + 1
 
-    def decode(self, k: int) -> Edge:
-        """Edge number k (0 <= k < size) as its canonical vertex pair."""
-
-        return self.edges[k]
-
     def row(self, i: int) -> tuple[int, ...]:
         start = self.flat(i, 1)
         return tuple(range(start, start + self.t))
@@ -227,13 +221,13 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAss
         count = Counter([k for k, _ in fixed] + [k for k, _ in todo])  # name up to four offenders
         numbers = range(size)
         outside = sorted(count.keys() - numbers)
-        if outside:  # first, as only numbers in range can be decoded
+        if outside:  # first, as only numbers in range index the edge list
             raise CompletionError(rule, f"numbers outside 0..{size - 1}: {outside[:4]}")
         listings = chain(fixed, ((k, p) for k, palette in todo for p in palette))
         for fault, offenders in (
-            ("listed twice", [cat.decode(k) for k, n in count.items() if n > 1]),
-            ("missing from the plan", sorted(cat.decode(k) for k in numbers if k not in count)),
-            (f"pages outside 0..{m - 1}", [(cat.decode(k), p) for k, p in listings if not 0 <= p < emb.m]),
+            ("listed twice", [cat.edges[k] for k, n in count.items() if n > 1]),
+            ("missing from the plan", sorted(cat.edges[k] for k in numbers if k not in count)),
+            (f"pages outside 0..{m - 1}", [(cat.edges[k], p) for k, p in listings if not 0 <= p < emb.m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")

@@ -224,13 +224,9 @@ def max_degree(g: Graph) -> int:
     return max(map(len, _neighbours(g)), default=0)
 
 
-def is_bipartite(g: Graph) -> bool:
-    """Is there a proper 2-colouring of the vertices?"""
-    return _two_colourable(_neighbours(g))
-
-
 def predict_bipartite(spec: BundleSpec) -> bool:
-    """Parity law for twisted tori, checked independently by is_bipartite."""
+    """Parity law for twisted tori, checked in the tests against a plain BFS
+    2-colouring of ``bundle(spec)``."""
 
     phi = spec.phi
     if isinstance(phi, Shift):

@@ -35,8 +35,9 @@ graph on its ``edge_set``; ``from_payload`` fills both arrays from a file's
 rows in one inline pass, in file order, and finds a repeated row by the
 ``edge_set`` that ``validate`` then reuses.  It converts to and from plain
 data (``to_payload``, its rows made from ``flat_rows``); only ``cli``
-encodes and decodes JSON, and it writes an embedding's rows from
-``flat_rows`` alone.
+encodes and decodes JSON, and it writes an embedding as ``to_payload``
+with its rows written from ``flat_rows``, so the format is spelled here
+alone.
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ class BookEmbedding:
             numbers.append(pages[i])
         return numbers
 
-    def to_payload(self) -> dict:
+    def to_payload(self, rows=None) -> dict:
         """The embedding as plain data: ``{order, pages, m}``, with one
-        ``[u, v, page]`` row per edge, sorted by edge."""
+        ``[u, v, page]`` row per edge, sorted by edge.  ``rows``, when
+        given, stands in for those rows: ``cli`` hands it ``flat_rows``."""
 
-        numbers = self.flat_rows()
-        rows = [numbers[i : i + 3] for i in range(0, len(numbers), 3)]
+        if rows is None:
+            numbers = self.flat_rows()
+            rows = [numbers[i : i + 3] for i in range(0, len(numbers), 3)]
         return {"order": list(self.order), "pages": rows, "m": self.m}
 
     @classmethod

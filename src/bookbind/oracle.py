@@ -12,7 +12,8 @@ give the conflict masks (three bit operations per edge) and the edges
 bucketed by conflict degree, on incidence masks built once per graph
 (``brute_force_mbt`` shares one build and one budget across its page
 counts).  A page count whose m pages of ⌊n/2⌋ edges cannot hold every edge
-is refuted by that one test; its orders are still walked and counted.  The
+is refuted by that one test; its orders are counted, in the budget's
+grants, without being built.  The
 colouring is an explicit-stack DFS that keeps, per page, the union of its
 edges' conflict masks, and the saturation levels: one mask per k of the
 edges in at least k of those unions.  Placing an edge updates the levels
@@ -314,13 +315,22 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
     from ``clock`` (which the phases of one ``brute_force_mbt`` share).
 
     A page is a matching, so when m pages of ⌊n/2⌋ edges cannot hold every
-    edge, each order is refuted without a search; the orders are still
-    walked and counted against the budget.
+    edge, each order is refuted without a search.  Its (n-1)!/2 orders (the
+    cut holds only for n ≥ 3) are then counted against the budget in the
+    steps its grants hand out, without being built: one grant when no
+    deadline runs, one per order when one does, so a cap or a deadline
+    stops the count at the order, and after the clock reads, where a walk
+    of the orders would stop.
     """
 
-    refuted = m * (n // 2) < len(inc.edges)
     orders = stop = clock.orders  # orders may start until ``orders`` reaches ``stop``
     cap = clock.budget.max_orders
+    if m * (n // 2) < len(inc.edges):
+        end = orders + math.factorial(n - 1) // 2
+        while orders < end and (stop := clock.grant(orders, cap, 1)) > orders:
+            orders = min(stop, end)
+        clock.orders = orders  # below ``end`` only when a grant refused the next order
+        return PageSearchResult(m, False, None, orders == end, clock.counters())
     for order in _spine_orders(n):
         if orders == stop:
             stop = clock.grant(orders, cap, 1)
@@ -328,8 +338,6 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
                 clock.orders = orders
                 return PageSearchResult(m, False, None, False, clock.counters())
         orders += 1
-        if refuted:
-            continue
         verdict, pages = _color_edges(inc, order, m, clock)
         if verdict != "unsat":
             clock.orders = orders

@@ -22,13 +22,19 @@ fit tested pairwise against the chords placed so far, which
 file's rows read into an edge -> page map and every pair of same-page
 edges compared, which the array-backed decode and validator are checked
 against; ``embedding_of`` builds a ``BookEmbedding`` from an edge -> page
-map.
+map; ``is_bipartite`` is a plain BFS 2-colouring, which
+``graph_core.predict_bipartite``'s parity law is checked against; and
+``reference_search_phase`` is one page count of the oracle's search with
+every spine order walked, which ``oracle._search_phase`` is checked against
+grant for grant.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 
+from bookbind import oracle
 from bookbind.bundle_decomp import Cycles
 from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, make_edge, vertex_index
 from bookbind.layout_engine import BookEmbedding
@@ -39,6 +45,31 @@ def embedding_of(order, page_map: dict, m: int) -> BookEmbedding:
     page."""
 
     return BookEmbedding(order, list(page_map), list(page_map.values()), m)
+
+
+def is_bipartite(g) -> bool:
+    """Is there a proper 2-colouring of the vertices?  Breadth first from
+    each uncoloured vertex, over an adjacency map built from the edges."""
+
+    adjacent = {v: [] for v in range(g.n)}
+    for u, v in g.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    colour: dict[int, int] = {}
+    for root in range(g.n):
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adjacent[u]:
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True
 
 
 def chords_cross(a: int, b: int, c: int, d: int) -> bool:
@@ -256,3 +287,33 @@ def reference_verify(edges, payload: dict) -> tuple[int, str]:
         "violations": found,
     }
     return (2 if found else 0), out(report)
+
+
+def reference_search_phase(n, inc, m, clock):
+    """``oracle._search_phase`` with every spine order walked.
+
+    Each order of ``oracle._spine_orders(n)`` is taken in turn: a grant is
+    asked for when the count reaches the last one, a refused order is not
+    counted, and an order is refuted by the capacity cut (m pages of
+    ⌊n/2⌋ edges hold fewer than E) or else searched by
+    ``oracle._color_edges``."""
+
+    refuted = m * (n // 2) < len(inc.edges)
+    orders = stop = clock.orders
+    cap = clock.budget.max_orders
+    for order in oracle._spine_orders(n):
+        if orders == stop:
+            stop = clock.grant(orders, cap, 1)
+            if orders == stop:
+                clock.orders = orders
+                return oracle.PageSearchResult(m, False, None, False, clock.counters())
+        orders += 1
+        if refuted:
+            continue
+        verdict, pages = oracle._color_edges(inc, order, m, clock)
+        if verdict != "unsat":
+            clock.orders = orders
+            witness = BookEmbedding(order, inc.edges, pages, m) if verdict == "sat" else None
+            return oracle.PageSearchResult(m, verdict == "sat", witness, False, clock.counters())
+    clock.orders = orders
+    return oracle.PageSearchResult(m, False, None, True, clock.counters())

@@ -1,7 +1,8 @@
 """The one-pass degree and colouring helpers against their definitions:
-``max_degree``, ``is_bipartite`` and ``oracle.lower_bound`` read unsorted
-neighbour rows, and are checked here against networkx's degrees and
-2-colouring (networkx is test-only)."""
+``max_degree`` and ``oracle.lower_bound`` read unsorted neighbour rows, and
+are checked here against networkx's degrees and 2-colouring (networkx is
+test-only), as is the reference BFS ``is_bipartite`` that the parity law is
+checked against."""
 
 import pytest
 
@@ -16,10 +17,10 @@ from bookbind.graph_core import (  # noqa: E402
     Shift,
     bundle,
     circulant,
-    is_bipartite,
     max_degree,
 )
 from bookbind.oracle import lower_bound  # noqa: E402
+from reference import is_bipartite  # noqa: E402
 
 
 @st.composite

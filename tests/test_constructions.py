@@ -62,12 +62,12 @@ def test_sequence_catalog_wraps_indices():
     assert cat.size == 30
     # kind 0 is the fibre edge toward column j+1, kind 1 the rung toward row i+1
     assert (cat.fibre(1, 1), cat.rung(1, 1)) == (0, 1)
-    assert cat.fibre(1, 5) == cat.fibre(4, 0) == 8 and cat.decode(8) == (0, 4)  # back to column 1
-    assert cat.rung(2, 5) == cat.rung(-1, 10) == 19 and cat.decode(19) == (9, 14)
+    assert cat.fibre(1, 5) == cat.fibre(4, 0) == 8 and cat.edges[8] == (0, 4)  # back to column 1
+    assert cat.rung(2, 5) == cat.rung(-1, 10) == 19 and cat.edges[19] == (9, 14)
     # the rung from row s is the seam, landing on row 1 at phi(column)
-    assert cat.rung(3, 1) == cat.rung(0, 1) == 21 and cat.decode(21) == (2, 10)
-    assert cat.rung(3, 4) == 27 and cat.decode(27) == (0, 13)  # 3 + 2 wraps to 0
-    assert SequenceCatalog(BundleSpec(3, 4, Reflection("two"))).decode(17) == (0, 8)
+    assert cat.rung(3, 1) == cat.rung(0, 1) == 21 and cat.edges[21] == (2, 10)
+    assert cat.rung(3, 4) == 27 and cat.edges[27] == (0, 13)  # 3 + 2 wraps to 0
+    assert SequenceCatalog(BundleSpec(3, 4, Reflection("two"))).edges[17] == (0, 8)
 
 
 def _catalog_specs(s_max: int, t_max: int):
@@ -84,10 +84,10 @@ def test_edge_numbers_name_every_edge_once():
     checked = 0
     for spec in _catalog_specs(9, 15):
         cat = SequenceCatalog(spec)
-        decoded = [cat.decode(k) for k in range(cat.size)]
+        decoded = [cat.edges[k] for k in range(cat.size)]
         assert len(set(decoded)) == cat.size and set(decoded) == bundle(spec).edges, spec
         for cyc in residual_cycles(spec):
-            assert cycle_edges(cyc) == [cat.decode(2 * v + 1) for v in cyc], spec
+            assert cycle_edges(cyc) == [cat.edges[2 * v + 1] for v in cyc], spec
         checked += 1
     assert checked == 7 * 136
 
@@ -112,7 +112,7 @@ def test_page_map_shares_the_graph_tuples():
 
 
 _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
-_decode = SequenceCatalog(_PLAN_SPEC).decode
+_decode = SequenceCatalog(_PLAN_SPEC).edges.__getitem__
 
 
 def _edit_plan(monkeypatch, edit, search: bool = False) -> None:
@@ -585,8 +585,8 @@ def test_embed_outcomes_on_small_grid_are_pinned():
 
 def _plan_text(rule, cat, plan) -> str:
     spine, fixed, todo = plan
-    fixed = [[list(cat.decode(k)), page] for k, page in fixed]
-    todo = [[list(cat.decode(k)), list(palette)] for k, palette in todo]
+    fixed = [[list(cat.edges[k]), page] for k, page in fixed]
+    todo = [[list(cat.edges[k]), list(palette)] for k, palette in todo]
     return json.dumps([rule, list(spine), fixed, todo])
 
 
@@ -607,7 +607,7 @@ def test_layout_plans_on_sweep_grid_are_pinned():
             plan = layout(cat, spec)
             # the plan check leaves clashes to validate: a layout edit that
             # makes its fixed pages clash is named here, before the digest
-            edges = [cat.decode(k) for k, _ in plan[1]]
+            edges = [cat.edges[k] for k, _ in plan[1]]
             pages = [page for _, page in plan[1]]
             assert violations(edges, pages, BookEmbedding(plan[0], (), (), 1).pos) == [], spec
             digest.update(_plan_text(rule, cat, plan).encode() + b"\n")

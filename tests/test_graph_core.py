@@ -18,7 +18,6 @@ from bookbind.graph_core import (
     bundle,
     circulant,
     format_bundle_spec,
-    is_bipartite,
     make_edge,
     max_degree,
     parse_bundle_spec,
@@ -26,6 +25,7 @@ from bookbind.graph_core import (
     vertex_index,
     vertex_pair,
 )
+from reference import is_bipartite
 
 
 def _regular_degree(g: Graph) -> int:

@@ -9,9 +9,12 @@ import hashlib
 import json
 import math
 import tracemalloc
+import types
+from unittest import mock
 
 import pytest
 
+import reference
 from bookbind import cli, oracle
 from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant
 from bookbind.layout_engine import DISPERSABLE, classify, validate
@@ -31,6 +34,11 @@ from bookbind.oracle import (
     search_fixed_pages,
 )
 from reference import embedding_of
+
+try:
+    from hypothesis import event, example, given, settings, strategies as st
+except ImportError:  # hypothesis is a dev-only dependency; only the property test needs it
+    given = None
 
 K4 = Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
 K33 = Graph(6, frozenset({(a, b) for a in (0, 1, 2) for b in (3, 4, 5)}))
@@ -215,6 +223,106 @@ def test_time_limit_never_counts_a_refused_order(monkeypatch):
     res = search_fixed_pages(circulant(6, {1, 2}), 3, SearchBudget(time_limit=1.0))
     assert not res.found and not res.exhausted
     assert (res.counters["orders"], res.counters["nodes"]) == (1, 0)
+
+
+def test_capacity_refuted_phase_builds_no_spine_order(monkeypatch):
+    # four pages of four edges cannot hold C9(1, 3)'s eighteen, so its
+    # (9 - 1)!/2 orders are counted without one being built
+    def refuse(n):
+        raise AssertionError(f"the spine orders of {n} vertices were built")
+
+    monkeypatch.setattr(oracle, "_spine_orders", refuse)
+    res = search_fixed_pages(circulant(9, {1, 3}), 4)
+    assert not res.found and res.exhausted
+    assert (res.counters["orders"], res.counters["nodes"]) == (20160, 0)
+
+
+def test_brute_force_walks_spine_orders_only_for_searched_page_counts(monkeypatch):
+    # K5 minus an edge: the 4-page phase is refuted by capacity and only
+    # the 5-page phase, which finds the witness, walks the orders; the
+    # outcome is the one a walk of every phase's orders gives
+    calls = []
+    walk = oracle._spine_orders
+
+    def counted(n):
+        calls.append(n)
+        return walk(n)
+
+    monkeypatch.setattr(oracle, "_spine_orders", counted)
+    res = brute_force_mbt(K5_MINUS)
+    assert calls == [5]
+    monkeypatch.setattr(oracle, "_search_phase", reference.reference_search_phase)
+    want = brute_force_mbt(K5_MINUS)
+    del res.counters["seconds"], want.counters["seconds"]
+    assert (res.status, res.value) == (EXACT, 5)
+    assert res == want
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_spine_order_count_is_half_the_circular_orders(n):
+    assert math.factorial(n - 1) // 2 == sum(1 for _ in oracle._spine_orders(n))
+
+
+def _phase_outcome(search_phase, g, m, budget_caps, reads, whole):
+    """The result of ``brute_force_mbt`` (``whole``) or ``search_fixed_pages``
+    with ``search_phase`` as the oracle's phase, and the clock reads it made.
+    With ``reads`` set, the budget has a time limit and the clock expires
+    after that many reads; else it has none and the clock stands still."""
+
+    count = 0
+
+    def monotonic():
+        nonlocal count
+        count += 1
+        return 0.0 if reads is None or count <= reads else 100.0
+
+    budget = SearchBudget(*budget_caps, time_limit=None if reads is None else 1.0)
+    clock = types.SimpleNamespace(monotonic=monotonic)
+    with mock.patch.object(oracle, "time", clock), mock.patch.object(oracle, "_search_phase", search_phase):
+        res = brute_force_mbt(g, budget) if whole else search_fixed_pages(g, m, budget)
+    return res, count
+
+
+if given is not None:
+
+    @st.composite
+    def _small_graphs(draw):
+        """Graphs on 2..7 vertices, from sparse to complete, so that some
+        page counts fall to the capacity cut and others are searched."""
+
+        n = draw(st.integers(2, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        size = draw(st.integers(0, len(pairs)))  # a size drawn first: subsets alone stay sparse
+        return Graph(n, frozenset(draw(st.permutations(pairs))[:size]))
+
+    @settings(max_examples=400)  # a few milliseconds each
+    @given(
+        _small_graphs(),
+        st.integers(1, 4),
+        st.tuples(st.none() | st.integers(1, 400), st.none() | st.integers(1, 2000)),
+        st.none() | st.integers(1, 40),
+        st.booleans(),
+    )
+    # the three fake-clock tests above, by their graphs, page counts and reads
+    @example(circulant(10, {1, 2, 3}), 8, (None, None), 2, False)
+    @example(circulant(10, {1, 2, 3}), 8, (None, None), 3, False)
+    @example(circulant(6, {1, 2}), 3, (None, None), 2, False)
+    # K5 minus an edge: its refuted 4-page phase spends the 12-order cap, or
+    # 12 reads of a clock that then refuses the 5-page phase's first order
+    @example(K5_MINUS, 1, (12, None), None, True)
+    @example(K5_MINUS, 1, (None, None), 13, True)
+    def test_counted_refutation_matches_walking_every_order(g, m, budget_caps, reads, whole):
+        # verdicts, witnesses, counters and the number of clock reads equal
+        # those of a phase that walks every spine order
+        got = _phase_outcome(oracle._search_phase, g, m, budget_caps, reads, whole)
+        want = _phase_outcome(reference.reference_search_phase, g, m, budget_caps, reads, whole)
+        res = got[0]
+        if whole:
+            event(f"brute_force_mbt: {res.status}")
+        else:
+            kind = "refuted" if m * (g.n // 2) < len(g.edges) else "searched"
+            event(f"{kind}: {'found' if res.found else 'exhausted' if res.exhausted else 'cut'}")
+        assert got == want
 
 
 def test_budget_validation():

@@ -349,11 +349,11 @@ def _assert_pinned(index: _PageAssigner, cat: SequenceCatalog, fixed) -> None:
 
     pos = index.emb.pos
     assert all(index.pages[k] == p for k, p in fixed)
-    clashes = violations([cat.decode(k) for k, _ in fixed], [p for _, p in fixed], pos)
+    clashes = violations([cat.edges[k] for k, _ in fixed], [p for _, p in fixed], pos)
     if any(why == REASON_ENDPOINT for _, _, why in clashes):
         return
     for k, p in fixed:
-        a, b = sorted(pos[v] for v in cat.decode(k))
+        a, b = sorted(pos[v] for v in cat.edges[k])
         assert index.partner[p][a] == b and index.partner[p][b] == a
     assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
 
@@ -374,11 +374,11 @@ def reference_plan_verdict(cat: SequenceCatalog, plan, m: int) -> str | None:
     None for a plan that lists every number once, clashing or not."""
 
     _, fixed, todo = plan
-    decode, edges = cat.decode, range(cat.size)
+    decode, edges = cat.edges.__getitem__, range(cat.size)
     count = Counter(k for k, _ in [*fixed, *todo])
     pages = [*fixed, *((k, p) for k, palette in todo for p in palette)]
     outside = sorted(set(count) - set(edges))
-    if outside:  # decode reads the edge list, so it is only asked about numbers in range
+    if outside:  # only numbers in range index the edge list
         return f"numbers outside 0..{cat.size - 1}: {outside[:4]}"
     for fault, offenders in (
         ("listed twice", [decode(k) for k, c in count.items() if c > 1]),
@@ -455,10 +455,10 @@ def multi_fault_plans(draw):
         elif fault == "move a fixed page onto a clash" and fixed:
             j = i % len(fixed)
             k, page = fixed[j]
-            edge = cat.decode(k) if k in range(cat.size) else None
+            edge = cat.edges[k] if k in range(cat.size) else None
             # the pages of the fixed edges this one would clash with
             onto = sorted(
-                {p for k2, p in fixed if edge and k2 != k and k2 in range(cat.size) and clash(edge, cat.decode(k2))}
+                {p for k2, p in fixed if edge and k2 != k and k2 in range(cat.size) and clash(edge, cat.edges[k2])}
                 - {page}
             )
             if onto:
