@@ -32,8 +32,8 @@ index v, built once and only for a spine that is a permutation of 0..n-1
 the edges' frozenset, built once when first asked.  ``embed`` hands it the
 catalogue's edge list and the bytearray its search wrote, and builds the
 graph on its ``edge_set``; ``from_payload`` fills both arrays from a file's
-rows in one inline pass, in file order, and finds a repeated row by the
-``edge_set`` that ``validate`` then reuses.  It converts to and from plain
+rows in one inline pass, in file order, every row kept as it is listed, so
+``validate`` names an edge the file repeats.  It converts to and from plain
 data (``to_payload``, its rows made from ``flat_rows``); only ``cli``
 encodes and decodes JSON, and it writes an embedding as ``to_payload``
 with its rows written from ``flat_rows``, so the format is spelled here
@@ -91,9 +91,8 @@ class BookEmbedding:
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
-        """The edges as a set: ``from_payload`` builds it to find an edge
-        listed twice, ``validate`` compares it with E(g), and ``embed``
-        makes the graph from it."""
+        """The edges as a set: ``validate`` compares it with E(g), and
+        ``embed`` makes the graph from it."""
 
         return frozenset(self.edges)
 
@@ -129,14 +128,13 @@ class BookEmbedding:
         its edges and pages in the order of the rows.
 
         Every number must be a JSON integer (not ``true``, ``1.0`` or ``"1"``);
-        edges are canonicalised, and one listed twice keeps its last page at
-        its first place.  The common case costs one inline pass: a list
+        edges are canonicalised, and every row is kept as it is listed, so
+        ``validate`` names an edge listed twice.  One inline pass: a list
         ``order`` of ints is taken whole, and a triple of ints with ``u < v``
         is stored as it stands.  ``_integer`` runs only once a type test
         fails, to name the first offender (u, then v, then p), and only
         ``u >= v`` goes through ``make_edge``, which swaps the pair or
-        refuses a loop.  Only a file that repeats an edge (its ``edge_set``
-        is smaller than its list) is read again.
+        refuses a loop.
         """
 
         try:
@@ -151,25 +149,9 @@ class BookEmbedding:
                     u, v, p = _integer(u), _integer(v), _integer(p)
                 add_edge((u, v) if u < v else make_edge(u, v))
                 add_page(p)
-            emb = cls(order, edges, pages, _integer(payload["m"]))
-            if len(emb.edge_set) < len(edges):
-                emb = cls(order, *_last_pages(edges, pages), emb.m)
-            return emb
+            return cls(order, edges, pages, _integer(payload["m"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise SpecFormatError(f"bad embedding payload: {exc}") from exc
-
-
-def _last_pages(edges: list[Edge], pages: list[int]) -> tuple[list[Edge], list[int]]:
-    """Each edge once, at the place of its first listing, with the page of
-    its last."""
-
-    place: dict[Edge, int] = {}
-    for e in edges:
-        place.setdefault(e, len(place))
-    kept = [0] * len(place)
-    for e, p in zip(edges, pages):
-        kept[place[e]] = p
-    return list(place), kept
 
 
 def _positions(order: tuple[int, ...]) -> list[int]:
@@ -319,7 +301,7 @@ def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
     if listed != g.edges or len(listed) < len(edges):
         missing, extra = sorted(g.edges - listed), sorted(listed - g.edges)
         text = f"page map mismatch: missing {missing}, extra {extra}"
-        if len(listed) < len(edges):  # only by hand: from_payload keeps each edge once
+        if len(listed) < len(edges):
             text += f", listed twice {sorted(e for e, k in Counter(edges).items() if k > 1)}"
         raise CoverageError(text)
     if m < 1:

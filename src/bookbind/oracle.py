@@ -12,20 +12,21 @@ give the conflict masks (three bit operations per edge) and the edges
 bucketed by conflict degree, on incidence masks built once per graph
 (``brute_force_mbt`` shares one build and one budget across its page
 counts).  A page count whose m pages of ⌊n/2⌋ edges cannot hold every edge
-is refuted by that one test; its orders are counted, in the budget's
-grants, without being built.  The
-colouring is an explicit-stack DFS that keeps, per page, the union of its
-edges' conflict masks, and the saturation levels: one mask per k of the
-edges in at least k of those unions.  Placing an edge updates the levels
-with one AND/OR per level from the edges its page's union gains, a frame
-keeps the levels it replaced for the backtrack, and a node reads the most
-saturated uncoloured edges off the top level that holds one; the degree
-buckets break ties in the order of the ``(saturation, degree, -index)`` key.
+is refuted by that one test; its orders are counted in one grant of the
+budget, without being built.  The colouring is an explicit-stack DFS that
+keeps, per page, the union of its edges' conflict masks, and the
+saturation levels: one mask per k of the edges in at least k of those
+unions.  Placing an edge updates the levels with one AND/OR per level from
+the edges its page's union gains, a frame keeps the levels it replaced for
+the backtrack, and a node reads the most saturated uncoloured edges off the
+top level that holds one; the degree buckets break ties in the order of the
+``(saturation, degree, -index)`` key.
 Nodes and orders are counted in locals and refused by one rule,
 ``_BudgetClock.grant``: a cap refuses the first order or node past it, the
-deadline is read before every order and every 256th node and refuses it,
-and a refused order or node is never counted.  A witness is the graph's
-sorted edge list with each edge's page, read off the search's frames.
+deadline is read before every order searched and every 256th node (once
+for a refuted page count) and refuses it, and a refused order or node is
+never counted.  A witness is the graph's sorted edge list with each edge's
+page, read off the search's frames.
 """
 
 from __future__ import annotations
@@ -223,8 +224,6 @@ def _color_edges(
     """
 
     ne = len(inc.edges)
-    if ne == 0:
-        return "sat", []
     m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
     masks, ranks = inc.conflicts(order)
     near = [0] * m  # per page: OR of the conflict masks of its edges
@@ -316,20 +315,18 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
 
     A page is a matching, so when m pages of ⌊n/2⌋ edges cannot hold every
     edge, each order is refuted without a search.  Its (n-1)!/2 orders (the
-    cut holds only for n ≥ 3) are then counted against the budget in the
-    steps its grants hand out, without being built: one grant when no
-    deadline runs, one per order when one does, so a cap or a deadline
-    stops the count at the order, and after the clock reads, where a walk
-    of the orders would stop.
+    cut holds only for n ≥ 3) are then counted without being built, in one
+    grant: the deadline, when one runs, is read once, and unless it has
+    passed every order is counted, up to the cap.
     """
 
     orders = stop = clock.orders  # orders may start until ``orders`` reaches ``stop``
     cap = clock.budget.max_orders
     if m * (n // 2) < len(inc.edges):
         end = orders + math.factorial(n - 1) // 2
-        while orders < end and (stop := clock.grant(orders, cap, 1)) > orders:
-            orders = min(stop, end)
-        clock.orders = orders  # below ``end`` only when a grant refused the next order
+        if clock.grant(orders, cap, 1) > orders:  # neither the cap nor the deadline is reached
+            orders = end if cap is None else min(cap, end)
+        clock.orders = orders
         return PageSearchResult(m, False, None, orders == end, clock.counters())
     for order in _spine_orders(n):
         if orders == stop:

@@ -19,25 +19,31 @@ bit-parallel ``oracle._color_edges`` is checked against node for node; and
 fit tested pairwise against the chords placed so far, which
 ``constructions._PageAssigner`` is checked against node for node;
 ``reference_verify`` is ``bookbind verify`` on a decoded file, with the
-file's rows read into an edge -> page map and every pair of same-page
-edges compared, which the array-backed decode and validator are checked
-against; ``embedding_of`` builds a ``BookEmbedding`` from an edge -> page
+file's rows read as a list of canonical edges, a repeated one named, and
+every pair of same-page edges compared, which the array-backed decode and
+validator are checked against; ``embedding_of`` builds a ``BookEmbedding`` from an edge -> page
 map; ``is_bipartite`` is a plain BFS 2-colouring, which
 ``graph_core.predict_bipartite``'s parity law is checked against; and
 ``reference_search_phase`` is one page count of the oracle's search with
-every spine order walked, which ``oracle._search_phase`` is checked against
-grant for grant.
+every spine order walked (a refuted one on a single grant), which
+``oracle._search_phase`` is checked against grant for grant;
+``closed_form_todo_pages`` is the page of every edge a layout leaves to
+the completion search, by one closed-form rule per rule tag, which
+``embed``'s pages are checked against; and ``smith_form_map`` carries a
+shift spec with gcd(s, t, d) = 1 onto a circulant, where ``embed``'s
+embedding is validated and certified again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 
 from bookbind import oracle
-from bookbind.bundle_decomp import Cycles
+from bookbind.bundle_decomp import Cycles, residual_cycles
 from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, make_edge, vertex_index
-from bookbind.layout_engine import BookEmbedding
+from bookbind.layout_engine import BLUE, GREEN, PURPLE, RED, YELLOW, BookEmbedding
 
 
 def embedding_of(order, page_map: dict, m: int) -> BookEmbedding:
@@ -244,34 +250,38 @@ def reference_verify(edges, payload: dict) -> tuple[int, str]:
     """``bookbind verify``'s exit code and stdout for a graph's edge set and
     a decoded embedding whose numbers are all ints.
 
-    The rows go into a dict, so an edge listed twice, in either orientation,
-    keeps its last page at its first place; then the structural checks, in
-    order (spine, edge set, m, the first page out of range in map order),
-    and every pair of same-page edges."""
+    The rows are read as a list of canonical edges with their pages, each
+    row kept, so an edge listed twice, in either orientation and in any
+    place, is named as ``validate`` names it; then the structural checks,
+    in order (spine, edge set, m, the first page out of range in row
+    order), and every pair of same-page edges."""
 
     def out(report: dict) -> str:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     order, m = payload["order"], payload["m"]
-    pages: dict[Edge, int] = {}
-    for u, v, p in payload["pages"]:
-        pages[min(u, v), max(u, v)] = p
+    rows = [((min(u, v), max(u, v)), p) for u, v, p in payload["pages"]]
+    listed = [e for e, _ in rows]
     if sorted(order) != list(range(len(order))) or len(order) != 1 + max(v for e in edges for v in e):
         return 2, out({"ok": False, "error": "spine order is not a permutation of the vertex set"})
-    if pages.keys() != edges:
-        missing, extra = sorted(edges - pages.keys()), sorted(pages.keys() - edges)
-        return 2, out({"ok": False, "error": f"page map mismatch: missing {missing}, extra {extra}"})
+    twice = sorted({e for e in listed if listed.count(e) > 1})
+    if set(listed) != edges or twice:
+        missing, extra = sorted(edges - set(listed)), sorted(set(listed) - edges)
+        error = f"page map mismatch: missing {missing}, extra {extra}"
+        if twice:
+            error += f", listed twice {twice}"
+        return 2, out({"ok": False, "error": error})
     if m < 1:
         return 2, out({"ok": False, "error": f"page count m={m} must be at least 1"})
-    for e, p in pages.items():
+    for e, p in rows:
         if not 0 <= p < m:
             return 2, out({"ok": False, "error": f"page {p} of edge {e} outside 0..{m - 1}"})
     pos = {v: i for i, v in enumerate(order)}
     found = []
-    listed = sorted(pages)
-    for i, e in enumerate(listed):
-        for f in listed[i + 1 :]:
-            if pages[e] != pages[f]:
+    rows.sort()
+    for i, (e, p) in enumerate(rows):
+        for f, q in rows[i + 1 :]:
+            if p != q:
                 continue
             if set(e) & set(f):
                 found.append([list(e), list(f), "shared-endpoint"])
@@ -283,7 +293,7 @@ def reference_verify(edges, payload: dict) -> tuple[int, str]:
         "ok": not found,
         "proper": "shared-endpoint" not in reasons,
         "noncrossing": "crossing" not in reasons,
-        "pages_used": len(set(pages.values())),
+        "pages_used": len({p for _, p in rows}),
         "violations": found,
     }
     return (2 if found else 0), out(report)
@@ -292,21 +302,24 @@ def reference_verify(edges, payload: dict) -> tuple[int, str]:
 def reference_search_phase(n, inc, m, clock):
     """``oracle._search_phase`` with every spine order walked.
 
-    Each order of ``oracle._spine_orders(n)`` is taken in turn: a grant is
-    asked for when the count reaches the last one, a refused order is not
-    counted, and an order is refuted by the capacity cut (m pages of
-    ⌊n/2⌋ edges hold fewer than E) or else searched by
-    ``oracle._color_edges``."""
+    An order is refuted by the capacity cut (m pages of ⌊n/2⌋ edges hold
+    fewer than E) or else searched by ``oracle._color_edges``.  Each order
+    of ``oracle._spine_orders(n)`` is taken in turn, and a refused order is
+    not counted.  A searched phase asks for a grant when the count reaches
+    the last one; a refuted phase asks for one grant before its first
+    order, and past it only the cap stops the count."""
 
     refuted = m * (n // 2) < len(inc.edges)
     orders = stop = clock.orders
     cap = clock.budget.max_orders
+    if refuted and clock.grant(orders, cap, 1) > orders:
+        stop = math.inf if cap is None else cap
     for order in oracle._spine_orders(n):
-        if orders == stop:
+        if orders == stop and not refuted:
             stop = clock.grant(orders, cap, 1)
-            if orders == stop:
-                clock.orders = orders
-                return oracle.PageSearchResult(m, False, None, False, clock.counters())
+        if orders == stop:
+            clock.orders = orders
+            return oracle.PageSearchResult(m, False, None, False, clock.counters())
         orders += 1
         if refuted:
             continue
@@ -317,3 +330,128 @@ def reference_search_phase(n, inc, m, clock):
             return oracle.PageSearchResult(m, verdict == "sat", witness, False, clock.counters())
     clock.orders = orders
     return oracle.PageSearchResult(m, False, None, True, clock.counters())
+
+
+def closed_form_todo_pages(spec: BundleSpec, rule: str) -> dict[int, int]:
+    """The page of every edge a layout leaves to the completion search, by
+    the closed-form rule of its tag: edge number -> page.
+
+    Edges are named as in ``constructions``: vertex (i, j), 1-based, owns
+    fibre ``2v`` and rung or seam ``2v + 1``, v = (i - 1) t + j - 1; in
+    residual cycle V_k (of ``residual_cycles``), the edge at 1-based index
+    idx is the rung of its idx-th vertex, and L is the cycle's length.  For
+    a d-shift, g = gcd(t, d) and u = (d/g)^-1 mod t/g, the number of
+    wrapping columns.  A rule the layout has no todo list for (the
+    three-column one-fixed reflection) gives no page."""
+
+    s, t, phi = spec.s, spec.t, spec.phi
+    pages: dict[int, int] = {}
+
+    def rung(i: int, j: int) -> int:
+        return 2 * ((i - 1) * t + j - 1) + 1
+
+    if rule.startswith("shift/"):
+        cycles = residual_cycles(spec)
+        g = math.gcd(t, phi.d)
+        su = s * pow(phi.d // g, -1, t // g)
+    if rule == "shift/gcd-even":
+        # every rung but each cycle's closing one
+        x = BLUE if s % 2 else PURPLE
+        pre = su + su % 2
+        suf = su if s % 2 == 0 else su + 1 if su % 2 else su + 2
+        for k, cycle in enumerate(cycles, 1):
+            size = len(cycle)
+            for idx, v in enumerate(cycle[:-1], 1):
+                if k == 1 and idx <= pre:
+                    page = x if idx % 2 else RED
+                elif k == g and idx > size - suf:
+                    page = x if (size - idx) % 2 else RED
+                elif k != g and size % 2 and idx == size - 1:
+                    page = BLUE
+                else:
+                    page = GREEN if idx % 2 else RED
+                pages[2 * v + 1] = page
+    elif rule in ("shift/gcd-odd/odd-residual", "shift/gcd-odd/even-residual"):
+        # cycles 3..g, less V_g's closing seam
+        odd = rule == "shift/gcd-odd/odd-residual"
+        for k in range(3, g + 1):
+            cycle = cycles[k - 1]
+            size = len(cycle)
+            start = size - su
+            for idx, v in enumerate(cycle[:-1] if k == g else cycle, 1):
+                if k < g:
+                    page = RED if idx % 2 else PURPLE
+                    if odd and k == 3 and idx >= size - 2:
+                        page = (BLUE, RED, PURPLE)[idx - size + 2]
+                    elif odd and idx == size:
+                        page = BLUE
+                elif not odd:
+                    page = (PURPLE if idx <= start else YELLOW) if idx % 2 else RED
+                elif g == 3 and start % 2 and idx >= size - 2:
+                    page = BLUE if idx == size - 2 else RED
+                elif idx <= start:
+                    page = RED if (start - idx) % 2 else PURPLE
+                else:
+                    page = YELLOW if (idx - start) % 2 else RED
+                pages[2 * v + 1] = page
+    elif rule == "shift/gcd-odd/bipartite":
+        for i in range(1, s):
+            for j in range(1, t + 1):
+                pages[rung(i, j)] = RED if (i + j) % 2 else PURPLE
+    elif rule == "reflection/base-even/two-fixed":
+        for i in range(1, s + 1):
+            for j in range(1, t + 1):
+                pages[rung(i, j)] = PURPLE if i % 2 else RED
+    elif rule == "reflection/base-even/one-fixed" and t >= 5:
+        pinned = {rung(1, t), rung(1, t - 1), rung(s, 1), rung(s, 2)}
+        for cycle in residual_cycles(spec):
+            for idx, v in enumerate(cycle, 1):
+                if 2 * v + 1 not in pinned:
+                    pages[2 * v + 1] = BLUE if idx % 2 else PURPLE
+    elif rule == "reflection/base-even/no-fixed":
+        h = t // 2
+        fixed = {rung(i, j) for i in (1, s - 1) for j in (1, h, h + 1, t)}
+        for i in range(1, s):
+            for j in range(1, t + 1):
+                if rung(i, j) in fixed:
+                    continue
+                if j in (1, h):
+                    page = BLUE if i == s - 2 else RED if i % 2 else PURPLE
+                elif i == s - 1:
+                    page = PURPLE if j <= h else BLUE
+                else:
+                    page = PURPLE if i % 2 else RED
+                pages[rung(i, j)] = page
+    elif rule.startswith("reflection/base-odd/"):
+        for i in range(1, s + 1):
+            for j in range(1, t + 1):
+                if t % 2 and j == t:
+                    page = BLUE
+                elif j % 2 == 0:
+                    page = RED
+                else:
+                    page = GREEN if i == 1 else YELLOW if i == s else PURPLE
+                pages[rung(i, j) - 1] = page  # the fibre edge of (i, j)
+    return pages
+
+
+def smith_form_map(spec: BundleSpec) -> tuple[int, int, list[int]]:
+    """Jumps a, b and the isomorphism of a d-shift spec with
+    gcd(s, t, d) = 1 onto C(Z_st, {±a, ±b}): vertex (i, j), 0-based, goes to
+    j·a + i·b mod st, its image at its flat id.
+
+    a ≡ 0 (mod s) makes a fibre's wrapping edge a jump of a, and
+    s·b ≡ d·a (mod st) makes a seam a jump of b; the first such pair (a by
+    multiples of s, then b) with gcd(a, b, st) = 1 whose map is a bijection
+    is taken.  Raises ValueError when there is none."""
+
+    s, t, d = spec.s, spec.t, spec.phi.d
+    n = s * t
+    for a in range(0, n, s):
+        for b in range(n):
+            if (s * b - d * a) % n or math.gcd(a, b, n) != 1:
+                continue
+            image = [(j * a + i * b) % n for i in range(s) for j in range(t)]
+            if len(set(image)) == n:
+                return a, b, image
+    raise ValueError(f"no Smith-form map for {spec}")

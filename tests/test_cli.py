@@ -152,6 +152,25 @@ def test_verify_coverage_breakage(tmp_path, capsys):
     assert "error" in json.loads(out)
 
 
+def test_verify_names_a_repeated_row_wherever_it_is_listed(tmp_path, capsys):
+    # the row [0, 1, 1] put before embed's rows or after them: both files
+    # list edge (0, 1) twice, so both are refused with the same report
+    _, out, _ = run(capsys, "embed", "s=3,t=4,phi=shift:2")
+    emb = json.loads(out)["embedding"]
+    reports = []
+    for rows in ([[0, 1, 1], *emb["pages"]], [*emb["pages"], [0, 1, 1]]):
+        emb_file = tmp_path / "twice.json"
+        emb_file.write_text(json.dumps({**emb, "pages": rows}))
+        reports.append(run(capsys, "verify", "s=3,t=4,phi=shift:2", "--embedding", str(emb_file)))
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "ok": False,
+        "error": "page map mismatch: missing [], extra [], listed twice [(0, 1)]",
+    }
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(tmp_path / "no.json"))
     assert code == 66 and "cannot read" in err

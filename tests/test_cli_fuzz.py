@@ -419,7 +419,7 @@ def reworked_rows(draw) -> tuple[str, dict]:
 
 @given(reworked_rows())
 @example(("s=3,t=4,phi=shift:2", {"order": list(range(12)), "pages": [[0, 1, 0]] * 3, "m": 5}))
-def test_verify_matches_the_page_dict_reference_on_reworked_rows(workdir, case):
+def test_verify_matches_the_pairwise_reference_on_reworked_rows(workdir, case):
     text, emb = case
     path = workdir / "rows.json"
     path.write_text(json.dumps(emb))

@@ -33,12 +33,15 @@ from bookbind.graph_core import (
     Shift,
     bundle,
     bundle_edges,
+    circulant,
     format_bundle_spec,
+    make_edge,
     parse_bundle_spec,
     predict_bipartite,
 )
 from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate, violations
-from reference import cycle_edges, reference_decode
+from bookbind.oracle import CERTIFIED, certify, check_isomorphism
+from reference import closed_form_todo_pages, cycle_edges, reference_decode, smith_form_map
 
 
 def _check(result, spec):
@@ -614,3 +617,55 @@ def test_layout_plans_on_sweep_grid_are_pinned():
             rows += 1
     assert rows == 1280
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_closed_form_rules_give_the_searched_pages():
+    # the closed-form todo-page rules, held in tests/reference.py only: on
+    # s = 3..12, t = 3..30, every shift d with a rule and every reflection,
+    # a rule covers exactly the layout's todo edges, and each one's page in
+    # embed's embedding is the rule's page
+    specs = 0
+    for s in range(3, 13):
+        for t in range(3, 31):
+            kinds = ("one",) if t % 2 else ("none", "two")
+            for phi in [Shift(d) for d in range(1, t) if math.gcd(t, d) > 1] + [*map(Reflection, kinds)]:
+                spec = BundleSpec(s, t, phi)
+                rule, layout = _select(spec)
+                todo = layout(SequenceCatalog(spec), spec)[2]
+                if not todo:
+                    continue
+                want = closed_form_todo_pages(spec, rule)
+                assert want.keys() == {k for k, _ in todo}, spec
+                pages = embed(spec).embedding.pages
+                assert all(pages[k] == page for k, page in want.items()), spec
+                specs += 1
+    assert specs == 1995
+
+
+def test_embeddings_certify_on_the_isomorphic_circulant():
+    # every supported shift with s, t <= 10 and gcd(s, t, d) = 1 is a
+    # circulant by the Smith-form map; embed's embedding, carried through
+    # the map, must validate and certify there, so a seam that bundle_edges
+    # and reference_decode put in the same wrong column is caught
+    specs = 0
+    for s in range(3, 11):
+        for t in range(3, 11):
+            for d in range(1, t):
+                if math.gcd(s, t, d) != 1 or math.gcd(t, d) == 1:
+                    continue
+                spec = BundleSpec(s, t, Shift(d))
+                a, b, image = smith_form_map(spec)
+                n = s * t
+                h = circulant(n, {min(a, n - a), min(b, n - b)})
+                assert check_isomorphism(bundle(spec), h, dict(enumerate(image))), spec
+                emb = embed(spec).embedding
+                moved = BookEmbedding(
+                    [image[v] for v in emb.order],
+                    [make_edge(image[u], image[v]) for u, v in emb.edges],
+                    emb.pages,
+                    emb.m,
+                )
+                report = validate(h, moved)
+                assert report.ok and certify(h, report).status == CERTIFIED, spec
+                specs += 1
+    assert specs == 61

@@ -43,16 +43,16 @@ def test_book_embedding_canonicalizes_pages():
     assert validate(Graph(3, frozenset(emb.edges)), emb).pages_used == 2
 
 
-def test_payload_keeps_the_last_listing_of_an_edge_in_either_orientation():
-    payload = {"order": [0, 1], "pages": [[1, 0, 1], [0, 1, 0], [1, 0, 2]], "m": 3}
-    emb = BookEmbedding.from_payload(payload)
-    assert (emb.edges, emb.pages) == (((0, 1),), [2])
-
-
-def test_payload_keeps_a_repeated_edge_at_its_first_place():
+def test_payload_keeps_every_row_in_file_order():
+    # a repeated edge, in either orientation, is kept at each of its places
+    # with its own page, so validate names it as listed twice
     rows = [[0, 2, 0], [1, 0, 1], [2, 1, 2], [0, 1, 3], [2, 0, 4]]
     emb = BookEmbedding.from_payload({"order": [0, 1, 2], "pages": rows, "m": 5})
-    assert (emb.edges, emb.pages) == (((0, 2), (0, 1), (1, 2)), [4, 3, 2])
+    assert emb.edges == ((0, 2), (0, 1), (1, 2), (0, 1), (0, 2))
+    assert emb.pages == [0, 1, 2, 3, 4]
+    with pytest.raises(CoverageError) as info:
+        validate(Graph(3, frozenset({(0, 1), (0, 2), (1, 2)})), emb)
+    assert str(info.value).endswith("listed twice [(0, 1), (0, 2)]")
 
 
 def test_validate_names_a_non_canonical_page_key():

@@ -108,6 +108,9 @@ def test_brute_force_edgeless_and_empty():
     assert validate(Graph(3, frozenset()), res.witness).ok
     res = brute_force_mbt(Graph(0, frozenset()))
     assert res.status == EXACT and res.value == 0 and res.witness is None
+    for m in (1, 10**9):  # no edge to colour: the first order is a witness, before any node
+        res = search_fixed_pages(Graph(3, frozenset()), m)
+        assert res.found and (res.counters["orders"], res.counters["nodes"]) == (1, 0)
 
 
 def test_search_fixed_pages_exhausts_capacity_refutation():
@@ -210,9 +213,26 @@ def test_time_limit_is_read_on_every_256th_node(monkeypatch):
 
 
 def test_time_limit_never_counts_a_refused_order(monkeypatch):
-    # three pages of three edges cannot hold C6(1, 2)'s twelve, so no order
-    # takes a node; the reads at the start and before the first order find
-    # time left, and the read before the second order refuses it uncounted
+    # four pages of three edges hold C6(1, 2)'s twelve, so each order is
+    # searched; the reads at the start and before the first order find time
+    # left, the first order is refuted in 5 nodes, and the read before the
+    # second order refuses it uncounted
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 2 else 100.0
+
+    monkeypatch.setattr(oracle.time, "monotonic", monotonic)
+    res = search_fixed_pages(circulant(6, {1, 2}), 4, SearchBudget(time_limit=1.0))
+    assert not res.found and not res.exhausted
+    assert (res.counters["orders"], res.counters["nodes"]) == (1, 5)
+
+
+def test_time_limit_is_read_once_for_a_refuted_page_count(monkeypatch):
+    # three pages of three edges cannot hold C6(1, 2)'s twelve: the phase's
+    # one grant reads the clock once, finds time left, and counts all
+    # (6 - 1)!/2 orders, though the clock has expired by the next read
     reads = []
 
     def monotonic():
@@ -221,8 +241,23 @@ def test_time_limit_never_counts_a_refused_order(monkeypatch):
 
     monkeypatch.setattr(oracle.time, "monotonic", monotonic)
     res = search_fixed_pages(circulant(6, {1, 2}), 3, SearchBudget(time_limit=1.0))
+    assert not res.found and res.exhausted
+    assert (res.counters["orders"], res.counters["nodes"]) == (60, 0)
+    assert len(reads) == 3  # the start, the one grant, and the counters' seconds
+
+
+def test_time_limit_expired_at_a_refuted_page_count_counts_no_order(monkeypatch):
+    # the clock has expired by the phase's one read, so no order is counted
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) <= 1 else 100.0
+
+    monkeypatch.setattr(oracle.time, "monotonic", monotonic)
+    res = search_fixed_pages(circulant(6, {1, 2}), 3, SearchBudget(time_limit=1.0))
     assert not res.found and not res.exhausted
-    assert (res.counters["orders"], res.counters["nodes"]) == (1, 0)
+    assert (res.counters["orders"], res.counters["nodes"]) == (0, 0)
 
 
 def test_capacity_refuted_phase_builds_no_spine_order(monkeypatch):
@@ -303,10 +338,12 @@ if given is not None:
         st.none() | st.integers(1, 40),
         st.booleans(),
     )
-    # the three fake-clock tests above, by their graphs, page counts and reads
+    # the five fake-clock tests above, by their graphs, page counts and reads
     @example(circulant(10, {1, 2, 3}), 8, (None, None), 2, False)
     @example(circulant(10, {1, 2, 3}), 8, (None, None), 3, False)
+    @example(circulant(6, {1, 2}), 4, (None, None), 2, False)
     @example(circulant(6, {1, 2}), 3, (None, None), 2, False)
+    @example(circulant(6, {1, 2}), 3, (None, None), 1, False)
     # K5 minus an edge: its refuted 4-page phase spends the 12-order cap, or
     # 12 reads of a clock that then refuses the 5-page phase's first order
     @example(K5_MINUS, 1, (12, None), None, True)
