@@ -4,25 +4,32 @@ An embedding is valid when its page assignment is a proper edge colouring
 (no two edges at a common vertex share a page) and no two same-page chords
 cross in the circular layout.  Equivalently, each page is a matching whose
 chords, read along the spine, nest like balanced brackets.  ``violations``
-checks each page in one of two ways.  A dense page, one of at least n/4
-chords for n spine places, is written into one list of n places (the other
-end of the chord there, or -1) and walked once with a bracket stack by
-``_page_nests``; a place written twice is a shared endpoint.  Every other
-page, and a dense page that fails the walk, is listed by
-``_page_violations``: one sort of one integer key per chord end (not
-tuples) and one sweep along the spine, where ends met at one place are
-shared endpoints and chords that close out of bracket order cross, in
-O(P log P + K) for its P edges and K violations (nothing on a sound page).
-So the dense walks cover at most 4E places however many pages are used,
-and a page of one chord costs O(1).
+counts the chords on each page first and checks a page in one of two ways.
+A dense page, one of at least n/4 chords for n spine places, is written by
+one pass over all the edges into its own list of n places (the place of
+the other end of the chord there, or -1); a chord that meets a taken place
+is set aside there.  ``_walk`` then walks the places once with a bracket
+stack; on a page with nothing set aside whose chords nest it lists
+nothing.  A failing dense page is listed from that array: the walk names
+the crossings among the chords kept in it, a set-aside chord's shared
+endpoints with them are read off it, a scan of each set-aside chord's
+shorter arc names its crossings with them, and the sweep below lists the
+few set-aside chords among themselves.  Every other
+page collects its chords in the same pass and is listed by
+``_page_violations``, as is a dense page whose set-aside chords' arcs cover
+more than n places: one sort of one integer key per chord end (not tuples)
+and one sweep along the spine, where ends met at one place are shared
+endpoints and chords that close out of bracket order cross, in O(P log P +
+K) for its P edges and K violations (nothing on a sound page).  So the
+walks cover at most 4E places however many pages are used, a page of one
+chord costs O(1), and no page is listed in more than O(P log P + K) + O(n).
 ``validate``, the one judge of crossings and shared endpoints (a
 construction's fixed pages included), runs its structural checks at C
 speed: the spine is a permutation when ``pos`` is as long as it, the edge
 list is E(g) when its ``edge_set`` equals E(g) and is as long as the list,
 and the page indices are in range by ``min`` and ``max`` over the set of
 pages used, which also counts them; only a failing check reads further, to
-name the offenders.  One pass then drops each edge into its page's chord
-list.
+name the offenders.
 
 ``BookEmbedding`` is an embedding's one index: spine order, two aligned
 arrays (``edges``, canonical tuples, and ``pages``, where ``pages[i]`` is
@@ -46,6 +53,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .graph_core import Edge, Graph, SpecFormatError, make_edge, max_degree
 
@@ -189,30 +197,33 @@ class ValidationReport:
         return self.is_proper and self.is_noncrossing
 
 
-def _page_nests(page_edges: list[Edge], pos: list[int]) -> bool:
-    """Is this page a matching whose chords nest like balanced brackets?
+def _walk(at: list[int]) -> list[tuple[int, int]]:
+    """Every crossing pair among the chords of one place array, each pair
+    once, as one end place of each of its two chords.
 
-    Its chords are written into one list of n places (the place of the
-    chord's other end, or -1 for a free place): a place written twice is a
-    shared endpoint, so fewer than 2P places are taken.  Then one walk along
-    the spine keeps the far ends of the open chords on a stack; a chord that
-    closes anywhere but on top crosses one opened inside it.
+    ``at[x]`` is the place of the other end of the chord at place x, or -1
+    for a free place; no place holds two chords.  One walk along the spine
+    keeps the far ends of the open chords on a stack, innermost last.  A
+    chord that closes on top is nested; one that closes under others crosses
+    each chord opened after it and still open.  Chords that nest cost one
+    bracket walk and list nothing.
     """
 
-    at = [-1] * len(pos)
-    for u, v in page_edges:
-        a, b = pos[u], pos[v]
-        at[a] = b
-        at[b] = a
-    if at.count(-1) != len(at) - 2 * len(page_edges):
-        return False
-    closers: list[int] = []  # far ends of the open chords, innermost last
+    crossed: list[tuple[int, int]] = []
+    closers: list[int] = []
     for x, y in enumerate(at):
         if y > x:
             closers.append(y)
-        elif y != -1 and closers.pop() != x:
-            return False
-    return True
+        elif y != -1:
+            top = closers.pop()
+            if top != x:  # the chord closing at x closes under top and the others opened after it
+                closers.append(top)
+                j = len(closers) - 2
+                while closers[j] != x:
+                    j -= 1
+                crossed += [(x, z) for z in closers[j + 1 :]]
+                del closers[j]
+    return crossed
 
 
 def _page_violations(page_edges: list[Edge], pos: list[int]) -> list[Violation]:
@@ -264,24 +275,91 @@ def _page_violations(page_edges: list[Edge], pos: list[int]) -> list[Violation]:
     return violations
 
 
+def _dense_violations(at: list[int], aside: list[Edge], pos: list[int]) -> list[Violation]:
+    """Every violation on a dense page, listed from its place array ``at``
+    and the chords set aside from it (those that met a taken place).
+
+    ``_walk`` lists the crossings among the chords kept in ``at``, and
+    ``_page_violations`` those among the set-aside chords.  A set-aside
+    chord shares an endpoint with the kept chord at either of its places,
+    read off the array, and crosses each kept chord with one end on the
+    shorter arc between its own two ends and the other end off it, so one
+    scan of that arc finds those crossings.  When the arcs add up to more
+    than n places the whole page goes to ``_page_violations`` instead, so no
+    page costs more than O(P log P + K) + O(n).  A page with nothing set
+    aside whose chords nest costs one walk and lists nothing.
+    """
+
+    n = len(at)
+    arcs = 0
+    for u, v in aside:
+        span = abs(pos[u] - pos[v])
+        arcs += min(span, n - span)
+    crossed = _walk(at) if arcs <= n else []
+    if not aside and not crossed:
+        return []
+    order = [0] * n  # the vertex at each place
+    for v, x in enumerate(pos):
+        order[x] = v
+
+    def kept(x: int) -> Edge:  # the chord kept at place x
+        u, v = order[x], order[at[x]]
+        return (u, v) if u < v else (v, u)
+
+    if arcs > n:
+        return _page_violations([kept(x) for x, y in enumerate(at) if y > x] + aside, pos)
+    found = _page_violations(aside, pos)  # the set-aside chords among themselves
+    for x, z in crossed:
+        e, f = kept(x), kept(z)
+        found.append((min(e, f), max(e, f), REASON_CROSSING))
+    for e in aside:
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        for x in (a, b):
+            if at[x] != -1:  # the kept chord there shares e's vertex
+                f = kept(x)
+                found.append((min(e, f), max(e, f), REASON_ENDPOINT))
+        inner = 2 * (b - a) <= n  # scan a+1..b-1, else the places outside a..b
+        for x in range(a + 1, b) if inner else chain(range(b + 1, n), range(a)):
+            y = at[x]  # the kept chord at x crosses e when y is neither on the arc nor at a or b
+            if y != -1 and y != a and y != b and (a < y < b) != inner:
+                f = kept(x)
+                found.append((min(e, f), max(e, f), REASON_CROSSING))
+    return found
+
+
 def violations(edges: Sequence[Edge], pages: Sequence[int], pos: list[int]) -> list[Violation]:
     """Every violation among edges on their pages (``edges[i]`` on
     ``pages[i]``), sorted.
 
-    A page of at least n/4 chords, for n spine places, gets the dense walk
-    (``_page_nests``); any other page, and a dense page that fails it, is
+    The pages are counted first.  A page of at least n/4 chords, for n
+    spine places, is dense: one pass over the edges writes each dense
+    page's chords into its place array, setting aside a chord that meets a
+    taken place, and ``_dense_violations`` walks it and lists a failing one
+    from it.  Every other page collects its chords in that pass and is
     listed by ``_page_violations``, which finds nothing on a sound page.
-    So the dense walks cover at most 4E places in all, however many pages
-    there are, and a sparse page costs O(P log P)."""
+    So the walks cover at most 4E places in all, however many pages there
+    are, and a sparse page costs O(P log P)."""
 
-    by_page: dict[int, list[Edge]] = {}
-    for e, p in zip(edges, pages):
-        by_page.setdefault(p, []).append(e)
-    found: list[Violation] = []
     n = len(pos)
-    for page_edges in by_page.values():
-        if 4 * len(page_edges) < n or not _page_nests(page_edges, pos):
-            found += _page_violations(page_edges, pos)
+    # a dense page's place array, written below; None for a sparse page
+    rows = {p: [-1] * n if 4 * size >= n else None for p, size in Counter(pages).items()}
+    chords: dict[int, list[Edge]] = {}  # all of a sparse page's chords, a dense page's set-aside ones
+    for e, p in zip(edges, pages):
+        at = rows[p]
+        if at is not None:
+            u, v = e
+            a, b = pos[u], pos[v]
+            if at[a] == at[b]:  # both free: two kept chords never end at one place
+                at[a] = b
+                at[b] = a
+                continue
+        chords.setdefault(p, []).append(e)
+    found: list[Violation] = []
+    for p, at in rows.items():
+        if at is None:
+            found += _page_violations(chords[p], pos)
+        else:
+            found += _dense_violations(at, chords.get(p, []), pos)
     return sorted(found)
 
 

@@ -449,9 +449,11 @@ def test_verify_footprint_per_edge_is_pinned():
     # a decoded e4k file to a report: the rows become one list of edge
     # tuples and one of pages, the embedding keeps the edges as a tuple and
     # one set of them, built to find an edge listed twice and compared by
-    # validate with E(g); near 143 bytes per edge on Python 3.10 to 3.13
-    # when first in the process (114 after); the page dict it replaced took
-    # 128 (99 after); a set built and dropped in the constructor, with
+    # validate with E(g); near 148 bytes per edge on Python 3.11 when first
+    # in the process (119 after), about 8 of them the dense pages' place
+    # arrays, all alive after validate's one pass (140 and 112 with one
+    # chord list per page and one place array at a time); the page dict it
+    # replaced took 128 (99 after); a set built and dropped in the constructor, with
     # validate testing each edge against E(g), 122 (94 after), at one more
     # hash per edge in validate
     spec = BundleSpec(44, 45, Shift(3))

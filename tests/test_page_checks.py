@@ -1,11 +1,13 @@
 """The near-linear page checks agree with pairwise scans.
 
-``validate`` walks each page of at least n/4 chords once along the spine
-and lists every other page, and a dense page that fails the walk, in one
-sweep along the spine (pages on both sides of that cut are drawn here, and
-a spy pins the walks at 4E places); ``_PageAssigner``'s search tests each
-fit on a per-page index over spine positions and must visit the nodes of
-a search that tests fits pairwise; the
+``validate`` writes each page of at least n/4 chords into a place array
+in one pass, walks it once along the spine and lists a failing one from
+that array, and lists every other page in one sweep along the spine (pages
+on both sides of that cut are drawn here, a spy pins the walks at 4E
+places, and every single-edge flip of one construction is listed as its
+pages listed alone, no page sorted again); ``_PageAssigner``'s search
+tests each fit on a per-page index over spine positions and must visit the
+nodes of a search that tests fits pairwise; the
 oracle builds its per-order conflict masks from prefix XORs along the spine
 and colours them with a bit-parallel search.  All four are compared here
 with the plain pairwise definitions, built on the crossing predicate in
@@ -185,21 +187,90 @@ def test_dense_walks_cover_at_most_4e_places():
     # walks cover at most 4E places however many pages an embedding uses;
     # walking every page would cover E * n = 468512 places at one edge per page
     walked = []
-    walk = layout_engine._page_nests
+    walk = layout_engine._walk
 
-    def spy(page_edges, pos):
-        walked.append(len(pos))
-        return walk(page_edges, pos)
+    def spy(at):
+        walked.append(len(at))
+        return walk(at)
 
     g, emb = _E1K.graph, _E1K.embedding
     spread = BookEmbedding(emb.order, emb.edges, list(range(len(emb.edges))), len(emb.edges))
-    with mock.patch.object(layout_engine, "_page_nests", spy):
+    with mock.patch.object(layout_engine, "_walk", spy):
         assert validate(g, emb).ok
         assert walked == [g.n] * emb.m  # every page of the construction is dense
         walked.clear()
         report = validate(g, spread)
     assert report.ok and report.pages_used == len(g.edges)
     assert sum(walked) <= 4 * len(g.edges)
+
+
+# every page dense: 378 edges on 5 pages of 189 spine places
+_S9 = embed(BundleSpec(9, 21, Shift(3))).embedding
+
+
+def _listed_page_by_page(edges, pages, pos) -> list:
+    """Each page's chords listed alone by ``_page_violations``, sorted."""
+
+    by_page = {}
+    for e, p in zip(edges, pages):
+        by_page.setdefault(p, []).append(e)
+    return sorted(v for page_edges in by_page.values() for v in _page_violations(page_edges, pos))
+
+
+def _single_flips(emb):
+    """Every embedding with one edge moved onto another page, its edges in
+    the order a file lists them, as (edges, pages)."""
+
+    rows = sorted(emb.items())
+    edges = [e for e, _ in rows]
+    pages = [p for _, p in rows]
+    for k, old in enumerate(pages):
+        for p in range(emb.m):
+            if p != old:
+                yield edges, [*pages[:k], p, *pages[k + 1 :]]
+
+
+def test_every_single_flip_lists_as_its_pages_listed_alone():
+    pos = _S9.pos
+    flips = list(_single_flips(_S9))
+    assert len(flips) == 378 * 4
+    for edges, pages in flips:
+        assert violations(edges, pages, pos) == _listed_page_by_page(edges, pages, pos)
+
+
+def _swept(call):
+    """``call()``'s result, and the number of chords handed to each
+    ``_page_violations`` sweep while it ran."""
+
+    listed = []
+    sweep = layout_engine._page_violations
+
+    def spy(page_edges, pos):
+        listed.append(len(page_edges))
+        return sweep(page_edges, pos)
+
+    with mock.patch.object(layout_engine, "_page_violations", spy):
+        return call(), listed
+
+
+def test_a_single_flip_is_listed_from_its_place_array():
+    # 1393 of the 1512 flips clash; a flip sets aside at most two chords,
+    # whose shorter arcs cover at most n places, so the failing dense page
+    # is listed from its place array and never sorted again: only its
+    # set-aside chords are, among themselves
+    found, listed = _swept(lambda: [violations(e, p, _S9.pos) for e, p in _single_flips(_S9)])
+    assert sum(map(bool, found)) == 1393 and max(listed) <= 2
+
+
+def test_a_page_with_many_chords_set_aside_is_sorted_and_swept():
+    # two pages of the e1k construction merged into one: half its chords
+    # meet a taken place and their arcs cover far more than n places, so the
+    # page goes to _page_violations whole
+    emb = _E1K.embedding
+    pages = [0 if p == 1 else p for p in emb.pages]
+    found, listed = _swept(lambda: violations(emb.edges, pages, emb.pos))
+    assert listed == [pages.count(0)]
+    assert found and found == _listed_page_by_page(emb.edges, pages, emb.pos)
 
 
 def _one_page(n, edges, order=None):
