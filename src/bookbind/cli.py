@@ -142,7 +142,9 @@ def _dumps(payload) -> str:
     here: a list of ints with one join, rows of ints with one ``%`` format
     (``_int_rows``: a list of equal-length int lists, such as edges and
     relabel, and an embedding's ``[u, v, page]`` rows, written from its
-    ``flat_rows`` with no list per row); other lists and str-keyed dicts
+    ``flat_rows`` with no list per row), and a verify report's
+    ``[[u, v], [u', v'], reason]`` rows with another (``_violation_rows``);
+    other lists and str-keyed dicts
     recurse, and a finite float is its ``repr``.  Any other value (NaN, an
     infinity, a tuple, a dict with other keys) goes to the stdlib at indent
     0, and each newline in its text becomes the newline and indent of its
@@ -180,6 +182,8 @@ def _dumps(payload) -> str:
                 flat = tuple(chain.from_iterable(x))
                 if {*map(type, flat)} == {int}:
                     return _int_rows(flat, len(x[0]), nl)
+                if len(x[0]) == 3 and (text := _violation_rows(flat, nl)) is not None:
+                    return text
             return "[" + inner + sep.join([encode(v, inner) for v in x]) + nl + "]"
         text = json.dumps(x, indent=2, sort_keys=True, default=BookEmbedding.to_payload)
         return text.replace("\n", nl)
@@ -206,6 +210,33 @@ def _int_rows(numbers: Sequence[int], width: int, nl: str) -> str:
     cell = inner + "  "
     row = "[" + cell + ("," + cell).join(["%d"] * width) + inner + "]"
     return ("[" + inner + ("," + inner).join([row] * (len(numbers) // width)) + nl + "]") % tuple(numbers)
+
+
+def _violation_rows(flat: tuple, nl: str) -> str | None:
+    """Rows ``[[u, v], [u', v'], reason]``, given one after another in
+    ``flat``, as ``_dumps`` writes them at the indent ``nl``: one ``%``
+    format of them all.  ``None`` when ``flat`` is not rows of two int
+    pairs and a string."""
+
+    firsts, seconds, reasons = flat[0::3], flat[1::3], flat[2::3]
+    pairs = firsts + seconds
+    if (
+        {*map(type, pairs)} != {list}
+        or {*map(len, pairs)} != {2}
+        or {*map(type, chain.from_iterable(pairs))} != {int}
+        or {*map(type, reasons)} != {str}
+    ):
+        return None
+    cells: list = []  # u, v, u', v' and the encoded reason, row by row
+    for e, f, reason in zip(firsts, seconds, reasons):
+        cells += e
+        cells += f
+        cells.append(encode_basestring_ascii(reason))
+    inner = nl + "  "
+    cell = inner + "  "
+    pair = "[" + cell + "  %d," + cell + "  %d" + cell + "]"
+    row = "[" + cell + pair + "," + cell + pair + "," + cell + "%s" + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(reasons)) + nl + "]") % tuple(cells)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -248,7 +279,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _parse_spec(args.spec)  # spec errors first, then the file, then the graph
+    spec = _parse_spec(args.spec)  # spec errors first, then the file, then the embedding
     try:
         with open(args.embedding, encoding="utf-8") as fh:
             payload = json.loads(fh.read())
@@ -269,7 +300,7 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     del payload  # the decoded JSON is not read again: free it before validating
     try:
-        report = validate(_graph_of(spec), emb)
+        report = validate(spec, emb)  # a bundle spec is checked by its numbering, with no graph
     except CoverageError as exc:
         sys.stdout.write(_dumps({"ok": False, "error": str(exc)}))
         return EXIT_INVALID_EMBEDDING

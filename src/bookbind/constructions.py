@@ -9,8 +9,8 @@ pages").  Layouts name an edge by its number in ``SequenceCatalog``: vertex
 toward row i+1 and across the seam from row s; a residual cycle's edges are
 ``2 * v + 1`` for its vertices in walk order.  Edge k is
 ``graph_core.bundle_edges(spec)[k]``, which ``SequenceCatalog`` holds as
-``edges``; that list is the one place that applies
-``phi``, so no layout works out where a seam lands.  A layout is written as
+``edges``; that list applies ``phi`` for every layout, so no layout
+works out where a seam lands.  A layout is written as
 data: its spine is one ``_zigzag`` of named blocks (rows, columns, residual
 cycles or column pairs, every other block reversed), its fibre pages are one
 rule ``page_of(row, column)`` handed to ``SequenceCatalog.fibres``, its rung

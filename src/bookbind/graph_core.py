@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 Edge = tuple[int, int]
 Pair = tuple[int, int]
@@ -137,6 +138,13 @@ class BundleSpec:
             )
         self.phi.validate(self.t)
 
+    @property
+    def edges(self) -> range:
+        """The edge numbers: edge ``k`` is ``bundle_edges(self)[k]``, so
+        there are as many as the graph has edges."""
+
+        return range(2 * self.s * self.t)
+
 
 def vertex_index(p: int, q: int, t: int) -> int:
     return p * t + q
@@ -170,7 +178,8 @@ def bundle_edges(spec: BundleSpec) -> list[Edge]:
     Kind 0 is the fibre edge ``(p,q)-(p,q+1)``, from column ``t-1`` the
     wrapping edge ``(p,0)-(p,t-1)``; kind 1 is the rung ``(p,q)-(p+1,q)``,
     from row ``s-1`` the seam ``(0,phi(q))-(s-1,q)`` closing the base cycle.
-    This is the one place that applies ``phi``.
+    This and ``bundle_keys``, its edges as integers, are the two places that
+    apply ``phi``.
     """
 
     s, t, phi = spec.s, spec.t, spec.phi
@@ -183,6 +192,27 @@ def bundle_edges(spec: BundleSpec) -> list[Edge]:
     edges = [None] * (2 * n)  # every slot is written below
     edges[0::2], edges[1::2] = fibres, rungs
     return edges
+
+
+def bundle_keys(spec: BundleSpec) -> frozenset[int]:
+    """The key ``u * n + v`` of every edge ``(u, v)`` of ``bundle_edges``,
+    for ``n = s * t``: the edge set as integers, with no tuple built.
+
+    The same numbering, read as strides: fibre ``2w`` of ``w = p * t + q``
+    is ``w * (n + 1) + 1``, or ``p * t * (n + 1) + t - 1`` from column
+    ``t-1``; rung ``2w + 1`` is ``w * (n + 1) + t``; and each column's seam
+    goes through ``phi.apply``.
+    """
+
+    s, t, phi = spec.s, spec.t, spec.phi
+    n, last = s * t, (s - 1) * t
+    step = n + 1  # from the key of (w, w + k) to that of (w + 1, w + 1 + k)
+    # each row's fibres but its wrapping one, which is p * t * (n + 1) + t - 1
+    fibres = (range(row * step + 1, (row + t - 1) * step, step) for row in range(0, n, t))
+    wraps = range(t - 1, last * step + t, t * step)
+    rungs = range(t, last * step + t, step)
+    seams = (phi.apply(q, t) * n + last + q for q in range(t))
+    return frozenset(chain(chain.from_iterable(fibres), wraps, rungs, seams))  # no set to copy
 
 
 def bundle(spec: BundleSpec) -> Graph:

@@ -26,10 +26,13 @@ chord costs O(1), and no page is listed in more than O(P log P + K) + O(n).
 ``validate``, the one judge of crossings and shared endpoints (a
 construction's fixed pages included), runs its structural checks at C
 speed: the spine is a permutation when ``pos`` is as long as it, the edge
-list is E(g) when its ``edge_set`` equals E(g) and is as long as the list,
-and the page indices are in range by ``min`` and ``max`` over the set of
-pages used, which also counts them; only a failing check reads further, to
-name the offenders.
+list is E(g) when its ``edge_set`` equals E(g) and is as long as the list
+(or, when g is a ``BundleSpec``, when the keys ``u * n + v`` of its pairs
+in range equal ``bundle_keys(g)`` and are as many as the list, with no
+graph built), and the page indices are in range by ``min`` and ``max`` over
+the ``Counter`` of the pages, which also counts the pages used and finds
+the dense ones; only a failing check reads further, to name the offenders
+(against a spec, on ``bundle(g)``).
 
 ``BookEmbedding`` is an embedding's one index: spine order, two aligned
 arrays (``edges``, canonical tuples, and ``pages``, where ``pages[i]`` is
@@ -55,7 +58,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .graph_core import Edge, Graph, SpecFormatError, make_edge, max_degree
+from .graph_core import (
+    BundleSpec,
+    Edge,
+    Graph,
+    SpecFormatError,
+    bundle,
+    bundle_keys,
+    make_edge,
+    max_degree,
+)
 
 YELLOW, GREEN, PURPLE, RED, BLUE = range(5)
 COLOR_NAMES = ("yellow", "green", "purple", "red", "blue")
@@ -327,22 +339,28 @@ def _dense_violations(at: list[int], aside: list[Edge], pos: list[int]) -> list[
     return found
 
 
-def violations(edges: Sequence[Edge], pages: Sequence[int], pos: list[int]) -> list[Violation]:
+def violations(
+    edges: Sequence[Edge], pages: Sequence[int], pos: list[int], sizes: Counter | None = None
+) -> list[Violation]:
     """Every violation among edges on their pages (``edges[i]`` on
     ``pages[i]``), sorted.
 
-    The pages are counted first.  A page of at least n/4 chords, for n
-    spine places, is dense: one pass over the edges writes each dense
-    page's chords into its place array, setting aside a chord that meets a
-    taken place, and ``_dense_violations`` walks it and lists a failing one
-    from it.  Every other page collects its chords in that pass and is
-    listed by ``_page_violations``, which finds nothing on a sound page.
-    So the walks cover at most 4E places in all, however many pages there
-    are, and a sparse page costs O(P log P)."""
+    The pages are counted first, unless ``sizes``, the ``Counter`` of
+    ``pages``, is handed in (``validate`` counts them once for all its
+    checks).  A page of at least n/4 chords, for n spine places, is dense:
+    one pass over the edges writes each dense page's chords into its place
+    array, setting aside a chord that meets a taken place, and
+    ``_dense_violations`` walks it and lists a failing one from it.  Every
+    other page collects its chords in that pass and is listed by
+    ``_page_violations``, which finds nothing on a sound page.  So the walks
+    cover at most 4E places in all, however many pages there are, and a
+    sparse page costs O(P log P)."""
 
     n = len(pos)
+    if sizes is None:
+        sizes = Counter(pages)
     # a dense page's place array, written below; None for a sparse page
-    rows = {p: [-1] * n if 4 * size >= n else None for p, size in Counter(pages).items()}
+    rows = {p: [-1] * n if 4 * size >= n else None for p, size in sizes.items()}
     chords: dict[int, list[Edge]] = {}  # all of a sparse page's chords, a dense page's set-aside ones
     for e, p in zip(edges, pages):
         at = rows[p]
@@ -363,36 +381,55 @@ def violations(edges: Sequence[Edge], pages: Sequence[int], pos: list[int]) -> l
     return sorted(found)
 
 
-def validate(g: Graph, emb: BookEmbedding) -> ValidationReport:
+def validate(g: Graph | BundleSpec, emb: BookEmbedding) -> ValidationReport:
     """Check properness and page planarity; structural breakage raises.
 
     Raises CoverageError when the spine is not a permutation of the vertex
     set, the edges listed are not exactly E(g), or a page index falls
     outside ``0..m-1``; an edge listed twice is named in the mismatch too.
     Colouring faults are collected as violations.
+
+    ``g`` may be a ``BundleSpec``: the edges listed are then E(g) when their
+    keys ``u * n + v``, over the pairs with ``0 <= u < v < n``, are as many
+    as the edges and equal ``bundle_keys(g)``, and no graph is built.  The
+    range test keeps a pair past n off another edge's key.  Only a failing
+    test builds ``bundle(g)``, to name the offenders as a graph does.
     """
 
-    if not len(emb.pos) == len(emb.order) == g.n:  # pos is [] unless the order is a permutation
+    n = g.s * g.t if isinstance(g, BundleSpec) else g.n
+    if not len(emb.pos) == len(emb.order) == n:  # pos is [] unless the order is a permutation
         raise CoverageError("spine order is not a permutation of the vertex set")
     edges, pages, m = emb.edges, emb.pages, emb.m
-    listed = emb.edge_set
+    if isinstance(g, BundleSpec):
+        keys = {u * n + v for u, v in edges if 0 <= u < v < n}
+        if len(keys) < len(edges) or keys != bundle_keys(g):
+            _check_edges(bundle(g), emb)  # raises, naming the offenders
+    else:
+        _check_edges(g, emb)
+    if m < 1:
+        raise CoverageError(f"page count m={m} must be at least 1")
+    sizes = Counter(pages)  # one count: the page range, the pages used and the dense pages
+    if sizes and not (0 <= min(sizes) and max(sizes) < m):
+        i = next(i for i, p in enumerate(pages) if not 0 <= p < m)
+        raise CoverageError(f"page {pages[i]} of edge {edges[i]} outside 0..{m - 1}")
+
+    found = violations(edges, pages, emb.pos, sizes)
+    is_proper = all(r != REASON_ENDPOINT for _, _, r in found)
+    is_noncrossing = all(r != REASON_CROSSING for _, _, r in found)
+    return ValidationReport(is_proper, is_noncrossing, len(sizes), tuple(found))
+
+
+def _check_edges(g: Graph, emb: BookEmbedding) -> None:
+    """Raise CoverageError unless the edges listed are E(g), each once,
+    naming the missing, the extra and the repeated ones."""
+
+    edges, listed = emb.edges, emb.edge_set
     if listed != g.edges or len(listed) < len(edges):
         missing, extra = sorted(g.edges - listed), sorted(listed - g.edges)
         text = f"page map mismatch: missing {missing}, extra {extra}"
         if len(listed) < len(edges):
             text += f", listed twice {sorted(e for e, k in Counter(edges).items() if k > 1)}"
         raise CoverageError(text)
-    if m < 1:
-        raise CoverageError(f"page count m={m} must be at least 1")
-    used = set(pages)  # one pass: the page range and the count of pages used
-    if used and not (0 <= min(used) and max(used) < m):
-        i = next(i for i, p in enumerate(pages) if not 0 <= p < m)
-        raise CoverageError(f"page {pages[i]} of edge {edges[i]} outside 0..{m - 1}")
-
-    found = violations(edges, pages, emb.pos)
-    is_proper = all(r != REASON_ENDPOINT for _, _, r in found)
-    is_noncrossing = all(r != REASON_CROSSING for _, _, r in found)
-    return ValidationReport(is_proper, is_noncrossing, len(used), tuple(found))
 
 
 def classify(g: Graph, report: ValidationReport) -> str:

@@ -104,6 +104,10 @@ def test_verify_roundtrip(tmp_path, capsys):
     report = json.loads(out)
     assert report["ok"] and report["pages_used"] == 4
     assert report["violations"] == []
+    # every row written v, u: from_payload swaps each back, and the report is the same
+    reversed_rows = [[v, u, p] for u, v, p in payload["embedding"]["pages"]]
+    emb_file.write_text(json.dumps({**payload["embedding"], "pages": reversed_rows}))
+    assert run(capsys, "verify", "s=3,t=6,phi=shift:3", "--embedding", str(emb_file)) == (0, out, "")
 
 
 def test_verify_accepts_embed_out_file(tmp_path, capsys):
@@ -154,11 +158,14 @@ def test_verify_coverage_breakage(tmp_path, capsys):
 
 def test_verify_names_a_repeated_row_wherever_it_is_listed(tmp_path, capsys):
     # the row [0, 1, 1] put before embed's rows or after them: both files
-    # list edge (0, 1) twice, so both are refused with the same report
+    # list edge (0, 1) twice, so both are refused with the same report.
+    # Row [1, 2, p] turned into [0, 14, p] repeats no edge but the key
+    # 0 * 12 + 14 of (1, 2): the pair is past n = 12, so (1, 2) is missing
     _, out, _ = run(capsys, "embed", "s=3,t=4,phi=shift:2")
     emb = json.loads(out)["embedding"]
+    colliding = [[0, 14, p] if (u, v) == (1, 2) else [u, v, p] for u, v, p in emb["pages"]]
     reports = []
-    for rows in ([[0, 1, 1], *emb["pages"]], [*emb["pages"], [0, 1, 1]]):
+    for rows in ([[0, 1, 1], *emb["pages"]], [*emb["pages"], [0, 1, 1]], colliding):
         emb_file = tmp_path / "twice.json"
         emb_file.write_text(json.dumps({**emb, "pages": rows}))
         reports.append(run(capsys, "verify", "s=3,t=4,phi=shift:2", "--embedding", str(emb_file)))
@@ -169,6 +176,9 @@ def test_verify_names_a_repeated_row_wherever_it_is_listed(tmp_path, capsys):
         "ok": False,
         "error": "page map mismatch: missing [], extra [], listed twice [(0, 1)]",
     }
+    code, out, err = reports[2]
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"ok": False, "error": "page map mismatch: missing [(1, 2)], extra [(0, 14)]"}
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -229,6 +239,26 @@ def test_verify_reads_the_file_before_building_the_graph(data, monkeypatch, tmp_
         emb_file.write_bytes(data)
     code, out, err = run(capsys, "verify", "s=300,t=300,phi=shift:2", "--embedding", str(emb_file))
     assert code == 66 and out == "" and err.count("\n") == 1
+
+
+def test_verify_checks_a_bundle_file_without_building_the_graph(monkeypatch, tmp_path, capsys):
+    # a file that lists E(g), its pages sound or not, is checked against the
+    # keys of the spec's numbering: neither the graph nor the set of the
+    # file's edge tuples is built
+    spec = "s=22,t=22,phi=shift:2"
+    _, out, _ = run(capsys, "embed", spec)
+    emb = json.loads(out)["embedding"]
+    sound, flipped = tmp_path / "sound.json", tmp_path / "flipped.json"
+    sound.write_text(json.dumps(emb))
+    emb["pages"][0][2] = emb["pages"][1][2]  # edges 0 and 1 share vertex 0
+    flipped.write_text(json.dumps(emb))
+    for module in (cli, graph_core, layout_engine):
+        monkeypatch.setattr(module, "bundle", lambda spec: pytest.fail("the graph was built"))
+    monkeypatch.setattr(BookEmbedding, "edge_set", property(lambda emb: pytest.fail("edge_set was built")))
+    code, out, err = run(capsys, "verify", spec, "--embedding", str(sound))
+    assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+    code, out, err = run(capsys, "verify", spec, "--embedding", str(flipped))
+    assert (code, err) == (2, "") and json.loads(out)["violations"]
 
 
 def test_mbt_exact_on_small_circulant(capsys):
@@ -606,6 +636,10 @@ if given is not None:
     # or a big int now and then; k = 0 gives lists of empty lists
     _cells = st.integers(-(2**70), 2**70) | st.booleans()
     _rows = st.integers(0, 3).flatmap(lambda k: st.lists(st.lists(_cells, min_size=k, max_size=k)))
+    # a verify report's violation rows [[u, v], [u', v'], reason], and rows
+    # near that shape: pairs of other lengths, a bool in a pair
+    _pairs = st.lists(_cells, min_size=1, max_size=3)
+    _violations = st.lists(st.builds(lambda e, f, why: [e, f, why], _pairs, _pairs, st.text(_chars)))
     # embeddings as bookbind builds them: distinct canonical edges in any
     # order, pages in a bytearray (embed) or a list (verify, the oracle),
     # the empty spine and the empty edge list included
@@ -625,7 +659,7 @@ if given is not None:
         )
     )
     _json_values = st.recursive(
-        _scalars | _rows | _embeddings,
+        _scalars | _rows | _violations | _embeddings,
         lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(_chars), inner, max_size=4),
         max_leaves=24,
     )
@@ -638,6 +672,9 @@ if given is not None:
     @example([[], [1], [1, 2], []])
     @example([[1, True], [0, 2]])
     @example([[], []])
+    @example({"violations": [[[0, 1], [0, 2], "shared-endpoint"], [[0, 2], [1, 3], 'q"\u2028']]})
+    @example([[[1, 2, 3], [4], "x"], [[0, 1], [2, 3], "y"]])
+    @example([[[0, True], [1, 2], "x"]])
     @example({"": {}, "b": [], "a": [[1, 2, 3], [4, 5, 6]], "c": {"d": [[]]}})
     @example(BookEmbedding((), (), bytearray(), 1))
     @example({"w": [BookEmbedding((1, 0), [(0, 1)], [3], 4), 1.5], "x": (BookEmbedding((0,), [], [], 1),)})

@@ -7,7 +7,16 @@ import json
 import pytest
 
 from bookbind import cli
-from bookbind.graph_core import Graph, SpecFormatError, circulant, make_edge
+from bookbind.graph_core import (
+    BundleSpec,
+    Graph,
+    Shift,
+    SpecFormatError,
+    bundle,
+    bundle_edges,
+    circulant,
+    make_edge,
+)
 from bookbind.layout_engine import (
     DISPERSABLE,
     NEARLY_DISPERSABLE,
@@ -62,6 +71,19 @@ def test_validate_names_a_non_canonical_page_key():
     with pytest.raises(CoverageError) as info:
         validate(g, emb)
     assert str(info.value) == "page map mismatch: missing [(0, 2)], extra [(2, 0)]"
+    # against a bundle spec only pairs 0 <= u < v < n are keyed, and a
+    # failing check names the offenders as the spec's graph does
+    spec = BundleSpec(3, 4, Shift(2))
+    edges = bundle_edges(spec)  # edges[5] is the rung (2, 6)
+    for bad in ((6, 2), (2, -1)):
+        listed = [*edges[:5], bad, *edges[6:]]
+        emb = BookEmbedding(range(12), listed, [0] * len(listed), 1)
+        texts = []
+        for graph in (spec, bundle(spec)):
+            with pytest.raises(CoverageError) as info:
+                validate(graph, emb)
+            texts.append(str(info.value))
+        assert texts == [f"page map mismatch: missing [(2, 6)], extra [{bad}]"] * 2
 
 
 def test_book_embedding_fields_are_not_reassigned():
