@@ -13,8 +13,11 @@ toward row i+1 and across the seam from row s; a residual cycle's edges are
 works out where a seam lands.  A layout is written as
 data: its spine is one ``_zigzag`` of named blocks (rows, columns, residual
 cycles or column pairs, every other block reversed), its fibre pages are one
-rule ``page_of(row, column)`` handed to ``SequenceCatalog.fibres``, its rung
-and seam pages are explicit lists, and palettes cover the rest.  ``_select``
+row of t pages repeated s times, with at most a whole row and six cells
+written over it, handed to ``SequenceCatalog.fibres`` in row-major order,
+its rungs and seams are ``range`` strides (by row, by column or along row s)
+or residual cycles with page lists, and palettes cover the rest: no list is
+built with a Python call per edge.  ``_select``
 maps a spec to its ``(rule tag, layout)`` pair; coprime and trivial shifts
 have no rule and raise Unsupported.  Shifts are laid out as given;
 ``_wraps`` is the one place that says where their residual cycles wrap.
@@ -132,7 +135,9 @@ class SequenceCatalog:
     ``edges`` is ``bundle_edges(spec)`` as a tuple, edge k at index k, built once, and
     the graph, the search and the embedding all share its tuples.  A row is
     a run of t consecutive ids and a column a range of stride t, so both are
-    built from ``range`` without a call per vertex.
+    built from ``range`` without a call per vertex, and so are the rungs
+    of a column (``column_rungs``); ``fibres`` pairs the fibre edges with a
+    row-major page list.
     """
 
     def __init__(self, spec: BundleSpec):
@@ -157,13 +162,20 @@ class SequenceCatalog:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(range(self.flat(1, j), self.s * self.t, self.t))
 
-    def fibres(self, page_of: Callable[[int, int], int]) -> list[Fixed]:
-        """Every fibre edge with page ``page_of(i, j)`` of its tail, row by row:
-        row-major order numbers the fibre edges 0, 2, .., 2st-2."""
+    def fibres(self, pages: list[int], cells: Iterable[Cell] = ()) -> list[Fixed]:
+        """Every fibre edge with the page of its tail, ``pages`` listed row by
+        row (row-major order numbers the fibre edges 0, 2, .., 2st-2) and
+        each ``((i, j), page)`` of ``cells`` written over it in turn."""
 
-        s, t = self.s, self.t
-        pages = [page_of(i, j) for i in range(1, s + 1) for j in range(1, t + 1)]
-        return list(zip(range(0, 2 * s * t, 2), pages))
+        for (i, j), page in cells:
+            pages[self.flat(i, j)] = page
+        return list(zip(range(0, self.size, 2), pages))
+
+    def column_rungs(self, j: int) -> range:
+        """The rungs of column j, from rows 1..s-1 top down (the seam from
+        row s is not one): a stride of 2t from ``rung(1, j)``."""
+
+        return range(self.rung(1, j), 2 * (self.s - 1) * self.t, 2 * self.t)
 
 
 def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> list[int]:
@@ -177,6 +189,7 @@ def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> li
 
 Todo = tuple[int, tuple[int, ...]]  # edge number, palette
 Fixed = tuple[int, int]  # edge number, page
+Cell = tuple[tuple[int, int], int]  # (row, column) of a fibre's tail, page
 Plan = tuple[list[int], list[Fixed], list[Todo]]  # spine, fixed pages, palettes
 Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
 
@@ -322,21 +335,19 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """Shift gluing with gcd(t, d) even: residual cycles end to end."""
 
     s, t, d = spec.s, spec.t, spec.phi.d
-    g_ = gcd(t, d)
     V = residual_cycles(spec)
     _, wrapping = _wraps(t, d)
 
-    def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
-        k = (j - 1) % g_ + 1
-        if k % 2 == 1:
-            return YELLOW
-        if k < g_:
-            return PURPLE
-        return GREEN if j in wrapping else PURPLE
+    # fibre pages by the tail's column class, whose parity is the column's as
+    # gcd(t, d) is even: yellow on odd classes, purple on even ones, green on
+    # the wrapping columns (the last class)
+    row = [YELLOW, PURPLE] * (t // 2)
+    for j in wrapping:
+        row[j - 1] = GREEN
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
-    fixed = cat.fibres(fibre_page) + [(2 * cyc[-1] + 1, RED) for cyc in V]
+    fixed = cat.fibres(row * s) + [(2 * cyc[-1] + 1, RED) for cyc in V]
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
     todo = [(2 * v + 1, palette) for cyc in V for v in cyc[:-1]]
     return _zigzag(V), fixed, todo
@@ -347,9 +358,13 @@ def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     s, t, d = spec.s, spec.t, spec.phi.d
     spine = _zigzag(cat.column(j) for r in range(t // 2) for j in (1 + 2 * r, t - 2 * r))
-    fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 0 else GREEN)
-    fixed += [(cat.rung(s, j - d), RED if j % 2 == 1 else PURPLE) for j in range(1, t + 1)]
-    todo = [(cat.rung(i, j), (RED, PURPLE)) for j in range(1, t + 1) for i in range(1, s)]
+    fixed = cat.fibres([GREEN, YELLOW] * (t // 2) * s)
+    # the seams landing on columns 1..t in turn, red and purple alternating:
+    # from tail column 1 - d to t, then from 1 to -d
+    first = cat.rung(s, 1 - d)
+    seams = [*range(first, cat.size, 2), *range(cat.rung(s, 1), first, 2)]
+    fixed += zip(seams, [RED, PURPLE] * (t // 2))
+    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in cat.column_rungs(j)]
     return spine, fixed, todo
 
 
@@ -362,59 +377,47 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     even_residual = len(V[0]) % 2 == 0
     landing, wrapping = _wraps(t, d)
 
-    # Odd residuals only.  For g = 3 the blue fibre edge below would end on
-    # (s, 3-d), the last vertex of the last residual cycle and so an endpoint
-    # of its blue closing seam; yellow is the proper repair.
-    special = {} if even_residual else {
-        cat.fibre(s, 2 - d): YELLOW if g_ == 3 else BLUE,
-        cat.fibre(2, 1): BLUE,
-        cat.fibre(s, 1 - d): GREEN,
-        cat.fibre(1, 1): PURPLE,
-        cat.fibre(s - 1, 1 - d): RED,
-        cat.fibre(1, t): RED,
-    }
-
-    def fibre_page(i: int, j: int) -> int:  # keyed by the column class of the tail
-        k = (j - 1) % g_ + 1
-        if j in wrapping:
-            return PURPLE  # (1, t) is special above
-        if j in landing:
-            return YELLOW  # (1, 1) and (2, 1) are special above
-        if k % 2 == 0:
-            return GREEN
-        if k == 1:
-            return PURPLE
-        return YELLOW  # odd middle classes and the k = g_ class off the wrapping columns
+    # fibre pages by the tail's column class k: purple on k = 1, green on even
+    # k, yellow on the other odd k; yellow on the landing columns (class 1)
+    # and purple on the wrapping ones (class g)
+    row = ([PURPLE] + [GREEN, YELLOW] * (g_ // 2)) * (t // g_)
+    for j in landing:
+        row[j - 1] = YELLOW
+    for j in wrapping:
+        row[j - 1] = PURPLE
+    # Odd residuals only.  For g = 3 the blue fibre edge from (s, 2-d) would
+    # end on (s, 3-d), the last vertex of the last residual cycle and so an
+    # endpoint of its blue closing seam; yellow is the proper repair.
+    cells = () if even_residual else (
+        ((s, 2 - d), YELLOW if g_ == 3 else BLUE), ((2, 1), BLUE), ((s, 1 - d), GREEN),
+        ((1, 1), PURPLE), ((s - 1, 1 - d), RED), ((1, t), RED),
+    )
 
     # the first two cycles interleaved element by element, then the others
     spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
-    fixed = [(e, special.get(e, page)) for e, page in cat.fibres(fibre_page)]
+    fixed = cat.fibres(row * s, cells)
 
-    # first two residual cycles: fully explicit alternations
-    for k in (1, 2):
-        L = len(V[k - 1])
-        for idx, v in enumerate(V[k - 1], start=1):
-            if even_residual:
-                page = RED if idx % 2 == 1 else BLUE
-            elif idx == 1:
-                page = YELLOW
-            elif idx == L - 1:
-                page = PURPLE
-            elif idx == L:
-                page = BLUE if k == 1 else RED
-            else:
-                page = RED if idx % 2 == 0 else BLUE
-            fixed.append((2 * v + 1, page))
+    # first two residual cycles: red/blue alternations; an odd one opens
+    # yellow and closes purple, then blue on the first and red on the second
+    for last, cyc in zip((BLUE, RED), V[:2]):
+        L = len(cyc)
+        if even_residual:
+            cycle_pages = [RED, BLUE] * (L // 2)
+        else:
+            cycle_pages = [BLUE, RED] * (L // 2) + [BLUE]
+            cycle_pages[0], cycle_pages[-2], cycle_pages[-1] = YELLOW, PURPLE, last
+        fixed += zip([2 * v + 1 for v in cyc], cycle_pages)
 
     # middle residual cycles, whole cycle searched
-    todo = [(2 * v + 1, (RED, PURPLE, BLUE)) for k in range(3, g_) for v in V[k - 1]]
+    todo = [(2 * v + 1, (RED, PURPLE, BLUE)) for cyc in V[2:-1] for v in cyc]
 
     # last residual cycle: blue closing seam, yellow/red on the ladder through
     # the wrapping columns it ends with, purple/red before it
-    *path, closing = (2 * v + 1 for v in V[g_ - 1])
+    path = [2 * v + 1 for v in V[-1]]
+    fixed.append((path.pop(), BLUE))
     start = len(path) + 1 - s * len(wrapping)  # path-edge index the ladder follows
-    fixed.append((closing, BLUE))
-    todo += [(e, (YELLOW, RED) if idx > start else (PURPLE, RED)) for idx, e in enumerate(path, 1)]
+    todo += [(e, (PURPLE, RED)) for e in path[:start]]
+    todo += [(e, (YELLOW, RED)) for e in path[start:]]
     if start % 2 == 1:  # the one phase switch before the seam: blue second-last
         todo[-2] = (path[-2], todo[-2][1] + (BLUE,))
     return spine, fixed, todo
@@ -429,25 +432,23 @@ def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     s, t, kind = spec.s, spec.t, spec.phi.kind
     spine = _zigzag((cat.row(i) for i in range(1, s + 1)), first_reversed=True)
 
-    fixed: list[Fixed] = [
-        (cat.rung(i, j), YELLOW if i % 2 == 1 else GREEN)
-        for i in range(1, s)
-        for j in range(1, t + 1)
-    ]
+    # the rungs row by row, yellow from odd rows and green from even ones
+    seam = cat.rung(s, 1)
+    fixed = list(zip(range(1, seam, 2), ([YELLOW] * t + [GREEN] * t) * (s // 2)))
     if kind in (REFL_NONE, REFL_ONE):
-        fixed += [(cat.rung(s, j), PURPLE) for j in range(1, t + 1)]
+        fixed += [(e, PURPLE) for e in range(seam, cat.size, 2)]
     else:  # the seam on the fixed column 1, then the others by falling tail column
-        fixed.append((cat.rung(s, 1), BLUE))
-        fixed += [(cat.rung(s, j), PURPLE) for j in range(t, 1, -1)]
+        fixed.append((seam, BLUE))
+        fixed += [(e, PURPLE) for e in range(cat.rung(s, t), seam, -2)]
 
     palette = (YELLOW, GREEN, PURPLE, RED) if t % 2 == 0 else (YELLOW, GREEN, PURPLE, RED, BLUE)
-    todo = [(cat.fibre(i, j), palette) for i in range(1, s + 1) for j in range(1, t + 1)]
+    todo = [(e, palette) for e in range(0, cat.size, 2)]
     return spine, fixed, todo
 
 
 def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     spine = _zigzag(cat.column(j) for j in range(1, spec.t + 1))
-    fixed = cat.fibres(lambda i, j: YELLOW if j % 2 == 1 else GREEN)
+    fixed = cat.fibres([YELLOW, GREEN] * (spec.t // 2) * spec.s)
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
     todo = [(2 * v + 1, (PURPLE, RED)) for cyc in residual_cycles(spec) for v in cyc]
@@ -471,8 +472,7 @@ def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     """
 
     s = spec.s
-    rows = ((BLUE, YELLOW, RED), (PURPLE, BLUE, RED))  # row 1, then rows 2..s
-    fixed = cat.fibres(lambda i, j: rows[i > 1][j - 1])
+    fixed = cat.fibres([BLUE, YELLOW, RED] + [PURPLE, BLUE, RED] * (s - 1))  # row 1, then rows 2..s
     for i in range(1, s):
         fixed.append((cat.rung(i, 1), YELLOW if i % 2 == 1 else GREEN))
         fixed.append((cat.rung(i, 2), GREEN if i % 2 == 1 else YELLOW))
@@ -497,14 +497,11 @@ def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     rungs = [2 * v + 1 for cyc in residual_cycles(spec) for v in cyc]
     todo = [(e, (BLUE, PURPLE)) for e in rungs if e not in pinned]
 
-    def fibre_page(i: int, j: int) -> int:
-        if j == t:
-            return GREEN if i == 1 else YELLOW if i == 2 else RED
-        if j % 2 == 1:
-            return RED if (i, j) == (2, 1) else YELLOW
-        return BLUE if (i, j) == (1, t - 1) else GREEN
-
-    fixed += cat.fibres(fibre_page)
+    # fibre pages: yellow on odd columns, green on even ones and red on
+    # column t, but for four cells by the wrap
+    row = [YELLOW, GREEN] * (t // 2) + [RED]
+    cells = ((1, t), GREEN), ((2, t), YELLOW), ((2, 1), RED), ((1, t - 1), BLUE)
+    fixed += cat.fibres(row * s, cells)
     return _one_fixed_spine(cat, s, t), fixed, todo
 
 
@@ -515,34 +512,34 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     def outer(j: int) -> tuple[int, int]:  # top and bottom vertices of column j
         return cat.flat(1, j), cat.flat(s, j)
 
-    def inner(j: int) -> tuple[int, ...]:  # rows 2..s-1 of column j
-        return tuple(cat.flat(i, j) for i in range(2, s))
+    def inner(j: int) -> range:  # rows 2..s-1 of column j
+        return range(t + j - 1, (s - 1) * t, t)
 
     spine = _zigzag(
         [outer(j) + outer(t + 1 - j) for j in range(1, h + 1)]
-        + [inner(j) + inner(t + 1 - j)[::-1] for j in range(h, 0, -1)]
+        + [[*inner(j), *inner(t + 1 - j)[::-1]] for j in range(h, 0, -1)]
     )
 
-    exceptional = {
-        (1, h): BLUE,
-        (1, t): BLUE,
-        (s, h): RED,
-        (s, t): RED,
-    }
-    fixed = cat.fibres(lambda i, j: exceptional.get((i, j), GREEN if j % 2 == 0 else YELLOW))
-    for j in (1, h):
-        fixed += [(cat.rung(s - 1, j), PURPLE), (cat.rung(1, j), RED)]
-    for j in (h + 1, t):
-        fixed += [(cat.rung(s - 1, j), BLUE), (cat.rung(1, j), PURPLE)]
-    fixed += [(cat.rung(s, t), GREEN), (cat.rung(s, 1), GREEN)]
-    for j in range(2, h):
-        fixed += [(cat.rung(s, t + 1 - j), RED), (cat.rung(s, j), RED)]
-    half_seam = YELLOW if h % 2 == 1 else GREEN
-    fixed += [(cat.rung(s, h + 1), half_seam), (cat.rung(s, h), half_seam)]
+    # fibre pages: yellow on odd columns and green on even ones, but blue from
+    # (1, h) and (1, t) and red from (s, h) and (s, t)
+    cells = ((1, h), BLUE), ((1, t), BLUE), ((s, h), RED), ((s, t), RED)
+    fixed = cat.fibres([YELLOW, GREEN] * h * s, cells)
 
-    placed = {e for e, _ in fixed}
-    rungs = [cat.rung(i, j) for j in range(1, t + 1) for i in range(1, s)]
-    todo = [(e, (RED, PURPLE, BLUE)) for e in rungs if e not in placed]
+    pins: list[Fixed] = []
+    for j in (1, h):
+        pins += [(cat.rung(s - 1, j), PURPLE), (cat.rung(1, j), RED)]
+    for j in (h + 1, t):
+        pins += [(cat.rung(s - 1, j), BLUE), (cat.rung(1, j), PURPLE)]
+    pins += [(cat.rung(s, t), GREEN), (cat.rung(s, 1), GREEN)]
+    for j in range(2, h):
+        pins += [(cat.rung(s, t + 1 - j), RED), (cat.rung(s, j), RED)]
+    half_seam = YELLOW if h % 2 == 1 else GREEN
+    pins += [(cat.rung(s, h + 1), half_seam), (cat.rung(s, h), half_seam)]
+
+    placed = {e for e, _ in pins}
+    fixed += pins
+    columns = [cat.column_rungs(j) for j in range(1, t + 1)]
+    todo = [(e, (RED, PURPLE, BLUE)) for column in columns for e in column if e not in placed]
     return spine, fixed, todo
 
 

@@ -31,7 +31,9 @@ every spine order walked (a refuted one on a single grant), which
 the completion search, by one closed-form rule per rule tag, which
 ``embed``'s pages are checked against; and ``smith_form_map`` carries a
 shift spec with gcd(s, t, d) = 1 onto a circulant, where ``embed``'s
-embedding is validated and certified again.
+embedding is validated and certified again; ``plan_text`` writes a layout's
+plan as one JSON line, edges by their vertex pairs, which the plan digests
+(``PLAN_DIGEST`` in tier-1, ``tests/plan_digest.py`` on a wider grid) hash.
 """
 
 from __future__ import annotations
@@ -433,6 +435,18 @@ def closed_form_todo_pages(spec: BundleSpec, rule: str) -> dict[int, int]:
                     page = GREEN if i == 1 else YELLOW if i == s else PURPLE
                 pages[rung(i, j) - 1] = page  # the fibre edge of (i, j)
     return pages
+
+
+def plan_text(rule: str, cat, plan) -> str:
+    """A layout's plan as one JSON line: the rule tag, the spine, the fixed
+    list in order as ``[edge, page]`` and the todo list in order as
+    ``[edge, palette]``, each edge the vertex pair its number names in
+    ``cat``, a ``constructions.SequenceCatalog``."""
+
+    spine, fixed, todo = plan
+    fixed = [[list(cat.edges[k]), page] for k, page in fixed]
+    todo = [[list(cat.edges[k]), list(palette)] for k, palette in todo]
+    return json.dumps([rule, list(spine), fixed, todo])
 
 
 def smith_form_map(spec: BundleSpec) -> tuple[int, int, list[int]]:

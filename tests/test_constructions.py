@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -42,7 +43,13 @@ from bookbind.graph_core import (
 )
 from bookbind.layout_engine import PURPLE, RED, YELLOW, BookEmbedding, validate, violations
 from bookbind.oracle import CERTIFIED, certify, check_isomorphism
-from reference import closed_form_todo_pages, cycle_edges, reference_decode, smith_form_map
+from reference import (
+    closed_form_todo_pages,
+    cycle_edges,
+    plan_text,
+    reference_decode,
+    smith_form_map,
+)
 
 
 def _check(result, spec):
@@ -72,6 +79,18 @@ def test_sequence_catalog_wraps_indices():
     assert cat.rung(3, 1) == cat.rung(0, 1) == 21 and cat.edges[21] == (2, 10)
     assert cat.rung(3, 4) == 27 and cat.edges[27] == (0, 13)  # 3 + 2 wraps to 0
     assert SequenceCatalog(BundleSpec(3, 4, Reflection("two"))).edges[17] == (0, 8)
+    # the strides the layouts build their lists from, against the per-edge forms:
+    # fibre pages listed row by row, then cells written over them in turn
+    pages = list(range(100, 115))
+    want = [(cat.fibre(i, j), pages[cat.flat(i, j)]) for i in range(1, 4) for j in range(1, 6)]
+    assert cat.fibres(list(pages)) == want
+    want[4] = (8, 2)  # (1, 0) and (4, 5) both name (1, 5), the last write stands
+    assert cat.fibres(list(pages), [((1, 0), 1), ((4, 5), 2)]) == want
+    # a column's rungs over rows 1..s-1, wrapped columns (1 - d, 0, past t) included
+    for other in (cat, SequenceCatalog(BundleSpec(6, 4, Reflection("none")))):
+        for j in (1, 3, 4, 1 - 2, 0, 6):
+            want = [other.rung(i, j) for i in range(1, other.s)]
+            assert list(other.column_rungs(j)) == want, (other.s, j)
 
 
 def _catalog_specs(s_max: int, t_max: int):
@@ -615,18 +634,57 @@ def test_embed_outcomes_on_small_grid_are_pinned():
     assert digest.hexdigest() == GRID_DIGEST
 
 
-def _plan_text(rule, cat, plan) -> str:
-    spine, fixed, todo = plan
-    fixed = [[list(cat.edges[k]), page] for k, page in fixed]
-    todo = [[list(cat.edges[k]), list(palette)] for k, palette in todo]
-    return json.dumps([rule, list(spine), fixed, todo])
-
-
 # sha256 of every layout's plan (rule, spine, fixed list in order, todo list
 # in order) on the sweep grid s = 3..12, t = 3..30, shifts then reflections:
 # 1280 rows.  Fixed pages are pinned, so their order changes nothing but this
 # digest; the todo order is the search's, and its length sets the search depth.
 PLAN_DIGEST = "5c8f8cee3217f78caf08e86c65be2f3ae560ec367747212d63ead15401d57983"
+
+
+# each rule tag's e1k ladder spec beside its e4k one (s and t about doubled),
+# and the three-column one-fixed layout with s doubled
+LAYOUT_SIZE_PAIRS = [
+    ("s=22,t=22,phi=shift:2", "s=44,t=44,phi=shift:2"),
+    ("s=23,t=24,phi=shift:3", "s=45,t=42,phi=shift:3"),
+    ("s=22,t=21,phi=shift:3", "s=44,t=45,phi=shift:3"),
+    ("s=23,t=21,phi=shift:3", "s=45,t=45,phi=shift:3"),
+    ("s=23,t=22,phi=refl:none", "s=45,t=44,phi=refl:none"),
+    ("s=23,t=23,phi=refl:one", "s=45,t=45,phi=refl:one"),
+    ("s=23,t=22,phi=refl:two", "s=45,t=44,phi=refl:two"),
+    ("s=22,t=22,phi=refl:two", "s=44,t=44,phi=refl:two"),
+    ("s=22,t=23,phi=refl:one", "s=44,t=45,phi=refl:one"),
+    ("s=22,t=22,phi=refl:none", "s=44,t=44,phi=refl:none"),
+    ("s=22,t=3,phi=refl:one", "s=44,t=3,phi=refl:one"),
+]
+
+
+def _layout_calls(text: str) -> int:
+    # Python-level calls (not C builtins) made while the layout runs
+    spec = parse_bundle_spec(text)
+    _, layout = _select(spec)
+    cat = SequenceCatalog(spec)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        layout(cat, spec)
+    finally:
+        sys.setprofile(outer)
+    return calls
+
+
+@pytest.mark.parametrize("small, large", LAYOUT_SIZE_PAIRS)
+def test_layout_calls_grow_with_s_plus_t(small, large):
+    # a layout builds its lists from strides and row patterns, with at most a
+    # call per row, column or residual cycle: doubling s and t about doubles
+    # its calls, where a call per edge would about quadruple them
+    calls = _layout_calls(small), _layout_calls(large)
+    assert calls[1] <= 2.5 * calls[0], calls
 
 
 def test_layout_plans_on_sweep_grid_are_pinned():
@@ -642,7 +700,7 @@ def test_layout_plans_on_sweep_grid_are_pinned():
             edges = [cat.edges[k] for k, _ in plan[1]]
             pages = [page for _, page in plan[1]]
             assert violations(edges, pages, BookEmbedding(plan[0], (), (), 1).pos) == [], spec
-            digest.update(_plan_text(rule, cat, plan).encode() + b"\n")
+            digest.update(plan_text(rule, cat, plan).encode() + b"\n")
             rows += 1
     assert rows == 1280
     assert digest.hexdigest() == PLAN_DIGEST
