@@ -9,13 +9,16 @@ cycle (a shift with ``gcd(t, d) = 1``), numbering the vertices along it
 carries the graph onto a circulant on ``Z_{s*t}``; ``to_circulant`` returns
 that relabelling as a certificate instead of an embedding.  The reduction
 hands out plain data (``to_payload``); only ``cli`` encodes JSON.
+``odd_cycle`` is the witness that a twisted torus is not bipartite: a closed
+walk of odd length, made of one column and part of row 0, which
+``oracle.certify`` checks edge by edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import BundleSpec, Graph, Shift, circulant, vertex_index
+from .graph_core import REFL_NONE, BundleSpec, Graph, Reflection, Shift, circulant, vertex_index
 
 
 class DecompositionError(ValueError):
@@ -48,6 +51,29 @@ def residual_cycles(spec: BundleSpec) -> Cycles:
         if cycle:
             cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def odd_cycle(spec: BundleSpec) -> tuple[int, ...] | None:
+    """A closed walk of odd length in ``bundle(spec)`` (its vertices, the
+    last joined to the first), shorter than s + t, or None when the bundle
+    is bipartite.
+
+    Row 0 for odd t.  For even t: down column q (q = t/2 - 1 for
+    ``refl:none``, else 0), across the seam to (0, phi(q)) and back along
+    row 0 the shorter way, k = (q - phi(q)) mod t steps forward or t - k
+    back: s + k or s + t - k edges, one parity (s when k = 0).
+    """
+
+    s, t, phi = spec.s, spec.t, spec.phi
+    if t % 2:
+        return tuple(range(t))
+    q = t // 2 - 1 if isinstance(phi, Reflection) and phi.kind == REFL_NONE else 0
+    back = phi.apply(q, t)
+    k = (q - back) % t
+    if (s + k) % 2 == 0:
+        return None
+    row = range(back, back + k) if 2 * k <= t else range(back, back + k - t, -1)
+    return (*range(q, s * t, t), *(x % t for x in row))
 
 
 @dataclass(frozen=True)

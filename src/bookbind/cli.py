@@ -35,6 +35,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
+from .bundle_decomp import odd_cycle
 from .constructions import CompletionError, ConstructionResult, Unsupported, embed, parity_pages
 from .graph_core import (
     MAX_VERTICES,
@@ -432,7 +433,7 @@ def cmd_sweep(args) -> int:
         try:
             res = embed(spec)  # every swept spec has a rule
             report = res.report
-            cert = certify(res.graph, report)
+            cert = certify(res.graph, report, odd_cycle(spec))
             ok = cert.status == CERTIFIED
             line = (
                 f"{name}\tpredicted={predicted}\tpages={report.pages_used}"

@@ -27,12 +27,18 @@ deadline is read before every order searched and every 256th node (once
 for a refuted page count) and refuses it, and a refused order or node is
 never counted.  A witness is the graph's sorted edge list with each edge's
 page, read off the search's frames.
+
+``certify`` reads a valid embedding's bound off its m pages when
+2|E| = m·n (the pages are perfect matchings) or when 2|E| = (m − 1)·n and
+an odd closed walk checks out edge by edge; only otherwise does it call
+``lower_bound``.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -135,11 +141,12 @@ def lower_bound(g: Graph) -> int:
     """Degree bound, sharpened to Δ+1 for regular nonbipartite graphs.
 
     Every vertex's edges need distinct pages, so Δ pages are necessary; a
-    regular graph that embeds in Δ pages splits into Δ perfect matchings and
-    each page of a book embedding with all matchings perfect forces an even
-    structure, so nonbipartite regular graphs need Δ+1.  Δ, regularity and
-    the 2-colouring are read off one unsorted neighbour list per vertex,
-    built in one pass over the edges.
+    regular graph that embeds in Δ pages splits into Δ perfect matchings,
+    and a noncrossing perfect matching pairs spine places of opposite
+    parity (the places a chord encloses are matched among themselves), so
+    spine parity 2-colours the graph and nonbipartite regular graphs need
+    Δ+1.  Δ, regularity and the 2-colouring are read off one unsorted
+    neighbour list per vertex, built in one pass over the edges.
     """
 
     rows = _neighbours(g)
@@ -400,12 +407,39 @@ class CertifyResult:
     bound: int
 
 
-def certify(g: Graph, report: ValidationReport) -> CertifyResult:
+def certify(
+    g: Graph, report: ValidationReport, odd_cycle: Sequence[int] | None = ()
+) -> CertifyResult:
     """Pin the optimum: a valid embedding of ``g`` (given its validation
-    report) meeting the lower bound is exact."""
+    report) meeting the lower bound is exact.
+
+    No two edges at a vertex share a page, so no degree exceeds the m pages
+    used.  When 2|E| = m·n every page is a perfect matching, which pairs
+    spine places of opposite parity: ``g`` is m-regular and bipartite, and
+    the bound is m.  When 2|E| = (m − 1)·n, Δ = m or ``g`` is (m − 1)-regular,
+    so ``odd_cycle``, a closed walk of odd length in ``g``
+    (``bundle_decomp.odd_cycle(spec)``, None for a bipartite spec), makes
+    the bound m.  Otherwise, a missing or wrong walk included, the bound is
+    ``lower_bound(g)``.
+    """
 
     if not report.ok:
         raise OracleError(f"embedding invalid: {report.violations[:3]}")
-    bound = lower_bound(g)
-    status = CERTIFIED if report.pages_used == bound else UPPER_BOUND_ONLY
-    return CertifyResult(status, report.pages_used, bound)
+    m = report.pages_used
+    twice = 2 * len(g.edges)
+    if twice == m * g.n or (twice == (m - 1) * g.n and _odd_closed_walk(g, odd_cycle)):
+        bound = m
+    else:
+        bound = lower_bound(g)
+    status = CERTIFIED if m == bound else UPPER_BOUND_ONLY
+    return CertifyResult(status, m, bound)
+
+
+def _odd_closed_walk(g: Graph, walk: Sequence[int] | None) -> bool:
+    """Is ``walk`` of odd length, each vertex joined in ``g`` to the next
+    and the last to the first?"""
+
+    edges = g.edges
+    return walk is not None and len(walk) % 2 == 1 and all(
+        ((u, v) if u < v else (v, u)) in edges for u, v in zip(walk, (*walk[1:], *walk[:1]))
+    )

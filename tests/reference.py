@@ -27,6 +27,10 @@ map; ``is_bipartite`` is a plain BFS 2-colouring, which
 ``reference_search_phase`` is one page count of the oracle's search with
 every spine order walked (a refuted one on a single grant), which
 ``oracle._search_phase`` is checked against grant for grant;
+``reference_certify`` is ``oracle.certify`` with the bound always read
+by ``oracle.lower_bound``, which its two certificates are checked against;
+``odd_cycle_fault`` checks ``bundle_decomp.odd_cycle``'s witness against
+``is_bipartite`` and ``reference_decode``;
 ``closed_form_todo_pages`` is the page of every edge a layout leaves to
 the completion search, by one closed-form rule per rule tag, which
 ``embed``'s pages are checked against; and ``smith_form_map`` carries a
@@ -44,7 +48,7 @@ from collections import deque
 
 from bookbind import oracle
 from bookbind.bundle_decomp import Cycles, residual_cycles
-from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, make_edge, vertex_index
+from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, bundle, make_edge, vertex_index
 from bookbind.layout_engine import BLUE, GREEN, PURPLE, RED, YELLOW, BookEmbedding
 
 
@@ -122,6 +126,36 @@ def reference_decode(spec: BundleSpec, k: int) -> Edge:
     if v < (spec.s - 1) * t:
         return (v, v + t)
     return (spec.phi.apply(q, t), v)
+
+
+def odd_cycle_fault(spec: BundleSpec, walk) -> str | None:
+    """What is wrong with ``walk`` as ``bundle_decomp.odd_cycle(spec)``, or
+    None.  It must be None exactly when ``bundle(spec)`` is bipartite, and
+    otherwise a closed walk of odd length below s + t, each vertex joined to
+    the next (the last to the first) by an edge that ``reference_decode``
+    names."""
+
+    if is_bipartite(bundle(spec)):
+        return None if walk is None else f"a walk {walk} in a bipartite bundle"
+    if walk is None:
+        return "no walk in a nonbipartite bundle"
+    if len(walk) % 2 == 0 or len(walk) >= spec.s + spec.t:
+        return f"a walk of length {len(walk)}"
+    edges = {reference_decode(spec, k) for k in range(2 * spec.s * spec.t)}
+    steps = [make_edge(u, v) for u, v in zip(walk, (*walk[1:], walk[0]))]
+    missing = [e for e in steps if e not in edges]
+    return f"steps {missing} are not edges" if missing else None
+
+
+def reference_certify(g, report) -> oracle.CertifyResult:
+    """``oracle.certify`` with the bound read by ``oracle.lower_bound``
+    alone, whatever the pages: a valid embedding meeting it is exact."""
+
+    if not report.ok:
+        raise oracle.OracleError(f"embedding invalid: {report.violations[:3]}")
+    bound = oracle.lower_bound(g)
+    status = oracle.CERTIFIED if report.pages_used == bound else oracle.UPPER_BOUND_ONLY
+    return oracle.CertifyResult(status, report.pages_used, bound)
 
 
 def reference_graph_edges(n, edges):

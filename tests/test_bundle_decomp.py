@@ -8,7 +8,7 @@ import random
 import pytest
 
 from bookbind import cli
-from bookbind.bundle_decomp import DecompositionError, residual_cycles, to_circulant
+from bookbind.bundle_decomp import DecompositionError, odd_cycle, residual_cycles, to_circulant
 from bookbind.graph_core import (
     BundleSpec,
     Reflection,
@@ -18,7 +18,7 @@ from bookbind.graph_core import (
     make_edge,
     vertex_index,
 )
-from reference import cycle_edges, fiber_cycles
+from reference import cycle_edges, fiber_cycles, odd_cycle_fault
 
 
 def _cycle_edges_in(dec, g):
@@ -218,3 +218,30 @@ def test_residual_walks_and_reductions_are_pinned():
                 rows += 1
     assert rows == 2640
     assert digest.hexdigest() == WALK_DIGEST
+
+
+def test_odd_cycle_frozen_small_cases():
+    assert odd_cycle(BundleSpec(3, 6, Shift(2))) == (0, 6, 12, 2, 1)  # column 0, back 2
+    assert odd_cycle(BundleSpec(4, 8, Shift(3))) == (0, 8, 16, 24, 3, 2, 1)
+    assert odd_cycle(BundleSpec(4, 6, Reflection("none"))) == (2, 8, 14, 20, 3)  # column 2
+    assert odd_cycle(BundleSpec(3, 8, Shift(0))) == (0, 8, 16)  # the column closes alone
+    assert odd_cycle(BundleSpec(3, 5, Reflection("one"))) == (0, 1, 2, 3, 4)  # row 0
+    assert odd_cycle(BundleSpec(4, 6, Shift(2))) is None
+
+
+def test_odd_cycle_is_a_witness_exactly_for_nonbipartite_bundles():
+    # s = 3..12, t = 3..30, every shift d (0 and the coprime ones included)
+    # and every reflection kind: None exactly for a bipartite bundle by BFS,
+    # else an odd closed walk below s + t along edges reference_decode names
+    witnesses = rows = 0
+    for s in range(3, 13):
+        for t in range(3, 31):
+            phis = [Shift(d) for d in range(t)]
+            phis += [Reflection(kind) for kind in (("one",) if t % 2 else ("none", "two"))]
+            for phi in phis:
+                spec = BundleSpec(s, t, phi)
+                walk = odd_cycle(spec)
+                assert odd_cycle_fault(spec, walk) is None, (spec, walk)
+                witnesses += walk is not None
+                rows += 1
+    assert (rows, witnesses) == (5040, 3710)

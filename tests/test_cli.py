@@ -7,7 +7,8 @@ from xml.etree import ElementTree
 
 import pytest
 
-from bookbind import cli, graph_core, layout_engine
+from bookbind import cli, graph_core, layout_engine, oracle
+from bookbind.bundle_decomp import odd_cycle
 from bookbind.constructions import embed
 from bookbind.layout_engine import BookEmbedding
 from bookbind.oracle import CERTIFIED, certify, check_isomorphism
@@ -729,12 +730,33 @@ def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
 @pytest.mark.parametrize("text", ["s=3,t=6,phi=shift:2", "s=4,t=6,phi=shift:2"])
 def test_certify_builds_no_sorted_structure(text):
     # one nonbipartite row (bound Δ+1) and one bipartite (Δ): certify reads
-    # degrees and the 2-colouring off unsorted neighbour rows; edge_list is
-    # a cached property, so building it leaves its key
-    res = embed(graph_core.parse_bundle_spec(text))
-    cert = certify(res.graph, res.report)
+    # the pages used, the edge count and the odd walk's steps, looked up in
+    # the edge set; edge_list is a cached property, so building it leaves
+    # its key
+    spec = graph_core.parse_bundle_spec(text)
+    res = embed(spec)
+    cert = certify(res.graph, res.report, odd_cycle(spec))
     assert (cert.status, cert.pages) == (CERTIFIED, res.report.pages_used)
     assert "edge_list" not in vars(res.graph)
+
+
+def test_sweep_and_embed_read_no_degree_off_the_graph(monkeypatch, capsys):
+    # a sweep row is certified by its perfect-matching pages or its odd
+    # walk, and a dispersable embedding is classified by its pages, so
+    # neither calls lower_bound nor max_degree
+    want = run(capsys, "embed", "s=4,t=6,phi=shift:2")
+    assert want[0] == 0
+
+    def refuse(g):
+        raise AssertionError("the degree bound was read off the graph")
+
+    monkeypatch.setattr(oracle, "lower_bound", refuse)
+    for module in (graph_core, layout_engine):
+        monkeypatch.setattr(module, "max_degree", refuse)
+    for family, s in (("shift", "3:6"), ("reflection", "3:8")):
+        code, out, _ = run(capsys, "sweep", "--family", family, "--s", s, "--t", "4:12")
+        assert code == 0 and out.endswith(" failures=0\n"), out
+    assert run(capsys, "embed", "s=4,t=6,phi=shift:2") == want
 
 def test_make_edge_runs_once_per_graph_and_embedding(tmp_path, monkeypatch, capsys):
     # embed: the layout builds each edge and the graph canonicalises it;

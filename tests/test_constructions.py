@@ -756,3 +756,27 @@ def test_embeddings_certify_on_the_isomorphic_circulant():
                 assert report.ok and certify(h, report).status == CERTIFIED, spec
                 specs += 1
     assert specs == 61
+
+
+def test_embeddings_validate_on_the_mirror_spec():
+    # (s, t, d) ≅ (s, t, t - d) under (p, q) -> (p, -q mod t): embed's
+    # embedding of every shift with a rule on s = 3..12, t = 3..30, carried
+    # through the map, must validate on bundle(s, t, t - d) in as many pages
+    specs = 0
+    for s in range(3, 13):
+        for t in range(3, 31):
+            mirror = [p * t + -q % t for p in range(s) for q in range(t)]  # flat id -> image
+            for d in range(1, t):
+                if math.gcd(t, d) == 1:
+                    continue
+                emb = embed(BundleSpec(s, t, Shift(d))).embedding
+                moved = BookEmbedding(
+                    [mirror[v] for v in emb.order],
+                    [make_edge(mirror[u], mirror[v]) for u, v in emb.edges],
+                    emb.pages,
+                    emb.m,
+                )
+                report = validate(BundleSpec(s, t, Shift(t - d)), moved)
+                assert report.ok and report.pages_used == emb.m, (s, t, d)
+                specs += 1
+    assert specs == 1580

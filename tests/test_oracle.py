@@ -10,13 +10,17 @@ import json
 import math
 import tracemalloc
 import types
+from collections import Counter
 from unittest import mock
 
 import pytest
 
 import reference
 from bookbind import cli, oracle
-from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant
+from bookbind.bundle_decomp import odd_cycle
+from bookbind.cli import _sweep_specs
+from bookbind.constructions import embed
+from bookbind.graph_core import BundleSpec, Graph, Shift, bundle, circulant, make_edge
 from bookbind.layout_engine import DISPERSABLE, classify, validate
 from bookbind.oracle import (
     CERTIFIED,
@@ -33,7 +37,7 @@ from bookbind.oracle import (
     lower_bound,
     search_fixed_pages,
 )
-from reference import embedding_of
+from reference import embedding_of, reference_certify
 
 try:
     from hypothesis import event, example, given, settings, strategies as st
@@ -418,9 +422,13 @@ def test_certify_above_the_bound_is_only_an_upper_bound():
     pages[moved] = 4  # push one edge onto a fresh page
     wider = embedding_of(emb.order, pages, 5)
     g = bundle(spec)
-    cert = certify(g, validate(g, wider))
+    report = validate(g, wider)
+    cert = certify(g, report)
     assert cert.status == UPPER_BOUND_ONLY
     assert cert.pages == 5 and cert.bound == 4
+    # 2|E| = (m - 1)·n here, but no walk of a bipartite graph is odd and closed
+    for walk in _walks((), odd_cycle(BundleSpec(3, 6, Shift(2)))):
+        assert certify(g, report, walk) == cert == reference_certify(g, report)
 
 
 def test_certify_rejects_invalid_embedding():
@@ -437,6 +445,143 @@ def test_certify_rejects_invalid_embedding():
     report = validate(g, embedding_of(emb.order, pages, emb.m))
     with pytest.raises(OracleError):
         certify(g, report)
+
+
+def _odd_walk(g: Graph) -> tuple[int, ...]:
+    """A closed walk of odd length in ``g``, or ``()`` for a bipartite one:
+    the breadth-first tree paths from a root to the two ends of an edge
+    whose ends are at depths of one parity, joined by that edge."""
+
+    adjacent = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    parent: dict[int, int | None] = {}
+    for root in range(g.n):
+        if root not in parent:
+            parent[root] = None
+            queue = [root]
+            for u in queue:
+                for v in adjacent[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+
+    def to_root(v):
+        path = []
+        while v is not None:
+            path.append(v)
+            v = parent[v]
+        return path
+
+    for u, v in sorted(g.edges):
+        a, b = to_root(u), to_root(v)
+        if len(a) % 2 == len(b) % 2:
+            return (*reversed(a), *b[:-1])
+    return ()
+
+
+def _walks(walk, other):
+    """``walk`` and wrong ones: none, the walk twice round (even, each step
+    an edge), the walk with its last vertex swapped for a non-vertex, and
+    ``other``, another graph's walk."""
+
+    walk = walk or ()
+    return [walk, (), walk * 2, (*walk[:-1], -1), other]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [K33, *(circulant(n, {1}) for n in range(4, 8))]
+    + [circulant(n, jumps) for n, jumps in ((6, {1, 2}), (8, {1, 2}), (8, {1, 4}), (9, {1, 3}))],
+)
+def test_certify_agrees_with_the_reference_on_mbt_witnesses(g):
+    report = validate(g, brute_force_mbt(g).witness)
+    want = reference_certify(g, report)
+    assert want.status == CERTIFIED
+    for walk in _walks(_odd_walk(g), odd_cycle(BundleSpec(3, 3, Shift(0)))):
+        assert certify(g, report, walk) == want, walk
+
+
+def test_certify_agrees_with_the_reference_on_every_sweep_row(monkeypatch):
+    # every `bookbind sweep` row of s = 3..12, t = 3..30, both families: its
+    # own walk certifies it without lower_bound, and no walk, wrong ones
+    # included, moves the answer off the reference's
+    calls = []
+    lower_bound = oracle.lower_bound
+    monkeypatch.setattr(oracle, "lower_bound", lambda g: calls.append(g) or lower_bound(g))
+    rows, other = 0, odd_cycle(BundleSpec(3, 3, Shift(0)))
+    for family in ("shift", "reflection"):
+        for spec in _sweep_specs(family, (3, 12), (3, 30)):
+            res = embed(spec)
+            want = reference_certify(res.graph, res.report)
+            assert want.status == CERTIFIED, spec
+            walk = odd_cycle(spec)
+            calls.clear()
+            assert certify(res.graph, res.report, walk) == want and not calls, spec
+            for wrong in _walks(walk, other)[1:]:
+                assert certify(res.graph, res.report, wrong) == want, (spec, wrong)
+            other = walk or other
+            rows += 1
+    assert rows == 1280
+
+
+if given is not None:
+
+    def _noncrossing_matching(draw, places):
+        """A noncrossing perfect matching of an even run of spine places:
+        the first is matched with a place an odd distance on, and the runs
+        inside and outside that chord are matched on their own."""
+
+        if not places:
+            return []
+        j = 2 * draw(st.integers(0, len(places) // 2 - 1)) + 1
+        inside, outside = places[1:j], places[j + 1 :]
+        return [(places[0], places[j]), *_noncrossing_matching(draw, inside)] + (
+            _noncrossing_matching(draw, outside)
+        )
+
+    @st.composite
+    def _proper_embeddings(draw):
+        """A graph and a valid embedding of it: k noncrossing perfect
+        matchings of a spine of n places (an edge drawn twice keeps its
+        first page), then a few edges dropped, and a few moved or new
+        chords put each on a page of its own."""
+
+        n = 2 * draw(st.integers(1, 5))
+        order = draw(st.permutations(range(n)))
+        k = draw(st.integers(1, 4))
+        pages = {}
+        for p in range(k):
+            for a, b in _noncrossing_matching(draw, list(range(n))):
+                pages.setdefault(make_edge(order[a], order[b]), p)
+        edges = sorted(pages)
+        for e in draw(st.lists(st.sampled_from(edges), unique=True, max_size=2)):
+            del pages[e]
+        moved = draw(st.lists(st.sampled_from(edges), unique=True, max_size=2))
+        chord = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))  # a vertex and a step on
+        added = draw(st.lists(chord.map(lambda c: make_edge(c[0], (c[0] + c[1]) % n)), max_size=2))
+        m = k
+        for e in moved + added:
+            pages[e] = m
+            m += 1
+        return Graph(n, frozenset(pages)), embedding_of(order, pages, m)
+
+    @settings(max_examples=200)  # a few milliseconds each
+    @given(_proper_embeddings())
+    def test_certify_agrees_with_the_reference_on_drawn_embeddings(case):
+        g, emb = case
+        report = validate(g, emb)
+        assert report.ok
+        m, twice, want = report.pages_used, 2 * len(g.edges), reference_certify(g, report)
+        degree = Counter(x for e in g.edges for x in e)
+        shape = "regular" if len({degree[v] for v in range(g.n)}) == 1 else "irregular"
+        if twice == m * g.n:
+            event(f"2|E| = m·n, {shape}")
+        elif twice == (m - 1) * g.n:
+            event(f"2|E| = (m - 1)·n, {shape}, {want.status}")
+        for walk in _walks(_odd_walk(g), odd_cycle(BundleSpec(3, 3, Shift(0)))):
+            assert certify(g, report, walk) == want, walk
 
 
 def test_mbt_result_counters_present():
