@@ -7,26 +7,28 @@ structure (conflict = shared endpoint or crossing chords).  Budgets cap the
 work; an exhausted budget is reported as such, never converted into a claim.
 
 The kernel is bit-parallel: bit ``e`` of an integer stands for edge ``e``.
-Per order, one prefix-XOR pass over the spine and one loop over the edges
-give the conflict masks (three bit operations per edge) and the edges
-bucketed by conflict degree, on incidence masks built once per graph
-(``brute_force_mbt`` shares one build and one budget across its page
-counts).  A page count whose m pages of ⌊n/2⌋ edges cannot hold every edge
-is refuted by that one test; its orders are counted in one grant of the
-budget, without being built.  The colouring is an explicit-stack DFS that
-keeps, per page, the union of its edges' conflict masks, and the
-saturation levels: one mask per k of the edges in at least k of those
-unions.  Placing an edge updates the levels with one AND/OR per level from
-the edges its page's union gains, a frame keeps the levels it replaced for
-the backtrack, and a node reads the most saturated uncoloured edges off the
-top level that holds one; the degree buckets break ties in the order of the
-``(saturation, degree, -index)`` key.
-Nodes and orders are counted in locals and refused by one rule,
-``_BudgetClock.grant``: a cap refuses the first order or node past it, the
-deadline is read before every order searched and every 256th node (once
-for a refuted page count) and refuses it, and a refused order or node is
-never counted.  A witness is the graph's sorted edge list with each edge's
-page, read off the search's frames.
+One loop, ``_search_phase``, does a page count's work with no call per
+spine order: per order, one prefix-XOR pass over the spine and one loop
+over the edges give the conflict masks (three bit operations per edge) and
+the edges bucketed by conflict degree, on incidence masks built once per
+graph (``brute_force_mbt`` shares one build and one budget across its page
+counts), and the same loop colours the order.  A page count whose m pages
+of ⌊n/2⌋ edges cannot hold every edge is refuted by that one test; its
+orders are counted in one grant of the budget, without being built.  The
+colouring is an explicit-stack DFS that keeps, per page, the union of its
+edges' conflict masks, and the saturation levels: one mask per k of the
+edges in at least k of those unions.  Placing an edge updates the levels
+with one AND/OR per level from the edges its page's union gains, a frame
+keeps the levels it replaced for the backtrack, and a node reads the most
+saturated uncoloured edges off the top level that holds one; the degree
+buckets break ties in the order of the ``(saturation, degree, -index)``
+key.  Nodes and orders are counted in locals carried from one order to
+the next and refused by one rule, ``_BudgetClock.grant``, asked only when
+a count reaches its last grant: a cap refuses the first order or node past
+it, the deadline is read before every order searched and every 256th node
+(once for a refuted page count) and refuses it, and a refused order or
+node is never counted.  A witness is the graph's sorted edge list with
+each edge's page, read off the search's frames.
 
 ``certify`` reads a valid embedding's bound off its m pages when
 2|E| = m·n (the pages are perfect matchings) or when 2|E| = (m − 1)·n and
@@ -186,123 +188,6 @@ class _Incidence:
             vm[v] |= 1 << e
         self.rows = [(u, v, vm[u] | vm[v], 1 << e) for e, (u, v) in enumerate(self.edges)]
 
-    def conflicts(self, order: tuple[int, ...]) -> tuple[list[int], list[int]]:
-        """The conflict masks of one spine order, and its edges by conflict
-        degree: one mask per degree that some edge has, highest first.
-
-        One pass over the spine stores ``before[v]``, the XOR of the masks
-        of the vertices ahead of ``v``.  For a chord with ends at positions
-        ``lo < hi``, ``before[u] ^ before[v]`` holds the edges with exactly
-        one end in ``[lo, hi)``: every chord crossing it, the chord itself
-        and some of the edges sharing an end with it.  OR-ing in ``ends``
-        adds the rest of those and XOR-ing out ``bit`` drops the chord.
-        The same loop files each edge under its degree.
-        """
-
-        vertex_masks = self.vertex_masks
-        before = [0] * len(order)
-        acc = 0
-        for v in order:
-            before[v] = acc
-            acc ^= vertex_masks[v]
-        masks: list[int] = []
-        keep = masks.append
-        by_degree = [0] * len(self.rows)
-        for u, v, ends, bit in self.rows:
-            keep(mask := ((before[u] ^ before[v]) | ends) ^ bit)
-            by_degree[mask.bit_count()] |= bit
-        # within one degree the lowest set bit is the lowest edge index
-        return masks, [*filter(None, reversed(by_degree))]
-
-
-def _color_edges(
-    inc: _Incidence, order: tuple[int, ...], m: int, clock: _BudgetClock
-) -> tuple[str, list[int] | None]:
-    """Exact m-colouring of the conflict structure for one spine order.
-
-    Depth-first search that colours next the uncoloured edge of highest
-    saturation (pages already holding a conflicting edge), then highest
-    conflict degree, then lowest index, trying pages in increasing order
-    and opening at most one new page per step.  A page takes no edge that
-    conflicts with one of its edges, so it is a matching and never holds
-    more than ⌊n/2⌋ edges.  Each node is counted on ``clock``.
-    Returns ("sat", pages), edge ``inc.edges[i]`` on ``pages[i]``,
-    ("unsat", None), or ("cut", None) when the budget ran dry mid-search.
-    """
-
-    ne = len(inc.edges)
-    m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
-    masks, ranks = inc.conflicts(order)
-    near = [0] * m  # per page: OR of the conflict masks of its edges
-    free = (1 << ne) - 1  # uncoloured edges
-    used = 0  # pages 0..used-1 are the nonempty ones
-    # levels[k]: the edges in the unions ``near`` of at least k pages,
-    # coloured ones included (-1 stands for every edge), up to the highest
-    # nonempty level.  A list is never changed once built, so a frame keeps
-    # the one it replaced.
-    levels = [-1]
-    # an explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, kept alive until a full collection;
-    # a frame is (edge, page, near[page], levels, used) before a placement
-    frames: list[tuple[int, int, int, list[int], int]] = []
-    nodes = stop = clock.nodes  # take nodes until ``nodes`` reaches ``stop``
-    cap = clock.budget.max_nodes
-    descend = True
-    while True:
-        if descend:
-            if not free:
-                clock.nodes = nodes
-                return "sat", [f[1] for f in sorted(frames)]  # one frame per edge
-            if nodes == stop:
-                stop = clock.grant(nodes, cap, 256)
-                if nodes == stop:
-                    clock.nodes = nodes
-                    return "cut", None
-            nodes += 1
-            k = len(levels) - 1
-            while not levels[k] & free:
-                k -= 1
-            best = levels[k] & free  # the most saturated uncoloured edges
-            for rank in ranks:
-                top = best & rank
-                if top:
-                    break
-            e = (top & -top).bit_length() - 1
-            c = -1
-        else:  # the last colouring failed below: undo it, try the next page
-            if not frames:
-                clock.nodes = nodes
-                return "unsat", None
-            e, c, saved, levels, used = frames.pop()
-            near[c] = saved
-            free |= 1 << e
-        bit = 1 << e
-        limit = used + 1 if used < m else m
-        c += 1
-        while c < limit and near[c] & bit:
-            c += 1
-        descend = c < limit
-        if descend:
-            saved = near[c]
-            frames.append((e, c, saved, levels, used))
-            mask = masks[e]
-            near[c] = saved | mask
-            delta = mask & ~saved  # the edges page c's union gains
-            if delta:
-                # an edge of ``delta`` at level k-1 reaches level k; a plain
-                # loop builds these few levels faster than a comprehension
-                lifted = []
-                lo = 0
-                for hi in levels:
-                    lifted.append(hi | lo & delta)
-                    lo = hi
-                if lo & delta:
-                    lifted.append(lo & delta)
-                levels = lifted
-            if c == used:  # c opens a page
-                used += 1
-            free ^= bit
-
 
 def check_page_count(m: int) -> None:
     if m < 1:  # the one test of a page count asked for
@@ -325,32 +210,135 @@ def _search_phase(n: int, inc: _Incidence, m: int, clock: _BudgetClock) -> PageS
     cut holds only for n ≥ 3) are then counted without being built, in one
     grant: the deadline, when one runs, is read once, and unless it has
     passed every order is counted, up to the cap.
+
+    Otherwise one loop does the page count's work, order after order,
+    with orders and nodes counted in locals carried across orders: a grant
+    is asked for only when a count reaches the last one.  Per order, one
+    pass over the spine stores ``before[v]``, the XOR of the masks of the
+    vertices ahead of ``v``.  For a chord with ends at positions
+    ``lo < hi``, ``before[u] ^ before[v]`` holds the edges with exactly one
+    end in ``[lo, hi)``: every chord crossing it, the chord itself and some
+    of the edges sharing an end with it.  OR-ing in ``ends`` adds the rest
+    of those and XOR-ing out ``bit`` drops the chord, giving the conflict
+    mask; the same loop files each edge under its conflict degree.
+
+    The order is then coloured exactly by a depth-first search that colours
+    next the uncoloured edge of highest saturation (pages already holding
+    a conflicting edge), then highest conflict degree, then lowest index,
+    trying pages in increasing order and opening at most one new page per
+    step.  A page takes no edge that conflicts with one of its edges, so it
+    is a matching and never holds more than ⌊n/2⌋ edges.  The first
+    colouring found is the witness; a refused order or node cuts the phase.
     """
 
     orders = stop = clock.orders  # orders may start until ``orders`` reaches ``stop``
     cap = clock.budget.max_orders
-    if m * (n // 2) < len(inc.edges):
+    edges = inc.edges
+    ne = len(edges)
+    if m * (n // 2) < ne:
         end = orders + math.factorial(n - 1) // 2
         if clock.grant(orders, cap, 1) > orders:  # neither the cap nor the deadline is reached
             orders = end if cap is None else min(cap, end)
         clock.orders = orders
         return PageSearchResult(m, False, None, orders == end, clock.counters())
+    pages = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
+    vertex_masks, rows = inc.vertex_masks, inc.rows
+    nodes = node_stop = clock.nodes  # take nodes until ``nodes`` reaches ``node_stop``
+    node_cap = clock.budget.max_nodes
+    before = [0] * n
+    witness = None
+    exhausted = False
     for order in _spine_orders(n):
         if orders == stop:
             stop = clock.grant(orders, cap, 1)
             if orders == stop:
-                clock.orders = orders
-                return PageSearchResult(m, False, None, False, clock.counters())
+                break
         orders += 1
-        verdict, pages = _color_edges(inc, order, m, clock)
-        if verdict != "unsat":
-            clock.orders = orders
-            if verdict == "sat":
-                witness = BookEmbedding(order, inc.edges, pages, m)
-                return PageSearchResult(m, True, witness, False, clock.counters())
-            return PageSearchResult(m, False, None, False, clock.counters())
-    clock.orders = orders
-    return PageSearchResult(m, False, None, True, clock.counters())
+        acc = 0
+        for v in order:
+            before[v] = acc
+            acc ^= vertex_masks[v]
+        masks: list[int] = []
+        keep = masks.append
+        by_degree = [0] * ne
+        for u, v, ends, bit in rows:
+            keep(mask := ((before[u] ^ before[v]) | ends) ^ bit)
+            by_degree[mask.bit_count()] |= bit
+        # one mask per degree that some edge has, highest first; within one
+        # degree the lowest set bit is the lowest edge index
+        ranks = [*filter(None, reversed(by_degree))]
+        near = [0] * pages  # per page: OR of the conflict masks of its edges
+        free = (1 << ne) - 1  # uncoloured edges
+        used = 0  # pages 0..used-1 are the nonempty ones
+        # levels[k]: the edges in the unions ``near`` of at least k pages,
+        # coloured ones included (-1 stands for every edge), up to the
+        # highest nonempty level.  A list is never changed once built, so a
+        # frame keeps the one it replaced.
+        levels = [-1]
+        # an explicit stack, not a recursive closure: a closure that calls
+        # itself is a reference cycle, kept alive until a full collection;
+        # a frame is (edge, page, near[page], levels, used) before a placement
+        frames: list[tuple[int, int, int, list[int], int]] = []
+        descend = True
+        while True:
+            if descend:
+                if not free:  # one frame per edge
+                    witness = BookEmbedding(order, edges, [f[1] for f in sorted(frames)], m)
+                    break
+                if nodes == node_stop:
+                    node_stop = clock.grant(nodes, node_cap, 256)
+                    if nodes == node_stop:
+                        break
+                nodes += 1
+                k = len(levels) - 1
+                while not levels[k] & free:
+                    k -= 1
+                best = levels[k] & free  # the most saturated uncoloured edges
+                for rank in ranks:
+                    top = best & rank
+                    if top:
+                        break
+                e = (top & -top).bit_length() - 1
+                c = -1
+            else:  # the last colouring failed below: undo it, try the next page
+                if not frames:
+                    break
+                e, c, saved, levels, used = frames.pop()
+                near[c] = saved
+                free |= 1 << e
+            bit = 1 << e
+            limit = used + 1 if used < pages else pages
+            c += 1
+            while c < limit and near[c] & bit:
+                c += 1
+            descend = c < limit
+            if descend:
+                saved = near[c]
+                frames.append((e, c, saved, levels, used))
+                mask = masks[e]
+                near[c] = saved | mask
+                delta = mask & ~saved  # the edges page c's union gains
+                if delta:
+                    # an edge of ``delta`` at level k-1 reaches level k; a
+                    # plain loop builds these few levels faster than a
+                    # comprehension
+                    lifted = []
+                    lo = 0
+                    for hi in levels:
+                        lifted.append(hi | lo & delta)
+                        lo = hi
+                    if lo & delta:
+                        lifted.append(lo & delta)
+                    levels = lifted
+                if c == used:  # c opens a page
+                    used += 1
+                free ^= bit
+        if descend:  # a witness, or a node the budget refused
+            break
+    else:
+        exhausted = True
+    clock.orders, clock.nodes = orders, nodes
+    return PageSearchResult(m, witness is not None, witness, exhausted, clock.counters())
 
 
 def brute_force_mbt(g: Graph, budget: SearchBudget | None = None) -> MbtResult:

@@ -13,8 +13,12 @@ the page map all read that one list) is checked against; and
 one unpacking loop, which the accepted inputs, the kept or canonical edges
 and the errors of ``Graph`` are checked against; and
 ``reference_color_edges`` is the oracle's colouring search written out
-plainly, recursive and counting saturations page by page, which the
-bit-parallel ``oracle._color_edges`` is checked against node for node; and
+plainly, recursive and counting saturations page by page, which
+``oracle._search_phase`` is checked against node for node, one spine order
+after another; ``order_conflicts`` and ``color_one_order`` are the
+oracle's bit-parallel conflict masks and colouring of one spine order as
+separate calls, as they were before the oracle folded them into one loop
+(the masks are checked against the pairwise crossing predicate); and
 ``reference_complete`` is the construction's completion search with each
 fit tested pairwise against the chords placed so far, which
 ``constructions._PageAssigner`` is checked against node for node;
@@ -25,8 +29,9 @@ validator are checked against; ``embedding_of`` builds a ``BookEmbedding`` from 
 map; ``is_bipartite`` is a plain BFS 2-colouring, which
 ``graph_core.predict_bipartite``'s parity law is checked against; and
 ``reference_search_phase`` is one page count of the oracle's search with
-every spine order walked (a refuted one on a single grant), which
-``oracle._search_phase`` is checked against grant for grant;
+every spine order walked (a refuted one on a single grant) and coloured
+by ``color_one_order``, which ``oracle._search_phase`` is checked against
+grant for grant;
 ``reference_certify`` is ``oracle.certify`` with the bound always read
 by ``oracle.lower_bound``, which its two certificates are checked against;
 ``odd_cycle_fault`` checks ``bundle_decomp.odd_cycle``'s witness against
@@ -335,11 +340,133 @@ def reference_verify(edges, payload: dict) -> tuple[int, str]:
     return (2 if found else 0), out(report)
 
 
+def order_conflicts(inc: oracle._Incidence, order: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """``oracle._Incidence.conflicts`` as it was before the oracle folded it
+    into its search loop: the conflict masks of one spine order, and its
+    edges by conflict degree: one mask per degree that some edge has,
+    highest first.
+
+    One pass over the spine stores ``before[v]``, the XOR of the masks
+    of the vertices ahead of ``v``.  For a chord with ends at positions
+    ``lo < hi``, ``before[u] ^ before[v]`` holds the edges with exactly
+    one end in ``[lo, hi)``: every chord crossing it, the chord itself
+    and some of the edges sharing an end with it.  OR-ing in ``ends``
+    adds the rest of those and XOR-ing out ``bit`` drops the chord.
+    The same loop files each edge under its degree.
+    """
+
+    vertex_masks = inc.vertex_masks
+    before = [0] * len(order)
+    acc = 0
+    for v in order:
+        before[v] = acc
+        acc ^= vertex_masks[v]
+    masks: list[int] = []
+    keep = masks.append
+    by_degree = [0] * len(inc.rows)
+    for u, v, ends, bit in inc.rows:
+        keep(mask := ((before[u] ^ before[v]) | ends) ^ bit)
+        by_degree[mask.bit_count()] |= bit
+    # within one degree the lowest set bit is the lowest edge index
+    return masks, [*filter(None, reversed(by_degree))]
+
+
+def color_one_order(
+    inc: oracle._Incidence, order: tuple[int, ...], m: int, clock: oracle._BudgetClock
+) -> tuple[str, list[int] | None]:
+    """``oracle._color_edges`` as it was before the oracle folded it into
+    its search loop: the exact m-colouring of the conflict structure for
+    one spine order.
+
+    Depth-first search that colours next the uncoloured edge of highest
+    saturation (pages already holding a conflicting edge), then highest
+    conflict degree, then lowest index, trying pages in increasing order
+    and opening at most one new page per step.  A page takes no edge that
+    conflicts with one of its edges, so it is a matching and never holds
+    more than ⌊n/2⌋ edges.  Each node is counted on ``clock``.
+    Returns ("sat", pages), edge ``inc.edges[i]`` on ``pages[i]``,
+    ("unsat", None), or ("cut", None) when the budget ran dry mid-search.
+    """
+
+    ne = len(inc.edges)
+    m = min(m, ne)  # at most E pages can hold an edge; a huge m must not cost memory
+    masks, ranks = order_conflicts(inc, order)
+    near = [0] * m  # per page: OR of the conflict masks of its edges
+    free = (1 << ne) - 1  # uncoloured edges
+    used = 0  # pages 0..used-1 are the nonempty ones
+    # levels[k]: the edges in the unions ``near`` of at least k pages,
+    # coloured ones included (-1 stands for every edge), up to the highest
+    # nonempty level.  A list is never changed once built, so a frame keeps
+    # the one it replaced.
+    levels = [-1]
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, kept alive until a full collection;
+    # a frame is (edge, page, near[page], levels, used) before a placement
+    frames: list[tuple[int, int, int, list[int], int]] = []
+    nodes = stop = clock.nodes  # take nodes until ``nodes`` reaches ``stop``
+    cap = clock.budget.max_nodes
+    descend = True
+    while True:
+        if descend:
+            if not free:
+                clock.nodes = nodes
+                return "sat", [f[1] for f in sorted(frames)]  # one frame per edge
+            if nodes == stop:
+                stop = clock.grant(nodes, cap, 256)
+                if nodes == stop:
+                    clock.nodes = nodes
+                    return "cut", None
+            nodes += 1
+            k = len(levels) - 1
+            while not levels[k] & free:
+                k -= 1
+            best = levels[k] & free  # the most saturated uncoloured edges
+            for rank in ranks:
+                top = best & rank
+                if top:
+                    break
+            e = (top & -top).bit_length() - 1
+            c = -1
+        else:  # the last colouring failed below: undo it, try the next page
+            if not frames:
+                clock.nodes = nodes
+                return "unsat", None
+            e, c, saved, levels, used = frames.pop()
+            near[c] = saved
+            free |= 1 << e
+        bit = 1 << e
+        limit = used + 1 if used < m else m
+        c += 1
+        while c < limit and near[c] & bit:
+            c += 1
+        descend = c < limit
+        if descend:
+            saved = near[c]
+            frames.append((e, c, saved, levels, used))
+            mask = masks[e]
+            near[c] = saved | mask
+            delta = mask & ~saved  # the edges page c's union gains
+            if delta:
+                # an edge of ``delta`` at level k-1 reaches level k; a plain
+                # loop builds these few levels faster than a comprehension
+                lifted = []
+                lo = 0
+                for hi in levels:
+                    lifted.append(hi | lo & delta)
+                    lo = hi
+                if lo & delta:
+                    lifted.append(lo & delta)
+                levels = lifted
+            if c == used:  # c opens a page
+                used += 1
+            free ^= bit
+
+
 def reference_search_phase(n, inc, m, clock):
     """``oracle._search_phase`` with every spine order walked.
 
     An order is refuted by the capacity cut (m pages of ⌊n/2⌋ edges hold
-    fewer than E) or else searched by ``oracle._color_edges``.  Each order
+    fewer than E) or else searched by ``color_one_order``.  Each order
     of ``oracle._spine_orders(n)`` is taken in turn, and a refused order is
     not counted.  A searched phase asks for a grant when the count reaches
     the last one; a refuted phase asks for one grant before its first
@@ -359,7 +486,7 @@ def reference_search_phase(n, inc, m, clock):
         orders += 1
         if refuted:
             continue
-        verdict, pages = oracle._color_edges(inc, order, m, clock)
+        verdict, pages = color_one_order(inc, order, m, clock)
         if verdict != "unsat":
             clock.orders = orders
             witness = BookEmbedding(order, inc.edges, pages, m) if verdict == "sat" else None

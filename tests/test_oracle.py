@@ -276,6 +276,34 @@ def test_capacity_refuted_phase_builds_no_spine_order(monkeypatch):
     assert (res.counters["orders"], res.counters["nodes"]) == (20160, 0)
 
 
+@pytest.mark.parametrize(
+    "n, jumps, budget, found, exhausted, orders, nodes",
+    [
+        (8, {1, 2}, None, False, True, 2520, 12891),  # every order searched
+        (10, {1, 2}, SearchBudget(max_orders=3000), False, False, 3000, 15372),  # the cap cuts
+        (9, {1, 3}, None, False, True, 20160, 0),  # refuted by capacity
+    ],
+)
+def test_search_asks_for_a_grant_per_budget_kind_not_per_order(
+    n, jumps, budget, found, exhausted, orders, nodes, monkeypatch
+):
+    # orders and nodes are counted across spine orders, so a phase asks
+    # for one grant of each (and one more when the order cap is reached),
+    # not one per order searched; the counts are those GOLDEN_MBT pins
+    grants = []
+    grant = oracle._BudgetClock.grant
+
+    def counted(clock, *args):
+        grants.append(args)
+        return grant(clock, *args)
+
+    monkeypatch.setattr(oracle._BudgetClock, "grant", counted)
+    res = search_fixed_pages(circulant(n, jumps), 4, budget)
+    assert (res.found, res.exhausted) == (found, exhausted)
+    assert (res.counters["orders"], res.counters["nodes"]) == (orders, nodes)
+    assert len(grants) <= 3
+
+
 def test_brute_force_walks_spine_orders_only_for_searched_page_counts(monkeypatch):
     # K5 minus an edge: the 4-page phase is refuted by capacity and only
     # the 5-page phase, which finds the witness, walks the orders; the

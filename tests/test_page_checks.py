@@ -571,7 +571,8 @@ def reference_conflict_masks(g: Graph, order: tuple[int, ...]) -> list[int]:
 @example((Graph(2, frozenset({(0, 1)})), (1, 0)))
 def test_oracle_conflict_masks_match_pairwise_reference(case):
     g, order = case
-    assert oracle._Incidence(g).conflicts(order)[0] == reference_conflict_masks(g, order)
+    masks, _ = reference.order_conflicts(oracle._Incidence(g), order)
+    assert masks == reference_conflict_masks(g, order)
 
 
 @st.composite
@@ -598,7 +599,9 @@ def colouring_cases(draw):
     return Graph(g.n, frozenset(kept)), order
 
 
-@settings(max_examples=300)  # a few milliseconds each; unsat needs many draws
+# a few milliseconds each; unsat needs many draws, and about a quarter of
+# them fall to the capacity cut, which colours no order
+@settings(max_examples=400)
 @given(colouring_cases(), st.integers(1, 5), st.integers(1, 200), st.sampled_from([None, 1.0]))
 @example((Graph(4, frozenset({(0, 1), (2, 3)})), (0, 1, 2, 3)), 1, 10, None)  # no conflicts at all
 @example((Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})), (0, 2, 4, 1, 3)), 2, 200, 1.0)
@@ -619,24 +622,42 @@ def colouring_cases(draw):
     None,
 )
 def test_oracle_colouring_matches_reference_node_for_node(case, m, max_nodes, time_limit):
-    # two spine orders on one budget, so the second search starts where the
-    # first one left the clock: verdicts, colourings and node counts agree;
-    # with a time limit on a clock that never moves, every deadline read
-    # finds time left and must cut nothing
+    # one page count over two spine orders on one budget, so the second
+    # order's search starts where the first one left the clock: the
+    # verdict, the witness and the order and node counts agree with the
+    # reference colouring each order in turn; with a time limit on a clock
+    # that never moves, every deadline read finds time left and must cut
+    # nothing
     g, order = case
-    inc = oracle._Incidence(g)
-    with mock.patch.object(oracle, "time", types.SimpleNamespace(monotonic=lambda: 0.0)):
+    spines = (order[::-1], order)
+    spent = orders = 0
+    for spine in spines:
+        verdict, colouring, nodes = reference.reference_color_edges(
+            g.edge_list, spine, m, max_nodes - spent
+        )
+        spent += nodes
+        orders += 1
+        if verdict != "unsat":
+            break
+    with (
+        mock.patch.object(oracle, "time", types.SimpleNamespace(monotonic=lambda: 0.0)),
+        mock.patch.object(oracle, "_spine_orders", lambda n: iter(spines)),
+    ):
         clock = oracle._BudgetClock(oracle.SearchBudget(max_nodes=max_nodes, time_limit=time_limit))
-        spent = 0
-        for spine in (order[::-1], order):
-            got = oracle._color_edges(inc, spine, m, clock)
-            verdict, colouring, nodes = reference.reference_color_edges(
-                g.edge_list, spine, m, max_nodes - spent
-            )
-            spent += nodes
-            event(verdict)
-            assert got == (verdict, colouring)
-            assert clock.nodes == spent
+        res = oracle._search_phase(g.n, oracle._Incidence(g), m, clock)
+    if m * (g.n // 2) < len(g.edges):
+        # refuted by capacity, every order counted and none searched: the
+        # reference's pages of at most ⌊n/2⌋ edges hold no colouring either
+        event("refuted by capacity")
+        assert verdict != "sat"
+        assert (res.found, res.exhausted, clock.nodes) == (False, True, 0)
+        return
+    event(verdict)
+    assert (res.found, res.exhausted) == (verdict == "sat", verdict == "unsat")
+    assert (clock.orders, clock.nodes) == (orders, spent)
+    if verdict == "sat":
+        assert res.witness.order == spine
+        assert list(res.witness.pages) == colouring
 
 
 def _reference_names_in_bookbind() -> list[str]:
