@@ -2,9 +2,9 @@
 
 Every twisted torus splits into its ``s`` fibre cycles plus a residual
 2-regular graph of rung and seam edges, whose cycles are the column orbits
-under the gluing ``phi``: ``residual_cycles`` finds them all by one walk and
-lists each as its vertices in walk order (each vertex's rung or seam leads to
-the next).  When the walk is one Hamiltonian
+under the gluing ``phi``: ``residual_cycles`` finds them all by one walk
+over ``Numbering.seams`` and lists each as its vertices in walk order (each
+vertex's rung or seam leads to the next).  When the walk is one Hamiltonian
 cycle (a shift with ``gcd(t, d) = 1``), numbering the vertices along it
 carries the graph onto a circulant on ``Z_{s*t}``; ``to_circulant`` returns
 that relabelling as a certificate instead of an embedding.  The reduction
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import REFL_NONE, BundleSpec, Graph, Reflection, Shift, circulant, vertex_index
+from .graph_core import REFL_NONE, BundleSpec, Graph, Numbering, Shift, circulant, vertex_index
 
 
 class DecompositionError(ValueError):
@@ -39,7 +39,7 @@ def residual_cycles(spec: BundleSpec) -> Cycles:
     listed by ascending first column.
     """
 
-    s, t, phi = spec.s, spec.t, spec.phi
+    s, t, seams = spec.s, spec.t, Numbering(spec).seams
     cycles = []
     walked: set[int] = set()
     for col in range(t):
@@ -47,7 +47,7 @@ def residual_cycles(spec: BundleSpec) -> Cycles:
         while col not in walked:  # phi permutes the columns: the orbit closes
             walked.add(col)
             cycle.extend(range(col, s * t, t))  # (0, col), (1, col), ..
-            col = phi.apply(col, t)
+            col = seams[col]
         if cycle:
             cycles.append(tuple(cycle))
     return tuple(cycles)
@@ -67,8 +67,8 @@ def odd_cycle(spec: BundleSpec) -> tuple[int, ...] | None:
     s, t, phi = spec.s, spec.t, spec.phi
     if t % 2:
         return tuple(range(t))
-    q = t // 2 - 1 if isinstance(phi, Reflection) and phi.kind == REFL_NONE else 0
-    back = phi.apply(q, t)
+    q = t // 2 - 1 if not isinstance(phi, Shift) and phi.kind == REFL_NONE else 0
+    back = Numbering(spec).seams[q]
     k = (q - back) % t
     if (s + k) % 2 == 0:
         return None

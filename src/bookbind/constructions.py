@@ -1,26 +1,26 @@
 """Optimal matching book embeddings for twisted tori.
 
 Each supported parameter family is one rule: a rule tag plus a layout
-function ``(cat, spec) -> (spine, fixed, todo)`` that returns the family's
-spine order, the edges with a closed-form page (in placement order), and the
-edges that only have a palette prescribed ("finish this cycle with these
-pages").  Layouts name an edge by its number in ``SequenceCatalog``: vertex
-(i, j) owns ``cat.fibre(i, j)``, toward column j+1, and ``cat.rung(i, j)``,
-toward row i+1 and across the seam from row s; a residual cycle's edges are
-``2 * v + 1`` for its vertices in walk order.  Edge k is
-``graph_core.bundle_edges(spec)[k]``, which ``SequenceCatalog`` holds as
-``edges``; that list applies ``phi`` for every layout, so no layout
-works out where a seam lands.  A layout is written as
+function ``(num) -> (spine, fixed, todo)`` of the spec's
+``graph_core.Numbering`` that returns the family's spine order, the edges
+with a closed-form page (in placement order), and the edges that only have
+a palette prescribed ("finish this cycle with these pages").  Layouts name
+an edge by its number in ``num``: vertex (i, j) owns ``num.fibre(i, j)``,
+toward column j+1, and ``num.rung(i, j)``, toward row i+1 and across the
+seam from row s; a residual cycle's edges are ``2 * v + 1`` for its
+vertices in walk order.  Edge k is ``num.edges[k]``, and the numbering
+works out where each seam lands, so no layout does.  A layout is written as
 data: its spine is one ``_zigzag`` of named blocks (rows, columns, residual
 cycles or column pairs, every other block reversed), its fibre pages are one
 row of t pages repeated s times, with at most a whole row and six cells
-written over it, handed to ``SequenceCatalog.fibres`` in row-major order,
+written over it, handed to ``fibres`` in row-major order,
 its rungs and seams are ``range`` strides (by row, by column or along row s)
 or residual cycles with page lists, and palettes cover the rest: no list is
 built with a Python call per edge.  ``_select``
 maps a spec to its ``(rule tag, layout)`` pair; coprime and trivial shifts
 have no rule and raise Unsupported.  Shifts are laid out as given;
-``_wraps`` is the one place that says where their residual cycles wrap.
+``_wraps`` is the one place that says where their residual cycles wrap,
+read off the walk.
 
 ``embed`` is the one driver.  It decides the page count first, by
 ``parity_pages(spec)``: 4 when the graph is bipartite and 5 otherwise, which
@@ -40,9 +40,9 @@ substituting pages.
 ``validate`` is the one judge of crossings and shared endpoints, fixed
 pages included: a plan whose fixed pages clash either leaves the search no
 completion or is named by it.  It does not check the numbering: the graph
-and the embedding come from one list, so a wrong number in ``bundle_edges``
-would go unseen here, and the tests compare that list with an independent
-definition.
+and the embedding come from one list, so a wrong number in
+``Numbering.edges`` would go unseen here, and the tests compare that list
+with an independent definition.
 
 An edge's page is one byte, ``pages[k]`` of the embedding, from the plan
 check to the file: no page map is ever built.  The search takes one frame
@@ -61,15 +61,15 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .bundle_decomp import CirculantReduction, residual_cycles, to_circulant
+from .bundle_decomp import CirculantReduction, Cycles, residual_cycles, to_circulant
 from .graph_core import (
     BundleSpec,
     Graph,
     REFL_NONE,
     REFL_ONE,
     REFL_TWO,
+    Numbering,
     Shift,
-    bundle_edges,
     predict_bipartite,
 )
 from .layout_engine import (
@@ -124,60 +124,6 @@ def parity_pages(spec: BundleSpec) -> int:
     return 4 if predict_bipartite(spec) else 5
 
 
-class SequenceCatalog:
-    """Named vertex sequences (rows, columns) in flat ids, and edges by number.
-
-    Arguments use 1-based row/column indices and wrap modulo s and t, so
-    formulas like column ``1 - d`` can be used verbatim.  Each vertex (i, j)
-    owns two edges, numbered ``2 * flat(i, j) + kind``: kind 0 is the fibre
-    edge toward column j+1, kind 1 the rung toward row i+1, which from row s
-    is the seam across ``phi``.  The numbers 0..2st-1 name every edge once;
-    ``edges`` is ``bundle_edges(spec)`` as a tuple, edge k at index k, built once, and
-    the graph, the search and the embedding all share its tuples.  A row is
-    a run of t consecutive ids and a column a range of stride t, so both are
-    built from ``range`` without a call per vertex, and so are the rungs
-    of a column (``column_rungs``); ``fibres`` pairs the fibre edges with a
-    row-major page list.
-    """
-
-    def __init__(self, spec: BundleSpec):
-        self.s = spec.s
-        self.t = spec.t
-        self.edges = tuple(bundle_edges(spec))  # as BookEmbedding keeps it, so not copied there
-        self.size = len(self.edges)  # edge count, 2st
-
-    def flat(self, i: int, j: int) -> int:
-        return ((i - 1) % self.s) * self.t + ((j - 1) % self.t)
-
-    def fibre(self, i: int, j: int) -> int:
-        return 2 * self.flat(i, j)
-
-    def rung(self, i: int, j: int) -> int:
-        return 2 * self.flat(i, j) + 1
-
-    def row(self, i: int) -> tuple[int, ...]:
-        start = self.flat(i, 1)
-        return tuple(range(start, start + self.t))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(range(self.flat(1, j), self.s * self.t, self.t))
-
-    def fibres(self, pages: list[int], cells: Iterable[Cell] = ()) -> list[Fixed]:
-        """Every fibre edge with the page of its tail, ``pages`` listed row by
-        row (row-major order numbers the fibre edges 0, 2, .., 2st-2) and
-        each ``((i, j), page)`` of ``cells`` written over it in turn."""
-
-        for (i, j), page in cells:
-            pages[self.flat(i, j)] = page
-        return list(zip(range(0, self.size, 2), pages))
-
-    def column_rungs(self, j: int) -> range:
-        """The rungs of column j, from rows 1..s-1 top down (the seam from
-        row s is not one): a stride of 2t from ``rung(1, j)``."""
-
-        return range(self.rung(1, j), 2 * (self.s - 1) * self.t, 2 * self.t)
-
-
 def _zigzag(blocks: Iterable[Sequence[int]], first_reversed: bool = False) -> list[int]:
     """The blocks end to end, every other one reversed (the first iff asked)."""
 
@@ -191,7 +137,17 @@ Todo = tuple[int, tuple[int, ...]]  # edge number, palette
 Fixed = tuple[int, int]  # edge number, page
 Cell = tuple[tuple[int, int], int]  # (row, column) of a fibre's tail, page
 Plan = tuple[list[int], list[Fixed], list[Todo]]  # spine, fixed pages, palettes
-Layout = Callable[[SequenceCatalog, BundleSpec], Plan]
+Layout = Callable[[Numbering], Plan]
+
+
+def fibres(num: Numbering, pages: list[int], cells: Iterable[Cell] = ()) -> list[Fixed]:
+    """Every fibre edge with the page of its tail, ``pages`` listed row by
+    row (row-major order numbers the fibre edges 0, 2, .., 2st-2) and each
+    ``((i, j), page)`` of ``cells`` written over it in turn."""
+
+    for (i, j), page in cells:
+        pages[num.flat(i, j)] = page
+    return list(zip(range(0, num.size, 2), pages))
 
 _NODE_CAP = 200_000  # search nodes one completion may visit
 
@@ -199,7 +155,7 @@ _NODE_CAP = 200_000  # search nodes one completion may visit
 _UNLISTED, _TODO = 255, 254  # page marks; a placed edge's page is below 5
 
 
-def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAssigner:
+def _check_plan(num: Numbering, plan: Plan, m: int, rule: str) -> _PageAssigner:
     """The one check of a plan's listing, on the embedding it builds on the
     plan's spine, with a bytearray of ``m`` pages: a spine of every vertex
     once, every edge number 0..2st-1 fixed or todo exactly once, and every
@@ -210,12 +166,12 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAss
     fixed pages cross or share an endpoint is ``validate``'s to say."""
 
     spine, fixed, todo = plan
-    size = cat.size
-    emb = BookEmbedding(spine, cat.edges, bytearray([_UNLISTED]) * size, m)
-    if not len(spine) == len(emb.pos) == cat.s * cat.t:  # pos is [] unless the spine is a permutation
+    size = num.size
+    emb = BookEmbedding(spine, num.edges, bytearray([_UNLISTED]) * size, m)
+    if not len(spine) == len(emb.pos) == num.s * num.t:  # pos is [] unless the spine is a permutation
         raise CompletionError(rule, "spine is not a permutation of the vertices")
     index = _PageAssigner(emb, rule)
-    pages, partner, pos, edges = emb.pages, index.partner, emb.pos, cat.edges
+    pages, partner, pos, edges = emb.pages, index.partner, emb.pos, num.edges
     for k, page in fixed:
         if 0 <= k < size and pages[k] == _UNLISTED and 0 <= page < m:
             pages[k] = page
@@ -230,7 +186,7 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAss
     # each entry marked a page iff there are 2st entries and none is left unlisted
     listed = len(fixed) + len(todo) == size and _UNLISTED not in pages
     if not (listed and {*chain(*palettes)} <= {*range(m)}):
-        # read through cat and emb, so that the walks' names stay locals, not closure cells
+        # read through num and emb, so that the walks' names stay locals, not closure cells
         count = Counter([k for k, _ in fixed] + [k for k, _ in todo])  # name up to four offenders
         numbers = range(size)
         outside = sorted(count.keys() - numbers)
@@ -238,9 +194,9 @@ def _check_plan(cat: SequenceCatalog, plan: Plan, m: int, rule: str) -> _PageAss
             raise CompletionError(rule, f"numbers outside 0..{size - 1}: {outside[:4]}")
         listings = chain(fixed, ((k, p) for k, palette in todo for p in palette))
         for fault, offenders in (
-            ("listed twice", [cat.edges[k] for k, n in count.items() if n > 1]),
-            ("missing from the plan", sorted(cat.edges[k] for k in numbers if k not in count)),
-            (f"pages outside 0..{m - 1}", [(cat.edges[k], p) for k, p in listings if not 0 <= p < emb.m]),
+            ("listed twice", [num.edges[k] for k, n in count.items() if n > 1]),
+            ("missing from the plan", sorted(num.edges[k] for k in numbers if k not in count)),
+            (f"pages outside 0..{m - 1}", [(num.edges[k], p) for k, p in listings if not 0 <= p < emb.m]),
         ):
             if offenders:
                 raise CompletionError(rule, f"{fault}: {offenders[:4]}")
@@ -319,24 +275,23 @@ class _PageAssigner:
 # ---------------------------------------------------------------- shifts ---
 
 
-def _wraps(t: int, d: int) -> tuple[set[int], set[int]]:
-    """Where a d-shift's residual cycles wrap, as 1-based columns.  With
-    g = gcd(t, d), T = t/g and u = (d/g)^-1 mod T, the fibre edges leaving the
-    last u columns of class g (``wrapping``) land on the first u columns of
-    residual cycle 1 (``landing``); for d = g that is ({1}, {t})."""
+def _wraps(num: Numbering, V: Cycles) -> tuple[set[int], set[int]]:
+    """Where a shift's residual cycles V wrap, as 1-based columns, read off
+    the walk: the fibre edges leaving the columns just left of them
+    (``wrapping``) land on the columns that cycle 1 visits before column
+    g = len(V) (``landing``); for d = g that is ({1}, {t})."""
 
-    g = gcd(t, d)
-    u = pow(d // g, -1, t // g)
-    landing = {1 + k * d % t for k in range(u)}
-    return landing, {(j - 2) % t + 1 for j in landing}
+    columns = V[0][:: num.s]  # cycle 1's columns in walk order: its row-0 vertices
+    before = columns[: columns.index(len(V))]
+    return {q + 1 for q in before}, {(q - 1) % num.t + 1 for q in before}
 
 
-def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+def _shift_even_gcd(num: Numbering) -> Plan:
     """Shift gluing with gcd(t, d) even: residual cycles end to end."""
 
-    s, t, d = spec.s, spec.t, spec.phi.d
-    V = residual_cycles(spec)
-    _, wrapping = _wraps(t, d)
+    s, t = num.s, num.t
+    V = residual_cycles(num.spec)
+    _, wrapping = _wraps(num, V)
 
     # fibre pages by the tail's column class, whose parity is the column's as
     # gcd(t, d) is even: yellow on odd classes, purple on even ones, green on
@@ -347,35 +302,35 @@ def _shift_even_gcd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # one red seam per residual cycle (its closing edge), then finish each
     # cycle path within the stated palette
-    fixed = cat.fibres(row * s) + [(2 * cyc[-1] + 1, RED) for cyc in V]
+    fixed = fibres(num, row * s) + [(2 * cyc[-1] + 1, RED) for cyc in V]
     palette = (RED, GREEN, PURPLE) if s % 2 == 0 else (RED, GREEN, BLUE)
     todo = [(2 * v + 1, palette) for cyc in V for v in cyc[:-1]]
     return _zigzag(V), fixed, todo
 
 
-def _shift_odd_bipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+def _shift_odd_bipartite(num: Numbering) -> Plan:
     """t even, s and d odd: columns paired from both ends."""
 
-    s, t, d = spec.s, spec.t, spec.phi.d
-    spine = _zigzag(cat.column(j) for r in range(t // 2) for j in (1 + 2 * r, t - 2 * r))
-    fixed = cat.fibres([GREEN, YELLOW] * (t // 2) * s)
+    s, t, d = num.s, num.t, num.spec.phi.d
+    spine = _zigzag(num.column(j) for r in range(t // 2) for j in (1 + 2 * r, t - 2 * r))
+    fixed = fibres(num, [GREEN, YELLOW] * (t // 2) * s)
     # the seams landing on columns 1..t in turn, red and purple alternating:
     # from tail column 1 - d to t, then from 1 to -d
-    first = cat.rung(s, 1 - d)
-    seams = [*range(first, cat.size, 2), *range(cat.rung(s, 1), first, 2)]
+    first = num.rung(s, 1 - d)
+    seams = [*range(first, num.size, 2), *range(num.rung(s, 1), first, 2)]
     fixed += zip(seams, [RED, PURPLE] * (t // 2))
-    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in cat.column_rungs(j)]
+    todo = [(e, (RED, PURPLE)) for j in range(1, t + 1) for e in num.column_rungs(j)]
     return spine, fixed, todo
 
 
-def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+def _shift_odd_nonbipartite(num: Numbering) -> Plan:
     """gcd(t, d) odd, graph nonbipartite: interleaved spine, 5 pages."""
 
-    s, t, d = spec.s, spec.t, spec.phi.d
+    s, t, d = num.s, num.t, num.spec.phi.d
     g_ = gcd(t, d)
-    V = residual_cycles(spec)
+    V = residual_cycles(num.spec)
     even_residual = len(V[0]) % 2 == 0
-    landing, wrapping = _wraps(t, d)
+    landing, wrapping = _wraps(num, V)
 
     # fibre pages by the tail's column class k: purple on k = 1, green on even
     # k, yellow on the other odd k; yellow on the landing columns (class 1)
@@ -395,7 +350,7 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 
     # the first two cycles interleaved element by element, then the others
     spine = _zigzag(zip(V[0], V[1])) + _zigzag(V[2:], first_reversed=True)
-    fixed = cat.fibres(row * s, cells)
+    fixed = fibres(num, row * s, cells)
 
     # first two residual cycles: red/blue alternations; an odd one opens
     # yellow and closes purple, then blue on the first and red on the second
@@ -426,91 +381,92 @@ def _shift_odd_nonbipartite(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
 # ----------------------------------------------------------- reflections ---
 
 
-def _refl_base_odd(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+def _refl_base_odd(num: Numbering) -> Plan:
     """Reflection gluing over an odd base: rows zig-zag along the spine."""
 
-    s, t, kind = spec.s, spec.t, spec.phi.kind
-    spine = _zigzag((cat.row(i) for i in range(1, s + 1)), first_reversed=True)
+    s, t, kind = num.s, num.t, num.spec.phi.kind
+    spine = _zigzag((num.row(i) for i in range(1, s + 1)), first_reversed=True)
 
     # the rungs row by row, yellow from odd rows and green from even ones
-    seam = cat.rung(s, 1)
+    seam = num.rung(s, 1)
     fixed = list(zip(range(1, seam, 2), ([YELLOW] * t + [GREEN] * t) * (s // 2)))
     if kind in (REFL_NONE, REFL_ONE):
-        fixed += [(e, PURPLE) for e in range(seam, cat.size, 2)]
+        fixed += [(e, PURPLE) for e in range(seam, num.size, 2)]
     else:  # the seam on the fixed column 1, then the others by falling tail column
         fixed.append((seam, BLUE))
-        fixed += [(e, PURPLE) for e in range(cat.rung(s, t), seam, -2)]
+        fixed += [(e, PURPLE) for e in range(num.rung(s, t), seam, -2)]
 
     palette = (YELLOW, GREEN, PURPLE, RED) if t % 2 == 0 else (YELLOW, GREEN, PURPLE, RED, BLUE)
-    todo = [(e, palette) for e in range(0, cat.size, 2)]
+    todo = [(e, palette) for e in range(0, num.size, 2)]
     return spine, fixed, todo
 
 
-def _refl_even_two_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
-    spine = _zigzag(cat.column(j) for j in range(1, spec.t + 1))
-    fixed = cat.fibres([YELLOW, GREEN] * (spec.t // 2) * spec.s)
+def _refl_even_two_fixed(num: Numbering) -> Plan:
+    spine = _zigzag(num.column(j) for j in range(1, num.t + 1))
+    fixed = fibres(num, [YELLOW, GREEN] * (num.t // 2) * num.s)
     # the residual cycles alternate two fresh colours; a 4-page embedding
     # must stay inside the first four pages, so the pair is purple/red
-    todo = [(2 * v + 1, (PURPLE, RED)) for cyc in residual_cycles(spec) for v in cyc]
+    todo = [(2 * v + 1, (PURPLE, RED)) for cyc in residual_cycles(num.spec) for v in cyc]
     return spine, fixed, todo
 
 
-def _one_fixed_spine(cat: SequenceCatalog, s: int, t: int) -> list[int]:
+def _one_fixed_spine(num: Numbering) -> list[int]:
     # the corner walk: (1,t), (1,1), then the first and last columns of
     # rows 2..s zig-zagging down; then columns 2..t-1
+    s, t = num.s, num.t
     corners = _zigzag(
-        ((cat.flat(r, 1), cat.flat(r, t)) for r in range(2, s + 1)), first_reversed=True
+        ((num.flat(r, 1), num.flat(r, t)) for r in range(2, s + 1)), first_reversed=True
     )
-    columns = _zigzag((cat.column(j) for j in range(2, t)), first_reversed=True)
-    return [cat.flat(1, t), cat.flat(1, 1)] + corners + columns
+    columns = _zigzag((num.column(j) for j in range(2, t)), first_reversed=True)
+    return [num.flat(1, t), num.flat(1, 1)] + corners + columns
 
 
-def _refl_even_one_fixed_t3(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
+def _refl_even_one_fixed_t3(num: Numbering) -> Plan:
     """Base 3 columns, one fixed: the generic pin/fibre rules double-book
     pages here (the forced residual alternation makes row 2's middle fibre
     edge cross same-page rungs), so the case gets its own periodic pattern.
     """
 
-    s = spec.s
-    fixed = cat.fibres([BLUE, YELLOW, RED] + [PURPLE, BLUE, RED] * (s - 1))  # row 1, then rows 2..s
+    s = num.s
+    fixed = fibres(num, [BLUE, YELLOW, RED] + [PURPLE, BLUE, RED] * (s - 1))  # row 1, then rows 2..s
     for i in range(1, s):
-        fixed.append((cat.rung(i, 1), YELLOW if i % 2 == 1 else GREEN))
-        fixed.append((cat.rung(i, 2), GREEN if i % 2 == 1 else YELLOW))
+        fixed.append((num.rung(i, 1), YELLOW if i % 2 == 1 else GREEN))
+        fixed.append((num.rung(i, 2), GREEN if i % 2 == 1 else YELLOW))
         if i == 1:
-            fixed.append((cat.rung(1, 3), PURPLE))
+            fixed.append((num.rung(1, 3), PURPLE))
         else:
-            fixed.append((cat.rung(i, 3), GREEN if i % 2 == 0 else YELLOW))
-    fixed += [(cat.rung(s, 1), GREEN), (cat.rung(s, 3), GREEN), (cat.rung(s, 2), RED)]
-    return _one_fixed_spine(cat, s, 3), fixed, []
+            fixed.append((num.rung(i, 3), GREEN if i % 2 == 0 else YELLOW))
+    fixed += [(num.rung(s, 1), GREEN), (num.rung(s, 3), GREEN), (num.rung(s, 2), RED)]
+    return _one_fixed_spine(num), fixed, []
 
 
-def _refl_even_one_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
-    s, t = spec.s, spec.t
+def _refl_even_one_fixed(num: Numbering) -> Plan:
+    s, t = num.s, num.t
 
     # rung+seam cycles: the two cycles nearest the wrap get pinned red rungs
     # and purple seams, everything else alternates blue/purple
     fixed: list[Fixed] = []
     for i in (1, 2):
-        fixed.append((cat.rung(1, t + 1 - i), RED))
-        fixed.append((cat.rung(s, i), PURPLE))
+        fixed.append((num.rung(1, t + 1 - i), RED))
+        fixed.append((num.rung(s, i), PURPLE))
     pinned = {e for e, _ in fixed}
-    rungs = [2 * v + 1 for cyc in residual_cycles(spec) for v in cyc]
+    rungs = [2 * v + 1 for cyc in residual_cycles(num.spec) for v in cyc]
     todo = [(e, (BLUE, PURPLE)) for e in rungs if e not in pinned]
 
     # fibre pages: yellow on odd columns, green on even ones and red on
     # column t, but for four cells by the wrap
     row = [YELLOW, GREEN] * (t // 2) + [RED]
     cells = ((1, t), GREEN), ((2, t), YELLOW), ((2, 1), RED), ((1, t - 1), BLUE)
-    fixed += cat.fibres(row * s, cells)
-    return _one_fixed_spine(cat, s, t), fixed, todo
+    fixed += fibres(num, row * s, cells)
+    return _one_fixed_spine(num), fixed, todo
 
 
-def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
-    s, t = spec.s, spec.t
+def _refl_even_no_fixed(num: Numbering) -> Plan:
+    s, t = num.s, num.t
     h = t // 2
 
     def outer(j: int) -> tuple[int, int]:  # top and bottom vertices of column j
-        return cat.flat(1, j), cat.flat(s, j)
+        return num.flat(1, j), num.flat(s, j)
 
     def inner(j: int) -> range:  # rows 2..s-1 of column j
         return range(t + j - 1, (s - 1) * t, t)
@@ -523,22 +479,22 @@ def _refl_even_no_fixed(cat: SequenceCatalog, spec: BundleSpec) -> Plan:
     # fibre pages: yellow on odd columns and green on even ones, but blue from
     # (1, h) and (1, t) and red from (s, h) and (s, t)
     cells = ((1, h), BLUE), ((1, t), BLUE), ((s, h), RED), ((s, t), RED)
-    fixed = cat.fibres([YELLOW, GREEN] * h * s, cells)
+    fixed = fibres(num, [YELLOW, GREEN] * h * s, cells)
 
     pins: list[Fixed] = []
     for j in (1, h):
-        pins += [(cat.rung(s - 1, j), PURPLE), (cat.rung(1, j), RED)]
+        pins += [(num.rung(s - 1, j), PURPLE), (num.rung(1, j), RED)]
     for j in (h + 1, t):
-        pins += [(cat.rung(s - 1, j), BLUE), (cat.rung(1, j), PURPLE)]
-    pins += [(cat.rung(s, t), GREEN), (cat.rung(s, 1), GREEN)]
+        pins += [(num.rung(s - 1, j), BLUE), (num.rung(1, j), PURPLE)]
+    pins += [(num.rung(s, t), GREEN), (num.rung(s, 1), GREEN)]
     for j in range(2, h):
-        pins += [(cat.rung(s, t + 1 - j), RED), (cat.rung(s, j), RED)]
+        pins += [(num.rung(s, t + 1 - j), RED), (num.rung(s, j), RED)]
     half_seam = YELLOW if h % 2 == 1 else GREEN
-    pins += [(cat.rung(s, h + 1), half_seam), (cat.rung(s, h), half_seam)]
+    pins += [(num.rung(s, h + 1), half_seam), (num.rung(s, h), half_seam)]
 
     placed = {e for e, _ in pins}
     fixed += pins
-    columns = [cat.column_rungs(j) for j in range(1, t + 1)]
+    columns = [num.column_rungs(j) for j in range(1, t + 1)]
     todo = [(e, (RED, PURPLE, BLUE)) for column in columns for e in column if e not in placed]
     return spine, fixed, todo
 
@@ -587,9 +543,9 @@ def embed(spec: BundleSpec) -> ConstructionResult:
     """
 
     rule, layout = _select(spec)
-    cat = SequenceCatalog(spec)
-    plan = layout(cat, spec)
-    index = _check_plan(cat, plan, parity_pages(spec), rule)
+    num = Numbering(spec)
+    plan = layout(num)
+    index = _check_plan(num, plan, parity_pages(spec), rule)
     todo = plan[2]
     del plan  # the spine is in the embedding and the fixed pages in the index
     emb = index.complete(todo)

@@ -140,7 +140,7 @@ class BundleSpec:
 
     @property
     def edges(self) -> range:
-        """The edge numbers: edge ``k`` is ``bundle_edges(self)[k]``, so
+        """The edge numbers: edge ``k`` is ``Numbering(self).edges[k]``, so
         there are as many as the graph has edges."""
 
         return range(2 * self.s * self.t)
@@ -171,54 +171,92 @@ def circulant(n: int, jumps: set[int] | frozenset[int] | tuple[int, ...] | list[
     return Graph(n, frozenset((i, (i + k) % n) for k in ks for i in range(n)))
 
 
-def bundle_edges(spec: BundleSpec) -> list[Edge]:
-    """Every edge of the twisted torus once, canonical, edge ``2 * v + kind``
-    at index ``2 * v + kind`` for vertex ``v = p * t + q``.
+class Numbering:
+    """The one statement of a twisted torus's edge numbering.
 
-    Kind 0 is the fibre edge ``(p,q)-(p,q+1)``, from column ``t-1`` the
-    wrapping edge ``(p,0)-(p,t-1)``; kind 1 is the rung ``(p,q)-(p+1,q)``,
-    from row ``s-1`` the seam ``(0,phi(q))-(s-1,q)`` closing the base cycle.
-    This and ``bundle_keys``, its edges as integers, are the two places that
-    apply ``phi``.
+    Vertex (i, j), 1-based, is ``flat(i, j)``; rows and columns wrap
+    modulo s and t, so formulas like column ``1 - d`` can be used verbatim.
+    It owns two edges, numbered ``2 * flat(i, j) + kind``: kind 0 is the
+    fibre edge toward column j+1, kind 1 the rung toward row i+1, which
+    from row s is the seam landing on row 1 at column ``seams[j - 1] + 1``.
+    The numbers 0..2st-1 name every edge once.  ``seams`` is the one place
+    that applies ``phi``; everything else reads it.  ``edges`` lists the
+    edges as canonical tuples, edge k at index k, built once over one shared
+    int per vertex, and ``keys`` gives their keys ``u * n + v`` for
+    n = st; both are built from ``range`` strides, as are a row, a column
+    and a column's rungs, with no call per vertex or edge.
     """
 
-    s, t, phi = spec.s, spec.t, spec.phi
-    n, last = s * t, (s - 1) * t  # last: flat id of (s-1, 0)
-    ids = list(range(n))  # one int per vertex, shared by its four edges
-    fibres = list(zip(ids, ids[1:] + ids[:1]))  # (v, v+1), but for each row's last column:
-    fibres[t - 1 :: t] = zip(ids[::t], ids[t - 1 :: t])  # (p,0)-(p,t-1) in its place
-    rungs = list(zip(ids[:last], ids[t:]))
-    rungs += [(ids[phi.apply(q, t)], ids[last + q]) for q in range(t)]
-    edges = [None] * (2 * n)  # every slot is written below
-    edges[0::2], edges[1::2] = fibres, rungs
-    return edges
+    def __init__(self, spec: BundleSpec):
+        self.spec = spec
+        self.s, self.t = s, t = spec.s, spec.t
+        self.size = 2 * s * t  # edge count
+        # 0-based row-1 column of each column's seam from row s
+        self.seams = [spec.phi.apply(q, t) for q in range(t)]
 
+    def flat(self, i: int, j: int) -> int:
+        return ((i - 1) % self.s) * self.t + ((j - 1) % self.t)
 
-def bundle_keys(spec: BundleSpec) -> frozenset[int]:
-    """The key ``u * n + v`` of every edge ``(u, v)`` of ``bundle_edges``,
-    for ``n = s * t``: the edge set as integers, with no tuple built.
+    def fibre(self, i: int, j: int) -> int:
+        return 2 * self.flat(i, j)
 
-    The same numbering, read as strides: fibre ``2w`` of ``w = p * t + q``
-    is ``w * (n + 1) + 1``, or ``p * t * (n + 1) + t - 1`` from column
-    ``t-1``; rung ``2w + 1`` is ``w * (n + 1) + t``; and each column's seam
-    goes through ``phi.apply``.
-    """
+    def rung(self, i: int, j: int) -> int:
+        return 2 * self.flat(i, j) + 1
 
-    s, t, phi = spec.s, spec.t, spec.phi
-    n, last = s * t, (s - 1) * t
-    step = n + 1  # from the key of (w, w + k) to that of (w + 1, w + 1 + k)
-    # each row's fibres but its wrapping one, which is p * t * (n + 1) + t - 1
-    fibres = (range(row * step + 1, (row + t - 1) * step, step) for row in range(0, n, t))
-    wraps = range(t - 1, last * step + t, t * step)
-    rungs = range(t, last * step + t, step)
-    seams = (phi.apply(q, t) * n + last + q for q in range(t))
-    return frozenset(chain(chain.from_iterable(fibres), wraps, rungs, seams))  # no set to copy
+    def row(self, i: int) -> tuple[int, ...]:
+        start = self.flat(i, 1)
+        return tuple(range(start, start + self.t))
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return tuple(range(self.flat(1, j), self.s * self.t, self.t))
+
+    def column_rungs(self, j: int) -> range:
+        """The rungs of column j, from rows 1..s-1 top down (the seam from
+        row s is not one): a stride of 2t from ``rung(1, j)``."""
+
+        return range(self.rung(1, j), 2 * (self.s - 1) * self.t, 2 * self.t)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge once, canonical, edge k at index k: from the last
+        column the fibre edge is ``(p,0)-(p,t-1)``, from the last row the
+        rung is the seam ``(0,phi(q))-(s-1,q)``.  The graph, the search and
+        the embedding all share these tuples."""
+
+        t, n, last = self.t, self.s * self.t, (self.s - 1) * self.t  # last: flat id of (s-1, 0)
+        ids = list(range(n))  # one int per vertex, shared by its four edges
+        fibres = list(zip(ids, ids[1:] + ids[:1]))  # (v, v+1), but for each row's last column:
+        fibres[t - 1 :: t] = zip(ids[::t], ids[t - 1 :: t])  # (p,0)-(p,t-1) in its place
+        rungs = list(zip(ids[:last], ids[t:]))
+        rungs += zip(map(ids.__getitem__, self.seams), ids[last:])
+        edges = [None] * self.size  # every slot is written below
+        edges[0::2], edges[1::2] = fibres, rungs
+        return tuple(edges)
+
+    def keys(self) -> frozenset[int]:
+        """The key ``u * n + v`` of every edge ``(u, v)``, for n = st: the
+        edge set as integers, with no tuple built.
+
+        Read as strides: fibre ``2w`` of ``w = p * t + q`` is
+        ``w * (n + 1) + 1``, or ``p * t * (n + 1) + t - 1`` from column
+        ``t-1``; rung ``2w + 1`` is ``w * (n + 1) + t``; a seam's key is
+        its landing column times n plus its tail.
+        """
+
+        t, n, last = self.t, self.s * self.t, (self.s - 1) * self.t
+        step = n + 1  # from the key of (w, w + k) to that of (w + 1, w + 1 + k)
+        # each row's fibres but its wrapping one, which is p * t * (n + 1) + t - 1
+        fibres = (range(row * step + 1, (row + t - 1) * step, step) for row in range(0, n, t))
+        wraps = range(t - 1, last * step + t, t * step)
+        rungs = range(t, last * step + t, step)
+        seams = (j * n + v for j, v in zip(self.seams, range(last, n)))
+        return frozenset(chain(chain.from_iterable(fibres), wraps, rungs, seams))  # no set to copy
 
 
 def bundle(spec: BundleSpec) -> Graph:
-    """Twisted torus on ``s*t`` vertices: the edges of ``bundle_edges``."""
+    """Twisted torus on ``s*t`` vertices: the edges of its ``Numbering``."""
 
-    return Graph(spec.s * spec.t, frozenset(bundle_edges(spec)))
+    return Graph(spec.s * spec.t, frozenset(Numbering(spec).edges))
 
 
 def _neighbours(g: Graph) -> list[list[int]]:

@@ -28,7 +28,7 @@ construction's fixed pages included), runs its structural checks at C
 speed: the spine is a permutation when ``pos`` is as long as it, the edge
 list is E(g) when its ``edge_set`` equals E(g) and is as long as the list
 (or, when g is a ``BundleSpec``, when the keys ``u * n + v`` of its pairs
-in range equal ``bundle_keys(g)`` and are as many as the list, with no
+in range equal ``Numbering(g).keys()`` and are as many as the list, with no
 graph built), and the page indices are in range by ``min`` and ``max`` over
 the ``Counter`` of the pages, which also counts the pages used and finds
 the dense ones; only a failing check reads further, to name the offenders
@@ -62,9 +62,9 @@ from .graph_core import (
     BundleSpec,
     Edge,
     Graph,
+    Numbering,
     SpecFormatError,
     bundle,
-    bundle_keys,
     make_edge,
     max_degree,
 )
@@ -391,9 +391,9 @@ def validate(g: Graph | BundleSpec, emb: BookEmbedding) -> ValidationReport:
 
     ``g`` may be a ``BundleSpec``: the edges listed are then E(g) when their
     keys ``u * n + v``, over the pairs with ``0 <= u < v < n``, are as many
-    as the edges and equal ``bundle_keys(g)``, and no graph is built.  The
-    range test keeps a pair past n off another edge's key.  Only a failing
-    test builds ``bundle(g)``, to name the offenders as a graph does.
+    as the edges and equal ``Numbering(g).keys()``, and no graph is built.
+    The range test keeps a pair past n off another edge's key.  Only a
+    failing test builds ``bundle(g)``, to name the offenders as a graph does.
     """
 
     n = g.s * g.t if isinstance(g, BundleSpec) else g.n
@@ -402,7 +402,7 @@ def validate(g: Graph | BundleSpec, emb: BookEmbedding) -> ValidationReport:
     edges, pages, m = emb.edges, emb.pages, emb.m
     if isinstance(g, BundleSpec):
         keys = {u * n + v for u, v in edges if 0 <= u < v < n}
-        if len(keys) < len(edges) or keys != bundle_keys(g):
+        if len(keys) < len(edges) or keys != Numbering(g).keys():
             _check_edges(bundle(g), emb)  # raises, naming the offenders
     else:
         _check_edges(g, emb)

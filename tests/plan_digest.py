@@ -20,8 +20,8 @@ import math
 import sys
 import time
 
-from bookbind.constructions import SequenceCatalog, _select
-from bookbind.graph_core import BundleSpec, Reflection, Shift
+from bookbind.constructions import _select
+from bookbind.graph_core import BundleSpec, Numbering, Reflection, Shift
 from reference import plan_text
 
 SPECS = 16632
@@ -42,8 +42,8 @@ def main() -> int:
     specs = 0
     for spec in wide_specs():
         rule, layout = _select(spec)
-        cat = SequenceCatalog(spec)
-        digest.update(plan_text(rule, cat, layout(cat, spec)).encode() + b"\n")
+        num = Numbering(spec)
+        digest.update(plan_text(rule, num, layout(num)).encode() + b"\n")
         specs += 1
     got = digest.hexdigest()
     print(f"{specs} specs in {time.perf_counter() - started:.1f} s, plan digest {got}")

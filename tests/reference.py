@@ -5,10 +5,11 @@ plain pairwise definition that ``validate``, the page index and the oracle's
 conflict masks are checked against; the fibre cycles are the rows that,
 with ``bundle_decomp.residual_cycles``, make up the partition the acceptance
 criteria audit; ``cycle_edges`` lists a cycle's edges as vertex pairs,
-which the edge numbers of ``constructions.SequenceCatalog`` are checked
-against; and ``reference_decode`` works out edge number k from its
-definition, which ``graph_core.bundle_edges`` (the graph, the search and
-the page map all read that one list) is checked against; and
+which the edge numbers of ``graph_core.Numbering`` are checked against;
+and ``reference_decode`` works out edge number k from its definition, phi
+written out apart from ``Shift.apply`` and ``Reflection.apply``, which
+``graph_core.Numbering`` (its ``edges``, which the graph, the search and
+the page map all read, and its ``keys()``) is checked against; and
 ``reference_graph_edges`` is the per-edge check ``Graph`` made before its
 one unpacking loop, which the accepted inputs, the kept or canonical edges
 and the errors of ``Graph`` are checked against; and
@@ -42,7 +43,9 @@ the completion search, by one closed-form rule per rule tag, which
 shift spec with gcd(s, t, d) = 1 onto a circulant, where ``embed``'s
 embedding is validated and certified again; ``plan_text`` writes a layout's
 plan as one JSON line, edges by their vertex pairs, which the plan digests
-(``PLAN_DIGEST`` in tier-1, ``tests/plan_digest.py`` on a wider grid) hash.
+(``PLAN_DIGEST`` in tier-1, ``tests/plan_digest.py`` on a wider grid) hash;
+and ``row_pump`` finds two rows of embed(s + 2, t) whose deletion gives
+embed(s, t), which tier-1 and ``tests/page_digest.py`` look for.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from collections import deque
 
 from bookbind import oracle
 from bookbind.bundle_decomp import Cycles, residual_cycles
-from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, bundle, make_edge, vertex_index
+from bookbind.graph_core import BundleSpec, Edge, InvalidSpecError, Shift, bundle, make_edge, vertex_index
 from bookbind.layout_engine import BLUE, GREEN, PURPLE, RED, YELLOW, BookEmbedding
 
 
@@ -121,24 +124,28 @@ def reference_decode(spec: BundleSpec, k: int) -> Edge:
 
     Kind 0 is the fibre edge from vertex v toward the next column, which
     wraps to the row's first vertex; kind 1 the rung toward the next row,
-    which from the last row is the seam, landing on row 0 at phi(column).
+    which from the last row is the seam, landing on row 0 at phi(column):
+    ``(q + d) % t`` for a d-shift, ``t - 1 - q`` for the reflections
+    ``none`` and ``one``, ``(t - q) % t`` for ``two``.
     """
 
-    v, t = k >> 1, spec.t
+    v, t, phi = k >> 1, spec.t, spec.phi
     q = v % t
     if k % 2 == 0:
         return (v, v + 1) if q < t - 1 else (v - q, v)
     if v < (spec.s - 1) * t:
         return (v, v + t)
-    return (spec.phi.apply(q, t), v)
+    if isinstance(phi, Shift):
+        return ((q + phi.d) % t, v)
+    return ((t - q) % t if phi.kind == "two" else t - 1 - q, v)
 
 
-def odd_cycle_fault(spec: BundleSpec, walk) -> str | None:
+def odd_cycle_fault(spec: BundleSpec, walk, decoded: set[Edge] | None = None) -> str | None:
     """What is wrong with ``walk`` as ``bundle_decomp.odd_cycle(spec)``, or
     None.  It must be None exactly when ``bundle(spec)`` is bipartite, and
     otherwise a closed walk of odd length below s + t, each vertex joined to
     the next (the last to the first) by an edge that ``reference_decode``
-    names."""
+    names (``decoded``, the set of them, when the caller has it)."""
 
     if is_bipartite(bundle(spec)):
         return None if walk is None else f"a walk {walk} in a bipartite bundle"
@@ -146,7 +153,7 @@ def odd_cycle_fault(spec: BundleSpec, walk) -> str | None:
         return "no walk in a nonbipartite bundle"
     if len(walk) % 2 == 0 or len(walk) >= spec.s + spec.t:
         return f"a walk of length {len(walk)}"
-    edges = {reference_decode(spec, k) for k in range(2 * spec.s * spec.t)}
+    edges = decoded or {reference_decode(spec, k) for k in range(2 * spec.s * spec.t)}
     steps = [make_edge(u, v) for u, v in zip(walk, (*walk[1:], walk[0]))]
     missing = [e for e in steps if e not in edges]
     return f"steps {missing} are not edges" if missing else None
@@ -598,16 +605,44 @@ def closed_form_todo_pages(spec: BundleSpec, rule: str) -> dict[int, int]:
     return pages
 
 
-def plan_text(rule: str, cat, plan) -> str:
+def plan_text(rule: str, num, plan) -> str:
     """A layout's plan as one JSON line: the rule tag, the spine, the fixed
     list in order as ``[edge, page]`` and the todo list in order as
     ``[edge, palette]``, each edge the vertex pair its number names in
-    ``cat``, a ``constructions.SequenceCatalog``."""
+    ``num``, a ``graph_core.Numbering``."""
 
     spine, fixed, todo = plan
-    fixed = [[list(cat.edges[k]), page] for k, page in fixed]
-    todo = [[list(cat.edges[k]), list(palette)] for k, palette in todo]
+    fixed = [[list(num.edges[k]), page] for k, page in fixed]
+    todo = [[list(num.edges[k]), list(palette)] for k, palette in todo]
     return json.dumps([rule, list(spine), fixed, todo])
+
+
+def row_pump(small, large, t: int) -> int | None:
+    """The 0-based row r, 1 <= r < s, such that deleting rows r and r + 1
+    from ``large``, the (rule tag, pages, spine) of embed(s + 2, t), gives
+    ``small``, those of embed(s, t), the spine up to reversal; None if no r
+    does.
+
+    In edge-number order row r owns ``pages[2rt : 2(r+1)t]``, so the two
+    rows are one slice of the pages; their 2t vertices leave the spine, and
+    the vertices after them are numbered 2t lower.  A family that pumps
+    grows from its base cases by inserting two rows: the rows' blocks of
+    the ``_zigzag`` spine and their pages go in whole, and every other page
+    stays.  Why such an insertion keeps every page noncrossing is the
+    lemma; this compares outcomes and does not prove it.
+    """
+
+    rule, pages, order = small
+    if rule != large[0]:
+        return None
+    order, big_pages, big_order = list(order), large[1], large[2]
+    for r in range(1, len(order) // t):
+        lo, hi = r * t, (r + 2) * t
+        if big_pages[: 2 * lo] + big_pages[2 * hi :] == pages:
+            spine = [v if v < lo else v - 2 * t for v in big_order if not lo <= v < hi]
+            if spine == order or spine[::-1] == order:
+                return r
+    return None
 
 
 def smith_form_map(spec: BundleSpec) -> tuple[int, int, list[int]]:

@@ -718,7 +718,15 @@ def _count_calls(monkeypatch, fn) -> list:
 
 def test_sweep_row_validates_and_builds_once(monkeypatch, capsys):
     validates = _count_calls(monkeypatch, layout_engine.validate)
-    bundles = _count_calls(monkeypatch, graph_core.bundle_edges)
+    # the numbering's edge list is a cached property: count calls to its builder
+    edges, bundles = graph_core.Numbering.edges, []
+    build = edges.func
+
+    def counted(num):
+        bundles.append(None)
+        return build(num)
+
+    monkeypatch.setattr(edges, "func", counted)
     code, out, _ = run(capsys, "sweep", "--family", "shift", "--s", "3:4", "--t", "6:9")
     assert code == 0
     rows = int(out.splitlines()[-1].split()[0].removeprefix("rows="))

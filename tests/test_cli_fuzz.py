@@ -26,7 +26,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from bookbind import cli, constructions, graph_core  # noqa: E402
+from bookbind import cli, graph_core  # noqa: E402
 from bookbind.graph_core import BundleSpec, Reflection, Shift, format_bundle_spec  # noqa: E402
 from reference import reference_verify  # noqa: E402
 
@@ -274,14 +274,16 @@ def _over_limit_argvs():
 @pytest.mark.parametrize("argv", _over_limit_argvs(), ids=" ".join)
 def test_over_limit_spec_exits_65_before_any_graph_is_built(argv):
     # every way to build a graph's edges is stubbed to fail the test at once
-    # (pytest.fail is a BaseException, so no `except Exception` hides it);
-    # a missing check would otherwise allocate until memory runs out
+    # (pytest.fail is a BaseException, so no `except Exception` hides it):
+    # a bundle's numbering lists them as tuples or as keys, a circulant
+    # puts them in a frozenset; a missing check would otherwise allocate
+    # until memory runs out
     def build(*_):
         pytest.fail(f"a graph was built for {argv}")
 
     with (
-        mock.patch.object(graph_core, "bundle_edges", build),
-        mock.patch.object(constructions, "bundle_edges", build),
+        mock.patch.object(graph_core.Numbering, "edges", property(build)),
+        mock.patch.object(graph_core.Numbering, "keys", build),
         mock.patch.object(graph_core, "frozenset", build, create=True),  # circulant's edge set
     ):
         code, out, err = run(*argv)

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -19,22 +20,21 @@ from bookbind.constructions import (
     RULE_SHIFT_ODD_ODD_RESIDUAL,
     CompletionError,
     ConstructionResult,
-    SequenceCatalog,
     Unsupported,
     _check_plan,
     _select,
     _wraps,
     embed,
+    fibres,
     parity_pages,
 )
 from bookbind.cli import _sweep_specs
 from bookbind.graph_core import (
     BundleSpec,
+    Numbering,
     Reflection,
     Shift,
     bundle,
-    bundle_edges,
-    bundle_keys,
     circulant,
     format_bundle_spec,
     make_edge,
@@ -48,6 +48,7 @@ from reference import (
     cycle_edges,
     plan_text,
     reference_decode,
+    row_pump,
     smith_form_map,
 )
 
@@ -62,32 +63,32 @@ def _check(result, spec):
     assert result.graph == bundle(spec)
 
 
-def test_sequence_catalog_wraps_indices():
-    cat = SequenceCatalog(BundleSpec(3, 5, Shift(2)))
-    assert cat.flat(1, 1) == 0
-    assert cat.flat(3, 5) == 14
-    assert cat.flat(4, 6) == 0  # wraps both axes
-    assert cat.flat(1, 0) == 4  # column 0 means column t
-    assert cat.row(2) == (5, 6, 7, 8, 9)
-    assert cat.column(2) == (1, 6, 11)
-    assert cat.size == 30
+def test_numbering_wraps_indices():
+    num = Numbering(BundleSpec(3, 5, Shift(2)))
+    assert num.flat(1, 1) == 0
+    assert num.flat(3, 5) == 14
+    assert num.flat(4, 6) == 0  # wraps both axes
+    assert num.flat(1, 0) == 4  # column 0 means column t
+    assert num.row(2) == (5, 6, 7, 8, 9)
+    assert num.column(2) == (1, 6, 11)
+    assert num.size == 30
     # kind 0 is the fibre edge toward column j+1, kind 1 the rung toward row i+1
-    assert (cat.fibre(1, 1), cat.rung(1, 1)) == (0, 1)
-    assert cat.fibre(1, 5) == cat.fibre(4, 0) == 8 and cat.edges[8] == (0, 4)  # back to column 1
-    assert cat.rung(2, 5) == cat.rung(-1, 10) == 19 and cat.edges[19] == (9, 14)
+    assert (num.fibre(1, 1), num.rung(1, 1)) == (0, 1)
+    assert num.fibre(1, 5) == num.fibre(4, 0) == 8 and num.edges[8] == (0, 4)  # back to column 1
+    assert num.rung(2, 5) == num.rung(-1, 10) == 19 and num.edges[19] == (9, 14)
     # the rung from row s is the seam, landing on row 1 at phi(column)
-    assert cat.rung(3, 1) == cat.rung(0, 1) == 21 and cat.edges[21] == (2, 10)
-    assert cat.rung(3, 4) == 27 and cat.edges[27] == (0, 13)  # 3 + 2 wraps to 0
-    assert SequenceCatalog(BundleSpec(3, 4, Reflection("two"))).edges[17] == (0, 8)
+    assert num.rung(3, 1) == num.rung(0, 1) == 21 and num.edges[21] == (2, 10)
+    assert num.rung(3, 4) == 27 and num.edges[27] == (0, 13)  # 3 + 2 wraps to 0
+    assert Numbering(BundleSpec(3, 4, Reflection("two"))).edges[17] == (0, 8)
     # the strides the layouts build their lists from, against the per-edge forms:
     # fibre pages listed row by row, then cells written over them in turn
     pages = list(range(100, 115))
-    want = [(cat.fibre(i, j), pages[cat.flat(i, j)]) for i in range(1, 4) for j in range(1, 6)]
-    assert cat.fibres(list(pages)) == want
+    want = [(num.fibre(i, j), pages[num.flat(i, j)]) for i in range(1, 4) for j in range(1, 6)]
+    assert fibres(num, list(pages)) == want
     want[4] = (8, 2)  # (1, 0) and (4, 5) both name (1, 5), the last write stands
-    assert cat.fibres(list(pages), [((1, 0), 1), ((4, 5), 2)]) == want
+    assert fibres(num, list(pages), [((1, 0), 1), ((4, 5), 2)]) == want
     # a column's rungs over rows 1..s-1, wrapped columns (1 - d, 0, past t) included
-    for other in (cat, SequenceCatalog(BundleSpec(6, 4, Reflection("none")))):
+    for other in (num, Numbering(BundleSpec(6, 4, Reflection("none")))):
         for j in (1, 3, 4, 1 - 2, 0, 6):
             want = [other.rung(i, j) for i in range(1, other.s)]
             assert list(other.column_rungs(j)) == want, (other.s, j)
@@ -106,26 +107,26 @@ def test_edge_numbers_name_every_edge_once():
     # edges are the rungs 2 * v + 1 of its vertices in walk order
     checked = 0
     for spec in _catalog_specs(9, 15):
-        cat = SequenceCatalog(spec)
-        decoded = [cat.edges[k] for k in range(cat.size)]
-        assert len(set(decoded)) == cat.size and set(decoded) == bundle(spec).edges, spec
+        num = Numbering(spec)
+        decoded = [num.edges[k] for k in range(num.size)]
+        assert len(set(decoded)) == num.size and set(decoded) == bundle(spec).edges, spec
         for cyc in residual_cycles(spec):
-            assert cycle_edges(cyc) == [cat.edges[2 * v + 1] for v in cyc], spec
+            assert cycle_edges(cyc) == [num.edges[2 * v + 1] for v in cyc], spec
         checked += 1
     assert checked == 7 * 136
 
 
-def test_bundle_edges_follow_the_numbering_by_definition():
+def test_numbering_follows_the_definition():
     # the graph, the search and the page map all read this one list, so
     # validate cannot see a wrong number in it; the reference can.  The
-    # keys verify checks a file against are a third definition: as strides
+    # keys verify checks a file against are built apart from it: as strides
     # of u * n + v, they must name the same edges as both
     checked = 0
     for spec in _catalog_specs(10, 24):
-        edges = bundle_edges(spec)
+        edges = Numbering(spec).edges
         n = spec.s * spec.t
-        assert edges == [reference_decode(spec, k) for k in range(2 * n)], spec
-        keys = bundle_keys(spec)
+        assert edges == tuple(reference_decode(spec, k) for k in range(2 * n)), spec
+        keys = Numbering(spec).keys()
         assert type(keys) is frozenset and len(keys) == 2 * n, spec
         assert keys == {u * n + v for u, v in edges}, spec
         assert keys == {u * n + v for u, v in map(reference_decode, [spec] * 2 * n, range(2 * n))}, spec
@@ -134,7 +135,7 @@ def test_bundle_edges_follow_the_numbering_by_definition():
 
 
 def test_page_map_shares_the_graph_tuples():
-    # the tuples bundle_edges built once, not equal copies of them
+    # the tuples Numbering.edges built once, not equal copies of them
     specs = (BundleSpec(5, 8, Shift(2)), BundleSpec(6, 9, Shift(3)), BundleSpec(4, 7, Reflection("one")))
     for spec in specs:
         res = embed(spec)
@@ -142,7 +143,7 @@ def test_page_map_shares_the_graph_tuples():
 
 
 _PLAN_SPEC = BundleSpec(3, 4, Shift(2))  # shift/gcd-even: 5 pages, fixed and todo both used
-_decode = SequenceCatalog(_PLAN_SPEC).edges.__getitem__
+_decode = Numbering(_PLAN_SPEC).edges.__getitem__
 
 
 def _edit_plan(monkeypatch, edit, search: bool = False) -> None:
@@ -152,8 +153,8 @@ def _edit_plan(monkeypatch, edit, search: bool = False) -> None:
 
     rule, layout = _select(_PLAN_SPEC)
 
-    def edited(cat, spec):
-        spine, fixed, todo = layout(cat, spec)
+    def edited(num):
+        spine, fixed, todo = layout(num)
         edit(spine, fixed, todo)
         return spine, fixed, todo
 
@@ -293,10 +294,10 @@ class _CountedList(list):
 @pytest.mark.parametrize("spec", [_PLAN_SPEC, BundleSpec(5, 7, Reflection("one"))])
 def test_plan_check_walks_a_sound_fixed_list_once(spec):
     rule, layout = _select(spec)
-    cat = SequenceCatalog(spec)
-    spine, fixed, todo = layout(cat, spec)
+    num = Numbering(spec)
+    spine, fixed, todo = layout(num)
     fixed = _CountedList(fixed)
-    index = _check_plan(cat, (spine, fixed, todo), parity_pages(spec), rule)
+    index = _check_plan(num, (spine, fixed, todo), parity_pages(spec), rule)
     assert fixed.iterations == 1
     assert all(index.pages[k] == page for k, page in list.__iter__(fixed))
 
@@ -444,9 +445,9 @@ E1K_SEARCH_NODES = {
 def test_search_nodes_on_the_e1k_ladder_are_pinned(text):
     spec = parse_bundle_spec(text)
     rule, layout = _select(spec)
-    cat = SequenceCatalog(spec)
-    spine, fixed, todo = layout(cat, spec)
-    index = _check_plan(cat, (spine, fixed, todo), parity_pages(spec), rule)
+    num = Numbering(spec)
+    spine, fixed, todo = layout(num)
+    index = _check_plan(num, (spine, fixed, todo), parity_pages(spec), rule)
     emb = index.complete(todo)
     assert (index._nodes, len(todo)) == E1K_SEARCH_NODES[text]
     assert validate(bundle(spec), emb).ok
@@ -539,15 +540,30 @@ def _walked_wraps(s: int, t: int, d: int) -> tuple[set[int], set[int]]:
     return {(q + 1) % t + 1 for q in wrapping}, {q + 1 for q in wrapping}  # 1-based
 
 
+def _formula_wraps(t: int, d: int) -> tuple[set[int], set[int]]:
+    """Where the residual cycles wrap, by arithmetic.  With g = gcd(t, d),
+    T = t/g and u = (d/g)^-1 mod T, the fibre edges leaving the last u
+    columns of class g land on the first u columns of residual cycle 1."""
+
+    g = math.gcd(t, d)
+    u = pow(d // g, -1, t // g)
+    landing = {1 + k * d % t for k in range(u)}
+    return landing, {(j - 2) % t + 1 for j in landing}  # 1-based
+
+
 def test_wraps_match_the_residual_cycles():
+    # _wraps reads cycle 1's walk up to column g; the formula and the last
+    # cycle's blocks are two other ways to the same columns
     checked = 0
     for s in range(3, 7):
         for t in range(3, 31):
             for d in range(1, t):
                 g = math.gcd(t, d)
                 if g > 1:
-                    assert _wraps(t, d) == _walked_wraps(s, t, d), (s, t, d)
-                    assert d != g or _wraps(t, d) == ({1}, {t})  # d = g: raw columns
+                    spec = BundleSpec(s, t, Shift(d))
+                    wraps = _wraps(Numbering(spec), residual_cycles(spec))
+                    assert wraps == _formula_wraps(t, d) == _walked_wraps(s, t, d), (s, t, d)
+                    assert d != g or wraps == ({1}, {t})  # d = g: raw columns
                     checked += 1
     assert checked == 4 * 158
 
@@ -662,7 +678,7 @@ def _layout_calls(text: str) -> int:
     # Python-level calls (not C builtins) made while the layout runs
     spec = parse_bundle_spec(text)
     _, layout = _select(spec)
-    cat = SequenceCatalog(spec)
+    num = Numbering(spec)
     calls = 0
 
     def count(frame, event, arg):
@@ -672,7 +688,7 @@ def _layout_calls(text: str) -> int:
     outer = sys.getprofile()
     sys.setprofile(count)
     try:
-        layout(cat, spec)
+        layout(num)
     finally:
         sys.setprofile(outer)
     return calls
@@ -693,14 +709,14 @@ def test_layout_plans_on_sweep_grid_are_pinned():
     for family in ("shift", "reflection"):
         for spec in _sweep_specs(family, (3, 12), (3, 30)):
             rule, layout = _select(spec)
-            cat = SequenceCatalog(spec)
-            plan = layout(cat, spec)
+            num = Numbering(spec)
+            plan = layout(num)
             # the plan check leaves clashes to validate: a layout edit that
             # makes its fixed pages clash is named here, before the digest
-            edges = [cat.edges[k] for k, _ in plan[1]]
+            edges = [num.edges[k] for k, _ in plan[1]]
             pages = [page for _, page in plan[1]]
             assert violations(edges, pages, BookEmbedding(plan[0], (), (), 1).pos) == [], spec
-            digest.update(plan_text(rule, cat, plan).encode() + b"\n")
+            digest.update(plan_text(rule, num, plan).encode() + b"\n")
             rows += 1
     assert rows == 1280
     assert digest.hexdigest() == PLAN_DIGEST
@@ -718,7 +734,7 @@ def test_closed_form_rules_give_the_searched_pages():
             for phi in [Shift(d) for d in range(1, t) if math.gcd(t, d) > 1] + [*map(Reflection, kinds)]:
                 spec = BundleSpec(s, t, phi)
                 rule, layout = _select(spec)
-                todo = layout(SequenceCatalog(spec), spec)[2]
+                todo = layout(Numbering(spec))[2]
                 if not todo:
                     continue
                 want = closed_form_todo_pages(spec, rule)
@@ -729,10 +745,34 @@ def test_closed_form_rules_give_the_searched_pages():
     assert specs == 1995
 
 
+def test_every_rule_tag_pumps_by_two_rows():
+    # on s = 3..12, t = 3..20, deleting two interior rows of embed(s + 2, t)
+    # (one slice of its pages and 2t spine places) gives embed(s, t) on
+    # every tag, with one known base case: from s = 3 to s = 5 no
+    # shift/gcd-odd/odd-residual spec pumps
+    pumped, misses, odd_residual_at_3 = Counter(), Counter(), 0
+    for t in range(3, 21):
+        kinds = ("one",) if t % 2 else ("none", "two")
+        for phi in [Shift(d) for d in range(1, t) if math.gcd(t, d) > 1] + [*map(Reflection, kinds)]:
+            rows = {}
+            for s in range(3, 15):
+                res = embed(BundleSpec(s, t, phi))
+                rows[s] = res.rule, res.embedding.pages, res.embedding.order
+            for s in range(3, 13):
+                rule = rows[s][0]
+                odd_residual_at_3 += (s, rule) == (3, RULE_SHIFT_ODD_ODD_RESIDUAL)
+                if row_pump(rows[s], rows[s + 2], t) is None:
+                    misses[s, rule] += 1
+                else:
+                    pumped[rule] += 1
+    assert misses == {(3, RULE_SHIFT_ODD_ODD_RESIDUAL): odd_residual_at_3} and odd_residual_at_3 == 8
+    assert len(pumped) == 10 and sum(pumped.values()) == 892
+
+
 def test_embeddings_certify_on_the_isomorphic_circulant():
     # every supported shift with s, t <= 10 and gcd(s, t, d) = 1 is a
     # circulant by the Smith-form map; embed's embedding, carried through
-    # the map, must validate and certify there, so a seam that bundle_edges
+    # the map, must validate and certify there, so a seam that Numbering
     # and reference_decode put in the same wrong column is caught
     specs = 0
     for s in range(3, 11):

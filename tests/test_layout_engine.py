@@ -10,10 +10,10 @@ from bookbind import cli
 from bookbind.graph_core import (
     BundleSpec,
     Graph,
+    Numbering,
     Shift,
     SpecFormatError,
     bundle,
-    bundle_edges,
     circulant,
     make_edge,
 )
@@ -74,7 +74,7 @@ def test_validate_names_a_non_canonical_page_key():
     # against a bundle spec only pairs 0 <= u < v < n are keyed, and a
     # failing check names the offenders as the spec's graph does
     spec = BundleSpec(3, 4, Shift(2))
-    edges = bundle_edges(spec)  # edges[5] is the rung (2, 6)
+    edges = Numbering(spec).edges  # edges[5] is the rung (2, 6)
     for bad in ((6, 2), (2, -1)):
         listed = [*edges[:5], bad, *edges[6:]]
         emb = BookEmbedding(range(12), listed, [0] * len(listed), 1)

@@ -33,7 +33,6 @@ from bookbind import layout_engine, oracle  # noqa: E402
 from bookbind.constructions import (  # noqa: E402
     _TODO,
     CompletionError,
-    SequenceCatalog,
     _check_plan,
     _PageAssigner,
     _select,
@@ -43,6 +42,7 @@ from bookbind.constructions import (  # noqa: E402
 from bookbind.graph_core import (  # noqa: E402
     BundleSpec,
     Graph,
+    Numbering,
     Reflection,
     Shift,
     bundle,
@@ -394,63 +394,63 @@ def test_completion_search_matches_pairwise_reference_node_for_node(case, data):
 
 @st.composite
 def plans_with_fixed_pages(draw):
-    """A small bundle's catalog, a random spine, and a plan that fixes random
+    """A small bundle's numbering, a random spine, and a plan that fixes random
     pages on a random few of its edge numbers and leaves the rest to do."""
 
     spec = draw(st.sampled_from(SPECS[:3] + SPECS[4:]))  # 18 to 40 vertices
-    cat = SequenceCatalog(spec)
+    num = Numbering(spec)
     m = parity_pages(spec)
     spine = draw(st.permutations(range(spec.s * spec.t)))
     fixed = draw(
         st.lists(
-            st.tuples(st.integers(0, cat.size - 1), st.integers(0, m - 1)),
+            st.tuples(st.integers(0, num.size - 1), st.integers(0, m - 1)),
             max_size=12,
             unique_by=lambda f: f[0],
         )
     )
     pinned = {k for k, _ in fixed}
-    todo = [(k, (0,)) for k in range(cat.size) if k not in pinned]
-    return cat, (list(spine), fixed, todo), m
+    todo = [(k, (0,)) for k in range(num.size) if k not in pinned]
+    return num, (list(spine), fixed, todo), m
 
 
-def _assert_pinned(index: _PageAssigner, cat: SequenceCatalog, fixed) -> None:
+def _assert_pinned(index: _PageAssigner, num: Numbering, fixed) -> None:
     """Every fixed page is in ``pages``; unless two fixed edges share an end
     on one page (the later pin then overwrites that place), the index holds
     exactly the fixed chords."""
 
     pos = index.emb.pos
     assert all(index.pages[k] == p for k, p in fixed)
-    clashes = violations([cat.edges[k] for k, _ in fixed], [p for _, p in fixed], pos)
+    clashes = violations([num.edges[k] for k, _ in fixed], [p for _, p in fixed], pos)
     if any(why == REASON_ENDPOINT for _, _, why in clashes):
         return
     for k, p in fixed:
-        a, b = sorted(pos[v] for v in cat.edges[k])
+        a, b = sorted(pos[v] for v in num.edges[k])
         assert index.partner[p][a] == b and index.partner[p][b] == a
     assert sum(x != -1 for page in index.partner for x in page) == 2 * len(fixed)
 
 
 @given(plans_with_fixed_pages())
 def test_plan_check_pins_fixed_pages_and_leaves_clashes_to_the_validator(case):
-    cat, plan, m = case
-    index = _check_plan(cat, plan, m, "test")  # a clash is no listing fault
-    _assert_pinned(index, cat, plan[1])
-    assert index.emb.edges is cat.edges and len(index.pages) == cat.size
+    num, plan, m = case
+    index = _check_plan(num, plan, m, "test")  # a clash is no listing fault
+    _assert_pinned(index, num, plan[1])
+    assert index.emb.edges is num.edges and len(index.pages) == num.size
     assert all(index.pages[k] == _TODO for k, _ in plan[2])
 
 
-def reference_plan_verdict(cat: SequenceCatalog, plan, m: int) -> str | None:
+def reference_plan_verdict(num: Numbering, plan, m: int) -> str | None:
     """What the plan check must say, from its definition: the first listing
     fault in priority order (numbers out of range, numbers listed twice,
     numbers missing, pages out of range), each naming up to four offenders;
     None for a plan that lists every number once, clashing or not."""
 
     _, fixed, todo = plan
-    decode, edges = cat.edges.__getitem__, range(cat.size)
+    decode, edges = num.edges.__getitem__, range(num.size)
     count = Counter(k for k, _ in [*fixed, *todo])
     pages = [*fixed, *((k, p) for k, palette in todo for p in palette)]
     outside = sorted(set(count) - set(edges))
     if outside:  # only numbers in range index the edge list
-        return f"numbers outside 0..{cat.size - 1}: {outside[:4]}"
+        return f"numbers outside 0..{num.size - 1}: {outside[:4]}"
     for fault, offenders in (
         ("listed twice", [decode(k) for k, c in count.items() if c > 1]),
         ("missing from the plan", sorted(decode(k) for k in edges if k not in count)),
@@ -488,9 +488,9 @@ def multi_fault_plans(draw):
     fixed pages moved onto a clash, applied one after another in a drawn order."""
 
     spec = draw(st.sampled_from(PLAN_SPECS))
-    cat, m = SequenceCatalog(spec), parity_pages(spec)
+    num, m = Numbering(spec), parity_pages(spec)
     rule, layout = _select(spec)
-    spine, fixed, todo = layout(cat, spec)
+    spine, fixed, todo = layout(num)
     pos = {v: x for x, v in enumerate(spine)}
 
     def clash(e, f) -> bool:
@@ -504,7 +504,7 @@ def multi_fault_plans(draw):
         i = draw(st.integers(0, len(entries) - 1))
         k, page = entries[i]
         if fault == "number past the end":
-            entries[i] = (cat.size + draw(st.integers(0, 3)), page)
+            entries[i] = (num.size + draw(st.integers(0, 3)), page)
         elif fault == "repeat within fixed" and fixed:
             fixed.append(fixed[i % len(fixed)])
         elif fault == "repeat within todo" and todo:
@@ -526,31 +526,31 @@ def multi_fault_plans(draw):
         elif fault == "move a fixed page onto a clash" and fixed:
             j = i % len(fixed)
             k, page = fixed[j]
-            edge = cat.edges[k] if k in range(cat.size) else None
+            edge = num.edges[k] if k in range(num.size) else None
             # the pages of the fixed edges this one would clash with
             onto = sorted(
-                {p for k2, p in fixed if edge and k2 != k and k2 in range(cat.size) and clash(edge, cat.edges[k2])}
+                {p for k2, p in fixed if edge and k2 != k and k2 in range(num.size) and clash(edge, num.edges[k2])}
                 - {page}
             )
             if onto:
                 fixed[j] = (k, draw(st.sampled_from(onto)))
-    return cat, rule, (spine, fixed, todo), m
+    return num, rule, (spine, fixed, todo), m
 
 
 @settings(max_examples=200)  # eight fault kinds in combination on six specs
 @given(multi_fault_plans())
 def test_plan_check_names_faults_in_combination_as_the_reference_does(case):
-    cat, rule, plan, m = case
+    num, rule, plan, m = case
     _, fixed, todo = plan
-    verdict = reference_plan_verdict(cat, plan, m)
+    verdict = reference_plan_verdict(num, plan, m)
     event("sound" if verdict is None else verdict.split(":")[0])
     if verdict is not None:
         with pytest.raises(CompletionError) as info:
-            _check_plan(cat, plan, m, rule)
+            _check_plan(num, plan, m, rule)
         assert str(info.value) == f"{rule}: {verdict}"
         return
-    index = _check_plan(cat, plan, m, rule)
-    _assert_pinned(index, cat, fixed)
+    index = _check_plan(num, plan, m, rule)
+    _assert_pinned(index, num, fixed)
     assert all(index.pages[k] == _TODO for k, _ in todo)
 
 
